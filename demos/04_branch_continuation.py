@@ -10,7 +10,7 @@ prediction 2pi/k0.
 import numpy as np
 
 from equideg.galerkin import (ContinuationOptions, continue_to_infinity,
-                              energy_drift, minimal_period, write_branch_csv)
+                              minimal_period, write_branch_csv)
 from equideg.problems import example2
 from equideg.spectral import scan_resonances
 
@@ -24,11 +24,11 @@ branch = continue_to_infinity(ex.problem, res, amplitudes,
                               ContinuationOptions(modes=16))
 
 print(f"\n{'R':>6} {'lambda':>12} {'residual':>10} {'T_min':>8} "
-      f"{'energy drift':>12}")
+      f"{'energy drift':>12} {'steps':>5}")
 for bp in branch:
-    drift = energy_drift(bp.loop, bp.lam, ex.problem)
     print(f"{bp.amplitude:6.1f} {bp.lam:12.6f} {bp.residual_norm:10.2e} "
-          f"{minimal_period(bp.loop):8.5f} {drift:12.3e}")
+          f"{minimal_period(bp.loop):8.5f} {bp.energy_drift:12.3e} "
+          f"{bp.newton_steps:5d}")
 
 print("\nlambda approaches the resonance like 1/R^2 while the amplitude")
 print("doubles: the branch is heading to (infinity, 0).  The energy drift")

@@ -95,6 +95,9 @@ class Perturbation:
     def _s(self, lam):
         return 1.0 if self.scale == "constant" else lam * lam
 
+    def _ds(self, lam):
+        return 0.0 if self.scale == "constant" else 2.0 * lam
+
     def gradient_many(self, X, lam):
         """Gradient rows for a stack X of shape (m, n)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -104,6 +107,16 @@ class Perturbation:
             r2 = (X * X).sum(axis=1) + self.a
             return self._s(lam) * X / (r2 ** 1.5)[:, None]
         return np.array([np.asarray(self._grad(x, lam), dtype=float) for x in X])
+
+    def gradient_lambda_many(self, X, lam):
+        """d/dlambda of the gradient rows (built-in kinds only)."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if self.kind == "none":
+            return np.zeros_like(X)
+        if self.kind == "kepler":
+            r2 = (X * X).sum(axis=1) + self.a
+            return self._ds(lam) * X / (r2 ** 1.5)[:, None]
+        raise ValueError("no analytic lambda derivative for user perturbations")
 
     def value_many(self, X, lam):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -116,17 +129,22 @@ class Perturbation:
             raise ValueError("user perturbation has no potential value callable")
         return np.array([float(self._value(x, lam)) for x in X])
 
-    def hessian(self, x, lam):
-        """Analytic Hessian (built-in kinds only)."""
-        x = np.asarray(x, dtype=float)
-        n = x.shape[0]
+    def hessian_many(self, X, lam):
+        """Analytic Hessians for a stack X of shape (m, n), shape (m, n, n)
+        (built-in kinds only)."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        m, n = X.shape
         if self.kind == "none":
-            return np.zeros((n, n))
+            return np.zeros((m, n, n))
         if self.kind == "kepler":
-            r2 = float(x @ x) + self.a
-            return self._s(lam) * (np.eye(n) / r2 ** 1.5
-                                   - 3.0 * np.outer(x, x) / r2 ** 2.5)
+            r2 = (X * X).sum(axis=1) + self.a
+            return self._s(lam) * (np.eye(n) / (r2 ** 1.5)[:, None, None]
+                                   - 3.0 * X[:, :, None] * X[:, None, :]
+                                   / (r2 ** 2.5)[:, None, None])
         raise ValueError("no analytic Hessian for user perturbations")
+
+    def hessian(self, x, lam):
+        return self.hessian_many(x, lam)[0]
 
     def to_json(self):
         obj = {"kind": self.kind}
@@ -221,8 +239,19 @@ class ProblemSpec:
         quad = 0.5 * np.einsum("mi,ij,mj->m", X, A, X)
         return quad + self.perturbation.value_many(X, lam)
 
+    def gradient_lambda_many(self, X, lam):
+        """d/dlambda grad V(x, lambda) for a stack X of shape (m, n)."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        dA = self.family.derivative_array(lam)
+        return X @ dA + self.perturbation.gradient_lambda_many(X, lam)
+
+    def hessian_many(self, X, lam):
+        """Hessians of V at a stack X of shape (m, n), shape (m, n, n)."""
+        A = self.family.eval_array(lam)
+        return A + self.perturbation.hessian_many(X, lam)
+
     def hessian(self, x, lam):
-        return self.family.eval_array(lam) + self.perturbation.hessian(x, lam)
+        return self.hessian_many(x, lam)[0]
 
     def scaled_base_matrix(self):
         """The constant A with family = lambda^2 A (scaled problems only)."""

@@ -124,6 +124,9 @@ def cmd_continue(args):
             "min_period_divisor": minimal_period_divisor(bp.loop),
             "active_modes": sorted(bp.active_modes),
             "failed": bp.failed,
+            "newton_steps": bp.newton_steps,
+            "jacobian_cond": bp.jacobian_cond,
+            "energy_drift": bp.energy_drift,
         } for bp in branch],
         "lambda_drift": drift,
         "sup_tail_drift": max(tail) if tail else None,

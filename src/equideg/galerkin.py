@@ -8,12 +8,15 @@ retained modes gives the residual
     R_k^cos  = -k^2 a_k + c_k
     R_k^sin  = -k^2 b_k + s_k
 
-with (c, s) the transform of t -> grad V(u(t), lambda) on M >= 4N+1
-equispaced nodes.  A Gauss-Newton iteration on the residual augmented with
-a phase condition (and, for continuation, an amplitude pin with lambda
-freed) produces branch points whose measured minimal periods and lambda
-drift are the numerical evidence the analysis module's predictions are
-checked against.
+with (c, s) the transform of t -> grad V(u(t), lambda) on M equispaced
+nodes (4N+1 unless ContinuationOptions.collocation says otherwise, at least
+2N+2).  A Gauss-Newton iteration on the residual augmented with a phase
+condition (and, for continuation, an amplitude pin with lambda freed)
+produces branch points whose measured minimal periods, lambda drift and
+energy drift are the numerical evidence the analysis module's predictions
+are checked against.  Each step assembles the Jacobian in closed form from
+the potential's Hessian at the nodes; only a user perturbation, which has
+no Hessian, falls back to finite differences.
 """
 
 import math
@@ -139,8 +142,13 @@ class ContinuationOptions:
     collocation: int = 0          # 0 means 4*modes + 1
     tol: float = 1e-10
     max_iter: int = 50
-    analytic_jacobian: bool = False
     mode_threshold: float = 1e-8  # active-mode energy fraction
+
+    def __post_init__(self):
+        if self.collocation and self.collocation < 2 * self.modes + 2:
+            raise ValueError(f"collocation = {self.collocation} is below the "
+                             f"2N+2 = {2 * self.modes + 2} nodes that "
+                             f"{self.modes} modes need")
 
     def nodes(self):
         return self.collocation if self.collocation else 4 * self.modes + 1
@@ -154,16 +162,22 @@ class BranchPoint:
     residual_norm: float
     active_modes: frozenset
     failed: bool = False
+    newton_steps: int | None = None      # Gauss-Newton steps taken
+    jacobian_cond: float | None = None   # sigma_max / sigma_min, last step
+    energy_drift: float | None = None    # see energy_drift()
 
 
-def _gradient_coeffs(p, vals, lam, N):
-    """(c0, c, s): Fourier coefficients of grad V along a sampled loop."""
-    M = vals.shape[0]
-    G = np.fft.rfft(p.gradient_many(vals, lam), axis=0)
-    c0 = G[0].real / M
-    c = 2.0 * G[1:N + 1].real / M
-    s = -2.0 * G[1:N + 1].imag / M
-    return c0, c, s
+def _coeffs(samples, N):
+    """Packed Fourier coefficients, modes 0..N, of samples on M nodes."""
+    M = samples.shape[0]
+    G = np.fft.rfft(samples, axis=0)
+    return FourierLoop(G[0].real / M, 2.0 * G[1:N + 1].real / M,
+                       -2.0 * G[1:N + 1].imag / M).pack()
+
+
+def _packed_k2(n, N):
+    """k^2 for every packed coefficient: 0 on a0, k^2 on mode k."""
+    return np.concatenate([np.zeros(n), np.repeat(np.arange(1, N + 1) ** 2, 2 * n)])
 
 
 def residual(loop, lam, p, M=None):
@@ -171,11 +185,15 @@ def residual(loop, lam, p, M=None):
     M = M or (4 * loop.N + 1)
     if M < 2 * loop.N + 2:
         raise ValueError("need at least 2N+2 collocation nodes")
-    c0, c, s = _gradient_coeffs(p, loop.values(M), lam, loop.N)
-    k2 = (np.arange(1, loop.N + 1) ** 2)[:, None]
-    rcos = -k2 * loop.acos + c
-    rsin = -k2 * loop.asin + s
-    return FourierLoop(c0, rcos, rsin).pack()
+    c = _coeffs(p.gradient_many(loop.values(M), lam), loop.N)
+    return c - _packed_k2(loop.n, loop.N) * loop.pack()
+
+
+def _phase_row(ref):
+    """Gradient of the phase condition, a linear form in the packed loop."""
+    k = np.arange(1, ref.N + 1)[:, None]
+    return math.pi * np.concatenate([
+        np.zeros(ref.n), np.stack([k * ref.asin, -k * ref.acos], axis=1).ravel()])
 
 
 def _phase_row_value(ref, loop):
@@ -184,39 +202,40 @@ def _phase_row_value(ref, loop):
     Zero at loop = ref, so a solver seeded at ref satisfies the phase
     condition from the start.
     """
-    k = np.arange(1, ref.N + 1)[:, None]
-    return math.pi * float(
-        (k * (ref.asin * loop.acos - ref.acos * loop.asin)).sum())
+    return float(_phase_row(ref) @ loop.pack())
 
 
 def _analytic_jacobian(loop, lam, p, M):
-    """Exact residual Jacobian via the potential Hessian at the nodes."""
+    """Exact residual Jacobian P diag(H(u(t_m))) T - diag(k^2).
+
+    This is the alternating frequency/time form of harmonic balance.  With
+    hc[j] - i hs[j] = (1/M) sum_m H(u(t_m)) exp(-i j t_m), the block of
+    mode-k residual rows against mode-l coefficients is, by the product
+    formulas for cos/sin, a Toeplitz part in k - l plus a Hankel part in
+    k + l (indices mod M, exact for the discrete sums):
+
+        cos/cos: hc[k-l] + hc[k+l]    cos/sin: hs[k+l] - hs[k-l]
+        sin/cos: hs[k+l] + hs[k-l]    sin/sin: hc[k-l] - hc[k+l]
+
+    The mean row k = 0 is halved; the sin columns and rows of k = 0 do
+    not exist and are dropped.
+    """
     n, N = loop.n, loop.N
-    vals = loop.values(M)
-    H = np.stack([p.hessian(x, lam) for x in vals])  # (M, n, n)
-    t = 2.0 * math.pi * np.arange(M) / M
-    k = np.arange(1, N + 1)
-    C = np.cos(np.outer(t, k))
-    S = np.sin(np.outer(t, k))
-    dim = n * (2 * N + 1)
-    J = np.zeros((dim, dim))
-    basis = np.empty((M, dim))
-    basis[:, :n] = 1.0
-    # columns ordered like pack(): a0 block, then per-k cos block, sin block
-    for kk in range(N):
-        lo = n + 2 * n * kk
-        basis[:, lo:lo + n] = C[:, kk:kk + 1]
-        basis[:, lo + n:lo + 2 * n] = S[:, kk:kk + 1]
-    for col in range(dim):
-        comp = col % n if col < n else (col - n) % n
-        dgrad = H[:, :, comp] * basis[:, col][:, None]
-        G = np.fft.rfft(dgrad, axis=0)
-        dc0 = G[0].real / M
-        dc = 2.0 * G[1:N + 1].real / M
-        ds = -2.0 * G[1:N + 1].imag / M
-        J[:, col] = FourierLoop(dc0, dc, ds).pack()
-    k2 = np.repeat(np.arange(1, N + 1) ** 2, 2 * n)
-    J[np.arange(n, dim), np.arange(n, dim)] -= k2
+    F = np.fft.fft(p.hessian_many(loop.values(M), lam), axis=0) / M
+    hc, hs = F.real, -F.imag
+    k = np.arange(N + 1)
+    dif = (k[:, None] - k[None, :]) % M
+    tot = (k[:, None] + k[None, :]) % M
+    B = np.empty((N + 1, 2, n, N + 1, 2, n))  # [k, cos|sin, i, l, cos|sin, j]
+    B[:, 0, :, :, 0] = (hc[dif] + hc[tot]).transpose(0, 2, 1, 3)
+    B[:, 0, :, :, 1] = (hs[tot] - hs[dif]).transpose(0, 2, 1, 3)
+    B[:, 1, :, :, 0] = (hs[tot] + hs[dif]).transpose(0, 2, 1, 3)
+    B[:, 1, :, :, 1] = (hc[dif] - hc[tot]).transpose(0, 2, 1, 3)
+    B[0] *= 0.5
+    dim = 2 * (N + 1) * n
+    keep = np.r_[0:n, 2 * n:dim]
+    J = B.reshape(dim, dim)[np.ix_(keep, keep)]
+    J[np.diag_indices(len(keep))] -= _packed_k2(n, N)
     return J
 
 
@@ -234,26 +253,36 @@ def _gauss_newton(func, x0, tol, max_iter, jac=None):
     """Least-squares Newton on an overdetermined system.
 
     Convergence is checked before the first step, so an exact initial
-    guess returns without assembling a Jacobian.
+    guess returns without assembling a Jacobian.  Without ``jac`` the
+    Jacobian is taken by finite differences of ``func``.  Returns the
+    solution, its residual max-norm, the number of steps taken and the
+    condition number of the last Jacobian (None when no step was taken).
     """
     x = x0.copy()
+    cond = None
     for it in range(max_iter + 1):
         f = func(x)
         norm = float(np.abs(f).max())
         if norm <= tol:
-            return x, norm
+            return x, norm, it, cond
         if it == max_iter:
             raise NewtonConvergenceError(
                 f"no convergence after {max_iter} iterations "
                 f"(residual {norm:.3e}, tolerance {tol:.3e})")
         J = jac(x) if jac is not None else _fd_jacobian(func, x, f)
-        sv = np.linalg.svd(J, compute_uv=False)
+        step, _, _, sv = np.linalg.lstsq(J, -f, rcond=None)
+        cond = float(sv[0] / max(sv[-1], 1e-300))
         if sv[-1] <= 1e-14 * sv[0]:
             raise SingularJacobianError("augmented Jacobian is rank deficient",
-                                        cond=float(sv[0] / max(sv[-1], 1e-300)))
-        step, *_ = np.linalg.lstsq(J, -f, rcond=None)
+                                        cond=cond)
         x = x + step
     raise AssertionError("unreachable")
+
+
+def _has_hessian(p):
+    """Built-in perturbations have analytic second derivatives; user
+    perturbations supply only a gradient and fall back to differences."""
+    return p.perturbation.kind != "user"
 
 
 def newton_solve(guess, lam, p, opts=None):
@@ -265,7 +294,7 @@ def newton_solve(guess, lam, p, opts=None):
     opts = opts or ContinuationOptions(modes=guess.N)
     N = opts.modes
     loop0 = guess.truncated(N)
-    M = max(opts.nodes(), 4 * N + 1)
+    M = opts.nodes()
     n = loop0.n
 
     def func(x):
@@ -273,21 +302,39 @@ def newton_solve(guess, lam, p, opts=None):
         return np.concatenate([residual(lp, lam, p, M),
                                [_phase_row_value(loop0, lp)]])
 
-    jac = None
-    if opts.analytic_jacobian:
-        k = np.arange(1, N + 1)[:, None]
+    def jac(x):
+        lp = FourierLoop.unpack(x, n, N)
+        return np.vstack([_analytic_jacobian(lp, lam, p, M), _phase_row(loop0)])
 
-        def jac(x):
-            lp = FourierLoop.unpack(x, n, N)
-            J = _analytic_jacobian(lp, lam, p, M)
-            phase = np.concatenate([
-                np.zeros(n),
-                np.stack([k * loop0.asin, -k * loop0.acos], axis=1).ravel()
-            ]) * math.pi
-            return np.vstack([J, phase])
-
-    x, _ = _gauss_newton(func, loop0.pack(), opts.tol, opts.max_iter, jac)
+    x, *_ = _gauss_newton(func, loop0.pack(), opts.tol, opts.max_iter,
+                          jac if _has_hessian(p) else None)
     return FourierLoop.unpack(x, n, N)
+
+
+def _continuation_system(p, ref, R, k0, M):
+    """(func, jac) of the augmented system in z = (packed loop, lambda):
+    residual, phase condition against ref, and the mode-k0 coefficient norm
+    pinned to R.  jac is None for perturbations without a Hessian."""
+    n, N = ref.n, ref.N
+    dim = n * (2 * N + 1)
+    pin = slice(n + 2 * n * (k0 - 1), n + 2 * n * k0)  # acos_k0, asin_k0
+
+    def func(z):
+        lp = FourierLoop.unpack(z[:-1], n, N)
+        return np.concatenate([residual(lp, z[-1], p, M),
+                               [_phase_row_value(ref, lp),
+                                np.linalg.norm(z[pin]) - R]])
+
+    def jac(z):
+        lp, lam = FourierLoop.unpack(z[:-1], n, N), z[-1]
+        J = np.zeros((dim + 2, dim + 1))
+        J[:dim, :dim] = _analytic_jacobian(lp, lam, p, M)
+        J[:dim, dim] = _coeffs(p.gradient_lambda_many(lp.values(M), lam), N)
+        J[dim, :dim] = _phase_row(ref)
+        J[dim + 1, pin] = z[pin] / np.linalg.norm(z[pin])
+        return J
+
+    return func, (jac if _has_hessian(p) else None)
 
 
 def _kernel_directions(p, r, tol=DEFAULT_TOL):
@@ -326,17 +373,6 @@ def continue_to_infinity(p, r, amplitudes, opts=None, direction=0, window=0.5):
                          f"kernel multiplicity is {len(dirs)}")
     vec = dirs[direction]
     lam0 = r.lambda0
-
-    def make_func(ref, R):
-        def func(z):
-            lp = FourierLoop.unpack(z[:-1], n, N)
-            lam = z[-1]
-            pin = math.hypot(np.linalg.norm(lp.acos[k0 - 1]),
-                             np.linalg.norm(lp.asin[k0 - 1])) - R
-            return np.concatenate([residual(lp, lam, p, M),
-                                   [_phase_row_value(ref, lp), pin]])
-        return func
-
     branch = []
     prev = None
     prev_lam = lam0
@@ -348,9 +384,10 @@ def continue_to_infinity(p, r, amplitudes, opts=None, direction=0, window=0.5):
             seed = FourierLoop(prev.a0 * ratio, prev.acos * ratio,
                                prev.asin * ratio)
         z0 = np.concatenate([seed.pack(), [prev_lam]])
-        func = make_func(seed, float(R))
+        func, jac = _continuation_system(p, seed, float(R), k0, M)
         try:
-            z, norm = _gauss_newton(func, z0, opts.tol, opts.max_iter)
+            z, norm, steps, cond = _gauss_newton(func, z0, opts.tol,
+                                                 opts.max_iter, jac)
         except (NewtonConvergenceError, SingularJacobianError):
             branch.append(BranchPoint(seed, prev_lam, float(R), math.inf,
                                       frozenset(), failed=True))
@@ -361,7 +398,13 @@ def continue_to_infinity(p, r, amplitudes, opts=None, direction=0, window=0.5):
         total = float(energy.sum()) or 1.0
         active = frozenset(int(k) for k in np.flatnonzero(
             energy > opts.mode_threshold * total) + 1)
-        branch.append(BranchPoint(loop, lam, float(R), norm, active))
+        try:
+            drift = energy_drift(loop, lam, p, M)
+        except ValueError:  # a user perturbation without a potential
+            drift = None
+        branch.append(BranchPoint(loop, lam, float(R), norm, active,
+                                  newton_steps=steps, jacobian_cond=cond,
+                                  energy_drift=drift))
         if len(branch) >= 2 and abs(lam - lam0) > abs(branch[-2].lam - lam0) \
                 and abs(lam - lam0) > window:
             warnings.warn(

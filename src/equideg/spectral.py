@@ -272,6 +272,11 @@ class MatrixFamily:
         powers = np.power(float(lam), np.arange(self.coeffs.shape[0]))
         return np.tensordot(powers, self.coeffs, axes=1)
 
+    def derivative_array(self, lam):
+        """dA/dlambda at lam, from the same coefficient stack."""
+        p = np.arange(1, self.coeffs.shape[0])
+        return np.tensordot(p * np.power(float(lam), p - 1), self.coeffs[1:], axes=1)
+
     def eval_many(self, lams):
         lams = np.asarray(lams, dtype=float)
         powers = lams[:, None] ** np.arange(self.coeffs.shape[0])[None, :]

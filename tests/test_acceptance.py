@@ -245,8 +245,8 @@ def test_criterion_09(failures):
         sigma = math.asinh(math.sqrt(a) / R) / k0
         loop, drift = bp.loop, energy_drift(bp.loop, bp.lam, ex2.problem)
         for N in (16, 32):
-            loop = newton_solve(loop, bp.lam, ex2.problem, ContinuationOptions(
-                modes=2 * N, analytic_jacobian=True))
+            loop = newton_solve(loop, bp.lam, ex2.problem,
+                                ContinuationOptions(modes=2 * N))
             refined = energy_drift(loop, bp.lam, ex2.problem)
             chk(failures, refined <= math.exp(-N * sigma) * drift,
                 f"example 2: energy drift {drift:.3e} at N={N} fell only to "

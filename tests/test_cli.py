@@ -113,6 +113,18 @@ def test_continue_example2_writes_branch(tmp_path, capsys):
     assert len(lines) == 2 + 2  # comment, header, two points
 
 
+def test_continue_reports_newton_trace_per_point(tmp_path, capsys):
+    rc = main(["continue", str(config_path("example2")),
+               "--resonance", "0", "--amplitudes", "1,2", "--modes", "8",
+               "--out", str(tmp_path / "branch.csv")])
+    points = json.loads(capsys.readouterr().out)["points"]
+    assert rc == 0
+    for pt in points:
+        assert pt["newton_steps"] >= 1
+        assert 1.0 <= pt["jacobian_cond"] < 1e14
+        assert 0.0 <= pt["energy_drift"] < 1.0
+
+
 def test_continue_unknown_resonance_exits_one(capsys):
     rc = main(["continue", str(config_path("example2")),
                "--resonance", "0.37", "--amplitudes", "1,2"])

@@ -8,12 +8,13 @@ import pytest
 from equideg.bifurcation import IndexRule, Perturbation, ProblemSpec
 from equideg.galerkin import (BranchPoint, ContinuationOptions, FourierLoop,
                               NewtonConvergenceError, SingularJacobianError,
-                              _analytic_jacobian, _fd_jacobian,
-                              _phase_row_value, continue_to_infinity,
+                              _analytic_jacobian, _continuation_system,
+                              _fd_jacobian, _phase_row_value,
+                              continue_to_infinity,
                               energy_drift, minimal_period,
                               minimal_period_divisor, newton_solve, residual,
                               write_branch_csv)
-from equideg.problems import example2
+from equideg.problems import example1, example2, example3
 from equideg.spectral import MatrixFamily, scan_resonances
 
 
@@ -203,6 +204,25 @@ def test_analytic_jacobian_matches_finite_differences():
     assert np.abs(J_an - J_fd).max() < 1e-5
 
 
+@pytest.mark.parametrize("make", [example1, example2, example3])
+def test_continuation_jacobian_matches_finite_differences(make):
+    # the augmented system: lambda column (example 1 has a lambda^2 Kepler
+    # scale and a lambda-dependent family), phase row and amplitude-pin row
+    p = make().problem
+    rng = np.random.default_rng(11)
+    N, M, k0 = 3, 13, 2
+    for _ in range(5):
+        ref = random_loop(rng, p.n, N, scale=0.5)
+        func, jac = _continuation_system(p, ref, 1.5, k0, M)
+        z = np.concatenate([random_loop(rng, p.n, N, scale=0.5).pack(),
+                            [rng.uniform(-0.9, 0.9)]])
+        J_an = jac(z)
+        J_fd = _fd_jacobian(func, z, func(z))
+        assert J_an.shape == (p.n * (2 * N + 1) + 2, p.n * (2 * N + 1) + 1)
+        scale = max(1.0, float(np.abs(J_an).max()))
+        assert np.abs(J_an - J_fd).max() / scale < 1e-5
+
+
 # --------------------------------------------------------------- newton solve
 
 def test_newton_exact_guess_converges_without_iterating():
@@ -228,8 +248,7 @@ def test_newton_singular_jacobian_detected():
     p = linear_problem({0: 4.0})
     guess = FourierLoop.single_mode(1, [0.1], N=2)
     with pytest.raises(SingularJacobianError) as err:
-        newton_solve(guess, 0.0, p,
-                     ContinuationOptions(modes=2, analytic_jacobian=True))
+        newton_solve(guess, 0.0, p, ContinuationOptions(modes=2))
     assert err.value.cond > 1e14
 
 
@@ -242,18 +261,36 @@ def test_newton_converges_on_perturbed_linear_problem():
     assert np.abs(out.pack()).max() < 1e-8
 
 
-def test_newton_analytic_jacobian_path_agrees():
+def test_continuation_user_perturbation_agrees_with_builtin():
+    # a user perturbation has no Hessian, so its Newton steps use finite
+    # differences; handed the Kepler gradient it must find the same branch
     ex = example2()
     r = scan_resonances(ex.problem.family, ex.lm, ex.lp)[0]
-    branch = continue_to_infinity(ex.problem, r, [3.0],
-                                  ContinuationOptions(modes=10))
-    bp = branch[0]
-    assert not bp.failed
-    fd = newton_solve(bp.loop, bp.lam, ex.problem,
-                      ContinuationOptions(modes=10))
-    an = newton_solve(bp.loop, bp.lam, ex.problem,
-                      ContinuationOptions(modes=10, analytic_jacobian=True))
-    assert np.abs(fd.pack() - an.pack()).max() < 1e-8
+    user = ProblemSpec(4, ex.problem.family, Perturbation.user(
+        lambda x, lam: x / (x @ x + 1.0) ** 1.5), IndexRule.builtin())
+    opts = ContinuationOptions(modes=10)
+    an = continue_to_infinity(ex.problem, r, [3.0, 6.0], opts)
+    fd = continue_to_infinity(user, r, [3.0, 6.0], opts)
+    for a, b in zip(an, fd):
+        assert not a.failed and not b.failed
+        assert abs(a.lam - b.lam) < 1e-8
+        assert np.abs(a.loop.pack() - b.loop.pack()).max() < 1e-8
+        assert b.energy_drift is None  # no potential to measure it with
+
+
+def test_newton_solves_on_the_requested_nodes():
+    # newton_solve and continue_to_infinity share one node rule, nodes():
+    # a branch point found on 4N+1 nodes is refined on the 2N+3 requested
+    ex = example2()
+    r = scan_resonances(ex.problem.family, ex.lm, ex.lp)[0]
+    bp = continue_to_infinity(ex.problem, r, [4.0],
+                              ContinuationOptions(modes=6))[0]
+    opts = ContinuationOptions(modes=6, collocation=15)
+    assert np.abs(residual(bp.loop, bp.lam, ex.problem, 15)).max() > 1e-6
+    out = newton_solve(bp.loop, bp.lam, ex.problem, opts)
+    assert np.abs(residual(out, bp.lam, ex.problem, 15)).max() < opts.tol
+    with pytest.raises(ValueError, match=r"2N\+2"):
+        ContinuationOptions(modes=6, collocation=13)
 
 
 def test_newton_solution_shift_family():
