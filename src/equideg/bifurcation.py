@@ -32,11 +32,13 @@ import numpy as np
 from .eqdeg import MissingIndexError, deg_id_minus_LA, ind_infinity
 from .reps import RepDecomposition, gcd_closure, is_consistent, isotropy_gcd_set
 from .spectral import (DEFAULT_GRID, DEFAULT_TOL, MatrixFamily, ResonancePoint,
-                       SpectralData, as_symmetric, eigen_sym,
+                       SpectralData, as_symmetric, eigen_sym, frequency_bound,
                        _j_k_of_spectral, k_set, resonant_frequencies,
                        scan_resonances)
 from .udring import TomDieckElement, add, scalar_mul
 
+#: Version of every file format written or read: problem files, the report,
+#: ``continue`` and ``verify-examples`` JSON, and the branch CSV header.
 FORMAT_VERSION = 1
 
 
@@ -49,6 +51,7 @@ class AccumulationWarning(UserWarning):
     lambda0 = k/sqrt(alpha) become unreliable."""
 
 
+@dataclass(frozen=True, eq=False)
 class Perturbation:
     """Bounded perturbation of the asymptotic quadratic part.
 
@@ -58,27 +61,23 @@ class Perturbation:
     kind "user":    a caller-supplied gradient, optional potential value.
     """
 
-    __slots__ = ("kind", "a", "scale", "_grad", "_value")
+    kind: str
+    a: float = None
+    scale: str = None
+    grad: object = None
+    value: object = None
 
-    def __init__(self, kind, a=None, scale=None, grad=None, value=None):
-        if kind not in ("none", "kepler", "user"):
-            raise ValueError(f"unknown perturbation kind {kind!r}")
-        if kind == "kepler":
-            a = float(a)
-            if not a > 0:
+    def __post_init__(self):
+        if self.kind not in ("none", "kepler", "user"):
+            raise ValueError(f"unknown perturbation kind {self.kind!r}")
+        if self.kind == "kepler":
+            object.__setattr__(self, "a", float(self.a))
+            if not self.a > 0:
                 raise ValueError("kepler perturbation needs a > 0")
-            if scale not in ("constant", "lambda_squared"):
-                raise ValueError(f"unknown kepler scale {scale!r}")
-        if kind == "user" and grad is None:
+            if self.scale not in ("constant", "lambda_squared"):
+                raise ValueError(f"unknown kepler scale {self.scale!r}")
+        if self.kind == "user" and self.grad is None:
             raise ValueError("user perturbation needs a gradient callable")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "_grad", grad)
-        object.__setattr__(self, "_value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Perturbation is immutable")
 
     @classmethod
     def none(cls):
@@ -106,7 +105,7 @@ class Perturbation:
         if self.kind == "kepler":
             r2 = (X * X).sum(axis=1) + self.a
             return self._s(lam) * X / (r2 ** 1.5)[:, None]
-        return np.array([np.asarray(self._grad(x, lam), dtype=float) for x in X])
+        return np.array([np.asarray(self.grad(x, lam), dtype=float) for x in X])
 
     def gradient_lambda_many(self, X, lam):
         """d/dlambda of the gradient rows (built-in kinds only)."""
@@ -125,9 +124,9 @@ class Perturbation:
         if self.kind == "kepler":
             r2 = (X * X).sum(axis=1) + self.a
             return -self._s(lam) / np.sqrt(r2)
-        if self._value is None:
+        if self.value is None:
             raise ValueError("user perturbation has no potential value callable")
-        return np.array([float(self._value(x, lam)) for x in X])
+        return np.array([float(self.value(x, lam)) for x in X])
 
     def hessian_many(self, X, lam):
         """Analytic Hessians for a stack X of shape (m, n), shape (m, n, n)
@@ -154,6 +153,7 @@ class Perturbation:
         return obj
 
 
+@dataclass(frozen=True, eq=False)
 class IndexRule:
     """How ind(-grad V(., lambda), infinity) is obtained.
 
@@ -162,18 +162,14 @@ class IndexRule:
     "unavailable": criteria needing the index raise.
     """
 
-    __slots__ = ("kind", "_value")
+    kind: str
+    _value: object = None
 
-    def __init__(self, kind, value=None):
-        if kind not in ("builtin", "value", "unavailable"):
-            raise ValueError(f"unknown index rule {kind!r}")
-        if kind == "value" and value is None:
+    def __post_init__(self):
+        if self.kind not in ("builtin", "value", "unavailable"):
+            raise ValueError(f"unknown index rule {self.kind!r}")
+        if self.kind == "value" and self._value is None:
             raise ValueError("index rule 'value' needs the value")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "_value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IndexRule is immutable")
 
     @classmethod
     def builtin(cls):
@@ -208,24 +204,30 @@ class IndexRule:
         return obj
 
 
+@dataclass(frozen=True, eq=False)
 class ProblemSpec:
-    """Everything the analysis needs about one system u'' = -grad V(u, lambda)."""
+    """Everything the analysis needs about one system u'' = -grad V(u, lambda).
 
-    __slots__ = ("n", "family", "perturbation", "index_rule", "scaled")
+    A None perturbation means Perturbation.none(), a None index rule
+    IndexRule.unavailable().
+    """
 
-    def __init__(self, n, family, perturbation=None, index_rule=None, scaled=False):
-        if not isinstance(family, MatrixFamily):
+    n: int
+    family: MatrixFamily
+    perturbation: Perturbation = None
+    index_rule: IndexRule = None
+    scaled: bool = False
+
+    def __post_init__(self):
+        if not isinstance(self.family, MatrixFamily):
             raise TypeError("family must be a MatrixFamily")
-        if family.n != n:
-            raise ValueError(f"family is {family.n}x{family.n}, declared n = {n}")
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "perturbation", perturbation or Perturbation.none())
-        object.__setattr__(self, "index_rule", index_rule or IndexRule.unavailable())
-        object.__setattr__(self, "scaled", bool(scaled))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProblemSpec is immutable")
+        if self.family.n != self.n:
+            raise ValueError(f"family is {self.family.n}x{self.family.n}, "
+                             f"declared n = {self.n}")
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "perturbation", self.perturbation or Perturbation.none())
+        object.__setattr__(self, "index_rule", self.index_rule or IndexRule.unavailable())
+        object.__setattr__(self, "scaled", bool(self.scaled))
 
     def gradient_many(self, X, lam):
         """grad V(x, lambda) for a stack X of shape (m, n)."""
@@ -409,10 +411,8 @@ def endpoint_degree(p, lam, tol=DEFAULT_TOL):
         return deg_id_minus_LA(A, tol), frozenset(), s
     ind = p.index_rule.ind(A, lam, tol)
     undefined = frozenset(k for k in res if k >= 1)
-    top = max((v for v, _ in s.eigenvalues), default=-1.0)
-    kmax = math.isqrt(int(max(top, 0.0))) + 1
     zk = {}
-    for k in range(1, kmax + 1):
+    for k in range(1, frequency_bound(s.top) + 1):
         if k in undefined:
             continue
         jk = _j_k_of_spectral(s, k)
@@ -442,11 +442,6 @@ def bif_index_ls(p, lm, lp, tol=DEFAULT_TOL):
     return bif_index(p, lm, lp, tol).a0
 
 
-def _kmax_of(*spectra):
-    top = max((v for s in spectra for v, _ in s.eigenvalues), default=-1.0)
-    return math.isqrt(int(max(top, 0.0))) + 1
-
-
 def check_eqcont1(p, lm, lp, tol=DEFAULT_TOL):
     """Criterion with possibly resonant endpoints.
 
@@ -465,7 +460,7 @@ def check_eqcont1(p, lm, lp, tol=DEFAULT_TOL):
             message=f"index at infinity flips: {ind_m} at {lm:g}, {ind_p} at {lp:g}; "
                     "an unbounded branch bifurcates from infinity in the interval")
     if ind_p != 0:
-        for k in range(1, _kmax_of(s_m, s_p) + 1):
+        for k in range(1, frequency_bound(max(s_m.top, s_p.top)) + 1):
             if k in kset:
                 continue
             if _j_k_of_spectral(s_p, k) != _j_k_of_spectral(s_m, k):
@@ -508,7 +503,7 @@ def check_eqcont2(p, lm, lp, tol=DEFAULT_TOL, grid=DEFAULT_GRID):
             "eqcont2(i)", True, lambda0=lam0,
             message=f"(-1)^j_0 flips ({j0_m} -> {j0_p}); an unbounded branch "
                     f"meets (infinity, lambda0 = {lam0:.9g})")
-    for k in range(1, _kmax_of(s_m, s_p) + 1):
+    for k in range(1, frequency_bound(max(s_m.top, s_p.top)) + 1):
         jm, jp = _j_k_of_spectral(s_m, k), _j_k_of_spectral(s_p, k)
         if jm != jp:
             return CriterionVerdict(

@@ -10,14 +10,12 @@ import json
 import sys
 
 from . import problems
-from .bifurcation import PreconditionError, build_report
+from .bifurcation import FORMAT_VERSION, PreconditionError, build_report
 from .config import ConfigError, ProblemConfig
 from .eqdeg import MissingIndexError
 from .galerkin import (ContinuationOptions, continue_to_infinity,
                        minimal_period_divisor, write_branch_csv)
 from .spectral import scan_resonances
-
-FORMAT_VERSION = 1
 
 
 def _fmt_element(e):
@@ -105,6 +103,9 @@ def cmd_continue(args):
         return 1
     if not amplitudes or any(b <= a for a, b in zip(amplitudes, amplitudes[1:])):
         print("error: --amplitudes must be strictly increasing", file=sys.stderr)
+        return 1
+    if not all(a > 0 for a in amplitudes):
+        print("error: --amplitudes must be positive", file=sys.stderr)
         return 1
     opts = ContinuationOptions(modes=args.modes if args.modes else cfg.modes)
     branch = continue_to_infinity(p, pt, amplitudes, opts)

@@ -30,11 +30,9 @@ import configparser
 import math
 from dataclasses import dataclass, field
 
-from .bifurcation import IndexRule, Perturbation, ProblemSpec
+from .bifurcation import FORMAT_VERSION, IndexRule, Perturbation, ProblemSpec
 from .reps import RepDecomposition
 from .spectral import DEFAULT_GRID, DEFAULT_TOL, MatrixFamily
-
-FORMAT_VERSION = 1
 
 NAMED_CONSTANTS = {
     "pi": math.pi,

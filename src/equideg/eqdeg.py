@@ -13,12 +13,12 @@ Brouwer index at infinity available in closed form for the built-in
 bounded-perturbation class.
 """
 
-import math
+from dataclasses import dataclass
 
 from .reps import RepDecomposition
 from .spectral import (DEFAULT_TOL, DegenerateSpectrumError, as_symmetric,
-                       eigen_sym, morse_index, _j_k_of_spectral,
-                       resonant_frequencies)
+                       eigen_sym, frequency_bound, morse_index,
+                       _j_k_of_spectral, resonant_frequencies)
 from .udring import TomDieckElement
 
 
@@ -30,6 +30,7 @@ class MissingIndexError(ValueError):
     """The index at infinity is needed but neither computable nor supplied."""
 
 
+@dataclass(frozen=True, eq=False)
 class LinearBlockData:
     """Morse indices of the isotypic blocks of a self-adjoint isomorphism.
 
@@ -39,16 +40,17 @@ class LinearBlockData:
     index must be even and at most 2j; the k = 0 block is bounded by j.
     """
 
-    __slots__ = ("rep", "block_morse")
+    rep: RepDecomposition
+    block_morse: tuple
 
-    def __init__(self, rep, block_morse):
-        if not isinstance(rep, RepDecomposition):
+    def __post_init__(self):
+        if not isinstance(self.rep, RepDecomposition):
             raise TypeError("rep must be a RepDecomposition")
-        morse = tuple(int(m) for m in block_morse)
-        if len(morse) != len(rep.parts):
+        morse = tuple(int(m) for m in self.block_morse)
+        if len(morse) != len(self.rep.parts):
             raise BlockDataError(
-                f"expected {len(rep.parts)} Morse indices, got {len(morse)}")
-        for (j, k), m in zip(rep.parts, morse):
+                f"expected {len(self.rep.parts)} Morse indices, got {len(morse)}")
+        for (j, k), m in zip(self.rep.parts, morse):
             dim = j if k == 0 else 2 * j
             if not 0 <= m <= dim:
                 raise BlockDataError(
@@ -56,11 +58,7 @@ class LinearBlockData:
             if k >= 1 and m % 2:
                 raise BlockDataError(
                     f"Morse index {m} on block R[{j},{k}] must be even")
-        object.__setattr__(self, "rep", rep)
         object.__setattr__(self, "block_morse", morse)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearBlockData is immutable")
 
     def __repr__(self):
         return f"LinearBlockData({self.rep!r}, {self.block_morse!r})"
@@ -104,33 +102,27 @@ def deg_id_minus_LA(A, tol=DEFAULT_TOL):
             "Id - L_A is not an isomorphism")
     j0 = _j_k_of_spectral(s, 0)
     a0 = -1 if j0 % 2 else 1
-    top = max((v for v, _ in s.eigenvalues), default=-1.0)
-    kmax = math.isqrt(int(max(top, 0.0))) + 1
     zk = {}
-    for k in range(1, kmax + 1):
+    for k in range(1, frequency_bound(s.top) + 1):
         jk = _j_k_of_spectral(s, k)
         if jk:
             zk[k] = a0 * jk
     return TomDieckElement(a0, zk)
 
 
-def ind_infinity(A, n=None, builtin_class=True, tol=DEFAULT_TOL):
+def ind_infinity(A, n=None, tol=DEFAULT_TOL):
     """Brouwer index at infinity of -grad V for the built-in potential class.
 
     For a bounded Kepler-like perturbation of the quadratic form with matrix
     A the index equals (-1)^(n - m(A)) with m the count of strictly negative
     eigenvalues; zero eigenvalues are allowed, the perturbation resolves
-    them.  Outside the built-in class there is no formula and the value must
-    come from the caller, so builtin_class=False raises.
+    them.  Outside the built-in class there is no formula: the value comes
+    from the caller through ``IndexRule.value``.
     """
     A = as_symmetric(A)
     if n is None:
         n = A.n
     elif n != A.n:
         raise ValueError(f"declared dimension {n} does not match matrix size {A.n}")
-    if not builtin_class:
-        raise MissingIndexError(
-            "index at infinity has no closed form outside the built-in "
-            "perturbation class; supply the value explicitly")
     m = morse_index(eigen_sym(A, tol))
     return -1 if (n - m) % 2 else 1

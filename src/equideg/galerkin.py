@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bifurcation import FORMAT_VERSION
 from .spectral import DEFAULT_TOL
 
 
@@ -44,29 +45,33 @@ class DivergenceWarning(UserWarning):
     """Branch drifts away from the expected resonance value."""
 
 
+@dataclass(frozen=True, eq=False)
 class FourierLoop:
     """Real trigonometric polynomial loop u(t) = a0 + sum_k (acos_k cos kt
     + asin_k sin kt), t in [0, 2pi), with vector coefficients in R^n."""
 
-    __slots__ = ("n", "N", "a0", "acos", "asin")
+    a0: np.ndarray
+    acos: np.ndarray
+    asin: np.ndarray
 
-    def __init__(self, a0, acos, asin):
-        a0 = np.array(a0, dtype=float)
-        acos = np.array(acos, dtype=float)
-        asin = np.array(asin, dtype=float)
+    def __post_init__(self):
+        a0 = np.array(self.a0, dtype=float)
+        acos = np.array(self.acos, dtype=float)
+        asin = np.array(self.asin, dtype=float)
         if a0.ndim != 1 or acos.ndim != 2 or acos.shape != asin.shape \
                 or acos.shape[1] != a0.shape[0]:
             raise ValueError("coefficient shapes disagree")
-        for arr in (a0, acos, asin):
+        for name, arr in (("a0", a0), ("acos", acos), ("asin", asin)):
             arr.flags.writeable = False
-        object.__setattr__(self, "n", a0.shape[0])
-        object.__setattr__(self, "N", acos.shape[0])
-        object.__setattr__(self, "a0", a0)
-        object.__setattr__(self, "acos", acos)
-        object.__setattr__(self, "asin", asin)
+            object.__setattr__(self, name, arr)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FourierLoop is immutable")
+    @property
+    def n(self):
+        return self.a0.shape[0]
+
+    @property
+    def N(self):
+        return self.acos.shape[0]
 
     @classmethod
     def zero(cls, n, N):
@@ -367,6 +372,10 @@ def continue_to_infinity(p, r, amplitudes, opts=None, direction=0, window=0.5):
     N = opts.modes
     M = opts.nodes()
     n = p.n
+    amplitudes = list(amplitudes)
+    if not all(R > 0 for R in amplitudes):
+        raise ValueError(f"amplitudes must be positive, got {amplitudes}: "
+                         "each pins the mode-k0 norm of a nonconstant loop")
     k0, dirs = _kernel_directions(p, r)
     if not 0 <= direction < len(dirs):
         raise ValueError(f"direction {direction} out of range; "
@@ -451,7 +460,7 @@ def energy_drift(loop, lam, p, M=None):
     return float(E.max() - E.min())
 
 
-def write_branch_csv(path, branch, format_version=1):
+def write_branch_csv(path, branch):
     """Branch table with 17-significant-digit decimal columns."""
     if not branch:
         raise ValueError("empty branch")
@@ -462,7 +471,7 @@ def write_branch_csv(path, branch, format_version=1):
         cols += [f"cos{k}_{i + 1}" for i in range(n)]
         cols += [f"sin{k}_{i + 1}" for i in range(n)]
     with open(path, "w") as fh:
-        fh.write(f"# branch of 2pi-periodic solutions, format_version={format_version}, "
+        fh.write(f"# branch of 2pi-periodic solutions, format_version={FORMAT_VERSION}, "
                  f"n={n}, modes={N}\n")
         fh.write(",".join(cols) + "\n")
         for bp in branch:

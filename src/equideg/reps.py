@@ -9,14 +9,16 @@ are read off from the gcd-closure of its frequency set.
 """
 
 import math
+from dataclasses import dataclass
 
-from .spectral import as_symmetric, eigen_sym
+from .spectral import eigen_sym, resonant_frequencies
 
 #: Label for the full-group isotropy contributed by a trivial summand.
 #: Distinct from every integer label Z_g by construction.
 SO2 = "SO(2)"
 
 
+@dataclass(frozen=True)
 class RepDecomposition:
     """Sorted list of (multiplicity j, frequency k) pairs with distinct k.
 
@@ -24,10 +26,10 @@ class RepDecomposition:
     and stands for the zero representation.
     """
 
-    __slots__ = ("parts",)
+    parts: tuple = ()
 
-    def __init__(self, parts=()):
-        parts = tuple((int(j), int(k)) for j, k in parts)
+    def __post_init__(self):
+        parts = tuple((int(j), int(k)) for j, k in self.parts)
         for j, k in parts:
             if j < 1:
                 raise ValueError(f"multiplicity must be >= 1, got {j}")
@@ -37,9 +39,6 @@ class RepDecomposition:
         if any(b <= a for a, b in zip(freqs, freqs[1:])):
             raise ValueError(f"frequencies must be strictly increasing, got {freqs}")
         object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RepDecomposition is immutable")
 
     @property
     def dimension(self):
@@ -58,14 +57,6 @@ class RepDecomposition:
             if kk == k:
                 return j
         return 0
-
-    def __eq__(self, other):
-        if not isinstance(other, RepDecomposition):
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
 
     def __bool__(self):
         return bool(self.parts)
@@ -108,15 +99,9 @@ def kernel_rep_at_infinity(A, tol=1e-9):
     kernel contains the mode-k loops in the corresponding eigenspace, one
     R[mu, k] block of multiplicity mu = mu_A(k^2).
     """
-    s = eigen_sym(as_symmetric(A), tol)
-    top = max((v for v, _ in s.eigenvalues), default=-1.0)
-    kmax = 0 if top < 0 else math.isqrt(int(top + s.tol)) + 1
-    parts = []
-    for k in range(kmax + 1):
-        mu = sum(m for v, m in s.eigenvalues if abs(v - k * k) <= s.tol)
-        if mu > 0:
-            parts.append((mu, k))
-    return RepDecomposition(parts)
+    s = eigen_sym(A, tol)
+    return RepDecomposition([(s.multiplicity(k * k), k)
+                             for k in sorted(resonant_frequencies(s))])
 
 
 def isotropy_gcd_set(rep):

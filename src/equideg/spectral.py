@@ -14,9 +14,7 @@ and degenerate cases raise instead of guessing.
 """
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,13 +44,14 @@ class ResolutionWarning(UserWarning):
     """Two resonances of the same frequency fall within one grid cell."""
 
 
+@dataclass(frozen=True, eq=False)
 class SymmetricMatrix:
     """Square real matrix, symmetrized exactly at construction."""
 
-    __slots__ = ("entries",)
+    entries: np.ndarray
 
-    def __init__(self, entries):
-        arr = np.array(entries, dtype=float)
+    def __post_init__(self):
+        arr = np.array(self.entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -60,9 +59,6 @@ class SymmetricMatrix:
         arr = (arr + arr.T) / 2.0
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymmetricMatrix is immutable")
 
     @property
     def n(self):
@@ -94,6 +90,11 @@ class SpectralData:
 
     def values(self):
         return [v for v, _ in self.eigenvalues]
+
+    @property
+    def top(self):
+        """Largest eigenvalue, -1.0 for an empty spectrum."""
+        return max(self.values(), default=-1.0)
 
     def multiplicity(self, x):
         """Total multiplicity of eigenvalues within tol of x."""
@@ -155,17 +156,20 @@ def morse_index(s, strict=False):
     return sum(m for v, m in s.eigenvalues if v < -s.tol)
 
 
+def frequency_bound(top):
+    """Smallest k >= 1 with k^2 > top.
+
+    No eigenvalue at most ``top`` reaches k^2 from this k on, so j_k and
+    mu_A(k^2) vanish there; loops over frequencies stop at it.
+    """
+    return math.isqrt(int(max(top, 0.0))) + 1
+
+
 def resonant_frequencies(s, include_zero=True):
     """Frequencies k with k^2 an eigenvalue within tolerance."""
-    out = set()
-    top = max((v for v, _ in s.eigenvalues), default=-1.0)
-    if top < -s.tol:
-        return frozenset()
-    kmax = math.isqrt(int(max(top + s.tol, 0.0))) + 1
-    for k in range(0 if include_zero else 1, kmax + 1):
-        if s.multiplicity(k * k) > 0:
-            out.add(k)
-    return frozenset(out)
+    return frozenset(k for k in range(0 if include_zero else 1,
+                                      frequency_bound(s.top + s.tol) + 1)
+                     if s.multiplicity(k * k) > 0)
 
 
 def _j_k_of_spectral(s, k):
@@ -203,6 +207,7 @@ def k_set(s_minus, s_plus):
     return frozenset(out)
 
 
+@dataclass(frozen=True, eq=False)
 class MatrixFamily:
     """Symmetric-matrix family A(lambda) with polynomial entries.
 
@@ -210,10 +215,10 @@ class MatrixFamily:
     each coefficient matrix is symmetrized at construction.
     """
 
-    __slots__ = ("coeffs",)
+    coeffs: np.ndarray
 
-    def __init__(self, coeffs):
-        arr = np.array(coeffs, dtype=float)
+    def __post_init__(self):
+        arr = np.array(self.coeffs, dtype=float)
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
             raise ValueError(f"expected coefficient stack (degree+1, n, n), got {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -221,9 +226,6 @@ class MatrixFamily:
         arr = (arr + arr.transpose(0, 2, 1)) / 2.0
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MatrixFamily is immutable")
 
     @classmethod
     def constant(cls, A):
@@ -321,14 +323,6 @@ class ResonancePoint:
         )
 
 
-def _thread_budget():
-    raw = os.environ.get("EQUIDEG_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _scan_one_frequency(family, nodes, k, tol):
     """Roots of det(A(lambda) - k^2 Id) on the node grid for one k.
 
@@ -423,18 +417,13 @@ def scan_resonances(family, lo, hi, grid=DEFAULT_GRID, tol=DEFAULT_TOL):
     nodes = np.linspace(float(lo), float(hi), int(grid) + 1)
     all_eigs = np.linalg.eigvalsh(family.eval_many(nodes))
     max_eig = float(all_eigs.max())
-    kmax = (math.isqrt(int(max_eig)) + 1 if max_eig > 0 else 0) + 1
+    # one square past the sampled top: a curve may peak between nodes
+    kmax = frequency_bound(max_eig) + 1 if max_eig > 0 else 1
 
-    budget = min(_thread_budget(), kmax + 1)
-    ks = list(range(kmax + 1))
-    if budget > 1:
-        with ThreadPoolExecutor(max_workers=budget) as pool:
-            per_k = list(pool.map(lambda k: _scan_one_frequency(family, nodes, k, tol), ks))
-    else:
-        per_k = [_scan_one_frequency(family, nodes, k, tol) for k in ks]
+    per_k = [_scan_one_frequency(family, nodes, k, tol) for k in range(kmax + 1)]
 
     pairs = []
-    for k, (roots, warns) in zip(ks, per_k):
+    for k, (roots, warns) in enumerate(per_k):
         for cls, msg in warns:
             warnings.warn(msg, cls, stacklevel=2)
         pairs.extend((lam, k) for lam in roots)

@@ -12,6 +12,8 @@ against 64-bit bounds; exceeding them raises ``OverflowError`` rather than
 wrapping.
 """
 
+from dataclasses import dataclass
+
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 
@@ -24,6 +26,7 @@ def _checked_int(value, what="coordinate"):
     return value
 
 
+@dataclass(frozen=True)
 class TomDieckElement:
     """An element of U(SO(2)).
 
@@ -36,12 +39,13 @@ class TomDieckElement:
         Zero values are trimmed away.
     """
 
-    __slots__ = ("a0", "zk")
+    a0: int = 0
+    zk: dict = None
 
-    def __init__(self, a0=0, zk=None):
-        object.__setattr__(self, "a0", _checked_int(a0, "SO(2) coordinate"))
+    def __post_init__(self):
+        _checked_int(self.a0, "SO(2) coordinate")
         trimmed = {}
-        for k, v in sorted((zk or {}).items()):
+        for k, v in sorted((self.zk or {}).items()):
             if isinstance(k, bool) or not isinstance(k, int) or k < 1:
                 raise ValueError(f"frequency index must be a positive integer, got {k!r}")
             _checked_int(v, f"Z_{k} coordinate")
@@ -49,17 +53,9 @@ class TomDieckElement:
                 trimmed[k] = v
         object.__setattr__(self, "zk", trimmed)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TomDieckElement is immutable")
-
     def coeff(self, k):
         """Z_k coordinate (0 when absent)."""
         return self.zk.get(k, 0)
-
-    def __eq__(self, other):
-        if not isinstance(other, TomDieckElement):
-            return NotImplemented
-        return self.a0 == other.a0 and self.zk == other.zk
 
     def __hash__(self):
         return hash((self.a0, tuple(sorted(self.zk.items()))))

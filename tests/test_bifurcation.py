@@ -121,6 +121,8 @@ def test_index_rule_builtin_and_value_and_unavailable():
         IndexRule("value")
     with pytest.raises(ValueError):
         IndexRule("magic")
+    with pytest.raises(AttributeError):
+        rule.kind = "builtin"
 
 
 # ----------------------------------------------------------------- problem spec
@@ -166,6 +168,10 @@ def test_problem_spec_validation():
         ProblemSpec(1, np.eye(1))
     with pytest.raises(ValueError):
         ProblemSpec(1, fam).scaled_base_matrix()
+    p = ProblemSpec(1, fam, None, None)
+    assert p.perturbation.kind == "none" and p.index_rule.kind == "unavailable"
+    with pytest.raises(AttributeError):
+        p.scaled = True
 
 
 # ------------------------------------------------------------- endpoint degrees

@@ -142,6 +142,13 @@ def test_continue_bad_amplitudes_exit_one(capsys):
     assert "number list" in capsys.readouterr().err
 
 
+def test_continue_nonpositive_amplitudes_exit_one(capsys):
+    base = ["continue", str(config_path("example2")), "--resonance", "0"]
+    for amplitudes in ("0,1", "-2,-1", "1,nan"):
+        assert main(base + [f"--amplitudes={amplitudes}"]) == 1
+        assert "error: --amplitudes must be positive" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------ verify-examples
 
 def test_verify_examples_all_pass(capsys):

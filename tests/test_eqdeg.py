@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from equideg.eqdeg import (BlockDataError, LinearBlockData, MissingIndexError,
-                           deg_id_minus_LA, ind_infinity, lin_deg,
-                           minus_id_data)
+from equideg.eqdeg import (BlockDataError, LinearBlockData, deg_id_minus_LA,
+                           ind_infinity, lin_deg, minus_id_data)
 from equideg.reps import RepDecomposition
 from equideg.spectral import DegenerateSpectrumError
 from equideg.udring import ONE, TomDieckElement, star
@@ -53,6 +52,8 @@ def test_block_data_validation():
         LinearBlockData(rep, (1,))
     with pytest.raises(TypeError):
         LinearBlockData([(2, 0)], (1,))
+    with pytest.raises(AttributeError):
+        LinearBlockData(rep, (1, 2)).block_morse = (0, 0)
 
 
 def test_lin_deg_of_minus_id():
@@ -140,7 +141,5 @@ def test_ind_infinity():
 
 
 def test_ind_infinity_requires_builtin_class_or_value():
-    with pytest.raises(MissingIndexError):
-        ind_infinity(np.diag([1.0]), builtin_class=False)
     with pytest.raises(ValueError):
         ind_infinity(np.diag([1.0, 2.0]), n=3)

@@ -366,6 +366,14 @@ def test_continuation_direction_validation():
         continue_to_infinity(ex.problem, r, [1.0], direction=5)
 
 
+def test_continuation_rejects_nonpositive_amplitudes():
+    ex = example2()
+    r = scan_resonances(ex.problem.family, ex.lm, ex.lp)[0]
+    for amplitudes in ([0.0, 1.0], [-1.0], [1.0, math.nan]):
+        with pytest.raises(ValueError, match="positive"):
+            continue_to_infinity(ex.problem, r, amplitudes)
+
+
 def test_continuation_needs_positive_frequency():
     from equideg.reps import RepDecomposition
     from equideg.spectral import ResonancePoint
