@@ -46,5 +46,5 @@ print("\nmode energy fractions of the R = 2 loop:")
 for k in sorted(np.argsort(energy)[::-1][:3] + 1):
     print(f"  k = {int(k):2d}: {energy[k - 1] / total:.3e}")
 
-write_branch_csv("/tmp/demo_branch.csv", branch)
-print("full coefficient table written to /tmp/demo_branch.csv")
+write_branch_csv("demo_branch.csv", branch)
+print("full coefficient table written to demo_branch.csv")

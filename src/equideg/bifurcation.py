@@ -482,15 +482,19 @@ def check_eqcont2(p, lm, lp, tol=DEFAULT_TOL, grid=DEFAULT_GRID):
     """
     s_m = eigen_sym(p.family.eval(lm), tol)
     s_p = eigen_sym(p.family.eval(lp), tol)
-    bad = []
-    if resonant_frequencies(s_m):
-        bad.append(lm)
-    if resonant_frequencies(s_p):
-        bad.append(lp)
+    _require_nonresonant_endpoints(lm, lp, s_m, s_p)
+    return _eqcont2_verdict(s_m, s_p, scan_resonances(p.family, lm, lp, grid=grid, tol=tol))
+
+
+def _require_nonresonant_endpoints(lm, lp, s_m, s_p):
+    bad = [lam for lam, s in ((lm, s_m), (lp, s_p)) if resonant_frequencies(s)]
     if bad:
         raise PreconditionError(
             f"endpoints must be nonresonant, but lambda in {bad} meet {{k^2}}")
-    points = scan_resonances(p.family, lm, lp, grid=grid, tol=tol)
+
+
+def _eqcont2_verdict(s_m, s_p, points):
+    """check_eqcont2 from the endpoint spectra and the scanned points."""
     if len(points) != 1:
         lams = [round(pt.lambda0, 9) for pt in points]
         raise PreconditionError(
@@ -674,7 +678,8 @@ def build_report(p, lm, lp, tol=DEFAULT_TOL, grid=DEFAULT_GRID,
                         "in the window, each with a nonzero Z_k jump")
     if verdict is None:
         try:
-            v = check_eqcont2(p, lm, lp, tol, grid)
+            _require_nonresonant_endpoints(lm, lp, s_m, s_p)
+            v = _eqcont2_verdict(s_m, s_p, resonances)
             if v.holds:
                 verdict = v
         except PreconditionError:

@@ -167,9 +167,16 @@ def frequency_bound(top):
 
 def resonant_frequencies(s, include_zero=True):
     """Frequencies k with k^2 an eigenvalue within tolerance."""
-    return frozenset(k for k in range(0 if include_zero else 1,
-                                      frequency_bound(s.top + s.tol) + 1)
-                     if s.multiplicity(k * k) > 0)
+    out = set()
+    for v, _ in s.eigenvalues:
+        if v + s.tol >= 0.0:
+            # the squares near v, one k either side to spare the rounding
+            near = range(max(math.isqrt(int(max(v - s.tol, 0.0))) - 1, 0),
+                         math.isqrt(int(v + s.tol)) + 2)
+            out.update(k for k in near if abs(v - k * k) <= s.tol)
+    if not include_zero:
+        out.discard(0)
+    return frozenset(out)
 
 
 def _j_k_of_spectral(s, k):
@@ -323,17 +330,16 @@ class ResonancePoint:
         )
 
 
-def _scan_one_frequency(family, nodes, k, tol):
+def _scan_one_frequency(family, nodes, mats, k, tol):
     """Roots of det(A(lambda) - k^2 Id) on the node grid for one k.
 
-    Returns (roots, warn_messages).  Node-exact zeros are accepted when
-    |det| < tol * scale with scale the largest |det| seen on the grid;
-    other zeros must flip the sign of det and are refined by bisection.
+    ``mats`` is ``family.eval_many(nodes)``.  Returns (roots,
+    warn_messages).  Node-exact zeros are accepted when |det| < tol * scale
+    with scale the largest |det| seen on the grid; other zeros must flip the
+    sign of det and are refined by bisection.
     """
     k2 = float(k * k)
-    mats = family.eval_many(nodes)
-    mats = mats - k2 * np.eye(family.n)[None, :, :]
-    dets = np.linalg.det(mats)
+    dets = np.linalg.det(mats - k2 * np.eye(family.n)[None, :, :])
     scale = max(float(np.abs(dets).max()), 1e-300)
     thresh = tol * scale
     tiny = np.abs(dets) <= thresh
@@ -401,12 +407,51 @@ def _scan_one_frequency(family, nodes, k, tol):
     return merged, warn
 
 
+def _reachable_frequencies(family, nodes, mats, tol):
+    """Every k >= 0 whose square some eigenvalue curve can reach on the grid.
+
+    ``mats`` is ``family.eval_many(nodes)``.  By Weyl's inequality each
+    sorted curve is L-Lipschitz, with L = sum_q q r^(q-1) ||C_q|| >=
+    ||A'(lambda)||_2 on [-r, r], so on a cell of width h it stays within
+    L h / 2 of the mean of its two node values.  Widened by the
+    rounding slack of evaluating A and of ``eigvalsh``, these cell intervals
+    hold every value the curves take; det(A(lambda) - k^2 Id) has no zero
+    on the grid's span for any k whose square misses all of them.
+    """
+    r = max(abs(float(nodes[0])), abs(float(nodes[-1])))
+    norms = np.abs(np.linalg.eigvalsh(family.coeffs)).max(axis=1)
+    q = np.arange(len(norms))
+    lipschitz = float(np.sum(q[1:] * r ** (q[1:] - 1) * norms[1:]))
+    # 1 + max ||A(lambda)||_2 on the interval: bounds every |eigenvalue|
+    # and, times the rounding unit, the errors of evaluating A and eigvalsh
+    scale = 1.0 + float(np.sum(r ** q * norms))
+    slack = max(tol, 64.0 * family.n * np.finfo(float).eps) * scale
+    half = lipschitz * float(np.max(np.diff(nodes))) / 2.0 + slack
+    eigs = np.linalg.eigvalsh(mats)
+    mid = (eigs[:-1] + eigs[1:]) / 2.0
+    lower, upper = np.maximum(mid - half, 0.0), mid + half
+    hit = upper >= 0.0
+    lower, upper = lower[hit], upper[hit]
+    # sqrt is correctly rounded, hence monotone: a k^2 inside [lower, upper]
+    # stays inside [first, last], and rounding can only add a k at an end
+    first = np.ceil(np.sqrt(lower))
+    last = np.floor(np.sqrt(upper))
+    some = first <= last
+    reach = set()
+    for a, b in zip(first[some].astype(int).tolist(), last[some].astype(int).tolist()):
+        reach.update(range(a, b + 1))
+    return sorted(reach)
+
+
 def scan_resonances(family, lo, hi, grid=DEFAULT_GRID, tol=DEFAULT_TOL):
     """All resonance points of a matrix family on [lo, hi].
 
-    For each k in 0..k_max (k_max from the sampled spectral radius) the sign
-    of det(A(lambda) - k^2 Id) is tracked over ``grid`` cells and sign
-    changes are refined by bisection to |dlambda| < tol.  Roots of different
+    The eigenvalues of A on the ``grid + 1`` nodes bound, by Weyl's
+    inequality, the values each sorted eigenvalue curve can take on each
+    cell (see ``_reachable_frequencies``); only the k whose square lies in
+    one of those ranges can resonate.  For each such k the sign of
+    det(A(lambda) - k^2 Id) is tracked over the nodes and sign changes are
+    refined by bisection to |dlambda| < tol.  Roots of different
     frequencies at the same lambda are merged into one point.  Endpoints of
     the interval participate like any other grid node.
     """
@@ -415,15 +460,12 @@ def scan_resonances(family, lo, hi, grid=DEFAULT_GRID, tol=DEFAULT_TOL):
     if grid < 2:
         raise ValueError("grid must be at least 2")
     nodes = np.linspace(float(lo), float(hi), int(grid) + 1)
-    all_eigs = np.linalg.eigvalsh(family.eval_many(nodes))
-    max_eig = float(all_eigs.max())
-    # one square past the sampled top: a curve may peak between nodes
-    kmax = frequency_bound(max_eig) + 1 if max_eig > 0 else 1
-
-    per_k = [_scan_one_frequency(family, nodes, k, tol) for k in range(kmax + 1)]
+    mats = family.eval_many(nodes)
+    per_k = [(k, _scan_one_frequency(family, nodes, mats, k, tol))
+             for k in _reachable_frequencies(family, nodes, mats, tol)]
 
     pairs = []
-    for k, (roots, warns) in enumerate(per_k):
+    for k, (roots, warns) in per_k:
         for cls, msg in warns:
             warnings.warn(msg, cls, stacklevel=2)
         pairs.extend((lam, k) for lam in roots)

@@ -2,10 +2,12 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import equideg.bifurcation as bifurcation
 from equideg.bifurcation import (AccumulationWarning, BifurcationReport,
                                  CriterionVerdict, Eqcont3Point, IndexRule,
                                  PeriodSet, Perturbation, PreconditionError,
@@ -17,7 +19,7 @@ from equideg.bifurcation import (AccumulationWarning, BifurcationReport,
 from equideg.eqdeg import MissingIndexError, deg_id_minus_LA
 from equideg.problems import example1, example2, example3
 from equideg.reps import RepDecomposition
-from equideg.spectral import (MatrixFamily, ResonancePoint,
+from equideg.spectral import (MatrixFamily, ResonancePoint, TangencyWarning,
                               resonant_frequencies, eigen_sym)
 from equideg.udring import ZERO, TomDieckElement
 
@@ -546,6 +548,31 @@ def test_build_report_none_fires():
     assert not r.criterion.holds
     assert r.bif == ZERO
     assert r.resonances == []
+
+
+@pytest.mark.parametrize("make", [example1, example2, example3])
+def test_build_report_scans_once(make, monkeypatch):
+    calls = []
+    scan = bifurcation.scan_resonances
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(bifurcation, "scan_resonances", counting)
+    ex = make()
+    build_report(ex.problem, ex.lm, ex.lp)
+    assert len(calls) == 1
+
+
+def test_build_report_emits_each_scan_warning_once():
+    # (l - 0.3)^2 + 4 touches 4 between grid nodes; the endpoints are
+    # nonresonant, so the single-resonance criterion is tried too
+    p = kepler_problem(diag_family({0: 4.09, 1: -0.6, 2: 1.0}, {0: -2.5}))
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        build_report(p, -1.0, 1.0)
+    assert [w.category for w in rec] == [TangencyWarning]
 
 
 def test_build_report_consistency_rows():

@@ -1,14 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import equideg.spectral as spectral
 from equideg.spectral import (DegenerateSpectrumError, EigenConvergenceError,
                               MatrixFamily, NonIsolatedResonanceError,
                               ResolutionWarning, SpectralData, SymmetricMatrix,
-                              TangencyWarning, as_symmetric, eigen_sym, j_k,
-                              k_set, morse_index, resonant_frequencies,
-                              scan_resonances)
+                              TangencyWarning, as_symmetric, eigen_sym,
+                              frequency_bound, j_k, k_set, morse_index,
+                              resonant_frequencies, scan_resonances)
 from oracles import charpoly_eigenvalues, random_orthogonal, random_symmetric
 
 SQRT2 = math.sqrt(2.0)
@@ -158,6 +160,21 @@ def test_resonant_frequencies():
     assert resonant_frequencies(eigen_sym(np.diag([-2.0, 2.5]))) == frozenset()
 
 
+def test_resonant_frequencies_matches_the_loop_over_every_k():
+    rng = np.random.default_rng(5)
+    for tol in (1e-9, 0.3, 5.0):
+        for _ in range(30):
+            k = rng.integers(0, 10 ** int(rng.integers(1, 4)), size=3)
+            near = k * k + rng.choice([-1.0, 1.0], 3) * tol * rng.choice([0.0, 0.5, 1.0, 1.5], 3)
+            values = np.unique(np.concatenate([near, rng.uniform(-3.0, 40.0, 2)]))
+            s = SpectralData(tuple((float(v), 1) for v in values), tol)
+            for include_zero in (True, False):
+                loop = {j for j in range(0 if include_zero else 1,
+                                         frequency_bound(s.top + s.tol) + 1)
+                        if s.multiplicity(j * j) > 0}
+                assert resonant_frequencies(s, include_zero) == loop
+
+
 def test_matrix_family_eval():
     fam = MatrixFamily([[[1.0, 0.0], [0.0, 2.0]], [[0.5, 1.0], [1.0, 0.0]]])
     A = fam.eval(2.0)
@@ -249,6 +266,73 @@ def test_scan_warns_on_unresolved_root_pair():
     with pytest.warns(ResolutionWarning):
         pts = scan_resonances(fam, -1.0, 1.0)
     assert len(pts) >= 1
+
+
+def rotated_quadratic_family(rng, polys):
+    """Q diag(c_i + b_i l + a_i l^2) Q^T for rows (c, b, a) of ``polys``."""
+    Q = random_orthogonal(rng, len(polys))
+    return MatrixFamily(np.einsum("ij,pj,kj->pik", Q, np.asarray(polys).T, Q))
+
+
+def pruning_families():
+    """(name, family) pairs on [-1, 1] for the frequency-pruning tests."""
+    rng = np.random.default_rng(2024)
+    fams = []
+    for i in range(12):
+        n = int(rng.integers(3, 9))
+        polys = np.column_stack([rng.uniform(-5.0, 60.0, n), rng.uniform(-20.0, 20.0, n),
+                                 rng.uniform(-10.0, 10.0, n)])
+        fams.append((f"random{i}-n{n}", rotated_quadratic_family(rng, polys)))
+    # a curve of slope 3e4 crosses up to five squares inside one cell
+    fams.append(("steep", rotated_quadratic_family(
+        rng, [[0.0, 3e4, 0.0], [7.5, 0.0, 0.0], [30.0, -2.0, 1.0]])))
+    # the off-node tangency of (l - 0.3)^2 + 4 with 4
+    fams.append(("tangency", MatrixFamily.from_entry_polynomials(
+        1, {(1, 1): {0: 4.09, 1: -0.6, 2: 1.0}})))
+    return fams + [("example1", family_example1()), ("example2", family_example2()),
+                   ("example3", family_example3())]
+
+
+def _recorded_scan(fam):
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        pts = scan_resonances(fam, -1.0, 1.0)
+    return [p.to_json() for p in pts], [(w.category, str(w.message)) for w in rec]
+
+
+PRUNING = pruning_families()
+
+
+@pytest.mark.parametrize("name, fam", PRUNING, ids=[name for name, _ in PRUNING])
+def test_skipped_frequencies_have_no_roots_and_no_warnings(name, fam, monkeypatch):
+    tol = spectral.DEFAULT_TOL
+    nodes = np.linspace(-1.0, 1.0, spectral.DEFAULT_GRID + 1)
+    mats = fam.eval_many(nodes)
+    reach = spectral._reachable_frequencies(fam, nodes, mats, tol)
+    full = range(frequency_bound(float(np.linalg.eigvalsh(mats).max())) + 2)
+    for k in set(full) - set(reach):
+        assert spectral._scan_one_frequency(fam, nodes, mats, k, tol) == ([], [])
+    pruned = _recorded_scan(fam)
+    # the sweep over every frequency up to one square past the sampled top
+    monkeypatch.setattr(spectral, "_reachable_frequencies", lambda *a: list(full))
+    assert pruned == _recorded_scan(fam)
+
+
+def test_scan_sweeps_only_reachable_frequencies(monkeypatch):
+    swept = []
+    sweep = spectral._scan_one_frequency
+
+    def counting(family, nodes, mats, k, tol):
+        swept.append(k)
+        return sweep(family, nodes, mats, k, tol)
+
+    monkeypatch.setattr(spectral, "_scan_one_frequency", counting)
+    fam = MatrixFamily.from_entry_polynomials(2, {(1, 1): {0: 1e6 + 0.0123, 1: 1.0},
+                                                  (2, 2): {0: 2.5}})
+    [pt] = scan_resonances(fam, -0.5, 0.5)
+    assert abs(pt.lambda0 + 0.0123) < 1e-9
+    assert pt.frequencies == {1000}
+    assert 1000 in swept and len(swept) <= 3
 
 
 def test_k_set():
