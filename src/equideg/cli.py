@@ -107,8 +107,13 @@ def cmd_continue(args):
     if not all(a > 0 for a in amplitudes):
         print("error: --amplitudes must be positive", file=sys.stderr)
         return 1
-    opts = ContinuationOptions(modes=args.modes if args.modes else cfg.modes)
-    branch = continue_to_infinity(p, pt, amplitudes, opts)
+    try:
+        opts = ContinuationOptions(
+            modes=args.modes if args.modes is not None else cfg.modes)
+        branch = continue_to_infinity(p, pt, amplitudes, opts)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     write_branch_csv(args.out, branch)
     ok = [bp for bp in branch if not bp.failed]
     drift = [abs(bp.lam - pt.lambda0) for bp in ok]

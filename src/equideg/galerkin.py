@@ -17,6 +17,22 @@ energy drift are the numerical evidence the analysis module's predictions
 are checked against.  Each step assembles the Jacobian in closed form from
 the potential's Hessian at the nodes; only a user perturbation, which has
 no Hessian, falls back to finite differences.
+
+Continuation works in the time-reversible subspace.  Three facts make a
+loop even in t (asin = 0) stay even:
+  - the seed R v cos(k0 t), and each rescaled previous point, is even;
+  - the system is reversible: u'' = -grad V(u) is autonomous and second
+    order, so t -> u(-t) maps solutions to solutions;
+  - the nodes t_m = 2 pi m / M are symmetric, t_m -> -t_m is m -> M - m.
+At an even iterate the Hessian samples are even in m, their transform has
+hs = 0 to roundoff, and the augmented Jacobian is block diagonal up to a
+permutation.  The even block (cos rows and the pin row against a0, acos
+and lambda) is square with side n(N+1)+1; the odd block (sin rows and the
+phase row against asin) is (nN+1) x nN.  The residual's sin part is
+roundoff, so the Gauss-Newton step solves the even block alone and keeps
+asin exactly 0.  The odd block still enters the rank check and the
+reported condition number through its singular values.  newton_solve takes
+general guesses and solves the full system.
 """
 
 import math
@@ -100,19 +116,13 @@ class FourierLoop:
         return cls(a0, rest[:, 0, :], rest[:, 1, :])
 
     def values(self, M):
-        """Sample u on M equispaced nodes, shape (M, n)."""
-        t = 2.0 * math.pi * np.arange(M) / M
-        k = np.arange(1, self.N + 1)
-        C = np.cos(np.outer(t, k))
-        S = np.sin(np.outer(t, k))
-        return self.a0[None, :] + C @ self.acos + S @ self.asin
+        """Sample u on M >= 2N+1 equispaced nodes, shape (M, n)."""
+        return _synthesize(self.a0, self.acos, self.asin, M)
 
     def velocity(self, M):
-        t = 2.0 * math.pi * np.arange(M) / M
-        k = np.arange(1, self.N + 1)
-        C = np.cos(np.outer(t, k))
-        S = np.sin(np.outer(t, k))
-        return -S @ (k[:, None] * self.acos) + C @ (k[:, None] * self.asin)
+        """Sample u' on M >= 2N+1 equispaced nodes, shape (M, n)."""
+        k = np.arange(1, self.N + 1)[:, None]
+        return _synthesize(np.zeros(self.n), k * self.asin, -k * self.acos, M)
 
     def amplitude(self, M=None):
         """sup_t |u(t)| approximated on the collocation grid."""
@@ -141,6 +151,21 @@ class FourierLoop:
         return FourierLoop(self.a0, acos, asin)
 
 
+def _synthesize(c0, ccos, csin, M):
+    """c0 + sum_k (ccos_k cos kt + csin_k sin kt) on M equispaced nodes.
+
+    One inverse real FFT of X_0 = M c0, X_k = (M/2)(ccos_k - i csin_k).
+    Every mode must lie below the Nyquist bin, k < M/2, or it would alias.
+    """
+    N, n = ccos.shape
+    if M < 2 * N + 1:
+        raise ValueError(f"need at least 2N+1 = {2 * N + 1} nodes, got {M}")
+    X = np.zeros((M // 2 + 1, n), dtype=complex)
+    X[0] = M * c0
+    X[1:N + 1] = 0.5 * M * (ccos - 1j * csin)
+    return np.fft.irfft(X, n=M, axis=0)
+
+
 @dataclass(frozen=True)
 class ContinuationOptions:
     modes: int = 32
@@ -150,6 +175,9 @@ class ContinuationOptions:
     mode_threshold: float = 1e-8  # active-mode energy fraction
 
     def __post_init__(self):
+        if self.modes < 1:
+            raise ValueError(f"modes = {self.modes}: the truncation needs at "
+                             "least one Fourier mode")
         if self.collocation and self.collocation < 2 * self.modes + 2:
             raise ValueError(f"collocation = {self.collocation} is below the "
                              f"2N+2 = {2 * self.modes + 2} nodes that "
@@ -254,14 +282,50 @@ def _fd_jacobian(func, x, f0):
     return J
 
 
-def _gauss_newton(func, x0, tol, max_iter, jac=None):
+def _lstsq_step(J, f):
+    """Least-squares step -J^+ f and the singular values of J."""
+    step, _, _, sv = np.linalg.lstsq(J, -f, rcond=None)
+    return step, sv
+
+
+def _reversible_step(n, N):
+    """Step solver for the continuation system at an even iterate.
+
+    There the augmented Jacobian is block diagonal up to a permutation (see
+    the module docstring): the cos residual rows and the pin row against
+    a0, acos and lambda form a square even block; the sin residual rows and
+    the phase row against asin form an (nN+1) x nN odd block.  The step
+    solves the even block alone and leaves asin exactly unchanged.  The
+    singular values of a block-diagonal matrix are those of its blocks, so
+    the returned union still describes the full Jacobian.
+    """
+    dim = n * (2 * N + 1)
+    is_sin = np.zeros(dim, dtype=bool)
+    is_sin[n:] = np.arange(dim - n) // n % 2 == 1
+    cos, sin = np.flatnonzero(~is_sin), np.flatnonzero(is_sin)
+    even_rows, even_cols = np.r_[cos, dim + 1], np.r_[cos, dim]
+    odd_rows = np.r_[sin, dim]
+
+    def solve(J, f):
+        step = np.zeros(dim + 1)
+        step[even_cols], _, _, sv_even = np.linalg.lstsq(
+            J[np.ix_(even_rows, even_cols)], -f[even_rows], rcond=None)
+        sv_odd = np.linalg.svd(J[np.ix_(odd_rows, sin)], compute_uv=False)
+        return step, np.concatenate([sv_even, sv_odd])
+
+    return solve
+
+
+def _gauss_newton(func, x0, tol, max_iter, jac=None, solve=_lstsq_step):
     """Least-squares Newton on an overdetermined system.
 
     Convergence is checked before the first step, so an exact initial
     guess returns without assembling a Jacobian.  Without ``jac`` the
-    Jacobian is taken by finite differences of ``func``.  Returns the
-    solution, its residual max-norm, the number of steps taken and the
-    condition number of the last Jacobian (None when no step was taken).
+    Jacobian is taken by finite differences of ``func``.  ``solve(J, f)``
+    returns the step and the singular values of J; the default is one
+    full least-squares solve.  Returns the solution, its residual max-norm,
+    the number of steps taken and the condition number of the last
+    Jacobian (None when no step was taken).
     """
     x = x0.copy()
     cond = None
@@ -275,9 +339,10 @@ def _gauss_newton(func, x0, tol, max_iter, jac=None):
                 f"no convergence after {max_iter} iterations "
                 f"(residual {norm:.3e}, tolerance {tol:.3e})")
         J = jac(x) if jac is not None else _fd_jacobian(func, x, f)
-        step, _, _, sv = np.linalg.lstsq(J, -f, rcond=None)
-        cond = float(sv[0] / max(sv[-1], 1e-300))
-        if sv[-1] <= 1e-14 * sv[0]:
+        step, sv = solve(J, f)
+        smax, smin = sv.max(), sv.min()
+        cond = float(smax / max(smin, 1e-300))
+        if smin <= 1e-14 * smax:
             raise SingularJacobianError("augmented Jacobian is rank deficient",
                                         cond=cond)
         x = x + step
@@ -365,8 +430,9 @@ def continue_to_infinity(p, r, amplitudes, opts=None, direction=0, window=0.5):
     For each requested amplitude R the augmented system (residual, phase
     condition, mode-k0 coefficient norm = R) is solved for the loop and
     lambda jointly, seeded from R * v * cos(k0 t) at first and from the
-    rescaled previous solution afterwards.  A failed solve appends a
-    marker point and truncates the branch.
+    rescaled previous solution afterwards.  Both seeds are even in t, so
+    each step solves only the even block (see the module docstring).  A
+    failed solve appends a marker point and truncates the branch.
     """
     opts = opts or ContinuationOptions(modes=16)
     N = opts.modes
@@ -380,7 +446,11 @@ def continue_to_infinity(p, r, amplitudes, opts=None, direction=0, window=0.5):
     if not 0 <= direction < len(dirs):
         raise ValueError(f"direction {direction} out of range; "
                          f"kernel multiplicity is {len(dirs)}")
+    if k0 > N:
+        raise ValueError(f"modes = {N} cannot hold the resonance frequency "
+                         f"k0 = {k0}; continue with at least {k0} modes")
     vec = dirs[direction]
+    solve = _reversible_step(n, N)
     lam0 = r.lambda0
     branch = []
     prev = None
@@ -396,7 +466,7 @@ def continue_to_infinity(p, r, amplitudes, opts=None, direction=0, window=0.5):
         func, jac = _continuation_system(p, seed, float(R), k0, M)
         try:
             z, norm, steps, cond = _gauss_newton(func, z0, opts.tol,
-                                                 opts.max_iter, jac)
+                                                 opts.max_iter, jac, solve)
         except (NewtonConvergenceError, SingularJacobianError):
             branch.append(BranchPoint(seed, prev_lam, float(R), math.inf,
                                       frozenset(), failed=True))

@@ -149,6 +149,16 @@ def test_continue_nonpositive_amplitudes_exit_one(capsys):
         assert "error: --amplitudes must be positive" in capsys.readouterr().err
 
 
+def test_continue_bad_modes_exit_one(tmp_path, capsys):
+    base = ["continue", str(config_path("example2")), "--resonance", "0",
+            "--amplitudes", "1,2", "--out", str(tmp_path / "branch.csv")]
+    for modes, message in (("1", "k0 = 2"), ("-3", "modes = -3"),
+                           ("0", "modes = 0")):
+        assert main(base + [f"--modes={modes}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+
 # ------------------------------------------------------------ verify-examples
 
 def test_verify_examples_all_pass(capsys):

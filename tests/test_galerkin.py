@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from equideg import galerkin
 from equideg.bifurcation import IndexRule, Perturbation, ProblemSpec
 from equideg.galerkin import (BranchPoint, ContinuationOptions, FourierLoop,
                               NewtonConvergenceError, SingularJacobianError,
                               _analytic_jacobian, _continuation_system,
-                              _fd_jacobian, _phase_row_value,
+                              _fd_jacobian, _gauss_newton, _lstsq_step,
+                              _phase_row_value, _reversible_step,
                               continue_to_infinity,
                               energy_drift, minimal_period,
                               minimal_period_divisor, newton_solve, residual,
@@ -71,6 +73,24 @@ def test_loop_velocity_matches_shifted_difference():
     h = 1e-6
     fd = (loop.shifted(h).values(M) - loop.shifted(-h).values(M)) / (2 * h)
     assert np.allclose(loop.velocity(M), fd, atol=1e-7)
+
+
+def test_loop_values_and_velocity_match_the_table_formula():
+    # the inverse-FFT synthesis against explicit cos/sin tables, down to
+    # the fewest nodes the residual accepts
+    rng = np.random.default_rng(13)
+    N = 7
+    loop = random_loop(rng, 3, N)
+    k = np.arange(1, N + 1)
+    for M in (2 * N + 2, 4 * N + 1):
+        t = 2.0 * math.pi * np.arange(M) / M
+        C, S = np.cos(np.outer(t, k)), np.sin(np.outer(t, k))
+        vals = loop.a0[None, :] + C @ loop.acos + S @ loop.asin
+        vel = -S @ (k[:, None] * loop.acos) + C @ (k[:, None] * loop.asin)
+        assert np.abs(loop.values(M) - vals).max() < 1e-12
+        assert np.abs(loop.velocity(M) - vel).max() < 1e-12
+    with pytest.raises(ValueError, match="2N\\+1"):
+        loop.values(2 * N)
 
 
 def test_loop_shifted_is_time_translation():
@@ -223,6 +243,108 @@ def test_continuation_jacobian_matches_finite_differences(make):
         assert np.abs(J_an - J_fd).max() / scale < 1e-5
 
 
+def parity_indices(n, N):
+    """Packed indices of (a0 and cos, sin) coefficients, built from unpack."""
+    idx = FourierLoop.unpack(np.arange(n * (2 * N + 1), dtype=float), n, N)
+    cos = np.concatenate([idx.a0, idx.acos.ravel()]).astype(int)
+    return np.sort(cos), np.sort(idx.asin.ravel().astype(int))
+
+
+@pytest.mark.parametrize("make", [example1, example2, example3])
+def test_continuation_jacobian_is_block_diagonal_at_even_loops(make):
+    # reversibility: at a loop even in t on symmetric nodes the cos rows
+    # do not see the sin columns and vice versa; the phase row lives on the
+    # sin columns, the pin row on the cos columns.  A loop with sin content
+    # couples the two, so the first check can fail.
+    p = make().problem
+    rng = np.random.default_rng(14)
+    N, k0 = 5, 2
+    M = 4 * N + 1
+    dim = p.n * (2 * N + 1)
+    cos, sin = parity_indices(p.n, N)
+    even_cols, lam_col, phase, pin = np.r_[cos, dim], dim, dim, dim + 1
+    for _ in range(3):
+        loop = random_loop(rng, p.n, N, scale=0.5)
+        even = FourierLoop(loop.a0, loop.acos, np.zeros_like(loop.asin))
+        lam = rng.uniform(-0.9, 0.9)
+        _, jac = _continuation_system(p, even, 1.5, k0, M)
+        J = jac(np.concatenate([even.pack(), [lam]]))
+        scale = float(np.abs(J).max())
+        assert np.abs(J[np.ix_(cos, sin)]).max() <= 1e-13 * scale
+        assert np.abs(J[np.ix_(sin, even_cols)]).max() <= 1e-13 * scale
+        assert np.all(J[phase, even_cols] == 0.0)
+        assert np.all(J[pin, sin] == 0.0)
+        assert J[phase, lam_col] == 0.0
+
+        _, jac = _continuation_system(p, loop, 1.5, k0, M)
+        J = jac(np.concatenate([loop.pack(), [lam]]))
+        scale = float(np.abs(J).max())
+        assert np.abs(J[np.ix_(cos, sin)]).max() > 1e-6 * scale
+
+
+def _resonance(ex, lam0):
+    points = scan_resonances(ex.problem.family, ex.lm, ex.lp)
+    return min(points, key=lambda r: abs(r.lambda0 - lam0))
+
+
+@pytest.mark.parametrize("make, lam0", [
+    (example1, 1.0 - math.sqrt(2.0)),
+    (example2, 0.0),
+    (example3, (4.0 - math.sqrt(10.0)) ** (1.0 / 3.0))])
+@pytest.mark.parametrize("modes", [8, 16])
+def test_reversible_step_agrees_with_the_full_solve(monkeypatch, make, lam0, modes):
+    # the same branch through the even-block step and through one full
+    # least-squares solve per step, on the same func/jac
+    ex = make()
+    r = _resonance(ex, lam0)
+    opts = ContinuationOptions(modes=modes)
+    last_jac = {}
+    system = galerkin._continuation_system
+
+    def recording_system(p, ref, R, k0, M):
+        func, jac = system(p, ref, R, k0, M)
+
+        def rec(z):
+            last_jac[R] = (jac, z.copy())
+            return jac(z)
+        return func, rec
+
+    monkeypatch.setattr(galerkin, "_continuation_system", recording_system)
+    new = continue_to_infinity(ex.problem, r, [4.0, 16.0, 64.0], opts)
+    monkeypatch.setattr(galerkin, "_reversible_step", lambda n, N: _lstsq_step)
+    ref = continue_to_infinity(ex.problem, r, [4.0, 16.0, 64.0], opts)
+    assert len(new) == len(ref) == 3
+    for a, b in zip(new, ref):
+        assert not a.failed and not b.failed
+        assert a.newton_steps == b.newton_steps
+        assert a.active_modes == b.active_modes
+        assert minimal_period_divisor(a.loop) == minimal_period_divisor(b.loop)
+        assert abs(a.lam - b.lam) <= 1e-12
+        assert np.abs(a.loop.pack() - b.loop.pack()).max() <= 1e-10
+        assert np.all(a.loop.asin == 0.0)
+        jac, z = last_jac[a.amplitude]
+        sv = np.linalg.svd(jac(z), compute_uv=False)
+        assert a.jacobian_cond == pytest.approx(sv[0] / sv[-1], rel=1e-6)
+
+
+def test_reversible_step_detects_a_singular_odd_block():
+    # n = 1, N = 2: the even block is the identity, the odd block has two
+    # equal columns, so only the singular values of the odd block reveal
+    # that the full Jacobian is rank deficient
+    n, N = 1, 2
+    dim = n * (2 * N + 1)
+    cos, sin = parity_indices(n, N)
+    J = np.zeros((dim + 2, dim + 1))
+    even_rows, even_cols = np.r_[cos, dim + 1], np.r_[cos, dim]
+    J[even_rows, even_cols] = 1.0
+    J[np.ix_(np.r_[sin, dim], sin)] = 1.0
+    func = lambda z: np.ones(dim + 2)
+    for solve in (_reversible_step(n, N), _lstsq_step):
+        with pytest.raises(SingularJacobianError) as err:
+            _gauss_newton(func, np.zeros(dim + 1), 1e-10, 5, lambda z: J, solve)
+        assert err.value.cond > 1e14
+
+
 # --------------------------------------------------------------- newton solve
 
 def test_newton_exact_guess_converges_without_iterating():
@@ -372,6 +494,16 @@ def test_continuation_rejects_nonpositive_amplitudes():
     for amplitudes in ([0.0, 1.0], [-1.0], [1.0, math.nan]):
         with pytest.raises(ValueError, match="positive"):
             continue_to_infinity(ex.problem, r, amplitudes)
+
+
+def test_continuation_needs_modes_up_to_k0():
+    ex = example2()
+    r = scan_resonances(ex.problem.family, ex.lm, ex.lp)[0]
+    with pytest.raises(ValueError, match="k0 = 2"):
+        continue_to_infinity(ex.problem, r, [1.0], ContinuationOptions(modes=1))
+    for modes in (0, -3):
+        with pytest.raises(ValueError, match="modes"):
+            ContinuationOptions(modes=modes)
 
 
 def test_continuation_needs_positive_frequency():
