@@ -7,7 +7,14 @@ The central object is the bifurcation index
 in the tom Dieck ring, where deg() is the gradient degree of the
 asymptotic linearization at an interval endpoint.  A nonzero index forces
 an unbounded connected set of 2pi-periodic solutions to emanate from
-infinity inside the interval.  Three checkable criteria are implemented:
+infinity inside the interval.
+
+Each endpoint degree is (c, {k: c j_k}), with c = (-1)^{j_0} at a
+nonresonant endpoint and the index at infinity at a resonant one; an
+``EndpointAnalysis`` fixes both from one eigendecomposition.  With equal
+signs Bif lives on the k where j_k jumps, which the two sorted spectra
+bracket, and so do the criteria's witnesses.  Three checkable criteria are
+implemented:
 
 * criterion 1: endpoints may be resonant, needs the Brouwer index at
   infinity; fires on an index flip or a j_k jump away from the K-set;
@@ -29,13 +36,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eqdeg import MissingIndexError, deg_id_minus_LA, ind_infinity
+from .eqdeg import MissingIndexError, degree_of_spectrum, index_of_spectrum
 from .reps import RepDecomposition, gcd_closure, is_consistent, isotropy_gcd_set
 from .spectral import (DEFAULT_GRID, DEFAULT_TOL, MatrixFamily, ResonancePoint,
-                       SpectralData, as_symmetric, eigen_sym, frequency_bound,
-                       _j_k_of_spectral, k_set, resonant_frequencies,
-                       scan_resonances)
-from .udring import TomDieckElement, add, scalar_mul
+                       SpectralData, as_symmetric, eigen_sym, k_set,
+                       resonant_frequencies, scan_resonances)
+from .udring import TomDieckElement
 
 #: Version of every file format written or read: problem files, the report,
 #: ``continue`` and ``verify-examples`` JSON, and the branch CSV header.
@@ -188,8 +194,12 @@ class IndexRule:
         return self.kind != "unavailable"
 
     def ind(self, A, lam, tol=DEFAULT_TOL):
+        return self.ind_of(eigen_sym(A, tol), lam)
+
+    def ind_of(self, s, lam):
+        """The index at lambda, from the spectrum s of A(lambda)."""
         if self.kind == "builtin":
-            return ind_infinity(A, tol=tol)
+            return index_of_spectrum(s)
         if self.kind == "value":
             v = self._value
             return int(v(lam)) if callable(v) else int(v)
@@ -228,6 +238,9 @@ class ProblemSpec:
         object.__setattr__(self, "perturbation", self.perturbation or Perturbation.none())
         object.__setattr__(self, "index_rule", self.index_rule or IndexRule.unavailable())
         object.__setattr__(self, "scaled", bool(self.scaled))
+        c = self.family.coeffs
+        if self.scaled and (c.shape[0] != 3 or np.any(c[0]) or np.any(c[1])):
+            raise ValueError("scaled problem must have family lambda^2 * A")
 
     def gradient_many(self, X, lam):
         """grad V(x, lambda) for a stack X of shape (m, n)."""
@@ -259,10 +272,7 @@ class ProblemSpec:
         """The constant A with family = lambda^2 A (scaled problems only)."""
         if not self.scaled:
             raise ValueError("not a scaled problem")
-        c = self.family.coeffs
-        if c.shape[0] != 3 or np.any(c[0]) or np.any(c[1]):
-            raise ValueError("scaled problem must have family lambda^2 * A")
-        return as_symmetric(c[2])
+        return as_symmetric(self.family.coeffs[2])
 
 
 @dataclass(frozen=True)
@@ -396,6 +406,67 @@ class ConsistencyVerdict:
                 "shared": enc(self.shared)}
 
 
+@dataclass(frozen=True)
+class EndpointAnalysis:
+    """One interval endpoint from one eigendecomposition of A(lambda): its
+    spectrum, resonant k >= 0 and index rule (the built-in rule reads the
+    index at infinity off the same spectrum)."""
+
+    lam: float
+    spectrum: SpectralData
+    resonant: frozenset
+    index_rule: IndexRule
+
+    @classmethod
+    def at(cls, p, lam, tol=DEFAULT_TOL):
+        s = eigen_sym(p.family.eval(lam), tol)
+        return cls(lam, s, resonant_frequencies(s), p.index_rule)
+
+    @property
+    def index(self):
+        return self.index_rule.ind_of(self.spectrum, self.lam)
+
+    @property
+    def sign(self):
+        """The SO(2) coordinate c of the endpoint degree: (-1)^{j_0} when
+        nonresonant, the index at infinity otherwise."""
+        return self.index if self.resonant else (-1) ** int(self.spectrum.counts_above(0))
+
+
+def _endpoints(p, lm, lp, tol):
+    return EndpointAnalysis.at(p, lm, tol), EndpointAnalysis.at(p, lp, tol)
+
+
+def _j_jumps(s_m, s_p):
+    """(k, j_k(s_m), j_k(s_p)) for every k >= 1 where the counts differ.
+
+    The i-th sorted eigenvalues a_i, b_i of the two spectra move j_k only for
+    k^2 in [min(a_i, b_i), max(a_i, b_i)); sqrt is correctly rounded and
+    monotone, so the floors of the square roots of the ends bracket those k.
+    """
+    a, b = s_m.expanded(), s_p.expanded()
+    lo, hi = (np.floor(np.sqrt(np.maximum(f(a, b), 0.0))).astype(np.int64).tolist()
+              for f in (np.minimum, np.maximum))
+    ks = np.array(sorted({k for l, h in zip(lo, hi) for k in range(max(l, 1), h + 1)}),
+                  dtype=np.int64)
+    rows = zip(ks.tolist(), s_m.counts_above(ks).tolist(), s_p.counts_above(ks).tolist())
+    return [(k, jm, jp) for k, jm, jp in rows if jm != jp]
+
+
+def _bif(e_m, e_p):
+    """deg(lp) - deg(lm) and its undefined coordinates.  The Z_k coordinate
+    c+ j_k(+) - c- j_k(-) vanishes off the j_k jumps when the signs agree;
+    otherwise the difference is dense."""
+    c_m, c_p = e_m.sign, e_p.sign
+    und = (e_m.resonant | e_p.resonant) - {0}
+    if c_m != c_p:
+        return (degree_of_spectrum(e_p.spectrum, c_p, und)
+                - degree_of_spectrum(e_m.spectrum, c_m, und)), und
+    zk = {k: c_p * (jp - jm) for k, jm, jp in _j_jumps(e_m.spectrum, e_p.spectrum)
+          if k not in und}
+    return TomDieckElement(0, zk), und
+
+
 def endpoint_degree(p, lam, tol=DEFAULT_TOL):
     """Asymptotic gradient degree at one endpoint.
 
@@ -404,32 +475,15 @@ def endpoint_degree(p, lam, tol=DEFAULT_TOL):
     the index-at-infinity route, whose Z_k coordinates are only defined for
     nonresonant k (the rest are reported in `undefined`).
     """
-    A = p.family.eval(lam)
-    s = eigen_sym(A, tol)
-    res = resonant_frequencies(s)
-    if not res:
-        return deg_id_minus_LA(A, tol), frozenset(), s
-    ind = p.index_rule.ind(A, lam, tol)
-    undefined = frozenset(k for k in res if k >= 1)
-    zk = {}
-    for k in range(1, frequency_bound(s.top) + 1):
-        if k in undefined:
-            continue
-        jk = _j_k_of_spectral(s, k)
-        if jk:
-            zk[k] = ind * jk
-    return TomDieckElement(ind, zk), undefined, s
+    e = EndpointAnalysis.at(p, lam, tol)
+    und = e.resonant - {0}
+    return degree_of_spectrum(e.spectrum, e.sign, und), und, e.spectrum
 
 
 def bif_index_detailed(p, lm, lp, tol=DEFAULT_TOL):
     """(bif, undefined coordinates, spectra at both endpoints)."""
-    deg_m, und_m, s_m = endpoint_degree(p, lm, tol)
-    deg_p, und_p, s_p = endpoint_degree(p, lp, tol)
-    und = und_m | und_p
-    bif = add(deg_p, scalar_mul(-1, deg_m))
-    if und:
-        bif = TomDieckElement(bif.a0, {k: v for k, v in bif.zk.items() if k not in und})
-    return bif, und, s_m, s_p
+    e_m, e_p = _endpoints(p, lm, lp, tol)
+    return (*_bif(e_m, e_p), e_m.spectrum, e_p.spectrum)
 
 
 def bif_index(p, lm, lp, tol=DEFAULT_TOL):
@@ -449,25 +503,24 @@ def check_eqcont1(p, lm, lp, tol=DEFAULT_TOL):
     (ii) the common index is nonzero and some frequency k outside the
     K-set has a j_k jump.  The witness is the smallest such k.
     """
-    A_m, A_p = p.family.eval(lm), p.family.eval(lp)
-    s_m, s_p = eigen_sym(A_m, tol), eigen_sym(A_p, tol)
-    ind_m = p.index_rule.ind(A_m, lm, tol)
-    ind_p = p.index_rule.ind(A_p, lp, tol)
-    kset = k_set(s_m, s_p)
+    return _eqcont1_verdict(*_endpoints(p, lm, lp, tol))
+
+
+def _eqcont1_verdict(e_m, e_p):
+    """check_eqcont1 from the two endpoint analyses."""
+    ind_m, ind_p = e_m.index, e_p.index
+    kset = k_set(e_m.spectrum, e_p.spectrum)
     if ind_p != ind_m:
         return CriterionVerdict(
             "eqcont1(i)", True, kset=kset,
-            message=f"index at infinity flips: {ind_m} at {lm:g}, {ind_p} at {lp:g}; "
-                    "an unbounded branch bifurcates from infinity in the interval")
+            message=f"index at infinity flips: {ind_m} at {e_m.lam:g}, {ind_p} at "
+                    f"{e_p.lam:g}; an unbounded branch bifurcates from infinity in the interval")
     if ind_p != 0:
-        for k in range(1, frequency_bound(max(s_m.top, s_p.top)) + 1):
-            if k in kset:
-                continue
-            if _j_k_of_spectral(s_p, k) != _j_k_of_spectral(s_m, k):
+        for k, jm, jp in _j_jumps(e_m.spectrum, e_p.spectrum):
+            if k not in kset:
                 return CriterionVerdict(
                     "eqcont1(ii)", True, witness_k=k, kset=kset,
-                    message=f"common index {ind_p} and j_{k} jumps "
-                            f"{_j_k_of_spectral(s_m, k)} -> {_j_k_of_spectral(s_p, k)} "
+                    message=f"common index {ind_p} and j_{k} jumps {jm} -> {jp} "
                             f"with {k} outside K; an unbounded branch bifurcates")
     return CriterionVerdict("eqcont1", False, kset=kset,
                             message="no index flip and no j_k jump outside K")
@@ -480,40 +533,39 @@ def check_eqcont2(p, lm, lp, tol=DEFAULT_TOL, grid=DEFAULT_GRID):
     jumps.  The branch then meets (infinity, lambda0) at the unique
     interior resonance value.
     """
-    s_m = eigen_sym(p.family.eval(lm), tol)
-    s_p = eigen_sym(p.family.eval(lp), tol)
-    _require_nonresonant_endpoints(lm, lp, s_m, s_p)
-    return _eqcont2_verdict(s_m, s_p, scan_resonances(p.family, lm, lp, grid=grid, tol=tol))
+    e_m, e_p = _endpoints(p, lm, lp, tol)
+    _require_nonresonant_endpoints(e_m, e_p)
+    return _eqcont2_verdict(e_m, e_p, scan_resonances(p.family, lm, lp, grid=grid, tol=tol))
 
 
-def _require_nonresonant_endpoints(lm, lp, s_m, s_p):
-    bad = [lam for lam, s in ((lm, s_m), (lp, s_p)) if resonant_frequencies(s)]
+def _require_nonresonant_endpoints(e_m, e_p):
+    bad = [e.lam for e in (e_m, e_p) if e.resonant]
     if bad:
         raise PreconditionError(
             f"endpoints must be nonresonant, but lambda in {bad} meet {{k^2}}")
 
 
-def _eqcont2_verdict(s_m, s_p, points):
-    """check_eqcont2 from the endpoint spectra and the scanned points."""
+def _eqcont2_verdict(e_m, e_p, points):
+    """check_eqcont2 from the two endpoint analyses and the scanned points."""
     if len(points) != 1:
         lams = [round(pt.lambda0, 9) for pt in points]
         raise PreconditionError(
             "the criterion needs exactly one interior resonance, found "
             f"{len(points)} at lambda in {lams}")
     lam0 = points[0].lambda0
-    j0_m, j0_p = _j_k_of_spectral(s_m, 0), _j_k_of_spectral(s_p, 0)
+    j0_m, j0_p = int(e_m.spectrum.counts_above(0)), int(e_p.spectrum.counts_above(0))
     if (-1) ** j0_m != (-1) ** j0_p:
         return CriterionVerdict(
             "eqcont2(i)", True, lambda0=lam0,
             message=f"(-1)^j_0 flips ({j0_m} -> {j0_p}); an unbounded branch "
                     f"meets (infinity, lambda0 = {lam0:.9g})")
-    for k in range(1, frequency_bound(max(s_m.top, s_p.top)) + 1):
-        jm, jp = _j_k_of_spectral(s_m, k), _j_k_of_spectral(s_p, k)
-        if jm != jp:
-            return CriterionVerdict(
-                "eqcont2(ii)", True, witness_k=k, lambda0=lam0,
-                message=f"j_{k} jumps {jm} -> {jp}; an unbounded branch meets "
-                        f"(infinity, lambda0 = {lam0:.9g})")
+    jumps = _j_jumps(e_m.spectrum, e_p.spectrum)
+    if jumps:
+        k, jm, jp = jumps[0]
+        return CriterionVerdict(
+            "eqcont2(ii)", True, witness_k=k, lambda0=lam0,
+            message=f"j_{k} jumps {jm} -> {jp}; an unbounded branch meets "
+                    f"(infinity, lambda0 = {lam0:.9g})")
     return CriterionVerdict("eqcont2", False, lambda0=lam0,
                             message="no j_k jump across the resonance")
 
@@ -535,7 +587,7 @@ def eqcont3_points(p, window, tol=DEFAULT_TOL):
         raise PreconditionError(
             "A has an eigenvalue at 0 (at tolerance); the scaled-family "
             "criterion requires det A != 0")
-    ind = p.index_rule.ind(A, 0.0, tol)
+    ind = p.index_rule.ind_of(s, 0.0)
     positive = s.positive_spectrum()
     small = [v for v, _ in positive if v <= 1e6 * s.tol]
     if small:
@@ -584,26 +636,32 @@ def consistency_check(kernel_at_point, kernel_at_infinity):
     return ConsistencyVerdict(bool(left & right), left, right, left & right)
 
 
+@dataclass(frozen=True, eq=False)
 class BifurcationReport:
-    """Full analysis of one interval, JSON-stable."""
+    """Full analysis of one interval, JSON-stable; equal when the JSON is."""
 
-    def __init__(self, interval, n, s_minus, s_plus, kset, bif, bif_undefined,
-                 bif_ls, criterion, resonances, predicted_periods,
-                 eqcont3=(), consistency=(), flags=None):
-        self.interval = (float(interval[0]), float(interval[1]))
-        self.n = int(n)
-        self.s_minus = s_minus
-        self.s_plus = s_plus
-        self.kset = frozenset(kset)
-        self.bif = bif
-        self.bif_undefined = frozenset(bif_undefined)
-        self.bif_ls = int(bif_ls)
-        self.criterion = criterion
-        self.resonances = list(resonances)
-        self.predicted_periods = list(predicted_periods)
-        self.eqcont3 = list(eqcont3)
-        self.consistency = list(consistency)
-        self.flags = dict(flags or {})
+    interval: tuple
+    n: int
+    s_minus: SpectralData
+    s_plus: SpectralData
+    kset: frozenset
+    bif: TomDieckElement
+    bif_undefined: frozenset
+    bif_ls: int
+    criterion: CriterionVerdict
+    resonances: list
+    predicted_periods: list
+    eqcont3: list = ()
+    consistency: list = ()
+    flags: dict = None
+
+    def __post_init__(self):
+        for name, norm in (("interval", lambda x: (float(x[0]), float(x[1]))),
+                           ("n", int), ("kset", frozenset), ("bif_undefined", frozenset),
+                           ("bif_ls", int), ("resonances", list), ("predicted_periods", list),
+                           ("eqcont3", list), ("consistency", list),
+                           ("flags", lambda f: dict(f or {}))):
+            object.__setattr__(self, name, norm(getattr(self, name)))
 
     def to_json(self):
         return {
@@ -658,8 +716,8 @@ def build_report(p, lm, lp, tol=DEFAULT_TOL, grid=DEFAULT_GRID,
     then the resonant-endpoint criterion.  Precondition failures fall
     through to the next criterion rather than aborting.
     """
-    bif, und, s_m, s_p = bif_index_detailed(p, lm, lp, tol)
-    kset = k_set(s_m, s_p)
+    e_m, e_p = _endpoints(p, lm, lp, tol)
+    bif, und = _bif(e_m, e_p)
     resonances = scan_resonances(p.family, lm, lp, grid=grid, tol=tol)
     periods = [predict_periods(r) for r in resonances]
 
@@ -668,7 +726,7 @@ def build_report(p, lm, lp, tol=DEFAULT_TOL, grid=DEFAULT_GRID,
     if p.scaled and lm > 0.0:
         try:
             eq3 = eqcont3_points(p, (lm, lp), tol)
-        except (MissingIndexError, PreconditionError, ValueError):
+        except (MissingIndexError, PreconditionError):
             eq3 = []
         if eq3:
             first = eq3[0]
@@ -678,15 +736,15 @@ def build_report(p, lm, lp, tol=DEFAULT_TOL, grid=DEFAULT_GRID,
                         "in the window, each with a nonzero Z_k jump")
     if verdict is None:
         try:
-            _require_nonresonant_endpoints(lm, lp, s_m, s_p)
-            v = _eqcont2_verdict(s_m, s_p, resonances)
+            _require_nonresonant_endpoints(e_m, e_p)
+            v = _eqcont2_verdict(e_m, e_p, resonances)
             if v.holds:
                 verdict = v
         except PreconditionError:
             pass
     if verdict is None:
         try:
-            v = check_eqcont1(p, lm, lp, tol)
+            v = _eqcont1_verdict(e_m, e_p)
             if v.holds:
                 verdict = v
         except MissingIndexError:
@@ -708,7 +766,8 @@ def build_report(p, lm, lp, tol=DEFAULT_TOL, grid=DEFAULT_GRID,
         flags.setdefault("zero_set_bounded", True)
 
     report = BifurcationReport(
-        (lm, lp), p.n, s_m, s_p, kset, bif, und, bif.a0, verdict,
+        (lm, lp), p.n, e_m.spectrum, e_p.spectrum, k_set(e_m.spectrum, e_p.spectrum),
+        bif, und, bif.a0, verdict,
         resonances, periods, eq3, consistency, flags)
     if report.criterion.holds and not report.bif:
         raise AssertionError("criterion fired but the bifurcation index is zero")

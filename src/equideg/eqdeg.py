@@ -8,17 +8,21 @@ unit of the tom Dieck ring determined entirely by Morse indices:
 
 ``deg_id_minus_LA`` specializes this to the loop-space operator Id - L_A of a
 nonresonant symmetric matrix A, where the block Morse data collapse to the
-eigenvalue counts j_k(A) (eigenvalues above k^2).  ``ind_infinity`` is the
-Brouwer index at infinity available in closed form for the built-in
-bounded-perturbation class.
+eigenvalue counts j_k(A) (eigenvalues above k^2); ``degree_of_spectrum``
+reads every j_k off one sorted spectrum.  ``ind_infinity`` is the Brouwer
+index at infinity available in closed form for the built-in
+bounded-perturbation class; ``index_of_spectrum`` is the same formula on a
+spectrum already computed.
 """
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .reps import RepDecomposition
 from .spectral import (DEFAULT_TOL, DegenerateSpectrumError, as_symmetric,
                        eigen_sym, frequency_bound, morse_index,
-                       _j_k_of_spectral, resonant_frequencies)
+                       resonant_frequencies)
 from .udring import TomDieckElement
 
 
@@ -100,14 +104,19 @@ def deg_id_minus_LA(A, tol=DEFAULT_TOL):
         raise DegenerateSpectrumError(
             f"matrix is resonant: spectrum meets {{k^2}} at k in {sorted(bad)}; "
             "Id - L_A is not an isomorphism")
-    j0 = _j_k_of_spectral(s, 0)
-    a0 = -1 if j0 % 2 else 1
-    zk = {}
-    for k in range(1, frequency_bound(s.top) + 1):
-        jk = _j_k_of_spectral(s, k)
-        if jk:
-            zk[k] = a0 * jk
-    return TomDieckElement(a0, zk)
+    return degree_of_spectrum(s, (-1) ** int(s.counts_above(0)))
+
+
+def degree_of_spectrum(s, a0, undefined=frozenset()):
+    """The element (a0, {k: a0 * j_k}) over k >= 1 outside ``undefined``.
+
+    This is deg(Id - L_A) for a nonresonant A with a0 = (-1)^{j_0}, and the
+    degree at a resonant endpoint with a0 the index at infinity.
+    """
+    ks = np.arange(1, frequency_bound(s.top))
+    counts = s.counts_above(ks).tolist()
+    return TomDieckElement(a0, {k: a0 * j for k, j in zip(ks.tolist(), counts)
+                                if k not in undefined})
 
 
 def ind_infinity(A, n=None, tol=DEFAULT_TOL):
@@ -120,9 +129,11 @@ def ind_infinity(A, n=None, tol=DEFAULT_TOL):
     from the caller through ``IndexRule.value``.
     """
     A = as_symmetric(A)
-    if n is None:
-        n = A.n
-    elif n != A.n:
+    if n is not None and n != A.n:
         raise ValueError(f"declared dimension {n} does not match matrix size {A.n}")
-    m = morse_index(eigen_sym(A, tol))
-    return -1 if (n - m) % 2 else 1
+    return index_of_spectrum(eigen_sym(A, tol))
+
+
+def index_of_spectrum(s):
+    """``ind_infinity`` of a matrix from its spectrum: (-1)^(n - m(A))."""
+    return -1 if (s.n - morse_index(s)) % 2 else 1

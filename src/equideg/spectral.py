@@ -100,6 +100,18 @@ class SpectralData:
         """Total multiplicity of eigenvalues within tol of x."""
         return sum(m for v, m in self.eigenvalues if abs(v - x) <= self.tol)
 
+    def counts_above(self, ks):
+        """j_k for every k in the integer array ks: the number of
+        eigenvalues strictly above k^2, with multiplicity.  No eigenvalue
+        is checked against the tolerance band around k^2."""
+        ks = np.asarray(ks, dtype=np.int64)
+        return self.n - np.searchsorted(self.expanded(), (ks * ks).astype(float),
+                                        side="right")
+
+    def expanded(self):
+        """Every eigenvalue repeated by its multiplicity, increasing."""
+        return np.repeat(self.values(), [m for _, m in self.eigenvalues])
+
     def positive_spectrum(self):
         """Clusters strictly above the tolerance band around zero."""
         return [(v, m) for v, m in self.eigenvalues if v > self.tol]
@@ -179,15 +191,6 @@ def resonant_frequencies(s, include_zero=True):
     return frozenset(out)
 
 
-def _j_k_of_spectral(s, k):
-    target = float(k * k)
-    for v, _ in s.eigenvalues:
-        if abs(v - target) <= s.tol:
-            raise DegenerateSpectrumError(
-                f"eigenvalue {v!r} lies within tolerance {s.tol:.3e} of {k}^2 = {target}")
-    return sum(m for v, m in s.eigenvalues if v > target)
-
-
 def j_k(A, k, tol=DEFAULT_TOL):
     """Count of eigenvalues of A strictly greater than k^2 (with multiplicity).
 
@@ -196,7 +199,13 @@ def j_k(A, k, tol=DEFAULT_TOL):
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return _j_k_of_spectral(eigen_sym(A, tol), int(k))
+    k = int(k)
+    s = eigen_sym(A, tol)
+    for v, _ in s.eigenvalues:
+        if abs(v - k * k) <= s.tol:
+            raise DegenerateSpectrumError(
+                f"eigenvalue {v!r} lies within tolerance {s.tol:.3e} of {k}^2 = {float(k * k)}")
+    return int(s.counts_above(k))
 
 
 def k_set(s_minus, s_plus):

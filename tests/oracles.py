@@ -6,6 +6,8 @@ by sign changes and refined by bisection.  Slow but order-of-magnitude
 independent of the library under test.
 """
 
+import math
+
 import numpy as np
 
 
@@ -72,3 +74,66 @@ def random_symmetric(rng, n, scale=3.0):
 def random_orthogonal(rng, n):
     Q, R = np.linalg.qr(rng.normal(size=(n, n)))
     return Q * np.sign(np.diag(R))
+
+
+def reference_report(eig_m, eig_p, n_resonances, ind_m=None, ind_p=None, tol=1e-9):
+    """Bifurcation index and criterion of an interval, one k at a time.
+
+    eig_m, eig_p: every eigenvalue of A at the two endpoints, with
+    multiplicity (from ``charpoly_eigenvalues`` or a known diagonal).
+    n_resonances: the number of interior resonance points, the only input
+    the criteria take from the scan.  ind_m, ind_p: the index at infinity,
+    None for the built-in rule (-1)^(n - #{eigenvalues < -tol}).
+
+    Follows the paper's definitions for a problem that is not scaled:
+    deg = (c, {k: c j_k}) with c = (-1)^{j_0} at a nonresonant endpoint
+    and c = the index at a resonant one, Bif = deg(+) - deg(-) without the
+    resonant coordinates; then eqcont2 (nonresonant endpoints, one
+    resonance), then eqcont1.  Returns (so2, {k: Z_k}, undefined,
+    criterion name, witness k).
+    """
+    ends = []
+    for eig, ind in ((eig_m, ind_m), (eig_p, ind_p)):
+        eig = [float(v) for v in eig]
+        atol = tol * (1.0 + max(abs(v) for v in eig))
+        top = int(max(max(eig), 0.0) ** 0.5) + 2
+        res = {k for k in range(top + 1) for v in eig if abs(v - k * k) <= atol}
+        if ind is None:
+            ind = -1 if sum(1 for v in eig if v >= -atol) % 2 else 1
+        ends.append((eig, res, ind, top))
+    (em, res_m, ind_m, top_m), (ep, res_p, ind_p, top_p) = ends
+
+    def j(eig, k):
+        return sum(1 for v in eig if v > k * k)
+
+    ks = range(1, max(top_m, top_p) + 1)
+    c_m = ind_m if res_m else (-1) ** j(em, 0)
+    c_p = ind_p if res_p else (-1) ** j(ep, 0)
+    undefined = {k for k in res_m | res_p if k >= 1}
+    zk = {}
+    for k in ks:
+        v = c_p * j(ep, k) - c_m * j(em, k)
+        if v and k not in undefined:
+            zk[k] = v
+    jumps = [k for k in ks if j(em, k) != j(ep, k)]
+
+    if not res_m and not res_p and n_resonances == 1:
+        if (-1) ** j(em, 0) != (-1) ** j(ep, 0):
+            return c_p - c_m, zk, undefined, "eqcont2(i)", None
+        if jumps:
+            return c_p - c_m, zk, undefined, "eqcont2(ii)", jumps[0]
+    kset = set()
+    for res in (res_m, res_p):
+        closed = {k for k in res if k >= 1}
+        while True:
+            more = closed | {math.gcd(a, b) for a in closed for b in closed}
+            if more == closed:
+                break
+            closed = more
+        kset |= closed
+    if ind_m != ind_p:
+        return c_p - c_m, zk, undefined, "eqcont1(i)", None
+    outside = [k for k in jumps if k not in kset]
+    if ind_p != 0 and outside:
+        return c_p - c_m, zk, undefined, "eqcont1(ii)", outside[0]
+    return c_p - c_m, zk, undefined, "none", None

@@ -23,7 +23,8 @@ from equideg.spectral import (MatrixFamily, ResonancePoint, TangencyWarning,
                               resonant_frequencies, eigen_sym)
 from equideg.udring import ZERO, TomDieckElement
 
-from oracles import random_symmetric
+from oracles import (charpoly_eigenvalues, random_orthogonal, random_symmetric,
+                     reference_report)
 
 
 def diag_family(*entries):
@@ -174,6 +175,14 @@ def test_problem_spec_validation():
     assert p.perturbation.kind == "none" and p.index_rule.kind == "unavailable"
     with pytest.raises(AttributeError):
         p.scaled = True
+
+
+def test_scaled_problem_needs_a_lambda_squared_family():
+    # 4 + lambda^2 is not lambda^2 A: rejected at construction instead of
+    # falling through build_report to criterion "none"
+    fam = MatrixFamily([[[4.0]], [[0.0]], [[1.0]]])
+    with pytest.raises(ValueError, match="lambda\\^2"):
+        ProblemSpec(1, fam, Perturbation.kepler(1.0), IndexRule.builtin(), scaled=True)
 
 
 # ------------------------------------------------------------- endpoint degrees
@@ -565,6 +574,78 @@ def test_build_report_scans_once(make, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("make, calls", [(example1, 5), (example2, 3), (example3, 4)])
+def test_build_report_analyses_each_endpoint_once(make, calls, monkeypatch):
+    # one eigendecomposition per endpoint and one per resonance point
+    count = []
+    eigh = np.linalg.eigh
+
+    def counting(*args, **kwargs):
+        count.append(args)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    ex = make()
+    r = build_report(ex.problem, ex.lm, ex.lp)
+    assert len(count) == 2 + len(r.resonances) == calls
+
+
+def _rotated(rng, diagonals):
+    """Q diag(p_i(lambda)) Q^T for diagonal polynomials {power: coeff}."""
+    fam = diag_family(*diagonals)
+    Q = random_orthogonal(rng, fam.n)
+    return MatrixFamily(np.einsum("ij,pjk,lk->pil", Q, fam.coeffs, Q))
+
+
+def _diag_at(diagonals, lam):
+    return [sum(c * lam ** q for q, c in d.items()) for d in diagonals]
+
+
+def _reference_cases():
+    """(problem, lm, lp, eigenvalues at lm, at lp, index values or None)."""
+    rng = np.random.default_rng(2024)
+    builtin = IndexRule.builtin()
+    for i in range(24):
+        n = 2 + i % 5
+        C = rng.normal(0.0, 3.0, size=(3, n, n))
+        C[0] += np.diag(rng.uniform(-2.0, 30.0, size=n))
+        fam = MatrixFamily(C)
+        ind = int(rng.choice([-1, 1])) if i % 4 == 0 else None
+        rule = builtin if ind is None else IndexRule.value(ind)
+        p = ProblemSpec(n, fam, Perturbation.kepler(1.0), rule)
+        yield (p, -1.0, 1.0, charpoly_eigenvalues(fam.eval_array(-1.0)),
+               charpoly_eigenvalues(fam.eval_array(1.0)), ind)
+    diagonal = [
+        # resonant endpoints: 4 at lambda = 0 and 0 at lambda = 1
+        ([{0: 4.0, 1: 1.0}, {0: 1.0, 1: -1.0}, {0: 9.5}], 0.0, 1.0),
+        ([{0: 9.0, 1: 3.0}, {0: 1.0}, {0: 16.0, 1: -7.0}, {0: 2.5}], 0.0, 1.0),
+        # (-1)^{j_0} flips at the one resonance: eqcont2(i)
+        ([{1: 1.0}, {0: 2.5}], -0.5, 0.5),
+        # index flips with three interior resonances: eqcont1(i)
+        ([{1: 1.0}, {0: 2.5, 1: 2.0}], -1.0, 1.0),
+        ([{1: -1.0}, {0: 5.0, 1: 3.0}, {0: -3.0}], -1.0, 1.0),
+    ] + [([{0: 10.0 ** q + 0.0123, 1: 1.0}, {0: 2.5}], -0.5, 0.5) for q in (4, 6, 8)]
+    for diagonals, lm, lp in diagonal:
+        p = ProblemSpec(len(diagonals), _rotated(rng, diagonals),
+                        Perturbation.kepler(1.0), builtin)
+        yield p, lm, lp, _diag_at(diagonals, lm), _diag_at(diagonals, lp), None
+
+
+def test_report_matches_the_per_k_reference():
+    names = set()
+    for p, lm, lp, eig_m, eig_p, ind in _reference_cases():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            r = build_report(p, lm, lp)
+        so2, zk, undefined, name, witness = reference_report(
+            eig_m, eig_p, len(r.resonances), ind, ind)
+        assert r.bif == TomDieckElement(so2, zk)
+        assert r.bif_undefined == undefined
+        assert (r.criterion.name, r.criterion.witness_k) == (name, witness)
+        names.add(name)
+    assert names == {"eqcont1(i)", "eqcont1(ii)", "eqcont2(i)", "eqcont2(ii)", "none"}
+
+
 def test_build_report_emits_each_scan_warning_once():
     # (l - 0.3)^2 + 4 touches 4 between grid nodes; the endpoints are
     # nonresonant, so the single-resonance criterion is tried too
@@ -592,6 +673,13 @@ def test_build_report_json_roundtrip():
     back = BifurcationReport.from_json(json.loads(text))
     assert back == r
     assert json.dumps(back.to_json(), sort_keys=True) == text
+
+
+def test_report_is_immutable():
+    ex = example2()
+    r = build_report(ex.problem, ex.lm, ex.lp)
+    with pytest.raises(AttributeError):
+        r.criterion = None
 
 
 def test_report_rejects_unknown_format_version():

@@ -175,6 +175,20 @@ def test_resonant_frequencies_matches_the_loop_over_every_k():
                 assert resonant_frequencies(s, include_zero) == loop
 
 
+def test_counts_above_matches_the_loop_over_clusters():
+    # clusters with multiplicities, some exactly on a square, one far out
+    rng = np.random.default_rng(8)
+    for _ in range(30):
+        values = np.unique(np.concatenate([rng.integers(0, 12, 3) ** 2.0,
+                                           rng.uniform(-5.0, 150.0, 4), [1e8 + 0.5]]))
+        s = SpectralData(tuple((float(v), int(m)) for v, m in
+                               zip(values, rng.integers(1, 4, len(values)))), 1e-9)
+        ks = np.r_[0:14, 9998:10002]
+        loop = [sum(m for v, m in s.eigenvalues if v > k * k) for k in ks.tolist()]
+        assert s.counts_above(ks).tolist() == loop
+        assert s.counts_above(7) == loop[7]
+
+
 def test_matrix_family_eval():
     fam = MatrixFamily([[[1.0, 0.0], [0.0, 2.0]], [[0.5, 1.0], [1.0, 0.0]]])
     A = fam.eval(2.0)
