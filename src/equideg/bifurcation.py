@@ -79,7 +79,7 @@ class Perturbation:
         if self.kind == "kepler":
             object.__setattr__(self, "a", float(self.a))
             if not self.a > 0:
-                raise ValueError("kepler perturbation needs a > 0")
+                raise ValueError(f"kepler perturbation needs a positive a, got {self.a}")
             if self.scale not in ("constant", "lambda_squared"):
                 raise ValueError(f"unknown kepler scale {self.scale!r}")
         if self.kind == "user" and self.grad is None:

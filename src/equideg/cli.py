@@ -10,9 +10,8 @@ import json
 import sys
 
 from . import problems
-from .bifurcation import FORMAT_VERSION, PreconditionError, build_report
-from .config import ConfigError, ProblemConfig
-from .eqdeg import MissingIndexError
+from .bifurcation import FORMAT_VERSION, build_report
+from .config import ProblemConfig
 from .galerkin import (ContinuationOptions, continue_to_infinity,
                        minimal_period_divisor, write_branch_csv)
 from .spectral import scan_resonances
@@ -107,13 +106,9 @@ def cmd_continue(args):
     if not all(a > 0 for a in amplitudes):
         print("error: --amplitudes must be positive", file=sys.stderr)
         return 1
-    try:
-        opts = ContinuationOptions(
-            modes=args.modes if args.modes is not None else cfg.modes)
-        branch = continue_to_infinity(p, pt, amplitudes, opts)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    opts = ContinuationOptions(
+        modes=args.modes if args.modes is not None else cfg.modes)
+    branch = continue_to_infinity(p, pt, amplitudes, opts)
     write_branch_csv(args.out, branch)
     ok = [bp for bp in branch if not bp.failed]
     drift = [abs(bp.lam - pt.lambda0) for bp in ok]
@@ -200,7 +195,7 @@ def main(argv=None):
     args = build_arg_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, PreconditionError, MissingIndexError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # every library error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

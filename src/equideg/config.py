@@ -128,20 +128,20 @@ class ProblemConfig:
         lp = _get_float(prob, "lambda_plus", "problem")
         if not lm < lp:
             raise ConfigError(f"problem: lambda_minus={lm} must be below lambda_plus={lp}")
-        scaled = prob.getboolean("scaled", fallback=False)
+        scaled = _get_bool(prob, "scaled", "problem", False)
 
-        family = _matrix_family(parser, n, scaled)
+        family = _matrix_family(parser, n)
         pert = _perturbation(parser)
         rule = _index_rule(parser)
 
         opts = parser["options"] if parser.has_section("options") else {}
-        tol = float(opts.get("tol", DEFAULT_TOL))
-        if tol <= 0:
+        tol = _get_float(opts, "tol", "options", cls.tol)
+        if not tol > 0:
             raise ConfigError("options.tol: must be positive")
-        grid = int(opts.get("grid", DEFAULT_GRID))
+        grid = _get_int(opts, "grid", "options", cls.grid)
         if grid < 2:
             raise ConfigError("options.grid: must be at least 2")
-        modes = int(opts.get("modes", 16))
+        modes = _get_int(opts, "modes", "options", cls.modes)
         if modes < 1:
             raise ConfigError("options.modes: must be positive")
 
@@ -152,14 +152,13 @@ class ProblemConfig:
 
         flags = {}
         if parser.has_section("flags"):
-            for name, value in parser["flags"].items():
-                try:
-                    flags[name] = parser["flags"].getboolean(name)
-                except ValueError:
-                    raise ConfigError(f"flags.{name}: not a boolean") from None
+            for name in parser["flags"]:
+                flags[name] = _get_bool(parser["flags"], name, "flags")
 
-        return cls(n, family, pert, rule, scaled, lm, lp, tol, grid, modes,
-                   critical, flags)
+        cfg = cls(n, family, pert, rule, scaled, lm, lp, tol, grid, modes,
+                  critical, flags)
+        _built("problem", cfg.problem)  # ProblemSpec's rules span sections
+        return cfg
 
 
 def _parser():
@@ -168,25 +167,48 @@ def _parser():
     return p
 
 
-def _get_int(section, key, name):
+def _get(section, key, name, default, convert, what):
+    """section[key] through convert; default when the key is absent and a
+    default is given."""
     if key not in section:
-        raise ConfigError(f"{name}.{key}: missing")
+        if default is None:
+            raise ConfigError(f"{name}.{key}: missing")
+        return default
     try:
-        return int(section[key])
+        return convert(section[key])
     except ValueError:
-        raise ConfigError(f"{name}.{key}: {section[key]!r} is not an integer") from None
+        raise ConfigError(f"{name}.{key}: {section[key]!r} is not {what}") from None
 
 
-def _get_float(section, key, name):
-    if key not in section:
-        raise ConfigError(f"{name}.{key}: missing")
+def _get_int(section, key, name, default=None):
+    return _get(section, key, name, default, int, "an integer")
+
+
+def _get_float(section, key, name, default=None):
+    return _get(section, key, name, default, float, "a number")
+
+
+def _get_bool(section, key, name, default=None):
+    return _get(section, key, name, default, _boolean, "a boolean")
+
+
+def _boolean(text):
+    value = configparser.ConfigParser.BOOLEAN_STATES.get(text.lower())
+    if value is None:
+        raise ValueError(text)
+    return value
+
+
+def _built(where, make, *args):
+    """make(*args), with its ValueError re-raised as a ConfigError naming
+    the section (or section.key) ``where``."""
     try:
-        return float(section[key])
-    except ValueError:
-        raise ConfigError(f"{name}.{key}: {section[key]!r} is not a number") from None
+        return make(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
-def _matrix_family(parser, n, scaled):
+def _matrix_family(parser, n):
     if not parser.has_section("matrix"):
         raise ConfigError("missing [matrix] section")
     entries = {}
@@ -207,14 +229,7 @@ def _matrix_family(parser, n, scaled):
                 f"matrix.{key!r}: disagrees with its mirror entry "
                 f"{canon[0]} {canon[1]}")
         entries[canon] = terms
-    family = MatrixFamily.from_entry_polynomials(n, entries)
-    if scaled:
-        c = family.coeffs
-        if c.shape[0] != 3 or c[0].any() or c[1].any():
-            raise ConfigError(
-                "matrix: a scaled problem needs every entry to be a pure "
-                "2:coefficient term (family lambda^2 * A)")
-    return family
+    return MatrixFamily.from_entry_polynomials(n, entries)
 
 
 def _perturbation(parser):
@@ -225,13 +240,9 @@ def _perturbation(parser):
     if kind == "none":
         return Perturbation.none()
     if kind == "kepler":
-        a = _get_float(sec, "a", "perturbation")
-        if a <= 0:
-            raise ConfigError("perturbation.a: must be positive")
-        scale = sec.get("scale", "constant")
-        if scale not in ("constant", "lambda_squared"):
-            raise ConfigError(f"perturbation.scale: unknown value {scale!r}")
-        return Perturbation.kepler(a, scale)
+        return _built("perturbation", Perturbation.kepler,
+                      _get_float(sec, "a", "perturbation"),
+                      sec.get("scale", "constant"))
     raise ConfigError(f"perturbation.kind: unknown value {kind!r}")
 
 
@@ -257,7 +268,4 @@ def _rep(value, where):
         except ValueError:
             raise ConfigError(f"{where}: token {tok!r} is not 'mult,freq'") from None
         parts.append((j, k))
-    try:
-        return RepDecomposition(sorted(parts, key=lambda jk: jk[1]))
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+    return _built(where, RepDecomposition, sorted(parts, key=lambda jk: jk[1]))

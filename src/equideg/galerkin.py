@@ -42,7 +42,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bifurcation import FORMAT_VERSION
-from .spectral import DEFAULT_TOL
+
+#: A mode is active in a branch point above this share of the loop's energy.
+ACTIVE_MODE_FRACTION = 1e-8
+#: A mode enters the minimal-period gcd above this share of the energy.
+PERIOD_MODE_FRACTION = 1e-6
+#: A lambda drift that grows past this distance from the resonance warns.
+DRIFT_WINDOW = 0.5
 
 
 class NewtonConvergenceError(RuntimeError):
@@ -126,7 +132,7 @@ class FourierLoop:
 
     def amplitude(self, M=None):
         """sup_t |u(t)| approximated on the collocation grid."""
-        M = M or (4 * self.N + 1)
+        M = _nodes(M, self.N)
         return float(np.linalg.norm(self.values(M), axis=1).max())
 
     def mode_energy(self):
@@ -151,6 +157,11 @@ class FourierLoop:
         return FourierLoop(self.a0, acos, asin)
 
 
+def _nodes(M, N):
+    """M, or the default of 4N+1 collocation nodes when M is 0 or None."""
+    return M or 4 * N + 1
+
+
 def _synthesize(c0, ccos, csin, M):
     """c0 + sum_k (ccos_k cos kt + csin_k sin kt) on M equispaced nodes.
 
@@ -172,7 +183,6 @@ class ContinuationOptions:
     collocation: int = 0          # 0 means 4*modes + 1
     tol: float = 1e-10
     max_iter: int = 50
-    mode_threshold: float = 1e-8  # active-mode energy fraction
 
     def __post_init__(self):
         if self.modes < 1:
@@ -184,7 +194,7 @@ class ContinuationOptions:
                              f"{self.modes} modes need")
 
     def nodes(self):
-        return self.collocation if self.collocation else 4 * self.modes + 1
+        return _nodes(self.collocation, self.modes)
 
 
 @dataclass(frozen=True)
@@ -215,7 +225,7 @@ def _packed_k2(n, N):
 
 def residual(loop, lam, p, M=None):
     """Coefficient-space residual of u'' + grad V(u, lambda) = 0."""
-    M = M or (4 * loop.N + 1)
+    M = _nodes(M, loop.N)
     if M < 2 * loop.N + 2:
         raise ValueError("need at least 2N+2 collocation nodes")
     c = _coeffs(p.gradient_many(loop.values(M), lam), loop.N)
@@ -407,24 +417,20 @@ def _continuation_system(p, ref, R, k0, M):
     return func, (jac if _has_hessian(p) else None)
 
 
-def _kernel_directions(p, r, tol=DEFAULT_TOL):
-    """Unit eigenvectors of A(lambda0) for the eigenvalue k0^2."""
+def _kernel_directions(p, r):
+    """Unit eigenvectors of A(lambda0) for the eigenvalue k0^2: the
+    mu_A(k0^2) eigenvectors, as the scan counted them, whose eigenvalues
+    lie nearest k0^2, in ascending eigenvalue order."""
     k0 = min((k for k in r.frequencies if k >= 1), default=None)
     if k0 is None:
         raise ValueError("resonance point has no positive frequency to continue")
-    A = p.family.eval_array(r.lambda0)
-    vals, vecs = np.linalg.eigh(A)
-    sel = np.abs(vals - k0 * k0) <= tol * (1.0 + np.abs(vals).max())
-    if not sel.any():
-        sel = np.abs(vals - k0 * k0) == np.abs(vals - k0 * k0).min()
-    dirs = []
-    for v in vecs[:, sel].T:
-        lead = np.argmax(np.abs(v))
-        dirs.append(v * np.sign(v[lead]))
-    return k0, dirs
+    mu = r.kernel_rep.multiplicity(k0)
+    vals, vecs = np.linalg.eigh(p.family.eval_array(r.lambda0))
+    nearest = np.sort(np.argsort(np.abs(vals - k0 * k0), kind="stable")[:mu])
+    return k0, [v * np.sign(v[np.argmax(np.abs(v))]) for v in vecs[:, nearest].T]
 
 
-def continue_to_infinity(p, r, amplitudes, opts=None, direction=0, window=0.5):
+def continue_to_infinity(p, r, amplitudes, opts=None, direction=0):
     """Follow the branch rooted at a resonance toward large amplitude.
 
     For each requested amplitude R the augmented system (residual, phase
@@ -476,7 +482,7 @@ def continue_to_infinity(p, r, amplitudes, opts=None, direction=0, window=0.5):
         energy = loop.mode_energy()
         total = float(energy.sum()) or 1.0
         active = frozenset(int(k) for k in np.flatnonzero(
-            energy > opts.mode_threshold * total) + 1)
+            energy > ACTIVE_MODE_FRACTION * total) + 1)
         try:
             drift = energy_drift(loop, lam, p, M)
         except ValueError:  # a user perturbation without a potential
@@ -485,7 +491,7 @@ def continue_to_infinity(p, r, amplitudes, opts=None, direction=0, window=0.5):
                                   newton_steps=steps, jacobian_cond=cond,
                                   energy_drift=drift))
         if len(branch) >= 2 and abs(lam - lam0) > abs(branch[-2].lam - lam0) \
-                and abs(lam - lam0) > window:
+                and abs(lam - lam0) > DRIFT_WINDOW:
             warnings.warn(
                 f"lambda drift grew to {abs(lam - lam0):.3g} at amplitude {R:g}; "
                 "the branch may not meet this resonance", DivergenceWarning,
@@ -494,21 +500,22 @@ def continue_to_infinity(p, r, amplitudes, opts=None, direction=0, window=0.5):
     return branch
 
 
-def minimal_period_divisor(loop, rel_threshold=1e-6):
+def minimal_period_divisor(loop):
     """gcd of the active modes; 0 for an (almost) constant loop."""
     energy = loop.mode_energy()
     total = float(energy.sum())
     if total <= 0.0:
         return 0
-    active = [k + 1 for k, e in enumerate(energy) if e > rel_threshold * total]
+    active = [k + 1 for k, e in enumerate(energy)
+              if e > PERIOD_MODE_FRACTION * total]
     if not active:
         return 0
     return math.gcd(*active)
 
 
-def minimal_period(loop, rel_threshold=1e-6):
+def minimal_period(loop):
     """Minimal period of the loop; 0 by convention for constants."""
-    g = minimal_period_divisor(loop, rel_threshold)
+    g = minimal_period_divisor(loop)
     return 0.0 if g == 0 else 2.0 * math.pi / g
 
 
@@ -523,7 +530,7 @@ def energy_drift(loop, lam, p, M=None):
     the Kepler term, a loop R v cos(k0 t) has sigma = asinh(sqrt(a)/R)/k0,
     about sqrt(a)/(k0 R), so large loops need many modes before it falls.
     """
-    M = M or (4 * loop.N + 1)
+    M = _nodes(M, loop.N)
     vals = loop.values(M)
     vel = loop.velocity(M)
     E = 0.5 * (vel * vel).sum(axis=1) + p.potential_many(vals, lam)

@@ -1,7 +1,8 @@
 """Built-in example systems and their regression checks.
 
 Three diagonal families with a bounded gravitational-type perturbation,
-used throughout the tests and the command line:
+used throughout the tests and the command line; each is read from its
+bundled problem file, configs/<name>.cfg:
 
 * example1: n = 4, A = diag(l^2 - 1, sqrt2 + l, l - sqrt2, sqrt5 + l) on
   [-1, 1], perturbation -l^2/sqrt(|x|^2 + 1).  Resonant endpoints (k = 0),
@@ -24,15 +25,11 @@ from dataclasses import dataclass
 from importlib import resources
 
 from . import spectral
-from .bifurcation import (IndexRule, Perturbation, ProblemSpec, bif_index,
-                          bif_index_ls, check_eqcont1, check_eqcont2,
-                          predict_periods)
-from .spectral import MatrixFamily, eigen_sym
+from .bifurcation import (ProblemSpec, bif_index, bif_index_ls, check_eqcont1,
+                          check_eqcont2, predict_periods)
+from .config import ProblemConfig
+from .spectral import eigen_sym
 from .udring import ZERO
-
-SQRT2 = math.sqrt(2.0)
-SQRT5 = math.sqrt(5.0)
-SQRT10 = math.sqrt(10.0)
 
 
 @dataclass(frozen=True)
@@ -43,39 +40,21 @@ class BuiltinExample:
     lp: float
 
 
+def _load(name):
+    cfg = ProblemConfig.from_file(config_path(name))
+    return BuiltinExample(name, cfg.problem(), cfg.lambda_minus, cfg.lambda_plus)
+
+
 def example1():
-    family = MatrixFamily.from_entry_polynomials(4, {
-        (1, 1): {2: 1.0, 0: -1.0},
-        (2, 2): {1: 1.0, 0: SQRT2},
-        (3, 3): {1: 1.0, 0: -SQRT2},
-        (4, 4): {1: 1.0, 0: SQRT5},
-    })
-    p = ProblemSpec(4, family, Perturbation.kepler(1.0, "lambda_squared"),
-                    IndexRule.builtin())
-    return BuiltinExample("example1", p, -1.0, 1.0)
+    return _load("example1")
 
 
 def example2():
-    family = MatrixFamily.from_entry_polynomials(4, {
-        (1, 1): {0: 4.0, 1: 1.0},
-        (2, 2): {0: 2.0}, (3, 3): {0: 2.0}, (4, 4): {0: 2.0},
-    })
-    p = ProblemSpec(4, family, Perturbation.kepler(1.0, "constant"),
-                    IndexRule.builtin())
-    return BuiltinExample("example2", p, -0.5, 0.5)
+    return _load("example2")
 
 
 def example3():
-    family = MatrixFamily.from_entry_polynomials(5, {
-        (1, 1): {0: 4.0, 2: 0.5},
-        (2, 2): {3: 1.0, 0: -SQRT10},
-        (3, 3): {0: 9.0, 2: 0.5},
-        (4, 4): {3: 1.0, 0: SQRT10},
-        (5, 5): {0: 25.0, 2: 0.5},
-    })
-    p = ProblemSpec(5, family, Perturbation.kepler(1.0, "constant"),
-                    IndexRule.builtin())
-    return BuiltinExample("example3", p, -1.0, 1.0)
+    return _load("example3")
 
 
 CATALOG = {"example1": example1, "example2": example2, "example3": example3}
@@ -130,7 +109,7 @@ def verification_rows():
             return False, f"{len(interior)} interior resonances"
         pt = interior[0]
         periods = predict_periods(pt)
-        ok = abs(pt.lambda0 - (1.0 - SQRT2)) < 1e-9 \
+        ok = abs(pt.lambda0 - (1.0 - math.sqrt(2.0))) < 1e-9 \
             and periods.divisors == {1} and not periods.includes_zero
         return ok, f"lambda0={pt.lambda0!r}, periods={periods.labels()}"
 

@@ -132,7 +132,7 @@ def eigen_sym(A, tol=DEFAULT_TOL):
     than returning silently degraded data.
     """
     A = as_symmetric(A)
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     try:
         vals, vecs = np.linalg.eigh(A.entries)

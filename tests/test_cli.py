@@ -70,6 +70,15 @@ def test_analyze_malformed_config_exits_one(tmp_path, capsys):
     assert "format_version" in err
 
 
+@pytest.mark.parametrize("option", [["--tol", "nan"], ["--tol", "-1"],
+                                    ["--grid", "1"]])
+def test_analyze_bad_override_exits_one(option, capsys):
+    rc = main(["analyze", str(config_path("example2"))] + option)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "must" in err
+
+
 def test_analyze_json_is_deterministic(capsys):
     argv = ["analyze", str(config_path("example3")), "--json"]
     assert main(argv) == 0

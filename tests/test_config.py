@@ -140,8 +140,9 @@ def test_perturbation_parsing():
     assert cfg.perturbation.kind == "kepler"
     assert cfg.perturbation.a == 2.0
     assert cfg.perturbation.scale == "lambda_squared"
-    with pytest.raises(ConfigError, match="positive"):
-        ProblemConfig.from_string(text.replace("a = 2", "a = 0"))
+    for a in ("0", "nan"):
+        with pytest.raises(ConfigError, match="^perturbation: .*positive"):
+            ProblemConfig.from_string(text.replace("a = 2", f"a = {a}"))
     with pytest.raises(ConfigError, match="scale"):
         ProblemConfig.from_string(text.replace("lambda_squared", "cubic"))
     with pytest.raises(ConfigError, match="kind"):
@@ -161,8 +162,9 @@ def test_index_rule_parsing():
 
 
 def test_options_validation():
-    with pytest.raises(ConfigError, match="tol"):
-        ProblemConfig.from_string(MINIMAL + "\n[options]\ntol = 0\n")
+    for tol in ("0", "nan"):
+        with pytest.raises(ConfigError, match="tol"):
+            ProblemConfig.from_string(MINIMAL + f"\n[options]\ntol = {tol}\n")
     with pytest.raises(ConfigError, match="grid"):
         ProblemConfig.from_string(MINIMAL + "\n[options]\ngrid = 1\n")
     with pytest.raises(ConfigError, match="modes"):
@@ -170,6 +172,17 @@ def test_options_validation():
     cfg = ProblemConfig.from_string(
         MINIMAL + "\n[options]\ntol = 1e-8\ngrid = 128\nmodes = 24\n")
     assert (cfg.tol, cfg.grid, cfg.modes) == (1e-8, 128, 24)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("options.grid", "abc"), ("options.modes", "1.5"), ("options.tol", "x"),
+    ("problem.scaled", "maybe")])
+def test_malformed_values_name_section_and_key(key, value):
+    section, name = key.split(".")
+    text = (MINIMAL + "\n[options]\n").replace(f"[{section}]",
+                                              f"[{section}]\n{name} = {value}")
+    with pytest.raises(ConfigError, match=f"^{key}: {value!r} is not"):
+        ProblemConfig.from_string(text)
 
 
 def test_critical_points_parsing():

@@ -488,6 +488,29 @@ def test_continuation_direction_validation():
         continue_to_infinity(ex.problem, r, [1.0], direction=5)
 
 
+def test_continuation_follows_each_direction_of_a_triple_crossing():
+    # diag(4 + l, 4 + l, 4 + l, 2): k0^2 = 4 has multiplicity 3 at l = 0,
+    # so there is one branch per coordinate axis of the first three
+    p = linear_problem({0: 4.0, 1: 1.0}, {0: 4.0, 1: 1.0}, {0: 4.0, 1: 1.0},
+                       {0: 2.0}, pert=Perturbation.kepler(1.0, "constant"))
+    r = scan_resonances(p.family, -0.5, 0.5)[0]
+    assert r.kernel_rep.multiplicity(2) == 3
+    axes = set()
+    for direction in range(3):
+        branch = continue_to_infinity(p, r, [2.0, 4.0],
+                                      ContinuationOptions(modes=8),
+                                      direction=direction)
+        assert all(not bp.failed and bp.residual_norm < 1e-10 for bp in branch)
+        mode2 = np.abs(branch[0].loop.acos[1])
+        axis = int(np.argmax(mode2))
+        assert mode2[axis] == pytest.approx(2.0)
+        assert np.delete(mode2, axis).max() < 1e-10
+        axes.add(axis)
+    assert axes == {0, 1, 2}
+    with pytest.raises(ValueError, match="multiplicity is 3"):
+        continue_to_infinity(p, r, [2.0], direction=3)
+
+
 def test_continuation_rejects_nonpositive_amplitudes():
     ex = example2()
     r = scan_resonances(ex.problem.family, ex.lm, ex.lp)[0]

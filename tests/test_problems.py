@@ -7,7 +7,6 @@ import pytest
 
 import equideg.problems
 import equideg.spectral
-from equideg.config import ProblemConfig
 from equideg.problems import CATALOG, config_path, example1, example2, example3
 
 
@@ -46,20 +45,6 @@ def test_config_path_resolves_bundled_files():
         assert path.is_file()
     with pytest.raises(KeyError):
         config_path("example9")
-
-
-@pytest.mark.parametrize("name", sorted(CATALOG))
-def test_bundled_config_matches_factory(name):
-    cfg = ProblemConfig.from_file(config_path(name))
-    ex = CATALOG[name]()
-    assert cfg.n == ex.problem.n
-    assert (cfg.lambda_minus, cfg.lambda_plus) == (ex.lm, ex.lp)
-    assert np.allclose(cfg.family.coeffs, ex.problem.family.coeffs, atol=1e-15)
-    assert cfg.perturbation.kind == ex.problem.perturbation.kind
-    assert cfg.perturbation.a == ex.problem.perturbation.a
-    assert cfg.perturbation.scale == ex.problem.perturbation.scale
-    assert cfg.index_rule.kind == ex.problem.index_rule.kind
-    assert cfg.scaled == ex.problem.scaled
 
 
 def test_verification_rows_all_pass():
