@@ -9,8 +9,8 @@ prediction 2pi/k0.
 
 import numpy as np
 
-from equideg.galerkin import (ContinuationOptions, continue_to_infinity,
-                              minimal_period, write_branch_csv)
+from equideg.galerkin import (continue_to_infinity, minimal_period,
+                              write_branch_csv)
 from equideg.problems import example2
 from equideg.spectral import scan_resonances
 
@@ -20,8 +20,7 @@ print(f"resonance at lambda0 = {res.lambda0:g}, frequencies "
       f"{sorted(res.frequencies)} (prediction: minimal period pi)")
 
 amplitudes = [2.0, 5.0, 10.0, 25.0, 60.0]
-branch = continue_to_infinity(ex.problem, res, amplitudes,
-                              ContinuationOptions(modes=16))
+branch = continue_to_infinity(ex.problem, res, amplitudes, modes=16)
 
 print(f"\n{'R':>6} {'lambda':>12} {'residual':>10} {'T_min':>8} "
       f"{'energy drift':>12} {'steps':>5}")

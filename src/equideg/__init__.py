@@ -19,7 +19,7 @@ from .bifurcation import (AccumulationWarning, BifurcationReport,
                           bif_index_ls, build_report, check_eqcont1,
                           check_eqcont2, consistency_check, endpoint_degree,
                           eqcont3_points, predict_periods)
-from .galerkin import (BranchPoint, ContinuationOptions, DivergenceWarning,
+from .galerkin import (DEFAULT_MODES, BranchPoint, DivergenceWarning,
                        FourierLoop, NewtonConvergenceError,
                        SingularJacobianError, continue_to_infinity,
                        energy_drift, minimal_period, minimal_period_divisor,

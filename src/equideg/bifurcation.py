@@ -63,7 +63,8 @@ class Perturbation:
 
     kind "none":    eta = 0.
     kind "kepler":  eta(x, lambda) = -s(lambda)/sqrt(|x|^2 + a), a > 0,
-                    with s = 1 ("constant") or s = lambda^2 ("lambda_squared").
+                    with s = 1 ("constant", the default) or s = lambda^2
+                    ("lambda_squared").
     kind "user":    a caller-supplied gradient, optional potential value.
     """
 
@@ -90,7 +91,7 @@ class Perturbation:
         return cls("none")
 
     @classmethod
-    def kepler(cls, a, scale="lambda_squared"):
+    def kepler(cls, a, scale="constant"):
         return cls("kepler", a=a, scale=scale)
 
     @classmethod

@@ -12,8 +12,8 @@ import sys
 from . import problems
 from .bifurcation import FORMAT_VERSION, build_report
 from .config import ProblemConfig
-from .galerkin import (ContinuationOptions, continue_to_infinity,
-                       minimal_period_divisor, write_branch_csv)
+from .galerkin import (continue_to_infinity, minimal_period_divisor,
+                       write_branch_csv)
 from .spectral import scan_resonances
 
 
@@ -103,12 +103,8 @@ def cmd_continue(args):
     if not amplitudes or any(b <= a for a, b in zip(amplitudes, amplitudes[1:])):
         print("error: --amplitudes must be strictly increasing", file=sys.stderr)
         return 1
-    if not all(a > 0 for a in amplitudes):
-        print("error: --amplitudes must be positive", file=sys.stderr)
-        return 1
-    opts = ContinuationOptions(
-        modes=args.modes if args.modes is not None else cfg.modes)
-    branch = continue_to_infinity(p, pt, amplitudes, opts)
+    modes = args.modes if args.modes is not None else cfg.modes
+    branch = continue_to_infinity(p, pt, amplitudes, modes)
     write_branch_csv(args.out, branch)
     ok = [bp for bp in branch if not bp.failed]
     drift = [abs(bp.lam - pt.lambda0) for bp in ok]
@@ -121,7 +117,7 @@ def cmd_continue(args):
         "points": [{
             "amplitude": bp.amplitude,
             "lambda": bp.lam,
-            "residual_norm": bp.residual_norm,
+            "residual_norm": None if bp.failed else bp.residual_norm,
             "min_period_divisor": minimal_period_divisor(bp.loop),
             "active_modes": sorted(bp.active_modes),
             "failed": bp.failed,

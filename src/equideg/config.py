@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass, field
 
 from .bifurcation import FORMAT_VERSION, IndexRule, Perturbation, ProblemSpec
+from .galerkin import DEFAULT_MODES
 from .reps import RepDecomposition
 from .spectral import DEFAULT_GRID, DEFAULT_TOL, MatrixFamily
 
@@ -92,7 +93,7 @@ class ProblemConfig:
     lambda_plus: float
     tol: float = DEFAULT_TOL
     grid: int = DEFAULT_GRID
-    modes: int = 16
+    modes: int = DEFAULT_MODES
     critical_points: dict = field(default_factory=dict)
     flags: dict = field(default_factory=dict)
 
@@ -240,9 +241,9 @@ def _perturbation(parser):
     if kind == "none":
         return Perturbation.none()
     if kind == "kepler":
+        scale = [sec["scale"]] if "scale" in sec else []  # else kepler's default
         return _built("perturbation", Perturbation.kepler,
-                      _get_float(sec, "a", "perturbation"),
-                      sec.get("scale", "constant"))
+                      _get_float(sec, "a", "perturbation"), *scale)
     raise ConfigError(f"perturbation.kind: unknown value {kind!r}")
 
 

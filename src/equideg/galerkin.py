@@ -9,14 +9,17 @@ retained modes gives the residual
     R_k^sin  = -k^2 b_k + s_k
 
 with (c, s) the transform of t -> grad V(u(t), lambda) on M equispaced
-nodes (4N+1 unless ContinuationOptions.collocation says otherwise, at least
-2N+2).  A Gauss-Newton iteration on the residual augmented with a phase
-condition (and, for continuation, an amplitude pin with lambda freed)
-produces branch points whose measured minimal periods, lambda drift and
-energy drift are the numerical evidence the analysis module's predictions
-are checked against.  Each step assembles the Jacobian in closed form from
-the potential's Hessian at the nodes; only a user perturbation, which has
-no Hessian, falls back to finite differences.
+nodes (the solvers use 4N+1; the residual needs at least 2N+2).  A
+Gauss-Newton iteration on the residual augmented with a phase condition
+(and, for continuation, an amplitude pin with lambda freed) runs to
+NEWTON_TOL in at most NEWTON_MAX_ITER steps.  The truncation order N is
+the solvers' only setting: newton_solve keeps its guess's and
+continue_to_infinity takes ``modes``.  The branch points' measured minimal
+periods, lambda drift and energy drift are the numerical evidence the
+analysis module's predictions are checked against.  Each step assembles
+the Jacobian in closed form from the potential's Hessian at the nodes;
+only a user perturbation, which has no Hessian, falls back to finite
+differences.
 
 Continuation works in the time-reversible subspace.  Three facts make a
 loop even in t (asin = 0) stay even:
@@ -49,6 +52,12 @@ ACTIVE_MODE_FRACTION = 1e-8
 PERIOD_MODE_FRACTION = 1e-6
 #: A lambda drift that grows past this distance from the resonance warns.
 DRIFT_WINDOW = 0.5
+#: Truncation order of continue_to_infinity and of problem files.
+DEFAULT_MODES = 16
+#: Gauss-Newton stops once the residual max-norm is at most this.
+NEWTON_TOL = 1e-10
+#: Gauss-Newton gives up after this many steps.
+NEWTON_MAX_ITER = 50
 
 
 class NewtonConvergenceError(RuntimeError):
@@ -100,16 +109,12 @@ class FourierLoop:
         return cls(np.zeros(n), np.zeros((N, n)), np.zeros((N, n)))
 
     @classmethod
-    def single_mode(cls, k, vec, N, phase_sin=None):
-        """R^n-valued loop vec*cos(kt) (+ optional sin part)."""
+    def single_mode(cls, k, vec, N):
+        """R^n-valued loop vec*cos(kt)."""
         vec = np.asarray(vec, dtype=float)
-        loop = cls.zero(vec.shape[0], N)
-        acos = loop.acos.copy()
-        asin = loop.asin.copy()
+        acos = np.zeros((N, vec.shape[0]))
         acos[k - 1] = vec
-        if phase_sin is not None:
-            asin[k - 1] = np.asarray(phase_sin, dtype=float)
-        return cls(loop.a0, acos, asin)
+        return cls(np.zeros(vec.shape[0]), acos, np.zeros_like(acos))
 
     def pack(self):
         return np.concatenate([self.a0,
@@ -175,26 +180,6 @@ def _synthesize(c0, ccos, csin, M):
     X[0] = M * c0
     X[1:N + 1] = 0.5 * M * (ccos - 1j * csin)
     return np.fft.irfft(X, n=M, axis=0)
-
-
-@dataclass(frozen=True)
-class ContinuationOptions:
-    modes: int = 32
-    collocation: int = 0          # 0 means 4*modes + 1
-    tol: float = 1e-10
-    max_iter: int = 50
-
-    def __post_init__(self):
-        if self.modes < 1:
-            raise ValueError(f"modes = {self.modes}: the truncation needs at "
-                             "least one Fourier mode")
-        if self.collocation and self.collocation < 2 * self.modes + 2:
-            raise ValueError(f"collocation = {self.collocation} is below the "
-                             f"2N+2 = {2 * self.modes + 2} nodes that "
-                             f"{self.modes} modes need")
-
-    def nodes(self):
-        return _nodes(self.collocation, self.modes)
 
 
 @dataclass(frozen=True)
@@ -365,28 +350,27 @@ def _has_hessian(p):
     return p.perturbation.kind != "user"
 
 
-def newton_solve(guess, lam, p, opts=None):
+def newton_solve(guess, lam, p):
     """Solve the projected system at fixed lambda from a caller's guess.
 
-    The time-shift degeneracy is removed by a phase condition against the
-    guess derivative; the system is solved in least-squares sense.
+    The solve keeps the guess's truncation order; pad the guess first
+    (FourierLoop.truncated) to solve with more modes.  The time-shift
+    degeneracy is removed by a phase condition against the guess
+    derivative; the system is solved in least-squares sense.
     """
-    opts = opts or ContinuationOptions(modes=guess.N)
-    N = opts.modes
-    loop0 = guess.truncated(N)
-    M = opts.nodes()
-    n = loop0.n
+    n, N = guess.n, guess.N
+    M = _nodes(None, N)
 
     def func(x):
         lp = FourierLoop.unpack(x, n, N)
         return np.concatenate([residual(lp, lam, p, M),
-                               [_phase_row_value(loop0, lp)]])
+                               [_phase_row_value(guess, lp)]])
 
     def jac(x):
         lp = FourierLoop.unpack(x, n, N)
-        return np.vstack([_analytic_jacobian(lp, lam, p, M), _phase_row(loop0)])
+        return np.vstack([_analytic_jacobian(lp, lam, p, M), _phase_row(guess)])
 
-    x, *_ = _gauss_newton(func, loop0.pack(), opts.tol, opts.max_iter,
+    x, *_ = _gauss_newton(func, guess.pack(), NEWTON_TOL, NEWTON_MAX_ITER,
                           jac if _has_hessian(p) else None)
     return FourierLoop.unpack(x, n, N)
 
@@ -430,7 +414,7 @@ def _kernel_directions(p, r):
     return k0, [v * np.sign(v[np.argmax(np.abs(v))]) for v in vecs[:, nearest].T]
 
 
-def continue_to_infinity(p, r, amplitudes, opts=None, direction=0):
+def continue_to_infinity(p, r, amplitudes, modes=DEFAULT_MODES, direction=0):
     """Follow the branch rooted at a resonance toward large amplitude.
 
     For each requested amplitude R the augmented system (residual, phase
@@ -440,10 +424,7 @@ def continue_to_infinity(p, r, amplitudes, opts=None, direction=0):
     each step solves only the even block (see the module docstring).  A
     failed solve appends a marker point and truncates the branch.
     """
-    opts = opts or ContinuationOptions(modes=16)
-    N = opts.modes
-    M = opts.nodes()
-    n = p.n
+    N, n = modes, p.n
     amplitudes = list(amplitudes)
     if not all(R > 0 for R in amplitudes):
         raise ValueError(f"amplitudes must be positive, got {amplitudes}: "
@@ -456,6 +437,7 @@ def continue_to_infinity(p, r, amplitudes, opts=None, direction=0):
         raise ValueError(f"modes = {N} cannot hold the resonance frequency "
                          f"k0 = {k0}; continue with at least {k0} modes")
     vec = dirs[direction]
+    M = _nodes(None, N)
     solve = _reversible_step(n, N)
     lam0 = r.lambda0
     branch = []
@@ -471,8 +453,8 @@ def continue_to_infinity(p, r, amplitudes, opts=None, direction=0):
         z0 = np.concatenate([seed.pack(), [prev_lam]])
         func, jac = _continuation_system(p, seed, float(R), k0, M)
         try:
-            z, norm, steps, cond = _gauss_newton(func, z0, opts.tol,
-                                                 opts.max_iter, jac, solve)
+            z, norm, steps, cond = _gauss_newton(func, z0, NEWTON_TOL,
+                                                 NEWTON_MAX_ITER, jac, solve)
         except (NewtonConvergenceError, SingularJacobianError):
             branch.append(BranchPoint(seed, prev_lam, float(R), math.inf,
                                       frozenset(), failed=True))

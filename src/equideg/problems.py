@@ -67,10 +67,6 @@ def config_path(name):
     return resources.files("equideg").joinpath(f"configs/{name}.cfg")
 
 
-def _squares_met(A, tol=1e-9):
-    return set(spectral.resonant_frequencies(eigen_sym(A, tol)))
-
-
 def verification_rows():
     """Named regression checks over the built-in examples.
 
@@ -115,7 +111,8 @@ def verification_rows():
 
     @row("example2: spectrum of A(0) meets the squares exactly in {4}")
     def _():
-        met = _squares_met(ex2.problem.family.eval(0.0))
+        met = spectral.resonant_frequencies(
+            eigen_sym(ex2.problem.family.eval(0.0)))
         return met == {2}, f"k with k^2 in spectrum: {sorted(met)}"
 
     @row("example2: j_2 jumps 0 -> 1 and the single-resonance criterion fires")
@@ -136,7 +133,8 @@ def verification_rows():
 
     @row("example3: spectrum of A(0) meets the squares exactly in {4, 9, 25}")
     def _():
-        met = _squares_met(ex3.problem.family.eval(0.0))
+        met = spectral.resonant_frequencies(
+            eigen_sym(ex3.problem.family.eval(0.0)))
         return met == {2, 3, 5}, f"k with k^2 in spectrum: {sorted(met)}"
 
     @row("example3: j_2 jumps 3 -> 4 across the interval")

@@ -11,7 +11,7 @@ are read off from the gcd-closure of its frequency set.
 import math
 from dataclasses import dataclass
 
-from .spectral import eigen_sym, resonant_frequencies
+from .spectral import DEFAULT_TOL, eigen_sym, resonant_frequencies
 
 #: Label for the full-group isotropy contributed by a trivial summand.
 #: Distinct from every integer label Z_g by construction.
@@ -92,7 +92,7 @@ def gcd_closure(freqs):
         out = new
 
 
-def kernel_rep_at_infinity(A, tol=1e-9):
+def kernel_rep_at_infinity(A, tol=DEFAULT_TOL):
     """Representation carried by ker(Id - L_A) in the loop space.
 
     For each k >= 0 with k^2 an eigenvalue of A (within tolerance), the

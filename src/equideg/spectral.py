@@ -154,17 +154,8 @@ def eigen_sym(A, tol=DEFAULT_TOL):
     return SpectralData(eigenvalues, float(abs_tol))
 
 
-def morse_index(s, strict=False):
-    """Total multiplicity of eigenvalues below -tol.
-
-    With strict=True an eigenvalue inside the tolerance band around zero is
-    an error: the caller needs a definite sign for every eigenvalue.
-    """
-    if strict:
-        for v, _ in s.eigenvalues:
-            if abs(v) <= s.tol:
-                raise DegenerateSpectrumError(
-                    f"eigenvalue {v!r} lies within tolerance {s.tol:.3e} of 0")
+def morse_index(s):
+    """Total multiplicity of eigenvalues below -tol."""
     return sum(m for v, m in s.eigenvalues if v < -s.tol)
 
 

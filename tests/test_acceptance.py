@@ -12,11 +12,9 @@ import numpy as np
 from equideg.bifurcation import (bif_index, bif_index_ls, check_eqcont2,
                                  predict_periods)
 from equideg.eqdeg import ind_infinity, lin_deg, minus_id_data
-from equideg.galerkin import (ContinuationOptions, FourierLoop,
-                              _analytic_jacobian, _fd_jacobian,
+from equideg.galerkin import (FourierLoop, _analytic_jacobian, _fd_jacobian,
                               continue_to_infinity, energy_drift,
-                              minimal_period_divisor, newton_solve,
-                              residual)
+                              minimal_period_divisor, newton_solve, residual)
 from equideg.problems import example1, example2, example3
 from equideg.reps import RepDecomposition
 from equideg.spectral import (eigen_sym, j_k, k_set, resonant_frequencies,
@@ -211,12 +209,11 @@ def test_criterion_08(failures):
 @criterion(9, "continuation evidence along the example branches")
 def test_criterion_09(failures):
     amplitudes = [10.0, 20.0, 40.0, 80.0, 160.0]
-    opts = ContinuationOptions(modes=16)
 
     ex2 = example2()
     r2 = [p for p in scan_resonances(ex2.problem.family, ex2.lm, ex2.lp)
           if p.det_nonzero][0]
-    branch = continue_to_infinity(ex2.problem, r2, amplitudes, opts)
+    branch = continue_to_infinity(ex2.problem, r2, amplitudes, modes=16)
     chk(failures, all(not bp.failed for bp in branch),
         "example 2: a branch point failed to converge")
     for bp in branch:
@@ -245,8 +242,7 @@ def test_criterion_09(failures):
         sigma = math.asinh(math.sqrt(a) / R) / k0
         loop, drift = bp.loop, energy_drift(bp.loop, bp.lam, ex2.problem)
         for N in (16, 32):
-            loop = newton_solve(loop, bp.lam, ex2.problem,
-                                ContinuationOptions(modes=2 * N))
+            loop = newton_solve(loop.truncated(2 * N), bp.lam, ex2.problem)
             refined = energy_drift(loop, bp.lam, ex2.problem)
             chk(failures, refined <= math.exp(-N * sigma) * drift,
                 f"example 2: energy drift {drift:.3e} at N={N} fell only to "
@@ -257,7 +253,7 @@ def test_criterion_09(failures):
     ex1 = example1()
     r1 = [p for p in scan_resonances(ex1.problem.family, ex1.lm, ex1.lp)
           if p.det_nonzero][0]
-    branch1 = continue_to_infinity(ex1.problem, r1, amplitudes, opts)
+    branch1 = continue_to_infinity(ex1.problem, r1, amplitudes, modes=16)
     chk(failures, all(not bp.failed for bp in branch1),
         "example 1: a branch point failed to converge")
     for bp in branch1:

@@ -155,7 +155,25 @@ def test_continue_nonpositive_amplitudes_exit_one(capsys):
     base = ["continue", str(config_path("example2")), "--resonance", "0"]
     for amplitudes in ("0,1", "-2,-1", "1,nan"):
         assert main(base + [f"--amplitudes={amplitudes}"]) == 1
-        assert "error: --amplitudes must be positive" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: amplitudes must be positive")
+
+
+def test_continue_failed_point_is_standard_json(tmp_path, capsys):
+    # example 3 at lambda0 = 0 fails at its first amplitude; the summary
+    # must still parse without the non-standard constants Infinity and NaN
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    out_csv = tmp_path / "branch.csv"
+    rc = main(["continue", str(config_path("example3")), "--resonance", "0",
+               "--amplitudes", "1", "--modes", "4", "--out", str(out_csv)])
+    summary = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert rc == 1
+    [pt] = summary["points"]
+    assert pt["failed"] is True and pt["residual_norm"] is None
+    row = out_csv.read_text().splitlines()[2].split(",")
+    assert row[2] == "inf"  # the CSV keeps the failed point's residual
 
 
 def test_continue_bad_modes_exit_one(tmp_path, capsys):

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from equideg.bifurcation import Perturbation
 from equideg.config import ConfigError, ProblemConfig
+from equideg.galerkin import DEFAULT_MODES
 from equideg.reps import RepDecomposition
 
 MINIMAL = """\
@@ -28,7 +30,7 @@ def test_minimal_config_and_defaults():
     assert cfg.scaled is False
     assert cfg.tol == 1e-9
     assert cfg.grid == 512
-    assert cfg.modes == 16
+    assert cfg.modes == DEFAULT_MODES == 16  # continue_to_infinity's default
     assert cfg.critical_points == {}
     assert cfg.flags == {}
     assert cfg.perturbation.kind == "none"
@@ -147,6 +149,18 @@ def test_perturbation_parsing():
         ProblemConfig.from_string(text.replace("lambda_squared", "cubic"))
     with pytest.raises(ConfigError, match="kind"):
         ProblemConfig.from_string(text.replace("kepler", "magnetic"))
+
+
+def test_kepler_scale_default_matches_the_library():
+    # a problem file without `scale` gets Perturbation.kepler's default
+    text = MINIMAL + "\n[perturbation]\nkind = kepler\na = 2\n"
+    parsed = ProblemConfig.from_string(text).perturbation
+    direct = Perturbation.kepler(2.0)
+    assert parsed.scale == direct.scale == "constant"
+    X = np.array([[0.3, -1.2], [2.0, 0.5]])
+    for lam in (-0.7, 0.0, 0.4):
+        assert np.array_equal(parsed.gradient_many(X, lam),
+                              direct.gradient_many(X, lam))
 
 
 def test_index_rule_parsing():

@@ -7,7 +7,7 @@ import pytest
 
 from equideg import galerkin
 from equideg.bifurcation import IndexRule, Perturbation, ProblemSpec
-from equideg.galerkin import (BranchPoint, ContinuationOptions, FourierLoop,
+from equideg.galerkin import (BranchPoint, FourierLoop,
                               NewtonConvergenceError, SingularJacobianError,
                               _analytic_jacobian, _continuation_system,
                               _fd_jacobian, _gauss_newton, _lstsq_step,
@@ -297,7 +297,6 @@ def test_reversible_step_agrees_with_the_full_solve(monkeypatch, make, lam0, mod
     # least-squares solve per step, on the same func/jac
     ex = make()
     r = _resonance(ex, lam0)
-    opts = ContinuationOptions(modes=modes)
     last_jac = {}
     system = galerkin._continuation_system
 
@@ -310,9 +309,9 @@ def test_reversible_step_agrees_with_the_full_solve(monkeypatch, make, lam0, mod
         return func, rec
 
     monkeypatch.setattr(galerkin, "_continuation_system", recording_system)
-    new = continue_to_infinity(ex.problem, r, [4.0, 16.0, 64.0], opts)
+    new = continue_to_infinity(ex.problem, r, [4.0, 16.0, 64.0], modes)
     monkeypatch.setattr(galerkin, "_reversible_step", lambda n, N: _lstsq_step)
-    ref = continue_to_infinity(ex.problem, r, [4.0, 16.0, 64.0], opts)
+    ref = continue_to_infinity(ex.problem, r, [4.0, 16.0, 64.0], modes)
     assert len(new) == len(ref) == 3
     for a, b in zip(new, ref):
         assert not a.failed and not b.failed
@@ -347,20 +346,22 @@ def test_reversible_step_detects_a_singular_odd_block():
 
 # --------------------------------------------------------------- newton solve
 
-def test_newton_exact_guess_converges_without_iterating():
+def test_newton_exact_guess_converges_without_iterating(monkeypatch):
+    # convergence is checked before the first step: with no step budget at
+    # all an exact guess still comes back, bit for bit
     p = linear_problem({0: 4.0})
     guess = FourierLoop.single_mode(2, [3.0], N=4)
-    opts = ContinuationOptions(modes=4, max_iter=0)
-    out = newton_solve(guess, 0.0, p, opts)
-    assert np.allclose(out.pack(), guess.pack())
+    monkeypatch.setattr(galerkin, "NEWTON_MAX_ITER", 0)
+    out = newton_solve(guess, 0.0, p)
+    assert np.array_equal(out.pack(), guess.pack())
 
 
 def test_newton_inexact_guess_with_no_budget_raises():
     p = linear_problem({0: 4.0})
     guess = FourierLoop.single_mode(1, [1.0], N=4)  # not a solution
-    opts = ContinuationOptions(modes=4, max_iter=0)
+    func = lambda x: residual(FourierLoop.unpack(x, 1, 4), 0.0, p)
     with pytest.raises(NewtonConvergenceError):
-        newton_solve(guess, 0.0, p, opts)
+        _gauss_newton(func, guess.pack(), 1e-10, 0)
 
 
 def test_newton_singular_jacobian_detected():
@@ -370,7 +371,7 @@ def test_newton_singular_jacobian_detected():
     p = linear_problem({0: 4.0})
     guess = FourierLoop.single_mode(1, [0.1], N=2)
     with pytest.raises(SingularJacobianError) as err:
-        newton_solve(guess, 0.0, p, ContinuationOptions(modes=2))
+        newton_solve(guess, 0.0, p)
     assert err.value.cond > 1e14
 
 
@@ -390,9 +391,8 @@ def test_continuation_user_perturbation_agrees_with_builtin():
     r = scan_resonances(ex.problem.family, ex.lm, ex.lp)[0]
     user = ProblemSpec(4, ex.problem.family, Perturbation.user(
         lambda x, lam: x / (x @ x + 1.0) ** 1.5), IndexRule.builtin())
-    opts = ContinuationOptions(modes=10)
-    an = continue_to_infinity(ex.problem, r, [3.0, 6.0], opts)
-    fd = continue_to_infinity(user, r, [3.0, 6.0], opts)
+    an = continue_to_infinity(ex.problem, r, [3.0, 6.0], modes=10)
+    fd = continue_to_infinity(user, r, [3.0, 6.0], modes=10)
     for a, b in zip(an, fd):
         assert not a.failed and not b.failed
         assert abs(a.lam - b.lam) < 1e-8
@@ -400,19 +400,18 @@ def test_continuation_user_perturbation_agrees_with_builtin():
         assert b.energy_drift is None  # no potential to measure it with
 
 
-def test_newton_solves_on_the_requested_nodes():
-    # newton_solve and continue_to_infinity share one node rule, nodes():
-    # a branch point found on 4N+1 nodes is refined on the 2N+3 requested
+def test_newton_and_continuation_share_the_node_rule():
+    # both solvers collocate on 4N+1 nodes and newton_solve keeps the
+    # guess's N, so a converged branch point is already a newton_solve
+    # solution and comes back bit for bit (on 2N+3 nodes its residual is
+    # above 1e-6 and a solve there would move it)
     ex = example2()
     r = scan_resonances(ex.problem.family, ex.lm, ex.lp)[0]
-    bp = continue_to_infinity(ex.problem, r, [4.0],
-                              ContinuationOptions(modes=6))[0]
-    opts = ContinuationOptions(modes=6, collocation=15)
+    bp = continue_to_infinity(ex.problem, r, [4.0], modes=6)[0]
     assert np.abs(residual(bp.loop, bp.lam, ex.problem, 15)).max() > 1e-6
-    out = newton_solve(bp.loop, bp.lam, ex.problem, opts)
-    assert np.abs(residual(out, bp.lam, ex.problem, 15)).max() < opts.tol
-    with pytest.raises(ValueError, match=r"2N\+2"):
-        ContinuationOptions(modes=6, collocation=13)
+    out = newton_solve(bp.loop, bp.lam, ex.problem)
+    assert out.N == 6
+    assert np.array_equal(out.pack(), bp.loop.pack())
 
 
 def test_newton_solution_shift_family():
@@ -420,8 +419,7 @@ def test_newton_solution_shift_family():
     # energies are shift-invariant (the packed components themselves rotate)
     ex = example2()
     r = scan_resonances(ex.problem.family, ex.lm, ex.lp)[0]
-    branch = continue_to_infinity(ex.problem, r, [2.0],
-                                  ContinuationOptions(modes=10))
+    branch = continue_to_infinity(ex.problem, r, [2.0], modes=10)
     loop = branch[0].loop
     M = 1024
 
@@ -445,8 +443,7 @@ def test_continuation_linear_family_stays_at_resonance():
     p = ProblemSpec(1, fam, Perturbation.none(), IndexRule.builtin())
     r = scan_resonances(fam, 0.5, 1.5)[0]
     assert r.lambda0 == pytest.approx(1.0, abs=1e-9)
-    branch = continue_to_infinity(p, r, [1.0, 2.0, 4.0],
-                                  ContinuationOptions(modes=8))
+    branch = continue_to_infinity(p, r, [1.0, 2.0, 4.0], modes=8)
     for bp in branch:
         assert not bp.failed
         assert bp.lam == pytest.approx(1.0, abs=1e-8)
@@ -458,8 +455,7 @@ def test_continuation_linear_family_stays_at_resonance():
 def test_continuation_example2_drifts_to_resonance():
     ex = example2()
     r = scan_resonances(ex.problem.family, ex.lm, ex.lp)[0]
-    branch = continue_to_infinity(ex.problem, r, [2.0, 4.0, 8.0],
-                                  ContinuationOptions(modes=12))
+    branch = continue_to_infinity(ex.problem, r, [2.0, 4.0, 8.0], modes=12)
     assert all(not bp.failed for bp in branch)
     drift = [abs(bp.lam - r.lambda0) for bp in branch]
     assert drift[0] > drift[1] > drift[2]
@@ -471,11 +467,11 @@ def test_continuation_example2_drifts_to_resonance():
         assert bp.residual_norm < 1e-9
 
 
-def test_continuation_failure_appends_marker_and_truncates():
+def test_continuation_failure_appends_marker_and_truncates(monkeypatch):
     ex = example2()
     r = scan_resonances(ex.problem.family, ex.lm, ex.lp)[0]
-    branch = continue_to_infinity(ex.problem, r, [2.0, 4.0],
-                                  ContinuationOptions(modes=10, max_iter=0))
+    monkeypatch.setattr(galerkin, "NEWTON_MAX_ITER", 0)
+    branch = continue_to_infinity(ex.problem, r, [2.0, 4.0], modes=10)
     assert len(branch) == 1
     assert branch[0].failed
     assert branch[0].residual_norm == math.inf
@@ -497,8 +493,7 @@ def test_continuation_follows_each_direction_of_a_triple_crossing():
     assert r.kernel_rep.multiplicity(2) == 3
     axes = set()
     for direction in range(3):
-        branch = continue_to_infinity(p, r, [2.0, 4.0],
-                                      ContinuationOptions(modes=8),
+        branch = continue_to_infinity(p, r, [2.0, 4.0], modes=8,
                                       direction=direction)
         assert all(not bp.failed and bp.residual_norm < 1e-10 for bp in branch)
         mode2 = np.abs(branch[0].loop.acos[1])
@@ -523,10 +518,10 @@ def test_continuation_needs_modes_up_to_k0():
     ex = example2()
     r = scan_resonances(ex.problem.family, ex.lm, ex.lp)[0]
     with pytest.raises(ValueError, match="k0 = 2"):
-        continue_to_infinity(ex.problem, r, [1.0], ContinuationOptions(modes=1))
+        continue_to_infinity(ex.problem, r, [1.0], modes=1)
     for modes in (0, -3):
-        with pytest.raises(ValueError, match="modes"):
-            ContinuationOptions(modes=modes)
+        with pytest.raises(ValueError, match=f"modes = {modes}"):
+            continue_to_infinity(ex.problem, r, [1.0], modes=modes)
 
 
 def test_continuation_needs_positive_frequency():
@@ -542,10 +537,8 @@ def test_continuation_truncation_refinement_is_small():
     # doubling the truncation order barely moves the retained coefficients
     ex = example2()
     r = scan_resonances(ex.problem.family, ex.lm, ex.lp)[0]
-    coarse = continue_to_infinity(ex.problem, r, [2.0],
-                                  ContinuationOptions(modes=16))[0]
-    fine = newton_solve(coarse.loop.truncated(32), coarse.lam, ex.problem,
-                        ContinuationOptions(modes=32))
+    coarse = continue_to_infinity(ex.problem, r, [2.0], modes=16)[0]
+    fine = newton_solve(coarse.loop.truncated(32), coarse.lam, ex.problem)
     assert np.abs(fine.acos[:16] - coarse.loop.acos).max() < 1e-5
     assert np.abs(fine.asin[:16] - coarse.loop.asin).max() < 1e-5
 
@@ -589,8 +582,7 @@ def test_energy_conserved_on_exact_linear_orbit():
 def test_energy_drift_small_amplitude_branch():
     ex = example2()
     r = scan_resonances(ex.problem.family, ex.lm, ex.lp)[0]
-    branch = continue_to_infinity(ex.problem, r, [0.4],
-                                  ContinuationOptions(modes=32))
+    branch = continue_to_infinity(ex.problem, r, [0.4], modes=32)
     bp = branch[0]
     assert not bp.failed
     assert energy_drift(bp.loop, bp.lam, ex.problem) < 1e-9
@@ -609,8 +601,7 @@ def test_energy_drift_detects_bad_loop():
 def test_write_branch_csv_roundtrip(tmp_path):
     ex = example2()
     r = scan_resonances(ex.problem.family, ex.lm, ex.lp)[0]
-    branch = continue_to_infinity(ex.problem, r, [2.0, 4.0],
-                                  ContinuationOptions(modes=6))
+    branch = continue_to_infinity(ex.problem, r, [2.0, 4.0], modes=6)
     path = tmp_path / "branch.csv"
     write_branch_csv(path, branch)
     lines = path.read_text().splitlines()

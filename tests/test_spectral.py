@@ -112,8 +112,6 @@ def test_morse_index():
     A1 = np.diag([0.0, SQRT2 + 1.0, 1.0 - SQRT2, SQRT5 + 1.0])
     assert morse_index(eigen_sym(A1)) == 1
     assert morse_index(eigen_sym(np.diag([0.5, 3.0]))) == 0
-    with pytest.raises(DegenerateSpectrumError):
-        morse_index(eigen_sym(np.diag([0.0, 1.0])), strict=True)
 
 
 def test_j_k_example_values():
