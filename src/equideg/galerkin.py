@@ -34,8 +34,11 @@ and lambda) is square with side n(N+1)+1; the odd block (sin rows and the
 phase row against asin) is (nN+1) x nN.  The residual's sin part is
 roundoff, so the Gauss-Newton step solves the even block alone and keeps
 asin exactly 0.  The odd block still enters the rank check and the
-reported condition number through its singular values.  newton_solve takes
-general guesses and solves the full system.
+reported condition number through its singular values.  Both blocks are
+assembled directly from the cosine coefficients hc of the Hessian samples;
+the full augmented Jacobian, whose hs entries vanish here, is never formed
+(a user perturbation slices the blocks out of finite differences).
+newton_solve takes general guesses and solves the full system.
 """
 
 import math
@@ -283,44 +286,18 @@ def _lstsq_step(J, f):
     return step, sv
 
 
-def _reversible_step(n, N):
-    """Step solver for the continuation system at an even iterate.
-
-    There the augmented Jacobian is block diagonal up to a permutation (see
-    the module docstring): the cos residual rows and the pin row against
-    a0, acos and lambda form a square even block; the sin residual rows and
-    the phase row against asin form an (nN+1) x nN odd block.  The step
-    solves the even block alone and leaves asin exactly unchanged.  The
-    singular values of a block-diagonal matrix are those of its blocks, so
-    the returned union still describes the full Jacobian.
-    """
-    dim = n * (2 * N + 1)
-    is_sin = np.zeros(dim, dtype=bool)
-    is_sin[n:] = np.arange(dim - n) // n % 2 == 1
-    cos, sin = np.flatnonzero(~is_sin), np.flatnonzero(is_sin)
-    even_rows, even_cols = np.r_[cos, dim + 1], np.r_[cos, dim]
-    odd_rows = np.r_[sin, dim]
-
-    def solve(J, f):
-        step = np.zeros(dim + 1)
-        step[even_cols], _, _, sv_even = np.linalg.lstsq(
-            J[np.ix_(even_rows, even_cols)], -f[even_rows], rcond=None)
-        sv_odd = np.linalg.svd(J[np.ix_(odd_rows, sin)], compute_uv=False)
-        return step, np.concatenate([sv_even, sv_odd])
-
-    return solve
-
-
 def _gauss_newton(func, x0, tol, max_iter, jac=None, solve=_lstsq_step):
     """Least-squares Newton on an overdetermined system.
 
     Convergence is checked before the first step, so an exact initial
-    guess returns without assembling a Jacobian.  Without ``jac`` the
-    Jacobian is taken by finite differences of ``func``.  ``solve(J, f)``
-    returns the step and the singular values of J; the default is one
-    full least-squares solve.  Returns the solution, its residual max-norm,
-    the number of steps taken and the condition number of the last
-    Jacobian (None when no step was taken).
+    guess returns without assembling a Jacobian, and a residual that is
+    not finite raises NewtonConvergenceError before any is assembled.
+    Without ``jac`` the Jacobian is taken by finite differences of
+    ``func``.  ``solve(jac(x), f)`` takes whatever ``jac`` returns and
+    gives back the step and the singular values of the Jacobian; the
+    default is one full least-squares solve of a matrix.  Returns the
+    solution, its residual max-norm, the number of steps taken and the
+    condition number of the last Jacobian (None when no step was taken).
     """
     x = x0.copy()
     cond = None
@@ -329,6 +306,9 @@ def _gauss_newton(func, x0, tol, max_iter, jac=None, solve=_lstsq_step):
         norm = float(np.abs(f).max())
         if norm <= tol:
             return x, norm, it, cond
+        if not math.isfinite(norm):
+            raise NewtonConvergenceError(
+                f"residual is not finite ({norm}) after {it} iterations")
         if it == max_iter:
             raise NewtonConvergenceError(
                 f"no convergence after {max_iter} iterations "
@@ -376,12 +356,32 @@ def newton_solve(guess, lam, p):
 
 
 def _continuation_system(p, ref, R, k0, M):
-    """(func, jac) of the augmented system in z = (packed loop, lambda):
-    residual, phase condition against ref, and the mode-k0 coefficient norm
-    pinned to R.  jac is None for perturbations without a Hessian."""
+    """(func, jac, solve) of the augmented system in z = (packed loop,
+    lambda): residual, phase condition against ref, and the mode-k0
+    coefficient norm pinned to R.
+
+    jac returns the (even, odd) blocks of the Jacobian at an even iterate
+    (see the module docstring), with the entries of _analytic_jacobian:
+    hc[k-l] + hc[k+l] on the cos rows, the mean row halved, and
+    hc[k-l] - hc[k+l] on the sin rows.  solve(blocks, f) steps on the even
+    block alone and returns the singular values of both blocks, which are
+    those of the block-diagonal whole.
+    """
     n, N = ref.n, ref.N
     dim = n * (2 * N + 1)
     pin = slice(n + 2 * n * (k0 - 1), n + 2 * n * k0)  # acos_k0, asin_k0
+    is_sin = np.zeros(dim, dtype=bool)
+    is_sin[n:] = np.arange(dim - n) // n % 2 == 1
+    cos, sin = np.flatnonzero(~is_sin), np.flatnonzero(is_sin)
+    even_rows, even_cols = np.r_[cos, dim + 1], np.r_[cos, dim]
+    odd_rows = np.r_[sin, dim]
+    phase = _phase_row(ref)[sin]
+    ne, no = n * (N + 1), n * N  # cos and sin coefficient counts
+    k, i = np.repeat(np.arange(N + 1), n), np.tile(np.arange(n), N + 1)
+    # flat indices of hc[(k -/+ l) % M, i, j] for cos coefficients (k, i), (l, j)
+    ij = i[:, None] * n + i[None, :]
+    dif = (k[:, None] - k[None, :]) % M * n * n + ij
+    tot = (k[:, None] + k[None, :]) % M * n * n + ij
 
     def func(z):
         lp = FourierLoop.unpack(z[:-1], n, N)
@@ -389,16 +389,36 @@ def _continuation_system(p, ref, R, k0, M):
                                [_phase_row_value(ref, lp),
                                 np.linalg.norm(z[pin]) - R]])
 
-    def jac(z):
-        lp, lam = FourierLoop.unpack(z[:-1], n, N), z[-1]
-        J = np.zeros((dim + 2, dim + 1))
-        J[:dim, :dim] = _analytic_jacobian(lp, lam, p, M)
-        J[:dim, dim] = _coeffs(p.gradient_lambda_many(lp.values(M), lam), N)
-        J[dim, :dim] = _phase_row(ref)
-        J[dim + 1, pin] = z[pin] / np.linalg.norm(z[pin])
-        return J
+    def hessian_blocks(z):
+        lam = z[-1]
+        u = FourierLoop.unpack(z[:-1], n, N).values(M)
+        hc = (np.fft.fft(p.hessian_many(u, lam), axis=0) / M).real.ravel()
+        toe, han = hc[dif], hc[tot]
+        even = np.zeros((ne + 1, ne + 1))
+        even[:ne, :ne] = toe + han
+        even[:n, :ne] *= 0.5
+        even[np.arange(ne), np.arange(ne)] -= k * k
+        even[:ne, ne] = _coeffs(p.gradient_lambda_many(u, lam), N)[cos]
+        even[ne, n * k0:n * (k0 + 1)] = z[pin][:n] / np.linalg.norm(z[pin])
+        odd = np.empty((no + 1, no))
+        odd[:no] = toe[n:, n:] - han[n:, n:]
+        odd[np.arange(no), np.arange(no)] -= k[n:] * k[n:]
+        odd[no] = phase
+        return even, odd
 
-    return func, (jac if _has_hessian(p) else None)
+    def fd_blocks(z):
+        J = _fd_jacobian(func, z, func(z))
+        return J[np.ix_(even_rows, even_cols)], J[np.ix_(odd_rows, sin)]
+
+    def solve(blocks, f):
+        even, odd = blocks
+        step = np.zeros(dim + 1)
+        step[even_cols], _, _, sv_even = np.linalg.lstsq(even, -f[even_rows],
+                                                         rcond=None)
+        sv_odd = np.linalg.svd(odd, compute_uv=False)
+        return step, np.concatenate([sv_even, sv_odd])
+
+    return func, (hessian_blocks if _has_hessian(p) else fd_blocks), solve
 
 
 def _kernel_directions(p, r):
@@ -426,9 +446,10 @@ def continue_to_infinity(p, r, amplitudes, modes=DEFAULT_MODES, direction=0):
     """
     N, n = modes, p.n
     amplitudes = list(amplitudes)
-    if not all(R > 0 for R in amplitudes):
-        raise ValueError(f"amplitudes must be positive, got {amplitudes}: "
-                         "each pins the mode-k0 norm of a nonconstant loop")
+    if not all(0 < R < math.inf for R in amplitudes):
+        raise ValueError(f"amplitudes must be positive and finite, got "
+                         f"{amplitudes}: each pins the mode-k0 norm of a "
+                         "nonconstant loop")
     k0, dirs = _kernel_directions(p, r)
     if not 0 <= direction < len(dirs):
         raise ValueError(f"direction {direction} out of range; "
@@ -438,7 +459,6 @@ def continue_to_infinity(p, r, amplitudes, modes=DEFAULT_MODES, direction=0):
                          f"k0 = {k0}; continue with at least {k0} modes")
     vec = dirs[direction]
     M = _nodes(None, N)
-    solve = _reversible_step(n, N)
     lam0 = r.lambda0
     branch = []
     prev = None
@@ -451,7 +471,7 @@ def continue_to_infinity(p, r, amplitudes, modes=DEFAULT_MODES, direction=0):
             seed = FourierLoop(prev.a0 * ratio, prev.acos * ratio,
                                prev.asin * ratio)
         z0 = np.concatenate([seed.pack(), [prev_lam]])
-        func, jac = _continuation_system(p, seed, float(R), k0, M)
+        func, jac, solve = _continuation_system(p, seed, float(R), k0, M)
         try:
             z, norm, steps, cond = _gauss_newton(func, z0, NEWTON_TOL,
                                                  NEWTON_MAX_ITER, jac, solve)

@@ -176,6 +176,33 @@ def test_continue_failed_point_is_standard_json(tmp_path, capsys):
     assert row[2] == "inf"  # the CSV keeps the failed point's residual
 
 
+def test_continue_overflowing_amplitude_keeps_the_converged_points(tmp_path,
+                                                                   capfd):
+    # at 1e200 the rescaled seed overflows and the residual is inf; the
+    # point fails before any Jacobian is assembled (LAPACK would reject its
+    # NaN entries) and the converged point before it is kept
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    out_csv = tmp_path / "branch.csv"
+    rc = main(["continue", str(config_path("example2")), "--resonance", "0",
+               "--amplitudes", "4,1e200", "--out", str(out_csv)])
+    out, err = capfd.readouterr()
+    assert rc == 1
+    first, second = json.loads(out, parse_constant=reject)["points"]
+    assert not first["failed"] and first["residual_norm"] <= 1e-10
+    assert second["failed"] is True and second["residual_norm"] is None
+    assert len(out_csv.read_text().splitlines()) == 2 + 2
+    assert "DLASCL" not in err
+
+
+def test_continue_infinite_amplitude_exits_one(tmp_path, capsys):
+    rc = main(["continue", str(config_path("example2")), "--resonance", "0",
+               "--amplitudes", "4,inf", "--out", str(tmp_path / "branch.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: amplitudes must be positive")
+
+
 def test_continue_bad_modes_exit_one(tmp_path, capsys):
     base = ["continue", str(config_path("example2")), "--resonance", "0",
             "--amplitudes", "1,2", "--out", str(tmp_path / "branch.csv")]

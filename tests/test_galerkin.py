@@ -9,10 +9,10 @@ from equideg import galerkin
 from equideg.bifurcation import IndexRule, Perturbation, ProblemSpec
 from equideg.galerkin import (BranchPoint, FourierLoop,
                               NewtonConvergenceError, SingularJacobianError,
-                              _analytic_jacobian, _continuation_system,
-                              _fd_jacobian, _gauss_newton, _lstsq_step,
-                              _phase_row_value, _reversible_step,
-                              continue_to_infinity,
+                              _analytic_jacobian, _coeffs,
+                              _continuation_system, _fd_jacobian,
+                              _gauss_newton, _lstsq_step, _phase_row,
+                              _phase_row_value, continue_to_infinity,
                               energy_drift, minimal_period,
                               minimal_period_divisor, newton_solve, residual,
                               write_branch_csv)
@@ -224,25 +224,6 @@ def test_analytic_jacobian_matches_finite_differences():
     assert np.abs(J_an - J_fd).max() < 1e-5
 
 
-@pytest.mark.parametrize("make", [example1, example2, example3])
-def test_continuation_jacobian_matches_finite_differences(make):
-    # the augmented system: lambda column (example 1 has a lambda^2 Kepler
-    # scale and a lambda-dependent family), phase row and amplitude-pin row
-    p = make().problem
-    rng = np.random.default_rng(11)
-    N, M, k0 = 3, 13, 2
-    for _ in range(5):
-        ref = random_loop(rng, p.n, N, scale=0.5)
-        func, jac = _continuation_system(p, ref, 1.5, k0, M)
-        z = np.concatenate([random_loop(rng, p.n, N, scale=0.5).pack(),
-                            [rng.uniform(-0.9, 0.9)]])
-        J_an = jac(z)
-        J_fd = _fd_jacobian(func, z, func(z))
-        assert J_an.shape == (p.n * (2 * N + 1) + 2, p.n * (2 * N + 1) + 1)
-        scale = max(1.0, float(np.abs(J_an).max()))
-        assert np.abs(J_an - J_fd).max() / scale < 1e-5
-
-
 def parity_indices(n, N):
     """Packed indices of (a0 and cos, sin) coefficients, built from unpack."""
     idx = FourierLoop.unpack(np.arange(n * (2 * N + 1), dtype=float), n, N)
@@ -250,25 +231,80 @@ def parity_indices(n, N):
     return np.sort(cos), np.sort(idx.asin.ravel().astype(int))
 
 
+def block_indices(n, N):
+    """(even rows, even columns, odd rows, odd columns) of the augmented
+    Jacobian: rows are the packed residual, the phase row dim and the pin
+    row dim + 1; columns are the packed loop and lambda at dim."""
+    dim = n * (2 * N + 1)
+    cos, sin = parity_indices(n, N)
+    return np.r_[cos, dim + 1], np.r_[cos, dim], np.r_[sin, dim], sin
+
+
+def full_continuation_jacobian(p, ref, k0, M, z):
+    """The whole augmented Jacobian of _continuation_system's func, built
+    from the full harmonic-balance matrix: the reference the even and odd
+    blocks are checked against."""
+    n, N = ref.n, ref.N
+    dim = n * (2 * N + 1)
+    pin = slice(n + 2 * n * (k0 - 1), n + 2 * n * k0)  # acos_k0, asin_k0
+    lp, lam = FourierLoop.unpack(z[:-1], n, N), z[-1]
+    J = np.zeros((dim + 2, dim + 1))
+    J[:dim, :dim] = _analytic_jacobian(lp, lam, p, M)
+    J[:dim, dim] = _coeffs(p.gradient_lambda_many(lp.values(M), lam), N)
+    J[dim, :dim] = _phase_row(ref)
+    J[dim + 1, pin] = z[pin] / np.linalg.norm(z[pin])
+    return J
+
+
+def even_loop(rng, n, N, scale=1.0):
+    loop = random_loop(rng, n, N, scale)
+    return FourierLoop(loop.a0, loop.acos, np.zeros_like(loop.asin))
+
+
+@pytest.mark.parametrize("make", [example1, example2, example3])
+def test_continuation_jacobian_matches_finite_differences(make):
+    # the augmented system at even loops: lambda column (example 1 has a
+    # lambda^2 Kepler scale and a lambda-dependent family) and pin row in
+    # the even block, phase row in the odd block
+    p = make().problem
+    rng = np.random.default_rng(11)
+    N, M, k0 = 3, 13, 2
+    even_rows, even_cols, odd_rows, odd_cols = block_indices(p.n, N)
+    for _ in range(5):
+        ref = even_loop(rng, p.n, N, scale=0.5)
+        func, jac, _ = _continuation_system(p, ref, 1.5, k0, M)
+        z = np.concatenate([even_loop(rng, p.n, N, scale=0.5).pack(),
+                            [rng.uniform(-0.9, 0.9)]])
+        even, odd = jac(z)
+        J_fd = _fd_jacobian(func, z, func(z))
+        assert even.shape == (p.n * (N + 1) + 1,) * 2
+        assert odd.shape == (p.n * N + 1, p.n * N)
+        scale = max(1.0, float(np.abs(even).max()), float(np.abs(odd).max()))
+        assert np.abs(even - J_fd[np.ix_(even_rows, even_cols)]).max() / scale < 1e-5
+        assert np.abs(odd - J_fd[np.ix_(odd_rows, odd_cols)]).max() / scale < 1e-5
+
+
 @pytest.mark.parametrize("make", [example1, example2, example3])
 def test_continuation_jacobian_is_block_diagonal_at_even_loops(make):
     # reversibility: at a loop even in t on symmetric nodes the cos rows
     # do not see the sin columns and vice versa; the phase row lives on the
     # sin columns, the pin row on the cos columns.  A loop with sin content
-    # couples the two, so the first check can fail.
+    # couples the two, so the first check can fail.  The blocks jac builds
+    # directly are the full matrix's diagonal blocks.
     p = make().problem
     rng = np.random.default_rng(14)
     N, k0 = 5, 2
     M = 4 * N + 1
     dim = p.n * (2 * N + 1)
     cos, sin = parity_indices(p.n, N)
-    even_cols, lam_col, phase, pin = np.r_[cos, dim], dim, dim, dim + 1
+    even_rows, even_cols, odd_rows, odd_cols = block_indices(p.n, N)
+    lam_col, phase, pin = dim, dim, dim + 1
     for _ in range(3):
         loop = random_loop(rng, p.n, N, scale=0.5)
         even = FourierLoop(loop.a0, loop.acos, np.zeros_like(loop.asin))
         lam = rng.uniform(-0.9, 0.9)
-        _, jac = _continuation_system(p, even, 1.5, k0, M)
-        J = jac(np.concatenate([even.pack(), [lam]]))
+        z = np.concatenate([even.pack(), [lam]])
+        J = full_continuation_jacobian(p, even, k0, M, z)
         scale = float(np.abs(J).max())
         assert np.abs(J[np.ix_(cos, sin)]).max() <= 1e-13 * scale
         assert np.abs(J[np.ix_(sin, even_cols)]).max() <= 1e-13 * scale
@@ -276,8 +312,15 @@ def test_continuation_jacobian_is_block_diagonal_at_even_loops(make):
         assert np.all(J[pin, sin] == 0.0)
         assert J[phase, lam_col] == 0.0
 
-        _, jac = _continuation_system(p, loop, 1.5, k0, M)
-        J = jac(np.concatenate([loop.pack(), [lam]]))
+        _, jac, _ = _continuation_system(p, even, 1.5, k0, M)
+        even_block, odd_block = jac(z)
+        assert np.abs(even_block - J[np.ix_(even_rows, even_cols)]).max() \
+            <= 1e-14 * scale
+        assert np.abs(odd_block - J[np.ix_(odd_rows, odd_cols)]).max() \
+            <= 1e-14 * scale
+
+        J = full_continuation_jacobian(
+            p, loop, k0, M, np.concatenate([loop.pack(), [lam]]))
         scale = float(np.abs(J).max())
         assert np.abs(J[np.ix_(cos, sin)]).max() > 1e-6 * scale
 
@@ -287,30 +330,37 @@ def _resonance(ex, lam0):
     return min(points, key=lambda r: abs(r.lambda0 - lam0))
 
 
-@pytest.mark.parametrize("make, lam0", [
-    (example1, 1.0 - math.sqrt(2.0)),
-    (example2, 0.0),
-    (example3, (4.0 - math.sqrt(10.0)) ** (1.0 / 3.0))])
+BRANCH_RESONANCES = [(example1, 1.0 - math.sqrt(2.0)),
+                     (example2, 0.0),
+                     (example3, (4.0 - math.sqrt(10.0)) ** (1.0 / 3.0))]
+
+
+@pytest.mark.parametrize("make, lam0", BRANCH_RESONANCES)
 @pytest.mark.parametrize("modes", [8, 16])
 def test_reversible_step_agrees_with_the_full_solve(monkeypatch, make, lam0, modes):
     # the same branch through the even-block step and through one full
-    # least-squares solve per step, on the same func/jac
+    # least-squares solve of the whole augmented Jacobian per step
     ex = make()
     r = _resonance(ex, lam0)
-    last_jac = {}
+    last_z = {}
     system = galerkin._continuation_system
 
     def recording_system(p, ref, R, k0, M):
-        func, jac = system(p, ref, R, k0, M)
+        func, jac, solve = system(p, ref, R, k0, M)
 
         def rec(z):
-            last_jac[R] = (jac, z.copy())
+            last_z[R] = (p, ref, k0, M, z.copy())
             return jac(z)
-        return func, rec
+        return func, rec, solve
+
+    def full_system(p, ref, R, k0, M):
+        func, _, _ = system(p, ref, R, k0, M)
+        return (func, lambda z: full_continuation_jacobian(p, ref, k0, M, z),
+                _lstsq_step)
 
     monkeypatch.setattr(galerkin, "_continuation_system", recording_system)
     new = continue_to_infinity(ex.problem, r, [4.0, 16.0, 64.0], modes)
-    monkeypatch.setattr(galerkin, "_reversible_step", lambda n, N: _lstsq_step)
+    monkeypatch.setattr(galerkin, "_continuation_system", full_system)
     ref = continue_to_infinity(ex.problem, r, [4.0, 16.0, 64.0], modes)
     assert len(new) == len(ref) == 3
     for a, b in zip(new, ref):
@@ -321,8 +371,8 @@ def test_reversible_step_agrees_with_the_full_solve(monkeypatch, make, lam0, mod
         assert abs(a.lam - b.lam) <= 1e-12
         assert np.abs(a.loop.pack() - b.loop.pack()).max() <= 1e-10
         assert np.all(a.loop.asin == 0.0)
-        jac, z = last_jac[a.amplitude]
-        sv = np.linalg.svd(jac(z), compute_uv=False)
+        sv = np.linalg.svd(full_continuation_jacobian(*last_z[a.amplitude]),
+                           compute_uv=False)
         assert a.jacobian_cond == pytest.approx(sv[0] / sv[-1], rel=1e-6)
 
 
@@ -332,16 +382,50 @@ def test_reversible_step_detects_a_singular_odd_block():
     # that the full Jacobian is rank deficient
     n, N = 1, 2
     dim = n * (2 * N + 1)
-    cos, sin = parity_indices(n, N)
+    even_rows, even_cols, odd_rows, odd_cols = block_indices(n, N)
+    even, odd = np.eye(n * (N + 1) + 1), np.ones((n * N + 1, n * N))
     J = np.zeros((dim + 2, dim + 1))
-    even_rows, even_cols = np.r_[cos, dim + 1], np.r_[cos, dim]
     J[even_rows, even_cols] = 1.0
-    J[np.ix_(np.r_[sin, dim], sin)] = 1.0
+    J[np.ix_(odd_rows, odd_cols)] = 1.0
     func = lambda z: np.ones(dim + 2)
-    for solve in (_reversible_step(n, N), _lstsq_step):
+    _, _, block_solve = _continuation_system(linear_problem({0: 1.0}),
+                                             FourierLoop.zero(n, N), 1.0, 1, 9)
+    for blocks, solve in (((even, odd), block_solve), (J, _lstsq_step)):
         with pytest.raises(SingularJacobianError) as err:
-            _gauss_newton(func, np.zeros(dim + 1), 1e-10, 5, lambda z: J, solve)
+            _gauss_newton(func, np.zeros(dim + 1), 1e-10, 5, lambda z: blocks,
+                          solve)
         assert err.value.cond > 1e14
+
+
+@pytest.mark.parametrize("make, lam0", BRANCH_RESONANCES)
+@pytest.mark.parametrize("modes", [8, 32])
+def test_continuation_step_costs_one_lstsq_and_one_svd(monkeypatch, make,
+                                                       lam0, modes):
+    # each Newton step solves the even block once and takes the odd block's
+    # singular values once; the full harmonic-balance matrix is never built
+    ex = make()
+    r = _resonance(ex, lam0)
+    calls = {"lstsq": 0, "svd": 0}
+
+    def counted(name):
+        real = getattr(np.linalg, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    def forbidden(*args):
+        raise AssertionError("continuation built the full Jacobian")
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    monkeypatch.setattr(galerkin, "_analytic_jacobian", forbidden)
+    branch = continue_to_infinity(ex.problem, r, [4.0, 16.0, 64.0], modes)
+    assert not any(bp.failed for bp in branch)
+    steps = sum(bp.newton_steps for bp in branch)
+    assert steps > 0
+    assert calls == {"lstsq": steps, "svd": steps}
 
 
 # --------------------------------------------------------------- newton solve
