@@ -57,6 +57,11 @@ class AccumulationWarning(UserWarning):
     lambda0 = k/sqrt(alpha) become unreliable."""
 
 
+def _central_step(x):
+    """Central-difference steps cbrt(eps) (1 + |x|) for a smooth gradient."""
+    return np.cbrt(np.finfo(float).eps) * (1.0 + np.abs(x))
+
+
 @dataclass(frozen=True, eq=False)
 class Perturbation:
     """Bounded perturbation of the asymptotic quadratic part.
@@ -65,7 +70,9 @@ class Perturbation:
     kind "kepler":  eta(x, lambda) = -s(lambda)/sqrt(|x|^2 + a), a > 0,
                     with s = 1 ("constant", the default) or s = lambda^2
                     ("lambda_squared").
-    kind "user":    a caller-supplied gradient, optional potential value.
+    kind "user":    a caller-supplied gradient, optional potential value;
+                    its Hessian and lambda derivative are central
+                    differences of the gradient.
     """
 
     kind: str
@@ -104,50 +111,67 @@ class Perturbation:
     def _ds(self, lam):
         return 0.0 if self.scale == "constant" else 2.0 * lam
 
+    def _kepler_rows(self, X):
+        """(Y, r2, e): rows X = 2^e Y exactly, r2 = |Y|^2 + a 4^-e; e = 0
+        unless a row exceeds 2^100, so no power of r2 taken below overflows."""
+        e = np.maximum(np.frexp(np.abs(X).max(axis=1))[1] - 100, 0)
+        Y = np.ldexp(X, -e[:, None])
+        return Y, (Y * Y).sum(axis=1) + np.ldexp(self.a, -2 * e), e[:, None]
+
     def gradient_many(self, X, lam):
         """Gradient rows for a stack X of shape (m, n)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.kind == "none":
             return np.zeros_like(X)
         if self.kind == "kepler":
-            r2 = (X * X).sum(axis=1) + self.a
-            return self._s(lam) * X / (r2 ** 1.5)[:, None]
+            Y, r2, e = self._kepler_rows(X)
+            return np.ldexp(self._s(lam) * Y / (r2 ** 1.5)[:, None], -2 * e)
         return np.array([np.asarray(self.grad(x, lam), dtype=float) for x in X])
 
     def gradient_lambda_many(self, X, lam):
-        """d/dlambda of the gradient rows (built-in kinds only)."""
+        """d/dlambda of the gradient rows."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.kind == "none":
             return np.zeros_like(X)
         if self.kind == "kepler":
-            r2 = (X * X).sum(axis=1) + self.a
-            return self._ds(lam) * X / (r2 ** 1.5)[:, None]
-        raise ValueError("no analytic lambda derivative for user perturbations")
+            Y, r2, e = self._kepler_rows(X)
+            return np.ldexp(self._ds(lam) * Y / (r2 ** 1.5)[:, None], -2 * e)
+        h = _central_step(lam)
+        up, down = lam + h, lam - h
+        return (self.gradient_many(X, up) - self.gradient_many(X, down)) / (up - down)
 
     def value_many(self, X, lam):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.kind == "none":
             return np.zeros(X.shape[0])
         if self.kind == "kepler":
-            r2 = (X * X).sum(axis=1) + self.a
-            return -self._s(lam) / np.sqrt(r2)
+            _, r2, e = self._kepler_rows(X)
+            return np.ldexp(-self._s(lam) / np.sqrt(r2), -e[:, 0])
         if self.value is None:
             raise ValueError("user perturbation has no potential value callable")
         return np.array([float(self.value(x, lam)) for x in X])
 
     def hessian_many(self, X, lam):
-        """Analytic Hessians for a stack X of shape (m, n), shape (m, n, n)
-        (built-in kinds only)."""
+        """Hessians H[m, i, j] = d g_i / d x_j of the gradient g at a stack
+        X of shape (m, n), shape (m, n, n)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         m, n = X.shape
         if self.kind == "none":
             return np.zeros((m, n, n))
         if self.kind == "kepler":
-            r2 = (X * X).sum(axis=1) + self.a
-            return self._s(lam) * (np.eye(n) / (r2 ** 1.5)[:, None, None]
-                                   - 3.0 * X[:, :, None] * X[:, None, :]
-                                   / (r2 ** 2.5)[:, None, None])
-        raise ValueError("no analytic Hessian for user perturbations")
+            Y, r2, e = self._kepler_rows(X)
+            return self._s(lam) * np.ldexp(
+                np.eye(n) / (r2 ** 1.5)[:, None, None]
+                - 3.0 * Y[:, :, None] * Y[:, None, :] / (r2 ** 2.5)[:, None, None],
+                -3 * e[:, :, None])
+        H = np.empty((m, n, n))
+        for j, h in enumerate(_central_step(X).T):
+            up, down = X.copy(), X.copy()
+            up[:, j] += h
+            down[:, j] -= h
+            H[:, :, j] = ((self.gradient_many(up, lam) - self.gradient_many(down, lam))
+                          / (up[:, j] - down[:, j])[:, None])
+        return H
 
     def hessian(self, x, lam):
         return self.hessian_many(x, lam)[0]

@@ -17,9 +17,8 @@ the solvers' only setting: newton_solve keeps its guess's and
 continue_to_infinity takes ``modes``.  The branch points' measured minimal
 periods, lambda drift and energy drift are the numerical evidence the
 analysis module's predictions are checked against.  Each step assembles
-the Jacobian in closed form from the potential's Hessian at the nodes;
-only a user perturbation, which has no Hessian, falls back to finite
-differences.
+the Jacobian in closed form from the potential's Hessian at the nodes
+(for a user perturbation, a central difference of its gradient).
 
 Continuation works in the time-reversible subspace.  Three facts make a
 loop even in t (asin = 0) stay even:
@@ -35,10 +34,10 @@ phase row against asin) is (nN+1) x nN.  The residual's sin part is
 roundoff, so the Gauss-Newton step solves the even block alone and keeps
 asin exactly 0.  The odd block still enters the rank check and the
 reported condition number through its singular values.  Both blocks are
-assembled directly from the cosine coefficients hc of the Hessian samples;
-the full augmented Jacobian, whose hs entries vanish here, is never formed
-(a user perturbation slices the blocks out of finite differences).
-newton_solve takes general guesses and solves the full system.
+assembled directly from the cosine coefficients hc of the Hessian samples
+by the formula of newton_solve's Jacobian; the full augmented Jacobian,
+whose hs entries vanish here, is never formed.  newton_solve takes general
+guesses, adds the hs blocks and solves the full system.
 """
 
 import math
@@ -206,18 +205,14 @@ def _coeffs(samples, N):
                        -2.0 * G[1:N + 1].imag / M).pack()
 
 
-def _packed_k2(n, N):
-    """k^2 for every packed coefficient: 0 on a0, k^2 on mode k."""
-    return np.concatenate([np.zeros(n), np.repeat(np.arange(1, N + 1) ** 2, 2 * n)])
-
-
 def residual(loop, lam, p, M=None):
     """Coefficient-space residual of u'' + grad V(u, lambda) = 0."""
     M = _nodes(M, loop.N)
     if M < 2 * loop.N + 2:
         raise ValueError("need at least 2N+2 collocation nodes")
     c = _coeffs(p.gradient_many(loop.values(M), lam), loop.N)
-    return c - _packed_k2(loop.n, loop.N) * loop.pack()
+    k2 = np.repeat(np.arange(1, loop.N + 1) ** 2, 2 * loop.n)  # cos and sin of mode k
+    return c - np.concatenate([np.zeros(loop.n), k2]) * loop.pack()
 
 
 def _phase_row(ref):
@@ -236,6 +231,36 @@ def _phase_row_value(ref, loop):
     return float(_phase_row(ref) @ loop.pack())
 
 
+def _norm(v):
+    """np.linalg.norm(v) without overflow: v is scaled by 2^-e and back, exactly."""
+    e = max(math.frexp(float(np.abs(v).max()))[1] - 500, 0)
+    return math.ldexp(float(np.linalg.norm(np.ldexp(v, -e))), e)
+
+
+def _layout(n, N, M):
+    """Index layout of both solvers' Jacobians: packed positions of the cos
+    coefficients (k, i) (a0, then acos_k) and of the sin ones, each cos k,
+    and the flat indices of h[(k -/+ l) % M, i, j] in an (M, n, n) array."""
+    k, i = np.repeat(np.arange(N + 1), n), np.tile(np.arange(n), N + 1)
+    ij = i[:, None] * n + i[None, :]
+    dif = (k[:, None] - k[None, :]) % M * n * n + ij
+    tot = (k[:, None] + k[None, :]) % M * n * n + ij
+    return np.maximum(2 * k - 1, 0) * n + i, (2 * k * n + i)[n:], k, dif, tot
+
+
+def _cos_blocks(hc, layout):
+    """The cos/cos and sin/sin blocks of the residual Jacobian, the whole
+    of it at a loop even in t: hc[k-l] + hc[k+l] and hc[k-l] - hc[k+l], the
+    mean row halved, k^2 subtracted on the diagonal (see _analytic_jacobian)."""
+    _, _, k, dif, tot = layout
+    n, hc, d = hc.shape[1], hc.ravel(), np.diag_indices(len(k))
+    toe, han = hc[dif], hc[tot]
+    cc, ss = toe + han, toe - han
+    cc[:n] *= 0.5
+    cc[d], ss[d] = cc[d] - k * k, ss[d] - k * k
+    return cc, ss[n:, n:]
+
+
 def _analytic_jacobian(loop, lam, p, M):
     """Exact residual Jacobian P diag(H(u(t_m))) T - diag(k^2).
 
@@ -249,34 +274,18 @@ def _analytic_jacobian(loop, lam, p, M):
         sin/cos: hs[k+l] + hs[k-l]    sin/sin: hc[k-l] - hc[k+l]
 
     The mean row k = 0 is halved; the sin columns and rows of k = 0 do
-    not exist and are dropped.
+    not exist.  The hc blocks are _cos_blocks.
     """
     n, N = loop.n, loop.N
+    layout = cos, sin, _, dif, tot = _layout(n, N, M)
     F = np.fft.fft(p.hessian_many(loop.values(M), lam), axis=0) / M
-    hc, hs = F.real, -F.imag
-    k = np.arange(N + 1)
-    dif = (k[:, None] - k[None, :]) % M
-    tot = (k[:, None] + k[None, :]) % M
-    B = np.empty((N + 1, 2, n, N + 1, 2, n))  # [k, cos|sin, i, l, cos|sin, j]
-    B[:, 0, :, :, 0] = (hc[dif] + hc[tot]).transpose(0, 2, 1, 3)
-    B[:, 0, :, :, 1] = (hs[tot] - hs[dif]).transpose(0, 2, 1, 3)
-    B[:, 1, :, :, 0] = (hs[tot] + hs[dif]).transpose(0, 2, 1, 3)
-    B[:, 1, :, :, 1] = (hc[dif] - hc[tot]).transpose(0, 2, 1, 3)
-    B[0] *= 0.5
-    dim = 2 * (N + 1) * n
-    keep = np.r_[0:n, 2 * n:dim]
-    J = B.reshape(dim, dim)[np.ix_(keep, keep)]
-    J[np.diag_indices(len(keep))] -= _packed_k2(n, N)
-    return J
-
-
-def _fd_jacobian(func, x, f0):
-    J = np.empty((f0.shape[0], x.shape[0]))
-    for j in range(x.shape[0]):
-        h = 1e-7 * (1.0 + abs(x[j]))
-        xp = x.copy()
-        xp[j] += h
-        J[:, j] = (func(xp) - f0) / h
+    hs = -F.imag.ravel()
+    cs = hs[tot] - hs[dif]
+    cs[:n] *= 0.5
+    J = np.empty((n * (2 * N + 1),) * 2)
+    J[np.ix_(cos, cos)], J[np.ix_(sin, sin)] = _cos_blocks(F.real, layout)
+    J[np.ix_(cos, sin)] = cs[:, n:]
+    J[np.ix_(sin, cos)] = (hs[tot] + hs[dif])[n:]
     return J
 
 
@@ -286,18 +295,17 @@ def _lstsq_step(J, f):
     return step, sv
 
 
-def _gauss_newton(func, x0, tol, max_iter, jac=None, solve=_lstsq_step):
+def _gauss_newton(func, x0, tol, max_iter, jac, solve=_lstsq_step):
     """Least-squares Newton on an overdetermined system.
 
     Convergence is checked before the first step, so an exact initial
     guess returns without assembling a Jacobian, and a residual that is
     not finite raises NewtonConvergenceError before any is assembled.
-    Without ``jac`` the Jacobian is taken by finite differences of
-    ``func``.  ``solve(jac(x), f)`` takes whatever ``jac`` returns and
-    gives back the step and the singular values of the Jacobian; the
-    default is one full least-squares solve of a matrix.  Returns the
-    solution, its residual max-norm, the number of steps taken and the
-    condition number of the last Jacobian (None when no step was taken).
+    ``solve(jac(x), f)`` takes whatever ``jac`` returns and gives back the
+    step and the singular values of the Jacobian; the default is one full
+    least-squares solve of a matrix.  Returns the solution, its residual
+    max-norm, the number of steps taken and the condition number of the
+    last Jacobian (None when no step was taken).
     """
     x = x0.copy()
     cond = None
@@ -313,8 +321,7 @@ def _gauss_newton(func, x0, tol, max_iter, jac=None, solve=_lstsq_step):
             raise NewtonConvergenceError(
                 f"no convergence after {max_iter} iterations "
                 f"(residual {norm:.3e}, tolerance {tol:.3e})")
-        J = jac(x) if jac is not None else _fd_jacobian(func, x, f)
-        step, sv = solve(J, f)
+        step, sv = solve(jac(x), f)
         smax, smin = sv.max(), sv.min()
         cond = float(smax / max(smin, 1e-300))
         if smin <= 1e-14 * smax:
@@ -322,12 +329,6 @@ def _gauss_newton(func, x0, tol, max_iter, jac=None, solve=_lstsq_step):
                                         cond=cond)
         x = x + step
     raise AssertionError("unreachable")
-
-
-def _has_hessian(p):
-    """Built-in perturbations have analytic second derivatives; user
-    perturbations supply only a gradient and fall back to differences."""
-    return p.perturbation.kind != "user"
 
 
 def newton_solve(guess, lam, p):
@@ -350,8 +351,7 @@ def newton_solve(guess, lam, p):
         lp = FourierLoop.unpack(x, n, N)
         return np.vstack([_analytic_jacobian(lp, lam, p, M), _phase_row(guess)])
 
-    x, *_ = _gauss_newton(func, guess.pack(), NEWTON_TOL, NEWTON_MAX_ITER,
-                          jac if _has_hessian(p) else None)
+    x, *_ = _gauss_newton(func, guess.pack(), NEWTON_TOL, NEWTON_MAX_ITER, jac)
     return FourierLoop.unpack(x, n, N)
 
 
@@ -361,54 +361,32 @@ def _continuation_system(p, ref, R, k0, M):
     coefficient norm pinned to R.
 
     jac returns the (even, odd) blocks of the Jacobian at an even iterate
-    (see the module docstring), with the entries of _analytic_jacobian:
-    hc[k-l] + hc[k+l] on the cos rows, the mean row halved, and
-    hc[k-l] - hc[k+l] on the sin rows.  solve(blocks, f) steps on the even
-    block alone and returns the singular values of both blocks, which are
-    those of the block-diagonal whole.
+    (see the module docstring): _cos_blocks with the lambda column and pin
+    row, and with the phase row.  solve(blocks, f) steps on the even block
+    alone and returns the singular values of both blocks, which are those
+    of the block-diagonal whole.
     """
     n, N = ref.n, ref.N
     dim = n * (2 * N + 1)
     pin = slice(n + 2 * n * (k0 - 1), n + 2 * n * k0)  # acos_k0, asin_k0
-    is_sin = np.zeros(dim, dtype=bool)
-    is_sin[n:] = np.arange(dim - n) // n % 2 == 1
-    cos, sin = np.flatnonzero(~is_sin), np.flatnonzero(is_sin)
+    layout = cos, sin, *_ = _layout(n, N, M)
     even_rows, even_cols = np.r_[cos, dim + 1], np.r_[cos, dim]
-    odd_rows = np.r_[sin, dim]
     phase = _phase_row(ref)[sin]
-    ne, no = n * (N + 1), n * N  # cos and sin coefficient counts
-    k, i = np.repeat(np.arange(N + 1), n), np.tile(np.arange(n), N + 1)
-    # flat indices of hc[(k -/+ l) % M, i, j] for cos coefficients (k, i), (l, j)
-    ij = i[:, None] * n + i[None, :]
-    dif = (k[:, None] - k[None, :]) % M * n * n + ij
-    tot = (k[:, None] + k[None, :]) % M * n * n + ij
 
     def func(z):
         lp = FourierLoop.unpack(z[:-1], n, N)
         return np.concatenate([residual(lp, z[-1], p, M),
-                               [_phase_row_value(ref, lp),
-                                np.linalg.norm(z[pin]) - R]])
+                               [_phase_row_value(ref, lp), _norm(z[pin]) - R]])
 
-    def hessian_blocks(z):
+    def jac(z):
         lam = z[-1]
         u = FourierLoop.unpack(z[:-1], n, N).values(M)
-        hc = (np.fft.fft(p.hessian_many(u, lam), axis=0) / M).real.ravel()
-        toe, han = hc[dif], hc[tot]
-        even = np.zeros((ne + 1, ne + 1))
-        even[:ne, :ne] = toe + han
-        even[:n, :ne] *= 0.5
-        even[np.arange(ne), np.arange(ne)] -= k * k
-        even[:ne, ne] = _coeffs(p.gradient_lambda_many(u, lam), N)[cos]
-        even[ne, n * k0:n * (k0 + 1)] = z[pin][:n] / np.linalg.norm(z[pin])
-        odd = np.empty((no + 1, no))
-        odd[:no] = toe[n:, n:] - han[n:, n:]
-        odd[np.arange(no), np.arange(no)] -= k[n:] * k[n:]
-        odd[no] = phase
-        return even, odd
-
-    def fd_blocks(z):
-        J = _fd_jacobian(func, z, func(z))
-        return J[np.ix_(even_rows, even_cols)], J[np.ix_(odd_rows, sin)]
+        hc = (np.fft.fft(p.hessian_many(u, lam), axis=0) / M).real
+        even = np.zeros((len(cos) + 1,) * 2)
+        even[:-1, :-1], ss = _cos_blocks(hc, layout)
+        even[:-1, -1] = _coeffs(p.gradient_lambda_many(u, lam), N)[cos]
+        even[-1, n * k0:n * (k0 + 1)] = z[pin][:n] / _norm(z[pin])
+        return even, np.vstack([ss, phase])
 
     def solve(blocks, f):
         even, odd = blocks
@@ -418,7 +396,7 @@ def _continuation_system(p, ref, R, k0, M):
         sv_odd = np.linalg.svd(odd, compute_uv=False)
         return step, np.concatenate([sv_even, sv_odd])
 
-    return func, (hessian_blocks if _has_hessian(p) else fd_blocks), solve
+    return func, jac, solve
 
 
 def _kernel_directions(p, r):
@@ -503,16 +481,13 @@ def continue_to_infinity(p, r, amplitudes, modes=DEFAULT_MODES, direction=0):
 
 
 def minimal_period_divisor(loop):
-    """gcd of the active modes; 0 for an (almost) constant loop."""
-    energy = loop.mode_energy()
-    total = float(energy.sum())
-    if total <= 0.0:
-        return 0
-    active = [k + 1 for k, e in enumerate(energy)
-              if e > PERIOD_MODE_FRACTION * total]
-    if not active:
-        return 0
-    return math.gcd(*active)
+    """gcd of the active modes, 0 for an (almost) constant loop, from modes
+    scaled exactly by the power of two that brings the largest below 1."""
+    e = math.frexp(np.abs(loop.pack()[loop.n:]).max(initial=0.0))[1]
+    energy = FourierLoop(loop.a0, np.ldexp(loop.acos, -e),
+                         np.ldexp(loop.asin, -e)).mode_energy()
+    active = np.flatnonzero(energy > PERIOD_MODE_FRACTION * energy.sum()) + 1
+    return math.gcd(*(int(k) for k in active))
 
 
 def minimal_period(loop):

@@ -66,6 +66,19 @@ def charpoly_eigenvalues(A):
     return np.sort(np.array(roots))
 
 
+def fd_jacobian(func, x, f0):
+    """Forward-difference Jacobian of func at x, f0 = func(x): the
+    reference the closed-form harmonic-balance Jacobians are checked
+    against."""
+    J = np.empty((f0.shape[0], x.shape[0]))
+    for j in range(x.shape[0]):
+        h = 1e-7 * (1.0 + abs(x[j]))
+        xp = x.copy()
+        xp[j] += h
+        J[:, j] = (func(xp) - f0) / h
+    return J
+
+
 def random_symmetric(rng, n, scale=3.0):
     B = rng.normal(0.0, scale, size=(n, n))
     return (B + B.T) / 2.0

@@ -12,7 +12,7 @@ import numpy as np
 from equideg.bifurcation import (bif_index, bif_index_ls, check_eqcont2,
                                  predict_periods)
 from equideg.eqdeg import ind_infinity, lin_deg, minus_id_data
-from equideg.galerkin import (FourierLoop, _analytic_jacobian, _fd_jacobian,
+from equideg.galerkin import (FourierLoop, _analytic_jacobian,
                               continue_to_infinity, energy_drift,
                               minimal_period_divisor, newton_solve, residual)
 from equideg.problems import example1, example2, example3
@@ -21,7 +21,7 @@ from equideg.spectral import (eigen_sym, j_k, k_set, resonant_frequencies,
                               scan_resonances)
 from equideg.udring import ONE, ZERO, TomDieckElement, add, star
 
-from oracles import charpoly_eigenvalues, random_symmetric
+from oracles import charpoly_eigenvalues, fd_jacobian, random_symmetric
 from test_bifurcation import _random_nonresonant_problem
 from test_eqdeg import concat_block_data, rand_block_data
 from test_udring import rand_elem
@@ -280,7 +280,7 @@ def test_criterion_10(failures):
 
         x = loop.pack()
         J_an = _analytic_jacobian(loop, lam, p, M)
-        J_fd = _fd_jacobian(func, x, func(x))
+        J_fd = fd_jacobian(func, x, func(x))
         scale = max(1.0, float(np.abs(J_an).max()))
         worst_jac = max(worst_jac, float(np.abs(J_an - J_fd).max()) / scale)
 

@@ -56,6 +56,41 @@ def test_kepler_gradient_matches_finite_differences():
         assert abs(g[i] - fd) < 1e-8
 
 
+@pytest.mark.parametrize("scale", ["constant", "lambda_squared"])
+def test_user_perturbation_differences_match_kepler(scale):
+    # handed the Kepler gradient, the user kind's central differences
+    # reproduce the analytic Hessian and lambda derivative
+    kepler = Perturbation.kepler(0.7, scale)
+    user = Perturbation.user(lambda x, lam: kepler.gradient_many(x, lam)[0])
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(8, 3))
+    for lam in (-1.3, 0.4, 2.0):
+        for name in ("hessian_many", "gradient_lambda_many"):
+            want = getattr(kepler, name)(X, lam)
+            got = getattr(user, name)(X, lam)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+
+def test_kepler_terms_do_not_overflow_on_huge_rows():
+    # |x|^2 overflows past 1e154 and (|x|^2 + a)^(5/2) past 1e61; a huge row
+    # is scaled by a power of two first, so its terms decay without a
+    # RuntimeWarning, and an ordinary row keeps the unscaled formula's bits
+    pert = Perturbation.kepler(1.0, "lambda_squared")
+    X = np.array([[0.3, -0.7], [1e200, 0.0], [1e300, -1e300]])
+    lam = 2.0
+    x = X[:1]
+    r2 = (x * x).sum(axis=1) + 1.0
+    assert np.array_equal(pert.gradient_many(X, lam)[:1],
+                          lam * lam * x / (r2 ** 1.5)[:, None])
+    assert pert.value_many(X, lam)[0] == -lam * lam / np.sqrt(r2[0])
+    assert np.all(pert.gradient_many(X, lam)[1:] == 0.0)
+    assert np.all(pert.gradient_lambda_many(X, lam)[1:] == 0.0)
+    assert np.all(pert.hessian_many(X, lam)[1:] == 0.0)
+    assert pert.value_many(X, lam)[1:] == pytest.approx(
+        [-4e-200, -4e-300 / math.sqrt(2.0)], rel=1e-14)
+
+
 def test_kepler_hessian_matches_finite_differences():
     pert = Perturbation.kepler(1.0, "constant")
     x = np.array([0.3, -0.7, 0.2])
@@ -105,8 +140,8 @@ def test_user_perturbation_routes_callables():
     assert pert.value_many(X, 0.0)[0] == pytest.approx(5.0)
     with pytest.raises(ValueError):
         Perturbation.user(lambda x, lam: x).value_many(X, 0.0)
-    with pytest.raises(ValueError):
-        pert.hessian(X[0], 0.0)
+    assert np.allclose(pert.hessian(X[0], 0.0), 2.0 * np.eye(2),
+                       rtol=0.0, atol=1e-9)
 
 
 # ------------------------------------------------------------------ index rule

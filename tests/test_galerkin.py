@@ -1,5 +1,6 @@
 """Fourier loops, residuals, Newton solves and branch continuation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,14 +11,15 @@ from equideg.bifurcation import IndexRule, Perturbation, ProblemSpec
 from equideg.galerkin import (BranchPoint, FourierLoop,
                               NewtonConvergenceError, SingularJacobianError,
                               _analytic_jacobian, _coeffs,
-                              _continuation_system, _fd_jacobian,
-                              _gauss_newton, _lstsq_step, _phase_row,
-                              _phase_row_value, continue_to_infinity,
-                              energy_drift, minimal_period,
-                              minimal_period_divisor, newton_solve, residual,
-                              write_branch_csv)
+                              _continuation_system, _gauss_newton,
+                              _lstsq_step, _phase_row, _phase_row_value,
+                              continue_to_infinity, energy_drift,
+                              minimal_period, minimal_period_divisor,
+                              newton_solve, residual, write_branch_csv)
 from equideg.problems import example1, example2, example3
 from equideg.spectral import MatrixFamily, scan_resonances
+
+from oracles import fd_jacobian
 
 
 def linear_problem(*diag_polys, pert=None):
@@ -220,7 +222,7 @@ def test_analytic_jacobian_matches_finite_differences():
 
     x = loop.pack()
     J_an = _analytic_jacobian(loop, lam, p, M)
-    J_fd = _fd_jacobian(func, x, func(x))
+    J_fd = fd_jacobian(func, x, func(x))
     assert np.abs(J_an - J_fd).max() < 1e-5
 
 
@@ -276,7 +278,7 @@ def test_continuation_jacobian_matches_finite_differences(make):
         z = np.concatenate([even_loop(rng, p.n, N, scale=0.5).pack(),
                             [rng.uniform(-0.9, 0.9)]])
         even, odd = jac(z)
-        J_fd = _fd_jacobian(func, z, func(z))
+        J_fd = fd_jacobian(func, z, func(z))
         assert even.shape == (p.n * (N + 1) + 1,) * 2
         assert odd.shape == (p.n * N + 1, p.n * N)
         scale = max(1.0, float(np.abs(even).max()), float(np.abs(odd).max()))
@@ -333,6 +335,19 @@ def _resonance(ex, lam0):
 BRANCH_RESONANCES = [(example1, 1.0 - math.sqrt(2.0)),
                      (example2, 0.0),
                      (example3, (4.0 - math.sqrt(10.0)) ** (1.0 / 3.0))]
+
+
+def as_user(make):
+    """The example maker ``make`` with the example's perturbation handed
+    over as a user gradient callable."""
+    def make_user():
+        ex = make()
+        pert = ex.problem.perturbation
+        user = Perturbation.user(lambda x, lam: pert.gradient_many(x, lam)[0])
+        return dataclasses.replace(ex, problem=dataclasses.replace(
+            ex.problem, perturbation=user))
+    make_user.__name__ = f"{make.__name__}_user"
+    return make_user
 
 
 @pytest.mark.parametrize("make, lam0", BRANCH_RESONANCES)
@@ -397,12 +412,14 @@ def test_reversible_step_detects_a_singular_odd_block():
         assert err.value.cond > 1e14
 
 
-@pytest.mark.parametrize("make, lam0", BRANCH_RESONANCES)
+@pytest.mark.parametrize("make, lam0", BRANCH_RESONANCES + [
+    (as_user(make), lam0) for make, lam0 in BRANCH_RESONANCES])
 @pytest.mark.parametrize("modes", [8, 32])
 def test_continuation_step_costs_one_lstsq_and_one_svd(monkeypatch, make,
                                                        lam0, modes):
     # each Newton step solves the even block once and takes the odd block's
-    # singular values once; the full harmonic-balance matrix is never built
+    # singular values once; the full harmonic-balance matrix is never built,
+    # also for a user perturbation, whose Hessian is a central difference
     ex = make()
     r = _resonance(ex, lam0)
     calls = {"lstsq": 0, "svd": 0}
@@ -444,8 +461,9 @@ def test_newton_inexact_guess_with_no_budget_raises():
     p = linear_problem({0: 4.0})
     guess = FourierLoop.single_mode(1, [1.0], N=4)  # not a solution
     func = lambda x: residual(FourierLoop.unpack(x, 1, 4), 0.0, p)
+    jac = lambda x: _analytic_jacobian(FourierLoop.unpack(x, 1, 4), 0.0, p, 17)
     with pytest.raises(NewtonConvergenceError):
-        _gauss_newton(func, guess.pack(), 1e-10, 0)
+        _gauss_newton(func, guess.pack(), 1e-10, 0, jac)
 
 
 def test_newton_singular_jacobian_detected():
@@ -644,6 +662,17 @@ def test_minimal_period_gcd_of_active_modes():
     mixed = FourierLoop(loop.a0, acos, loop.asin)
     assert minimal_period_divisor(mixed) == 1
     assert minimal_period(mixed) == pytest.approx(2.0 * math.pi)
+
+
+def test_minimal_period_does_not_depend_on_the_loop_scale():
+    # scaled by 1e300 the mode energies overflow when squared, scaled by
+    # 1e-300 they underflow; the divisor sees neither
+    acos = np.zeros((6, 2))
+    acos[1] = [1.0, -0.5]
+    acos[3, 0] = 0.25
+    for scale in (1.0, 1e300, 1e-300):
+        loop = FourierLoop(np.zeros(2), scale * acos, np.zeros((6, 2)))
+        assert minimal_period_divisor(loop) == 2
 
 
 def test_minimal_period_ignores_relative_noise():
