@@ -31,15 +31,23 @@ hs = 0 to roundoff, and the augmented Jacobian is block diagonal up to a
 permutation.  The even block (cos rows and the pin row against a0, acos
 and lambda) is square with side n(N+1)+1; the odd block (sin rows and the
 phase row against asin) is (nN+1) x nN.  The residual's sin part is
-roundoff, so the Gauss-Newton step solves the even block alone and keeps
-asin exactly 0.  The odd block still enters the rank check and the
-reported condition number through its singular values.  Both blocks are
-assembled directly from the cosine coefficients hc of the Hessian samples
-by the formula of newton_solve's Jacobian; the full augmented Jacobian,
-whose hs entries vanish here, is never formed.  newton_solve takes general
-guesses, adds the hs blocks and solves the full system.
+roundoff, so each Gauss-Newton step is one LU solve of the even block and
+keeps asin exactly 0.  Both blocks are assembled directly from the cosine
+coefficients hc of the Hessian samples by the formula of newton_solve's
+Jacobian; the full augmented Jacobian, whose hs entries vanish here, is
+never formed.  newton_solve takes general guesses, adds the hs blocks and
+solves the full system by least squares.
+
+The singular values of a Jacobian (both blocks, or newton_solve's whole
+matrix) feed the rank check and the reported condition number.  They are
+taken only on the last Jacobian, where the iteration converges or stops
+without converging, and on a Jacobian whose step did not lower the
+residual max-norm, so a rank-deficient system still stops within a few
+steps.  A converged point's condition number is that of its last step's
+Jacobian.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -164,6 +172,15 @@ class FourierLoop:
         return FourierLoop(self.a0, acos, asin)
 
 
+def _headroom(*arrays):
+    """The e >= 0 that brings every |entry| below 2^500; 0, so no scaling
+    and the same bits, for ordinary arrays.  Sums and products at the scale
+    2^-e cannot overflow, and a power of two rounds only entries that it
+    takes below the normal range."""
+    top = max(float(np.abs(a).max(initial=0.0)) for a in arrays)
+    return max(math.frexp(top)[1] - 500, 0)
+
+
 def _nodes(M, N):
     """M, or the default of 4N+1 collocation nodes when M is 0 or None."""
     return M or 4 * N + 1
@@ -172,16 +189,22 @@ def _nodes(M, N):
 def _synthesize(c0, ccos, csin, M):
     """c0 + sum_k (ccos_k cos kt + csin_k sin kt) on M equispaced nodes.
 
-    One inverse real FFT of X_0 = M c0, X_k = (M/2)(ccos_k - i csin_k).
-    Every mode must lie below the Nyquist bin, k < M/2, or it would alias.
+    One inverse real FFT of X_0 = M c0, X_k = (M/2)(ccos_k - i csin_k),
+    with the coefficients scaled by 2^-e and the samples back by 2^e (see
+    _headroom).  Every mode must lie below the Nyquist bin, k < M/2, or it
+    would alias.
     """
     N, n = ccos.shape
     if M < 2 * N + 1:
         raise ValueError(f"need at least 2N+1 = {2 * N + 1} nodes, got {M}")
+    e = _headroom(c0, ccos, csin)
+    if e:
+        c0, ccos, csin = (np.ldexp(c, -e) for c in (c0, ccos, csin))
     X = np.zeros((M // 2 + 1, n), dtype=complex)
     X[0] = M * c0
     X[1:N + 1] = 0.5 * M * (ccos - 1j * csin)
-    return np.fft.irfft(X, n=M, axis=0)
+    u = np.fft.irfft(X, n=M, axis=0)
+    return np.ldexp(u, e) if e else u
 
 
 @dataclass(frozen=True)
@@ -198,11 +221,13 @@ class BranchPoint:
 
 
 def _coeffs(samples, N):
-    """Packed Fourier coefficients, modes 0..N, of samples on M nodes."""
-    M = samples.shape[0]
-    G = np.fft.rfft(samples, axis=0)
-    return FourierLoop(G[0].real / M, 2.0 * G[1:N + 1].real / M,
-                       -2.0 * G[1:N + 1].imag / M).pack()
+    """Packed Fourier coefficients, modes 0..N, of samples on M nodes,
+    transformed at the scale 2^-e of _headroom and scaled back."""
+    M, e = samples.shape[0], _headroom(samples)
+    G = np.fft.rfft(np.ldexp(samples, -e) if e else samples, axis=0)
+    c = FourierLoop(G[0].real / M, 2.0 * G[1:N + 1].real / M,
+                    -2.0 * G[1:N + 1].imag / M).pack()
+    return np.ldexp(c, e) if e else c
 
 
 def residual(loop, lam, p, M=None):
@@ -232,20 +257,27 @@ def _phase_row_value(ref, loop):
 
 
 def _norm(v):
-    """np.linalg.norm(v) without overflow: v is scaled by 2^-e and back, exactly."""
-    e = max(math.frexp(float(np.abs(v).max()))[1] - 500, 0)
+    """np.linalg.norm(v) without overflow: v is scaled by 2^-e and back."""
+    e = _headroom(v)
     return math.ldexp(float(np.linalg.norm(np.ldexp(v, -e))), e)
 
 
+@functools.lru_cache(maxsize=1)
 def _layout(n, N, M):
     """Index layout of both solvers' Jacobians: packed positions of the cos
     coefficients (k, i) (a0, then acos_k) and of the sin ones, each cos k,
-    and the flat indices of h[(k -/+ l) % M, i, j] in an (M, n, n) array."""
+    and the flat indices of h[(k -/+ l) % M, i, j] in an (M, n, n) array.
+
+    A branch and a Newton solve keep one (n, N, M), so the last layout is
+    kept (read-only) and each is built once per branch or solve."""
     k, i = np.repeat(np.arange(N + 1), n), np.tile(np.arange(n), N + 1)
     ij = i[:, None] * n + i[None, :]
     dif = (k[:, None] - k[None, :]) % M * n * n + ij
     tot = (k[:, None] + k[None, :]) % M * n * n + ij
-    return np.maximum(2 * k - 1, 0) * n + i, (2 * k * n + i)[n:], k, dif, tot
+    layout = (np.maximum(2 * k - 1, 0) * n + i, (2 * k * n + i)[n:], k, dif, tot)
+    for arr in layout:
+        arr.flags.writeable = False
+    return layout
 
 
 def _cos_blocks(hc, layout):
@@ -290,9 +322,22 @@ def _analytic_jacobian(loop, lam, p, M):
 
 
 def _lstsq_step(J, f):
-    """Least-squares step -J^+ f and the singular values of J."""
+    """Least-squares step -J^+ f, and the singular values of J, which the
+    least-squares solve has already taken."""
     step, _, _, sv = np.linalg.lstsq(J, -f, rcond=None)
-    return step, sv
+    return step, lambda: sv
+
+
+def _rank_checked(sv):
+    """sigma_max / sigma_min of a Jacobian with singular values sv, in
+    Python floats so a wide spread reads inf instead of overflowing; raises
+    SingularJacobianError when the Jacobian is rank deficient."""
+    smax, smin = float(sv.max()), float(sv.min())
+    cond = smax / smin if smin > 0.0 else math.inf
+    if smin <= 1e-14 * smax:
+        raise SingularJacobianError("augmented Jacobian is rank deficient",
+                                    cond=cond)
+    return cond
 
 
 def _gauss_newton(func, x0, tol, max_iter, jac, solve=_lstsq_step):
@@ -302,18 +347,27 @@ def _gauss_newton(func, x0, tol, max_iter, jac, solve=_lstsq_step):
     guess returns without assembling a Jacobian, and a residual that is
     not finite raises NewtonConvergenceError before any is assembled.
     ``solve(jac(x), f)`` takes whatever ``jac`` returns and gives back the
-    step and the singular values of the Jacobian; the default is one full
-    least-squares solve of a matrix.  Returns the solution, its residual
-    max-norm, the number of steps taken and the condition number of the
-    last Jacobian (None when no step was taken).
+    step, or None when the solve meets an exactly singular matrix, and a
+    callable for the Jacobian's singular values; the default is one full
+    least-squares solve of a matrix.  The singular values are taken only
+    where the iteration stops (converged, out of steps, a residual that is
+    not finite, a singular solve) and on a Jacobian whose step did not
+    lower the residual max-norm; each such Jacobian gets the rank check,
+    so a rank-deficient one raises SingularJacobianError.  Returns the
+    solution, its residual max-norm, the number of steps taken and the
+    condition number of the last Jacobian (None when no step was taken).
     """
     x = x0.copy()
-    cond = None
+    sv = None          # gives the last Jacobian's singular values on call
+    last = math.inf    # residual max-norm where that Jacobian was assembled
     for it in range(max_iter + 1):
         f = func(x)
         norm = float(np.abs(f).max())
         if norm <= tol:
-            return x, norm, it, cond
+            return x, norm, it, None if sv is None else _rank_checked(sv())
+        stops = not math.isfinite(norm) or it == max_iter
+        if sv is not None and (stops or not norm < last):
+            _rank_checked(sv())
         if not math.isfinite(norm):
             raise NewtonConvergenceError(
                 f"residual is not finite ({norm}) after {it} iterations")
@@ -322,12 +376,10 @@ def _gauss_newton(func, x0, tol, max_iter, jac, solve=_lstsq_step):
                 f"no convergence after {max_iter} iterations "
                 f"(residual {norm:.3e}, tolerance {tol:.3e})")
         step, sv = solve(jac(x), f)
-        smax, smin = sv.max(), sv.min()
-        cond = float(smax / max(smin, 1e-300))
-        if smin <= 1e-14 * smax:
-            raise SingularJacobianError("augmented Jacobian is rank deficient",
-                                        cond=cond)
-        x = x + step
+        if step is None:
+            raise SingularJacobianError("augmented Jacobian is singular",
+                                        cond=_rank_checked(sv()))
+        x, last = x + step, norm
     raise AssertionError("unreachable")
 
 
@@ -362,9 +414,11 @@ def _continuation_system(p, ref, R, k0, M):
 
     jac returns the (even, odd) blocks of the Jacobian at an even iterate
     (see the module docstring): _cos_blocks with the lambda column and pin
-    row, and with the phase row.  solve(blocks, f) steps on the even block
-    alone and returns the singular values of both blocks, which are those
-    of the block-diagonal whole.
+    row, and with the phase row.  solve(blocks, f) steps by one LU solve of
+    the square even block (no step when it is exactly singular) and hands
+    back the singular values of both blocks, which are those of the
+    block-diagonal whole, as a callable _gauss_newton invokes only where
+    it needs them.
     """
     n, N = ref.n, ref.N
     dim = n * (2 * N + 1)
@@ -389,12 +443,15 @@ def _continuation_system(p, ref, R, k0, M):
         return even, np.vstack([ss, phase])
 
     def solve(blocks, f):
-        even, odd = blocks
+        def sv():
+            return np.concatenate([np.linalg.svd(b, compute_uv=False)
+                                   for b in blocks])
         step = np.zeros(dim + 1)
-        step[even_cols], _, _, sv_even = np.linalg.lstsq(even, -f[even_rows],
-                                                         rcond=None)
-        sv_odd = np.linalg.svd(odd, compute_uv=False)
-        return step, np.concatenate([sv_even, sv_odd])
+        try:
+            step[even_cols] = np.linalg.solve(blocks[0], -f[even_rows])
+        except np.linalg.LinAlgError:
+            return None, sv
+        return step, sv
 
     return func, jac, solve
 

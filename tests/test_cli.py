@@ -178,25 +178,28 @@ def test_continue_failed_point_is_standard_json(tmp_path, capsys):
 
 def test_continue_overflowing_amplitude_keeps_the_converged_points(tmp_path,
                                                                    capfd):
-    # at 1e200 the rescaled seed's lambda column is of order 1e200, so the
-    # first Newton step finds the augmented Jacobian rank deficient; the
-    # marker keeps its seed's period divisor, nothing overflows on the way
-    # (no numpy RuntimeWarning, no LAPACK complaint) and the converged
-    # point before it is kept
+    # at 1e200 and 1e307 the rescaled seed's lambda column is of order R,
+    # so the rank check finds the augmented Jacobian rank deficient within
+    # a few Newton steps; the marker keeps its seed's period divisor,
+    # nothing overflows on the way (no numpy RuntimeWarning, no LAPACK
+    # complaint; at 1e307 the loop's samples and coefficients are only
+    # finite through their power-of-two scaling) and the converged point
+    # before it is kept
     def reject(name):
         raise ValueError(f"non-standard JSON constant {name}")
 
     out_csv = tmp_path / "branch.csv"
-    rc = main(["continue", str(config_path("example2")), "--resonance", "0",
-               "--amplitudes", "4,1e200", "--out", str(out_csv)])
-    out, err = capfd.readouterr()
-    assert rc == 1
-    first, second = json.loads(out, parse_constant=reject)["points"]
-    assert not first["failed"] and first["residual_norm"] <= 1e-10
-    assert second["failed"] is True and second["residual_norm"] is None
-    assert second["min_period_divisor"] == 2
-    assert len(out_csv.read_text().splitlines()) == 2 + 2
-    assert err == ""
+    for big in ("1e200", "1e307"):
+        rc = main(["continue", str(config_path("example2")), "--resonance", "0",
+                   "--amplitudes", f"4,{big}", "--out", str(out_csv)])
+        out, err = capfd.readouterr()
+        assert rc == 1
+        first, second = json.loads(out, parse_constant=reject)["points"]
+        assert not first["failed"] and first["residual_norm"] <= 1e-10
+        assert second["failed"] is True and second["residual_norm"] is None
+        assert second["min_period_divisor"] == 2
+        assert len(out_csv.read_text().splitlines()) == 2 + 2
+        assert err == ""
 
 
 def test_continue_infinite_amplitude_exits_one(tmp_path, capsys):

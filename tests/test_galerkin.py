@@ -415,14 +415,16 @@ def test_reversible_step_detects_a_singular_odd_block():
 @pytest.mark.parametrize("make, lam0", BRANCH_RESONANCES + [
     (as_user(make), lam0) for make, lam0 in BRANCH_RESONANCES])
 @pytest.mark.parametrize("modes", [8, 32])
-def test_continuation_step_costs_one_lstsq_and_one_svd(monkeypatch, make,
-                                                       lam0, modes):
-    # each Newton step solves the even block once and takes the odd block's
-    # singular values once; the full harmonic-balance matrix is never built,
-    # also for a user perturbation, whose Hessian is a central difference
+def test_continuation_step_costs_one_solve_and_two_svds_per_point(
+        monkeypatch, make, lam0, modes):
+    # each Newton step solves the square even block once by LU; only the
+    # converged point's last Jacobian has its singular values taken, one
+    # svd per block; no least-squares solve and no full harmonic-balance
+    # matrix, also for a user perturbation, whose Hessian is a central
+    # difference
     ex = make()
     r = _resonance(ex, lam0)
-    calls = {"lstsq": 0, "svd": 0}
+    calls = {"solve": 0, "svd": 0, "lstsq": 0}
 
     def counted(name):
         real = getattr(np.linalg, name)
@@ -442,7 +444,57 @@ def test_continuation_step_costs_one_lstsq_and_one_svd(monkeypatch, make,
     assert not any(bp.failed for bp in branch)
     steps = sum(bp.newton_steps for bp in branch)
     assert steps > 0
-    assert calls == {"lstsq": steps, "svd": steps}
+    assert calls == {"solve": steps, "svd": 2 * len(branch), "lstsq": 0}
+
+
+def test_exactly_singular_even_block_raises_singular_jacobian():
+    # LU meets a zero pivot and numpy raises LinAlgError, a ValueError the
+    # command line would print as "error: Singular matrix"; the iteration
+    # turns it into SingularJacobianError with the singular values' verdict
+    n, N = 1, 2
+    dim = n * (2 * N + 1)
+    even, odd = np.zeros((n * (N + 1) + 1,) * 2), np.eye(n * N + 1, n * N)
+    _, _, solve = _continuation_system(linear_problem({0: 1.0}),
+                                       FourierLoop.zero(n, N), 1.0, 1, 9)
+    with pytest.raises(SingularJacobianError) as err:
+        _gauss_newton(lambda z: np.ones(dim + 2), np.zeros(dim + 1), 1e-10, 5,
+                      lambda z: (even, odd), solve)
+    assert err.value.cond == math.inf
+
+
+def test_rank_check_runs_where_a_step_does_not_lower_the_residual(monkeypatch):
+    # at 1e200 the seed's lambda column is of order 1e200: the LU step
+    # exists but does not help, and the rank check on that Jacobian stops
+    # the point after a few Jacobians instead of NEWTON_MAX_ITER of them
+    ex = example2()
+    r = _resonance(ex, 0.0)
+    system = galerkin._continuation_system
+    jacobians = {}
+
+    def counting_system(p, ref, R, k0, M):
+        func, jac, solve = system(p, ref, R, k0, M)
+
+        def counted(z):
+            jacobians[R] = jacobians.get(R, 0) + 1
+            return jac(z)
+        return func, counted, solve
+
+    monkeypatch.setattr(galerkin, "_continuation_system", counting_system)
+    branch = continue_to_infinity(ex.problem, r, [4.0, 1e200])
+    assert [bp.failed for bp in branch] == [False, True]
+    assert jacobians[4.0] == branch[0].newton_steps
+    assert 1 <= jacobians[1e200] <= 4
+
+
+@pytest.mark.parametrize("modes", [16, 32])
+def test_example3_probe_fails_at_its_first_amplitude(modes):
+    # example 3 at lambda0 = 0 (frequencies 2, 3, 5) has no branch the
+    # solver can follow from its k0 = 2 seed
+    ex = example3()
+    r = _resonance(ex, 0.0)
+    assert r.lambda0 == pytest.approx(0.0, abs=1e-9)
+    branch = continue_to_infinity(ex.problem, r, [4.0, 16.0, 64.0], modes)
+    assert len(branch) == 1 and branch[0].failed
 
 
 # --------------------------------------------------------------- newton solve
