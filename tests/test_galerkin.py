@@ -415,9 +415,10 @@ def test_reversible_step_detects_a_singular_odd_block():
 @pytest.mark.parametrize("make, lam0", BRANCH_RESONANCES + [
     (as_user(make), lam0) for make, lam0 in BRANCH_RESONANCES])
 @pytest.mark.parametrize("modes", [8, 32])
-def test_continuation_step_costs_one_solve_and_two_svds_per_point(
+def test_continuation_step_costs_one_lstsq_and_one_svd(
         monkeypatch, make, lam0, modes):
-    # each Newton step solves the square even block once by LU; only the
+    # the name is the cost this test first pinned down; the cost it now
+    # asserts is lower: each Newton step solves the square even block once by LU; only the
     # converged point's last Jacobian has its singular values taken, one
     # svd per block; no least-squares solve and no full harmonic-balance
     # matrix, also for a user perturbation, whose Hessian is a central
