@@ -267,11 +267,13 @@ class ProblemSpec:
         if self.scaled and (c.shape[0] != 3 or np.any(c[0]) or np.any(c[1])):
             raise ValueError("scaled problem must have family lambda^2 * A")
 
-    def gradient_many(self, X, lam):
-        """grad V(x, lambda) for a stack X of shape (m, n)."""
+    def gradient_many(self, X, lam, e=0):
+        """grad V(x, lambda) for a stack X of shape (m, n), times 2^-e (X A from X 2^-e)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        A = self.family.eval_array(lam)
-        return X @ A + self.perturbation.gradient_many(X, lam)
+        G = self.perturbation.gradient_many(X, lam)
+        if e:
+            X, G = np.ldexp(X, -e), np.ldexp(G, -e)
+        return X @ self.family.eval_array(lam) + G
 
     def potential_many(self, X, lam):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -279,11 +281,13 @@ class ProblemSpec:
         quad = 0.5 * np.einsum("mi,ij,mj->m", X, A, X)
         return quad + self.perturbation.value_many(X, lam)
 
-    def gradient_lambda_many(self, X, lam):
-        """d/dlambda grad V(x, lambda) for a stack X of shape (m, n)."""
+    def gradient_lambda_many(self, X, lam, e=0):
+        """d/dlambda grad V(x, lambda), times 2^-e as in gradient_many."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        dA = self.family.derivative_array(lam)
-        return X @ dA + self.perturbation.gradient_lambda_many(X, lam)
+        G = self.perturbation.gradient_lambda_many(X, lam)
+        if e:
+            X, G = np.ldexp(X, -e), np.ldexp(G, -e)
+        return X @ self.family.derivative_array(lam) + G
 
     def hessian_many(self, X, lam):
         """Hessians of V at a stack X of shape (m, n), shape (m, n, n)."""

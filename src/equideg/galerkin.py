@@ -181,6 +181,11 @@ def _headroom(*arrays):
     return max(math.frexp(top)[1] - 500, 0)
 
 
+def _ldexp(a, e):
+    """a 2^e, exact short of overflow and underflow; a itself when e = 0."""
+    return np.ldexp(a, e) if e else a
+
+
 def _nodes(M, N):
     """M, or the default of 4N+1 collocation nodes when M is 0 or None."""
     return M or 4 * N + 1
@@ -198,13 +203,12 @@ def _synthesize(c0, ccos, csin, M):
     if M < 2 * N + 1:
         raise ValueError(f"need at least 2N+1 = {2 * N + 1} nodes, got {M}")
     e = _headroom(c0, ccos, csin)
-    if e:
-        c0, ccos, csin = (np.ldexp(c, -e) for c in (c0, ccos, csin))
+    c0, ccos, csin = (_ldexp(c, -e) for c in (c0, ccos, csin))
     X = np.zeros((M // 2 + 1, n), dtype=complex)
     X[0] = M * c0
     X[1:N + 1] = 0.5 * M * (ccos - 1j * csin)
     u = np.fft.irfft(X, n=M, axis=0)
-    return np.ldexp(u, e) if e else u
+    return _ldexp(u, e)
 
 
 @dataclass(frozen=True)
@@ -224,27 +228,31 @@ def _coeffs(samples, N):
     """Packed Fourier coefficients, modes 0..N, of samples on M nodes,
     transformed at the scale 2^-e of _headroom and scaled back."""
     M, e = samples.shape[0], _headroom(samples)
-    G = np.fft.rfft(np.ldexp(samples, -e) if e else samples, axis=0)
+    G = np.fft.rfft(_ldexp(samples, -e), axis=0)
     c = FourierLoop(G[0].real / M, 2.0 * G[1:N + 1].real / M,
                     -2.0 * G[1:N + 1].imag / M).pack()
-    return np.ldexp(c, e) if e else c
+    return _ldexp(c, e)
 
 
 def residual(loop, lam, p, M=None):
-    """Coefficient-space residual of u'' + grad V(u, lambda) = 0."""
+    """Coefficient residual of u'' + grad V(u, lambda) = 0, formed at scale 2^-e (_headroom)."""
     M = _nodes(M, loop.N)
     if M < 2 * loop.N + 2:
         raise ValueError("need at least 2N+2 collocation nodes")
-    c = _coeffs(p.gradient_many(loop.values(M), lam), loop.N)
+    u, x = loop.values(M), loop.pack()
+    e = _headroom(u, x)
+    c = _coeffs(p.gradient_many(u, lam, e), loop.N)
     k2 = np.repeat(np.arange(1, loop.N + 1) ** 2, 2 * loop.n)  # cos and sin of mode k
-    return c - np.concatenate([np.zeros(loop.n), k2]) * loop.pack()
+    return _ldexp(c - np.concatenate([np.zeros(loop.n), k2]) * _ldexp(x, -e), e)
 
 
 def _phase_row(ref):
-    """Gradient of the phase condition, a linear form in the packed loop."""
+    """Gradient of the phase condition, a linear form in the packed loop, times
+    2^-e (_headroom of ref's modes): k a_k stays finite, row @ x = 0 unchanged."""
     k = np.arange(1, ref.N + 1)[:, None]
-    return math.pi * np.concatenate([
-        np.zeros(ref.n), np.stack([k * ref.asin, -k * ref.acos], axis=1).ravel()])
+    e = _headroom(ref.acos, ref.asin)
+    return math.pi * np.concatenate([np.zeros(ref.n), np.stack(
+        [k * _ldexp(ref.asin, -e), -k * _ldexp(ref.acos, -e)], axis=1).ravel()])
 
 
 def _phase_row_value(ref, loop):
@@ -259,7 +267,7 @@ def _phase_row_value(ref, loop):
 def _norm(v):
     """np.linalg.norm(v) without overflow: v is scaled by 2^-e and back."""
     e = _headroom(v)
-    return math.ldexp(float(np.linalg.norm(np.ldexp(v, -e))), e)
+    return math.ldexp(float(np.linalg.norm(_ldexp(v, -e))), e)
 
 
 @functools.lru_cache(maxsize=1)
@@ -418,7 +426,7 @@ def _continuation_system(p, ref, R, k0, M):
     the square even block (no step when it is exactly singular) and hands
     back the singular values of both blocks, which are those of the
     block-diagonal whole, as a callable _gauss_newton invokes only where
-    it needs them.
+    it needs them.  The lambda column and step are at ref's scale 2^-e.
     """
     n, N = ref.n, ref.N
     dim = n * (2 * N + 1)
@@ -426,6 +434,7 @@ def _continuation_system(p, ref, R, k0, M):
     layout = cos, sin, *_ = _layout(n, N, M)
     even_rows, even_cols = np.r_[cos, dim + 1], np.r_[cos, dim]
     phase = _phase_row(ref)[sin]
+    e = _headroom(ref.pack())
 
     def func(z):
         lp = FourierLoop.unpack(z[:-1], n, N)
@@ -438,7 +447,7 @@ def _continuation_system(p, ref, R, k0, M):
         hc = (np.fft.fft(p.hessian_many(u, lam), axis=0) / M).real
         even = np.zeros((len(cos) + 1,) * 2)
         even[:-1, :-1], ss = _cos_blocks(hc, layout)
-        even[:-1, -1] = _coeffs(p.gradient_lambda_many(u, lam), N)[cos]
+        even[:-1, -1] = _coeffs(p.gradient_lambda_many(u, lam, e), N)[cos]
         even[-1, n * k0:n * (k0 + 1)] = z[pin][:n] / _norm(z[pin])
         return even, np.vstack([ss, phase])
 
@@ -449,6 +458,7 @@ def _continuation_system(p, ref, R, k0, M):
         step = np.zeros(dim + 1)
         try:
             step[even_cols] = np.linalg.solve(blocks[0], -f[even_rows])
+            step[-1] = _ldexp(step[-1], -e)
         except np.linalg.LinAlgError:
             return None, sv
         return step, sv

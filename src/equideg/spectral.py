@@ -5,7 +5,9 @@ matrix A with respect to the squares {k^2 : k = 0, 1, 2, ...}:
 
 * ``j_k(A)``      -- eigenvalue count strictly above k^2,
 * ``morse_index`` -- eigenvalue count strictly below 0,
-* resonances      -- parameter values where some eigenvalue hits some k^2.
+* resonances      -- parameter values where some eigenvalue hits some k^2,
+                     found from det(A - k^2 Id) on whole grids at once until
+                     the scan follows the eigenvalue curves (ROADMAP item 2).
 
 Tolerances are relative on input (default 1e-9) and converted once into an
 absolute tolerance ``tol * (1 + max|eigenvalue|)`` that is carried inside
@@ -278,13 +280,15 @@ class MatrixFamily:
         return SymmetricMatrix(self.eval_array(lam))
 
     def eval_array(self, lam):
-        powers = np.power(float(lam), np.arange(self.coeffs.shape[0]))
-        return np.tensordot(powers, self.coeffs, axes=1)
+        d, n = self.degree, self.n
+        powers = np.power(float(lam), np.arange(d + 1))
+        return (powers @ self.coeffs.reshape(d + 1, n * n)).reshape(n, n)
 
     def derivative_array(self, lam):
         """dA/dlambda at lam, from the same coefficient stack."""
-        p = np.arange(1, self.coeffs.shape[0])
-        return np.tensordot(p * np.power(float(lam), p - 1), self.coeffs[1:], axes=1)
+        d, n = self.degree, self.n
+        p = np.arange(1, d + 1)
+        return (p * float(lam) ** (p - 1) @ self.coeffs[1:].reshape(d, n * n)).reshape(n, n)
 
     def eval_many(self, lams):
         lams = np.asarray(lams, dtype=float)
@@ -336,74 +340,56 @@ def _scan_one_frequency(family, nodes, mats, k, tol):
     ``mats`` is ``family.eval_many(nodes)``.  Returns (roots,
     warn_messages).  Node-exact zeros are accepted when |det| < tol * scale
     with scale the largest |det| seen on the grid; other zeros must flip the
-    sign of det and are refined by bisection.
+    sign of det.  Runs of tiny nodes, sign-change brackets and tangency dips
+    are boolean masks over the stacked node determinants; each bracket is
+    then bisected on its own, one ``det`` per step.
     """
-    k2 = float(k * k)
-    dets = np.linalg.det(mats - k2 * np.eye(family.n)[None, :, :])
-    scale = max(float(np.abs(dets).max()), 1e-300)
-    thresh = tol * scale
-    tiny = np.abs(dets) <= thresh
+    shift = float(k * k) * np.eye(family.n)
+    dets = np.linalg.det(mats - shift[None, :, :])
+    absd = np.abs(dets)
+    scale = max(float(absd.max()), 1e-300)
+    tiny = absd <= tol * scale
+    if np.any(tiny[:-2] & tiny[1:-1] & tiny[2:]):
+        raise NonIsolatedResonanceError(
+            f"det(A(lambda) - {k}^2 Id) vanishes on a subinterval of the grid; "
+            "resonances are not isolated at this tolerance")
 
-    run = 0
-    for flag in tiny:
-        run = run + 1 if flag else 0
-        if run >= 3:
-            raise NonIsolatedResonanceError(
-                f"det(A(lambda) - {k}^2 Id) vanishes on a subinterval of the grid; "
-                "resonances are not isolated at this tolerance")
-
-    def det_at(lam):
-        m = family.eval_array(lam) - k2 * np.eye(family.n)
-        return float(np.linalg.det(m))
-
-    roots = [float(nodes[i]) for i in np.flatnonzero(tiny)]
-    warn = []
-    for i in range(len(nodes) - 1):
-        if tiny[i] or tiny[i + 1]:
-            continue
-        a, b = float(nodes[i]), float(nodes[i + 1])
-        fa, fb = dets[i], dets[i + 1]
-        if fa * fb < 0.0:
-            while b - a > tol:
-                mid = 0.5 * (a + b)
-                fm = det_at(mid)
-                if fm == 0.0:
-                    a = b = mid
-                    break
-                if fa * fm < 0.0:
-                    b, fb = mid, fm
-                else:
-                    a, fa = mid, fm
-            roots.append(0.5 * (a + b))
+    roots = nodes[tiny].tolist()
+    for i in np.flatnonzero(~tiny[:-1] & ~tiny[1:] & (dets[:-1] * dets[1:] < 0.0)):
+        a, b, fa = float(nodes[i]), float(nodes[i + 1]), dets[i]
+        while b - a > tol:
+            mid = 0.5 * (a + b)
+            fm = float(np.linalg.det(family.eval_array(mid) - shift))
+            if fm == 0.0:
+                a = b = mid
+                break
+            if fa * fm < 0.0:
+                b = mid
+            else:
+                a, fa = mid, fm
+        roots.append(0.5 * (a + b))
 
     # tangential touch: same-sign local minimum of |det| dipping well below
     # the grid scale without an accepted root nearby
-    absd = np.abs(dets)
-    touch_thresh = math.sqrt(tol) * scale
     cell = float(nodes[1] - nodes[0]) if len(nodes) > 1 else 0.0
-    for i in range(1, len(nodes) - 1):
-        if tiny[i - 1] or tiny[i] or tiny[i + 1]:
-            continue
-        if absd[i] < touch_thresh and absd[i] <= absd[i - 1] and absd[i] <= absd[i + 1] \
-                and dets[i - 1] * dets[i + 1] > 0.0:
-            lam = float(nodes[i])
-            if not any(abs(lam - r) <= 2.0 * cell for r in roots):
-                warn.append((TangencyWarning,
-                             f"det(A(lambda) - {k}^2 Id) touches zero near lambda={lam:.6g} "
-                             "without a sign change; tangential resonance not reported as a point"))
+    mid_absd = absd[1:-1]
+    dips = 1 + np.flatnonzero(
+        ~(tiny[:-2] | tiny[1:-1] | tiny[2:]) & (mid_absd < math.sqrt(tol) * scale)
+        & (mid_absd <= absd[:-2]) & (mid_absd <= absd[2:]) & (dets[:-2] * dets[2:] > 0.0))
+    warn = [(TangencyWarning,
+             f"det(A(lambda) - {k}^2 Id) touches zero near lambda={lam:.6g} "
+             "without a sign change; tangential resonance not reported as a point")
+            for lam in nodes[dips].tolist()
+            if not any(abs(lam - r) <= 2.0 * cell for r in roots)]
 
-    roots = sorted(roots)
     merged = []
-    for r in roots:
-        if merged and r - merged[-1] <= max(tol, 1e-15):
-            continue
-        merged.append(r)
-    if cell > 0.0:
-        for a, b in zip(merged, merged[1:]):
-            if b - a < cell:
-                warn.append((ResolutionWarning,
-                             f"two resonances of frequency {k} fall within one grid cell "
-                             f"near lambda={a:.6g}; increase the grid to separate them"))
+    for r in sorted(roots):
+        if not merged or r - merged[-1] > max(tol, 1e-15):
+            merged.append(r)
+    warn += [(ResolutionWarning,
+              f"two resonances of frequency {k} fall within one grid cell "
+              f"near lambda={a:.6g}; increase the grid to separate them")
+             for a, b in zip(merged, merged[1:]) if b - a < cell]
     return merged, warn
 
 
@@ -437,10 +423,15 @@ def _reachable_frequencies(family, nodes, mats, tol):
     first = np.ceil(np.sqrt(lower))
     last = np.floor(np.sqrt(upper))
     some = first <= last
-    reach = set()
-    for a, b in zip(first[some].astype(int).tolist(), last[some].astype(int).tolist()):
-        reach.update(range(a, b + 1))
-    return sorted(reach)
+    if not np.any(some):
+        return []
+    # merge [first, last] by start: a run ends where the next start passes its top end + 1
+    order = np.argsort(first[some])
+    first, last = first[some][order].astype(int), last[some][order].astype(int)
+    top = np.maximum.accumulate(last)
+    new_run = np.r_[True, first[1:] > top[:-1] + 1]
+    return [k for a, b in zip(first[new_run].tolist(), top[np.r_[new_run[1:], True]].tolist())
+            for k in range(a, b + 1)]
 
 
 def scan_resonances(family, lo, hi, grid=DEFAULT_GRID, tol=DEFAULT_TOL):
@@ -449,9 +440,9 @@ def scan_resonances(family, lo, hi, grid=DEFAULT_GRID, tol=DEFAULT_TOL):
     The eigenvalues of A on the ``grid + 1`` nodes bound, by Weyl's
     inequality, the values each sorted eigenvalue curve can take on each
     cell (see ``_reachable_frequencies``); only the k whose square lies in
-    one of those ranges can resonate.  For each such k the sign of
-    det(A(lambda) - k^2 Id) is tracked over the nodes and sign changes are
-    refined by bisection to |dlambda| < tol.  Roots of different
+    one of those ranges can resonate.  For each such k, brackets and dips of
+    det(A(lambda) - k^2 Id) are array masks over the nodes, and each bracket
+    is bisected to |dlambda| < tol, one ``det`` per step.  Roots of different
     frequencies at the same lambda are merged into one point.  Endpoints of
     the interval participate like any other grid node.
     """
@@ -469,19 +460,14 @@ def scan_resonances(family, lo, hi, grid=DEFAULT_GRID, tol=DEFAULT_TOL):
         for cls, msg in warns:
             warnings.warn(msg, cls, stacklevel=2)
         pairs.extend((lam, k) for lam in roots)
-    pairs.sort()
 
     merge_tol = 8.0 * tol * (1.0 + max(abs(lo), abs(hi)))
-    points = []
-    group = []
-    for lam, k in pairs:
-        if group and lam - group[-1][0] > merge_tol:
-            points.append(_make_point(family, group, tol))
-            group = []
-        group.append((lam, k))
-    if group:
-        points.append(_make_point(family, group, tol))
-    return points
+    groups = []
+    for lam, k in sorted(pairs):
+        if not groups or lam - groups[-1][-1][0] > merge_tol:
+            groups.append([])
+        groups[-1].append((lam, k))
+    return [_make_point(family, group, tol) for group in groups]
 
 
 def _make_point(family, group, tol):

@@ -150,3 +150,86 @@ def reference_report(eig_m, eig_p, n_resonances, ind_m=None, ind_p=None, tol=1e-
     if ind_p != 0 and outside:
         return c_p - c_m, zk, undefined, "eqcont1(ii)", outside[0]
     return c_p - c_m, zk, undefined, "none", None
+
+
+def reference_scan_one_frequency(coeffs, nodes, k, tol):
+    """The resonance scan for one frequency k, one grid node at a time: the
+    reference for ``spectral._scan_one_frequency``.
+
+    ``coeffs`` is a family's (symmetrized) coefficient stack; A(lambda) is
+    built here with its own ``np.tensordot``.  Returns (roots, warnings) as
+    (class, message) pairs in emission order, and raises
+    NonIsolatedResonanceError on three tiny determinants in a row.
+    """
+    from equideg.spectral import (NonIsolatedResonanceError, ResolutionWarning,
+                                  TangencyWarning)
+
+    coeffs = np.asarray(coeffs, dtype=float)
+    n = coeffs.shape[1]
+    powers = np.asarray(nodes, dtype=float)[:, None] ** np.arange(coeffs.shape[0])[None, :]
+    mats = np.tensordot(powers, coeffs, axes=([1], [0]))
+    k2 = float(k * k)
+    dets = np.linalg.det(mats - k2 * np.eye(n)[None, :, :])
+    scale = max(float(np.abs(dets).max()), 1e-300)
+    thresh = tol * scale
+    tiny = np.abs(dets) <= thresh
+
+    run = 0
+    for flag in tiny:
+        run = run + 1 if flag else 0
+        if run >= 3:
+            raise NonIsolatedResonanceError(
+                f"det(A(lambda) - {k}^2 Id) vanishes on a subinterval of the grid; "
+                "resonances are not isolated at this tolerance")
+
+    def det_at(lam):
+        A = np.tensordot(np.power(float(lam), np.arange(coeffs.shape[0])), coeffs, axes=1)
+        return float(np.linalg.det(A - k2 * np.eye(n)))
+
+    roots = [float(nodes[i]) for i in np.flatnonzero(tiny)]
+    warn = []
+    for i in range(len(nodes) - 1):
+        if tiny[i] or tiny[i + 1]:
+            continue
+        a, b = float(nodes[i]), float(nodes[i + 1])
+        fa, fb = dets[i], dets[i + 1]
+        if fa * fb < 0.0:
+            while b - a > tol:
+                mid = 0.5 * (a + b)
+                fm = det_at(mid)
+                if fm == 0.0:
+                    a = b = mid
+                    break
+                if fa * fm < 0.0:
+                    b, fb = mid, fm
+                else:
+                    a, fa = mid, fm
+            roots.append(0.5 * (a + b))
+
+    absd = np.abs(dets)
+    touch_thresh = math.sqrt(tol) * scale
+    cell = float(nodes[1] - nodes[0]) if len(nodes) > 1 else 0.0
+    for i in range(1, len(nodes) - 1):
+        if tiny[i - 1] or tiny[i] or tiny[i + 1]:
+            continue
+        if absd[i] < touch_thresh and absd[i] <= absd[i - 1] and absd[i] <= absd[i + 1] \
+                and dets[i - 1] * dets[i + 1] > 0.0:
+            lam = float(nodes[i])
+            if not any(abs(lam - r) <= 2.0 * cell for r in roots):
+                warn.append((TangencyWarning,
+                             f"det(A(lambda) - {k}^2 Id) touches zero near lambda={lam:.6g} "
+                             "without a sign change; tangential resonance not reported as a point"))
+
+    roots = sorted(roots)
+    merged = []
+    for r in roots:
+        if merged and r - merged[-1] <= max(tol, 1e-15):
+            continue
+        merged.append(r)
+    if cell > 0.0:
+        for a, b in zip(merged, merged[1:]):
+            if b - a < cell:
+                warn.append((ResolutionWarning,
+                             f"two resonances of frequency {k} fall within one grid cell "
+                             f"near lambda={a:.6g}; increase the grid to separate them"))
+    return merged, warn

@@ -178,18 +178,19 @@ def test_continue_failed_point_is_standard_json(tmp_path, capsys):
 
 def test_continue_overflowing_amplitude_keeps_the_converged_points(tmp_path,
                                                                    capfd):
-    # at 1e200 and 1e307 the rescaled seed's lambda column is of order R,
-    # so the rank check finds the augmented Jacobian rank deficient within
-    # a few Newton steps; the marker keeps its seed's period divisor,
-    # nothing overflows on the way (no numpy RuntimeWarning, no LAPACK
-    # complaint; at 1e307 the loop's samples and coefficients are only
-    # finite through their power-of-two scaling) and the converged point
-    # before it is kept
+    # from 1e200 up the rescaled seed's lambda column is of order R (of
+    # order 2^500 at the seed's scale), so the rank check finds the
+    # augmented Jacobian rank deficient within a few Newton steps; the
+    # marker keeps its seed's period divisor, nothing overflows on the way
+    # (no numpy RuntimeWarning, no LAPACK complaint; from 1e307 up the
+    # loop's samples, residual terms k^2 a_k, grad V, phase row and lambda
+    # column are only finite through their power-of-two scaling) and the
+    # converged point before it is kept
     def reject(name):
         raise ValueError(f"non-standard JSON constant {name}")
 
     out_csv = tmp_path / "branch.csv"
-    for big in ("1e200", "1e307"):
+    for big in ("1e200", "1e307", "1e308", "1.7e308"):
         rc = main(["continue", str(config_path("example2")), "--resonance", "0",
                    "--amplitudes", f"4,{big}", "--out", str(out_csv)])
         out, err = capfd.readouterr()

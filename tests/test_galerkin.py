@@ -498,6 +498,18 @@ def test_example3_probe_fails_at_its_first_amplitude(modes):
     assert len(branch) == 1 and branch[0].failed
 
 
+@pytest.mark.parametrize("big", [1e308, 1.7e308])
+def test_overflowing_lambda_column_fails_the_point_quietly(big):
+    # at example 3's second resonance A'(lambda) has entries 3 lambda^2 of
+    # about 2.7, so the lambda column u A'(lambda) of a loop of amplitude
+    # 1e308 fits only at the seed's scale; RuntimeWarnings are errors here
+    ex = example3()
+    r = _resonance(ex, (4.0 - math.sqrt(10.0)) ** (1.0 / 3.0))
+    branch = continue_to_infinity(ex.problem, r, [4.0, big], 16)
+    assert [bp.failed for bp in branch] == [False, True]
+    assert minimal_period_divisor(branch[1].loop) == 2
+
+
 # --------------------------------------------------------------- newton solve
 
 def test_newton_exact_guess_converges_without_iterating(monkeypatch):

@@ -1,8 +1,8 @@
 """The command line's JSON outputs, pinned against snapshots in tests/data.
 
-``analyze --json`` on the three bundled configs and ``verify-examples
---json``: keys, integers, booleans and strings must match exactly, floats
-to 1e-12 relative.
+``analyze --json`` on the three bundled configs, ``verify-examples
+--json`` and ``continue`` from the bundled resonances: keys, integers,
+booleans and strings must match exactly, floats to 1e-12 relative.
 """
 
 import json
@@ -50,6 +50,26 @@ def test_verify_examples_json_matches_snapshot(capsys):
     code, got = _run(["verify-examples", "--json"], capsys)
     assert code == 0
     _assert_same(got, json.loads((DATA / "verify_examples.json").read_text()))
+
+
+# the resonances the benchmark continues, and example 3's lambda0 = 0, which
+# fails at its first amplitude
+CONTINUED = {"example2": ("example2", 0.0),
+             "example1": ("example1", 1.0 - math.sqrt(2.0)),
+             "example3": ("example3", (4.0 - math.sqrt(10.0)) ** (1.0 / 3.0)),
+             "example3_probe": ("example3", 0.0)}
+
+
+@pytest.mark.parametrize("name", list(CONTINUED))
+def test_continue_json_matches_snapshot(name, tmp_path, capsys):
+    config, lam0 = CONTINUED[name]
+    code, got = _run(["continue", str(config_path(config)), "--resonance", repr(lam0),
+                      "--amplitudes", "4,16,64", "--modes", "16",
+                      "--out", str(tmp_path / "branch.csv")], capsys)
+    assert code == (1 if name == "example3_probe" else 0)
+    assert got["csv"] == str(tmp_path / "branch.csv")
+    got["csv"] = "branch.csv"
+    _assert_same(got, json.loads((DATA / f"continue_{name}.json").read_text()))
 
 
 def test_snapshot_comparison_catches_a_changed_float():

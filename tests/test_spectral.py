@@ -1,5 +1,8 @@
+import json
 import math
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,11 @@ from equideg.spectral import (DegenerateSpectrumError, EigenConvergenceError,
                               TangencyWarning, as_symmetric, eigen_sym,
                               frequency_bound, j_k, k_set, morse_index,
                               resonant_frequencies, scan_resonances)
-from oracles import charpoly_eigenvalues, random_orthogonal, random_symmetric
+from oracles import (charpoly_eigenvalues, random_orthogonal, random_symmetric,
+                     reference_scan_one_frequency)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402  (the benchmark's seeded stiff and dense families)
 
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
@@ -360,3 +367,130 @@ def test_k_set():
 def test_eigen_sym_rejects_bad_tol():
     with pytest.raises(ValueError):
         eigen_sym(np.eye(2), tol=0.0)
+
+
+def _diag1(terms):
+    """The 1 x 1 family with entry sum_p c lambda^p for {p: c}."""
+    return MatrixFamily.from_entry_polynomials(1, {(1, 1): terms})
+
+
+def _node_roots_family(lams):
+    """4 + 64 prod (lambda - l) for dyadic grid nodes l: every coefficient
+    and every node value is exact, so det(A - 4 Id) is 0.0 at those nodes."""
+    poly = 64.0 * np.poly(lams)[::-1]
+    poly[0] += 4.0
+    return _diag1(dict(enumerate(poly.tolist())))
+
+
+HALF_CELL = (300 + 0.5) / 512 - 0.5   # a cell midpoint of the [-1/2, 1/2] grid
+
+
+def _bench_family(fam):
+    return MatrixFamily(fam.coeffs())
+
+
+def scan_oracle_cases():
+    """(id, family, lo, hi, frequencies or None for every k up to one square
+    past the sampled top)."""
+    nodes = np.linspace(-0.5, 0.5, 513)
+    cases = [("example1", family_example1(), -1.0, 1.0, None),
+             ("example2", family_example2(), -0.5, 0.5, None),
+             ("example3", family_example3(), -1.0, 1.0, None)]
+    for seed in (0, 1):
+        for fam in workloads.make_inputs("stiff", seed):
+            mf = _bench_family(fam)
+            reach = spectral._reachable_frequencies(mf, nodes, mf.eval_many(nodes),
+                                                    spectral.DEFAULT_TOL)
+            ks = sorted({k + d for k in reach for d in (-1, 0, 1)} | set(range(4)))
+            cases.append((f"stiff-{seed}-{fam.label}", mf, -0.5, 0.5, ks))
+    cases += [(f"dense-0-{fam.label}", _bench_family(fam), -0.5, 0.5, None)
+              for fam in workloads.make_inputs("dense", 0)[:2]]
+    probe = workloads.dense_family(np.random.default_rng([0, workloads.PROBE_N]),
+                                   workloads.PROBE_N,
+                                   workloads.DENSE_CROSSINGS[workloads.PROBE_N], "n64")
+    cases.append(("dense-0-n64", _bench_family(probe), -0.5, 0.5, None))
+    cases += [
+        ("root-on-first-node", _diag1({0: 4.5, 1: 1.0}), -0.5, 0.5, [2]),
+        ("root-on-last-node", _diag1({0: 3.5, 1: 1.0}), -0.5, 0.5, [2]),
+        ("two-tiny-nodes", _node_roots_family(nodes[200:202]), -0.5, 0.5, [2]),
+        ("three-tiny-nodes", _node_roots_family(nodes[200:203]), -0.5, 0.5, [2]),
+        ("even-tangency", MatrixFamily.from_entry_polynomials(
+            2, {(1, 1): {0: 4.0123, 1: 1.0}, (2, 2): {0: 4.0123, 1: 1.0}}), -0.5, 0.5, None),
+        # (lambda - m)^2 + 4: equal |det| on the two nodes beside the touch
+        ("tangency-at-cell-midpoint", _diag1({0: 4.0 + HALF_CELL ** 2, 1: -2.0 * HALF_CELL,
+                                              2: 1.0}), -0.5, 0.5, None),
+        ("two-roots-in-one-cell", _diag1({0: 1.0 - 1e-8, 2: 1.0}), -1.0, 1.0, None),
+        ("root-at-cell-midpoint", _diag1({0: 4.0 - HALF_CELL, 1: 1.0}), -0.5, 0.5, None),
+    ]
+    return cases
+
+
+def _scan_outcome(scan, *args):
+    try:
+        return scan(*args)
+    except NonIsolatedResonanceError as exc:
+        return NonIsolatedResonanceError, str(exc)
+
+
+SCAN_ORACLE = scan_oracle_cases()
+
+
+@pytest.mark.parametrize("name, fam, lo, hi, ks", SCAN_ORACLE,
+                         ids=[case[0] for case in SCAN_ORACLE])
+def test_scan_one_frequency_matches_the_per_node_reference(name, fam, lo, hi, ks):
+    tol = spectral.DEFAULT_TOL
+    nodes = np.linspace(lo, hi, spectral.DEFAULT_GRID + 1)
+    mats = fam.eval_many(nodes)
+    if ks is None:
+        ks = range(frequency_bound(float(np.linalg.eigvalsh(mats).max())) + 2)
+    got = {}
+    for k in ks:
+        got[k] = _scan_outcome(spectral._scan_one_frequency, fam, nodes, mats, k, tol)
+        # exact float equality of the roots; warnings by class, text and order
+        assert got[k] == _scan_outcome(reference_scan_one_frequency, fam.coeffs,
+                                       nodes, k, tol), f"k = {k}"
+    if name == "root-on-first-node":
+        assert got[2] == ([lo], [])
+    elif name == "root-on-last-node":
+        assert got[2] == ([hi], [])
+    elif name == "two-tiny-nodes":
+        assert got[2] == (nodes[200:202].tolist(), [])
+    elif name == "three-tiny-nodes":
+        assert got[2][0] is NonIsolatedResonanceError
+    elif name == "even-tangency":
+        assert got[2][0] == [] and [c for c, _ in got[2][1]] == [TangencyWarning]
+    elif name == "tangency-at-cell-midpoint":
+        assert got[2][0] == [] and [c for c, _ in got[2][1]] == [TangencyWarning] * 2
+    elif name == "two-roots-in-one-cell":
+        assert len(got[1][0]) == 2 and [c for c, _ in got[1][1]] == [ResolutionWarning]
+    elif name == "root-at-cell-midpoint":
+        # the first bisection midpoint is the root itself, det is exactly 0.0
+        assert got[2] == ([HALF_CELL], [])
+
+
+# per-curve value half-width 10 for the constant families below: the scale
+# 1 + ||A|| is 1000 and tol 0.01, and no curve moves
+MERGE_LAYOUTS = {
+    "disjoint": ([25.0, 49.0, 100.0, 999.0], [(4, 5), (7, 7), (10, 10)]),
+    "adjacent": ([25.0, 36.0, 49.0, 999.0], [(4, 5), (6, 6), (7, 7)]),
+    "overlapping": ([1.0, 14.5, 999.0], [(0, 3), (3, 4)]),
+    "nested": ([6.5, 14.5, 999.0], [(0, 4), (3, 4)]),
+    "mixed": ([999.0, 14.5, 100.0, 1.0, 36.0, 25.0, -50.0], [(3, 4), (10, 10), (0, 3),
+                                                            (6, 6), (4, 5)]),
+    "none": ([-50.0, 999.0], []),
+}
+
+
+@pytest.mark.parametrize("layout", list(MERGE_LAYOUTS))
+def test_reachable_frequencies_merges_integer_intervals(layout):
+    values, ranges = MERGE_LAYOUTS[layout]
+    # each curve reaches the k with |k^2 - value| <= 10, one interval of k
+    assert [r for r in ([k for k in range(40) if abs(k * k - v) <= 10.0] for v in values)
+            if r] == [list(range(a, b + 1)) for a, b in ranges]
+    union = sorted(set().union(*(range(a, b + 1) for a, b in ranges)))
+    fam = MatrixFamily.constant(np.diag(values))
+    nodes = np.linspace(-1.0, 1.0, 3)
+    got = spectral._reachable_frequencies(fam, nodes, fam.eval_many(nodes), 0.01)
+    assert got == union
+    assert all(type(k) is int for k in got)
+    assert json.loads(json.dumps(got)) == union
