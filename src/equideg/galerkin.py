@@ -30,16 +30,23 @@ At an even iterate the Hessian samples are even in m, their transform has
 hs = 0 to roundoff, and the augmented Jacobian is block diagonal up to a
 permutation.  The even block (cos rows and the pin row against a0, acos
 and lambda) is square with side n(N+1)+1; the odd block (sin rows and the
-phase row against asin) is (nN+1) x nN.  The residual's sin part is
-roundoff, so each Gauss-Newton step is one LU solve of the even block and
-keeps asin exactly 0.  Both blocks are assembled directly from the cosine
-coefficients hc of the Hessian samples by the formula of newton_solve's
-Jacobian; the full augmented Jacobian, whose hs entries vanish here, is
-never formed.  newton_solve takes general guesses, adds the hs blocks and
-solves the full system by least squares.
+phase row against asin) is (nN+1) x nN.  Both split further by
+coordinates: where H[:, i, j] is exactly 0 at every node, coordinates i
+and j do not couple, and each block is, up to a permutation, block
+diagonal over the connected components of the coordinates, lambda and
+the two constraints joining the coordinates they touch.  A loop on one
+axis of a diagonal A(lambda) splits into n components of side N+1 or
+N+2; a coupled problem is one component.  The residual's sin part is
+roundoff, so each Gauss-Newton step is one LU solve of each component's
+even block and keeps asin exactly 0.  The blocks are assembled directly
+from the cosine coefficients hc of the Hessian samples by the formula of
+newton_solve's Jacobian; the full augmented Jacobian, whose hs entries
+vanish here, is never formed.  newton_solve takes general guesses, adds
+the hs blocks and solves the full system by least squares.
 
-The singular values of a Jacobian (both blocks, or newton_solve's whole
-matrix) feed the rank check and the reported condition number.  They are
+The singular values of a Jacobian (every component's two blocks, whose
+union is the whole Jacobian's, or newton_solve's whole matrix) feed the
+rank check and the reported condition number.  They are
 taken only on the last Jacobian, where the iteration converges or stops
 without converging, and on a Jacobian whose step did not lower the
 residual max-norm, so a rank-deficient system still stops within a few
@@ -270,22 +277,44 @@ def _norm(v):
     return math.ldexp(float(np.linalg.norm(_ldexp(v, -e))), e)
 
 
+def _packed(n, N, nodes):
+    """Packed positions of the cos coefficients (k, i), k = 0..N (a0, then
+    acos_k), and of the sin ones, k = 1..N, for i in nodes, k-major."""
+    k = np.arange(N + 1)[:, None]
+    return ((np.maximum(2 * k - 1, 0) * n + nodes).ravel(),
+            (2 * k[1:] * n + nodes).ravel())
+
+
 @functools.lru_cache(maxsize=1)
 def _layout(n, N, M):
     """Index layout of both solvers' Jacobians: packed positions of the cos
     coefficients (k, i) (a0, then acos_k) and of the sin ones, each cos k,
     and the flat indices of h[(k -/+ l) % M, i, j] in an (M, n, n) array.
 
-    A branch and a Newton solve keep one (n, N, M), so the last layout is
-    kept (read-only) and each is built once per branch or solve."""
+    A Newton solve keeps one (n, N, M), and a branch one (s, N, M) per
+    size s of its coordinate components (see _continuation_system), so the
+    last layout is kept (read-only).  It is built once per solve, and once
+    per branch whose components have one size, the examples' 1 or a
+    coupled problem's n; each point keeps the layouts of its sizes."""
     k, i = np.repeat(np.arange(N + 1), n), np.tile(np.arange(n), N + 1)
     ij = i[:, None] * n + i[None, :]
     dif = (k[:, None] - k[None, :]) % M * n * n + ij
     tot = (k[:, None] + k[None, :]) % M * n * n + ij
-    layout = (np.maximum(2 * k - 1, 0) * n + i, (2 * k * n + i)[n:], k, dif, tot)
+    layout = (*_packed(n, N, np.arange(n)), k, dif, tot)
     for arr in layout:
         arr.flags.writeable = False
     return layout
+
+
+def _components(linked):
+    """Connected components of the graph with the symmetric boolean
+    adjacency matrix ``linked``, each an ascending index array, in the
+    order of their smallest index."""
+    reach = linked | np.eye(len(linked), dtype=bool)
+    while not np.array_equal(closer := reach @ reach, reach):
+        reach = closer
+    first = reach.argmax(axis=0)
+    return [np.flatnonzero(first == c) for c in np.unique(first)]
 
 
 def _cos_blocks(hc, layout):
@@ -420,21 +449,32 @@ def _continuation_system(p, ref, R, k0, M):
     lambda): residual, phase condition against ref, and the mode-k0
     coefficient norm pinned to R.
 
-    jac returns the (even, odd) blocks of the Jacobian at an even iterate
-    (see the module docstring): _cos_blocks with the lambda column and pin
-    row, and with the phase row.  solve(blocks, f) steps by one LU solve of
-    the square even block (no step when it is exactly singular) and hands
-    back the singular values of both blocks, which are those of the
-    block-diagonal whole, as a callable _gauss_newton invokes only where
-    it needs them.  The lambda column and step are at ref's scale 2^-e.
+    jac returns the Jacobian at an even iterate (see the module docstring)
+    as a list of uncoupled parts, one per connected component of the
+    coordinates: i and j are linked where the Hessian samples H[:, i, j]
+    are not all exactly 0, and lambda with both constraints is one more
+    node, linked to every coordinate its column, the pin row or the phase
+    row touches.  Entries between components are exactly 0, so each part
+    (rows, cols, even, odd) holds the even and odd blocks (_cos_blocks,
+    with the lambda column and pin row, and with the phase row, in the
+    part that holds lambda) on its component's rows and columns of the
+    whole, and a coupled problem is one part.  solve(parts, f) steps by one
+    LU solve of each square even block (no step when one is exactly
+    singular) and hands back the singular values of every block, which are
+    those of the block-diagonal whole up to a permutation, as a callable
+    _gauss_newton invokes only where it needs them.  The lambda column and
+    step are at ref's scale 2^-e.
     """
     n, N = ref.n, ref.N
     dim = n * (2 * N + 1)
     pin = slice(n + 2 * n * (k0 - 1), n + 2 * n * k0)  # acos_k0, asin_k0
-    layout = cos, sin, *_ = _layout(n, N, M)
-    even_rows, even_cols = np.r_[cos, dim + 1], np.r_[cos, dim]
-    phase = _phase_row(ref)[sin]
+    cos, sin = _packed(n, N, np.arange(n))
+    phase = _phase_row(ref)
+    phase_nodes = (phase[sin].reshape(N, n) != 0.0).any(axis=0)
     e = _headroom(ref.pack())
+    # a component's coordinates -> their packed positions and _layout;
+    # kept here, so components of another size do not rebuild it each step
+    layouts = {}
 
     def func(z):
         lp = FourierLoop.unpack(z[:-1], n, N)
@@ -444,23 +484,45 @@ def _continuation_system(p, ref, R, k0, M):
     def jac(z):
         lam = z[-1]
         u = FourierLoop.unpack(z[:-1], n, N).values(M)
-        hc = (np.fft.fft(p.hessian_many(u, lam), axis=0) / M).real
-        even = np.zeros((len(cos) + 1,) * 2)
-        even[:-1, :-1], ss = _cos_blocks(hc, layout)
-        even[:-1, -1] = _coeffs(p.gradient_lambda_many(u, lam, e), N)[cos]
-        even[-1, n * k0:n * (k0 + 1)] = z[pin][:n] / _norm(z[pin])
-        return even, np.vstack([ss, phase])
+        H = p.hessian_many(u, lam)
+        hc = (np.fft.fft(H, axis=0) / M).real
+        lam_col = _coeffs(p.gradient_lambda_many(u, lam, e), N)
+        pin_row = np.zeros(dim)
+        pin_row[pin.start:pin.start + n] = z[pin][:n] / _norm(z[pin])
+        touched = (lam_col[cos] != 0.0) | (pin_row[cos] != 0.0)
+        linked = np.zeros((n + 1, n + 1), dtype=bool)
+        linked[:n, :n] = (H != 0.0).any(axis=0)
+        linked[:n, n] = phase_nodes | touched.reshape(N + 1, n).any(axis=0)
+        parts = []
+        for nodes in _components(linked | linked.T):
+            S = nodes[nodes < n]
+            key = S.tobytes()
+            if key not in layouts:
+                layouts[key] = (*_packed(n, N, S), _layout(len(S), N, M))
+            cos_S, sin_S, layout = layouts[key]
+            cc, ss = _cos_blocks(hc[:, S][:, :, S], layout)
+            if len(S) == len(nodes):
+                parts.append((cos_S, cos_S, cc, ss))
+                continue
+            even = np.zeros((len(cos_S) + 1,) * 2)
+            even[:-1, :-1] = cc
+            even[:-1, -1] = lam_col[cos_S]
+            even[-1, :-1] = pin_row[cos_S]
+            parts.append((np.r_[cos_S, dim + 1], np.r_[cos_S, dim], even,
+                          np.vstack([ss, phase[sin_S]])))
+        return parts
 
-    def solve(blocks, f):
+    def solve(parts, f):
         def sv():
             return np.concatenate([np.linalg.svd(b, compute_uv=False)
-                                   for b in blocks])
+                                   for part in parts for b in part[2:]])
         step = np.zeros(dim + 1)
         try:
-            step[even_cols] = np.linalg.solve(blocks[0], -f[even_rows])
-            step[-1] = _ldexp(step[-1], -e)
+            for rows, cols, even, _ in parts:
+                step[cols] = np.linalg.solve(even, -f[rows])
         except np.linalg.LinAlgError:
             return None, sv
+        step[-1] = _ldexp(step[-1], -e)
         return step, sv
 
     return func, jac, solve
@@ -597,9 +659,5 @@ def write_branch_csv(path, branch):
         fh.write(",".join(cols) + "\n")
         for bp in branch:
             row = [bp.lam, bp.amplitude, bp.residual_norm,
-                   minimal_period_divisor(bp.loop)]
-            row.extend(bp.loop.a0)
-            for k in range(N):
-                row.extend(bp.loop.acos[k])
-                row.extend(bp.loop.asin[k])
+                   minimal_period_divisor(bp.loop)] + bp.loop.pack().tolist()
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")

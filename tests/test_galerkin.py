@@ -242,6 +242,23 @@ def block_indices(n, N):
     return np.r_[cos, dim + 1], np.r_[cos, dim], np.r_[sin, dim], sin
 
 
+def part_indices(n, N, part):
+    """(even rows, even columns, odd rows, odd columns) of one part of the
+    continuation Jacobian, (rows, cols, even, odd), in the numbering of
+    block_indices: its coordinates are its k = 0 columns, and it holds the
+    phase row when it holds the lambda column."""
+    rows, cols, _, _ = part
+    dim = n * (2 * N + 1)
+    _, sin = parity_indices(n, N)
+    odd_cols = sin.reshape(N, n)[:, cols[cols < n]].ravel()
+    odd_rows = np.r_[odd_cols, dim] if dim in cols else odd_cols
+    return rows, cols, odd_rows, odd_cols
+
+
+def same_indices(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
+
+
 def full_continuation_jacobian(p, ref, k0, M, z):
     """The whole augmented Jacobian of _continuation_system's func, built
     from the full harmonic-balance matrix: the reference the even and odd
@@ -277,7 +294,9 @@ def test_continuation_jacobian_matches_finite_differences(make):
         func, jac, _ = _continuation_system(p, ref, 1.5, k0, M)
         z = np.concatenate([even_loop(rng, p.n, N, scale=0.5).pack(),
                             [rng.uniform(-0.9, 0.9)]])
-        even, odd = jac(z)
+        (part,) = jac(z)    # the random loop uses every coordinate
+        assert same_indices(part_indices(p.n, N, part), block_indices(p.n, N))
+        even, odd = part[2:]
         J_fd = fd_jacobian(func, z, func(z))
         assert even.shape == (p.n * (N + 1) + 1,) * 2
         assert odd.shape == (p.n * N + 1, p.n * N)
@@ -315,7 +334,9 @@ def test_continuation_jacobian_is_block_diagonal_at_even_loops(make):
         assert J[phase, lam_col] == 0.0
 
         _, jac, _ = _continuation_system(p, even, 1.5, k0, M)
-        even_block, odd_block = jac(z)
+        (part,) = jac(z)    # the random loop uses every coordinate
+        assert same_indices(part_indices(p.n, N, part), block_indices(p.n, N))
+        even_block, odd_block = part[2:]
         assert np.abs(even_block - J[np.ix_(even_rows, even_cols)]).max() \
             <= 1e-14 * scale
         assert np.abs(odd_block - J[np.ix_(odd_rows, odd_cols)]).max() \
@@ -325,6 +346,91 @@ def test_continuation_jacobian_is_block_diagonal_at_even_loops(make):
             p, loop, k0, M, np.concatenate([loop.pack(), [lam]]))
         scale = float(np.abs(J).max())
         assert np.abs(J[np.ix_(cos, sin)]).max() > 1e-6 * scale
+
+
+def unperturbed_example2(lam_on_2=0.0):
+    """Example 2 without its Kepler term, A(lambda) = diag(4 + lambda, 2, 2,
+    2), or with 2 + lambda_on_2 lambda as its second entry."""
+    return linear_problem({0: 4.0, 1: 1.0}, {0: 2.0, 1: lam_on_2}, {0: 2.0},
+                          {0: 2.0})
+
+
+@pytest.mark.parametrize("problem, axes, pinned, phased", [
+    (lambda: example1().problem, [0], [0], [0]),
+    (lambda: example2().problem, [0], [0], [0]),
+    (lambda: example3().problem, [2], [2], [2]),
+    (lambda: example2().problem, [0, 1], [0], [0]),
+    (unperturbed_example2, [0, 1], [0, 1], [0]),
+    (unperturbed_example2, [0, 1], [0], [0, 1]),
+    (lambda: unperturbed_example2(1.0), [0, 1], [0], [0])],
+    ids=["example1", "example2", "example3", "hessian-joins", "pin-joins",
+         "phase-joins", "lambda-column-joins"])
+def test_continuation_jacobian_splits_exactly_on_decoupled_loops(
+        problem, axes, pinned, phased):
+    # A(lambda) is diagonal, so a loop on some axes links only those.  Its
+    # mode k0 uses the pinned axes, the reference loop of the phase row
+    # the phased ones.  One part holds the axes linked to lambda, every
+    # other axis is a part of its own.  On two axes, one link joins the
+    # second axis to the part with lambda: example 2's Kepler Hessian,
+    # with its u u^T term, or, without it, the pin row, the phase row or
+    # the lambda column alone.  Between parts the whole Jacobian is
+    # exactly 0, within one it is the part's blocks, and the parts'
+    # singular values are the whole blocks' ones.
+    p = problem()
+    rng = np.random.default_rng(17)
+    N, k0 = 5, 2
+    M = 4 * N + 1
+    dim = p.n * (2 * N + 1)
+    even_rows, even_cols, odd_rows, odd_cols = block_indices(p.n, N)
+    on, pin, phase = np.zeros((3, p.n))
+    on[axes], pin[pinned], phase[phased] = 1.0, 1.0, 1.0
+    for _ in range(3):
+        loop = even_loop(rng, p.n, N, scale=0.5)
+        acos = on * loop.acos
+        acos[k0 - 1] *= pin
+        z = np.concatenate([FourierLoop(on * loop.a0, acos, loop.asin).pack(),
+                            [rng.uniform(-0.9, 0.9)]])
+        ref = FourierLoop(phase * loop.a0, phase * loop.acos, loop.asin)
+        J = full_continuation_jacobian(p, ref, k0, M, z)
+        scale = float(np.abs(J).max())
+        _, jac, _ = _continuation_system(p, ref, 1.5, k0, M)
+        parts = jac(z)
+        assert sorted(len(part[1]) // (N + 1) for part in parts) \
+            == [1] * (p.n - len(axes)) + [len(axes)]
+        indices = [part_indices(p.n, N, part) for part in parts]
+        rows = [np.r_[ix[0], ix[2]] for ix in indices]
+        cols = [np.r_[ix[1], ix[3]] for ix in indices]
+        assert np.array_equal(np.sort(np.concatenate(rows)), np.arange(dim + 2))
+        assert np.array_equal(np.sort(np.concatenate(cols)), np.arange(dim + 1))
+        for a, r in enumerate(rows):
+            for b, c in enumerate(cols):
+                assert a == b or np.all(J[np.ix_(r, c)] == 0.0)
+        for (er, ec, orows, oc), (*_, even, odd) in zip(indices, parts):
+            assert np.abs(even - J[np.ix_(er, ec)]).max() <= 1e-14 * scale
+            assert np.abs(odd - J[np.ix_(orows, oc)]).max() <= 1e-14 * scale
+        whole = np.sort(np.concatenate([
+            np.linalg.svd(J[np.ix_(even_rows, even_cols)], compute_uv=False),
+            np.linalg.svd(J[np.ix_(odd_rows, odd_cols)], compute_uv=False)]))
+        split = np.sort(np.concatenate([
+            np.linalg.svd(b, compute_uv=False) for part in parts
+            for b in part[2:]]))
+        assert np.abs(split - whole).max() <= 1e-12 * whole[-1]
+
+
+def test_singular_block_of_a_part_without_lambda_fails_the_point():
+    # A(lambda) = diag(1 + lambda, 4): the second coordinate is a part of
+    # its own and sits exactly at 2^2, so its even block is singular
+    # whatever lambda does, and the point fails
+    p = linear_problem({0: 1.0, 1: 1.0}, {0: 4.0})
+    N, k0 = 4, 1
+    seed = FourierLoop.single_mode(k0, [2.0, 0.0], N)
+    func, jac, solve = _continuation_system(p, seed, 2.0, k0, 4 * N + 1)
+    z0 = np.concatenate([seed.pack(), [0.5]])
+    assert [len(part[1]) for part in jac(z0)] == [N + 2, N + 1]
+    with pytest.raises(SingularJacobianError) as err:
+        _gauss_newton(func, z0, galerkin.NEWTON_TOL, galerkin.NEWTON_MAX_ITER,
+                      jac, solve)
+    assert err.value.cond > 1e14
 
 
 def _resonance(ex, lam0):
@@ -348,6 +454,21 @@ def as_user(make):
             ex.problem, perturbation=user))
     make_user.__name__ = f"{make.__name__}_user"
     return make_user
+
+
+def rotated(make):
+    """The example maker ``make`` with A(lambda) turned to Q A(lambda) Q^T
+    for a fixed random rotation Q: the Kepler term is rotation invariant,
+    so the branches turn with it, but they use every coordinate."""
+    def make_rotated():
+        ex = make()
+        rng = np.random.default_rng(5)
+        Q, _ = np.linalg.qr(rng.normal(size=(ex.problem.n,) * 2))
+        family = MatrixFamily(Q @ ex.problem.family.coeffs @ Q.T)
+        return dataclasses.replace(ex, problem=dataclasses.replace(
+            ex.problem, family=family))
+    make_rotated.__name__ = f"{make.__name__}_rotated"
+    return make_rotated
 
 
 @pytest.mark.parametrize("make, lam0", BRANCH_RESONANCES)
@@ -405,7 +526,8 @@ def test_reversible_step_detects_a_singular_odd_block():
     func = lambda z: np.ones(dim + 2)
     _, _, block_solve = _continuation_system(linear_problem({0: 1.0}),
                                              FourierLoop.zero(n, N), 1.0, 1, 9)
-    for blocks, solve in (((even, odd), block_solve), (J, _lstsq_step)):
+    for blocks, solve in (([(even_rows, even_cols, even, odd)], block_solve),
+                          (J, _lstsq_step)):
         with pytest.raises(SingularJacobianError) as err:
             _gauss_newton(func, np.zeros(dim + 1), 1e-10, 5, lambda z: blocks,
                           solve)
@@ -413,26 +535,35 @@ def test_reversible_step_detects_a_singular_odd_block():
 
 
 @pytest.mark.parametrize("make, lam0", BRANCH_RESONANCES + [
-    (as_user(make), lam0) for make, lam0 in BRANCH_RESONANCES])
+    (as_user(make), lam0) for make, lam0 in BRANCH_RESONANCES] + [
+    (rotated(example2), 0.0)])
 @pytest.mark.parametrize("modes", [8, 32])
 def test_continuation_step_costs_one_lstsq_and_one_svd(
         monkeypatch, make, lam0, modes):
     # the name is the cost this test first pinned down; the cost it now
-    # asserts is lower: each Newton step solves the square even block once by LU; only the
-    # converged point's last Jacobian has its singular values taken, one
-    # svd per block; no least-squares solve and no full harmonic-balance
-    # matrix, also for a user perturbation, whose Hessian is a central
-    # difference
+    # asserts is lower: each Newton step solves the square even block of
+    # every uncoupled part of the Jacobian once by LU; only the converged
+    # point's last Jacobian has its singular values taken, one svd per
+    # block of each part; no least-squares solve and no full
+    # harmonic-balance matrix, also for a user perturbation, whose Hessian
+    # is a central difference.  The examples' A(lambda) is diagonal and
+    # their branches stay on one axis, so every coordinate is a part of
+    # its own and no matrix has a side above N + 2; the rotated example
+    # couples them all into one part, the even block of side n(N+1)+1.
     ex = make()
     r = _resonance(ex, lam0)
+    n, C = ex.problem.n, ex.problem.family.coeffs
+    parts = n if np.all(C == C * np.eye(n)) else 1
     calls = {"solve": 0, "svd": 0, "lstsq": 0}
+    sides = {name: set() for name in calls}
 
     def counted(name):
         real = getattr(np.linalg, name)
 
-        def call(*args, **kwargs):
+        def call(a, *args, **kwargs):
             calls[name] += 1
-            return real(*args, **kwargs)
+            sides[name].add(max(np.shape(a)))
+            return real(a, *args, **kwargs)
         return call
 
     def forbidden(*args):
@@ -445,7 +576,12 @@ def test_continuation_step_costs_one_lstsq_and_one_svd(
     assert not any(bp.failed for bp in branch)
     steps = sum(bp.newton_steps for bp in branch)
     assert steps > 0
-    assert calls == {"solve": steps, "svd": 2 * len(branch), "lstsq": 0}
+    assert calls == {"solve": parts * steps, "svd": 2 * parts * len(branch),
+                     "lstsq": 0}
+    if parts == 1:
+        assert sides["solve"] == {n * (modes + 1) + 1}
+    else:
+        assert max(sides["solve"] | sides["svd"]) <= modes + 2
 
 
 def test_exactly_singular_even_block_raises_singular_jacobian():
@@ -454,12 +590,13 @@ def test_exactly_singular_even_block_raises_singular_jacobian():
     # turns it into SingularJacobianError with the singular values' verdict
     n, N = 1, 2
     dim = n * (2 * N + 1)
+    even_rows, even_cols, _, _ = block_indices(n, N)
     even, odd = np.zeros((n * (N + 1) + 1,) * 2), np.eye(n * N + 1, n * N)
     _, _, solve = _continuation_system(linear_problem({0: 1.0}),
                                        FourierLoop.zero(n, N), 1.0, 1, 9)
     with pytest.raises(SingularJacobianError) as err:
         _gauss_newton(lambda z: np.ones(dim + 2), np.zeros(dim + 1), 1e-10, 5,
-                      lambda z: (even, odd), solve)
+                      lambda z: [(even_rows, even_cols, even, odd)], solve)
     assert err.value.cond == math.inf
 
 
