@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eqdeg import MissingIndexError, degree_of_spectrum, index_of_spectrum
-from .reps import RepDecomposition, gcd_closure, is_consistent, isotropy_gcd_set
+from .reps import gcd_closure, isotropy_gcd_set
 from .spectral import (DEFAULT_GRID, DEFAULT_TOL, MatrixFamily, ResonancePoint,
                        SpectralData, as_symmetric, eigen_sym, k_set,
                        resonant_frequencies, scan_resonances)

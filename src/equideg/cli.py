@@ -97,7 +97,7 @@ def cmd_continue(args):
     try:
         amplitudes = [float(a) for a in args.amplitudes.split(",") if a]
     except ValueError:
-        print(f"error: --amplitudes must be a comma-separated number list",
+        print("error: --amplitudes must be a comma-separated number list",
               file=sys.stderr)
         return 1
     if not amplitudes or any(b <= a for a, b in zip(amplitudes, amplitudes[1:])):

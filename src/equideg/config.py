@@ -127,6 +127,9 @@ class ProblemConfig:
             raise ConfigError("problem.n: must be positive")
         lm = _get_float(prob, "lambda_minus", "problem")
         lp = _get_float(prob, "lambda_plus", "problem")
+        for key, value in (("lambda_minus", lm), ("lambda_plus", lp)):
+            if not math.isfinite(value):
+                raise ConfigError(f"problem.{key}: must be finite, got {value}")
         if not lm < lp:
             raise ConfigError(f"problem: lambda_minus={lm} must be below lambda_plus={lp}")
         scaled = _get_bool(prob, "scaled", "problem", False)
@@ -137,8 +140,8 @@ class ProblemConfig:
 
         opts = parser["options"] if parser.has_section("options") else {}
         tol = _get_float(opts, "tol", "options", cls.tol)
-        if not tol > 0:
-            raise ConfigError("options.tol: must be positive")
+        if not 0 < tol < math.inf:
+            raise ConfigError(f"options.tol: must be positive and finite, got {tol}")
         grid = _get_int(opts, "grid", "options", cls.grid)
         if grid < 2:
             raise ConfigError("options.grid: must be at least 2")

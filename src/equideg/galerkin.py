@@ -20,38 +20,28 @@ analysis module's predictions are checked against.  Each step assembles
 the Jacobian in closed form from the potential's Hessian at the nodes
 (for a user perturbation, a central difference of its gradient).
 
-Continuation works in the time-reversible subspace.  Three facts make a
-loop even in t (asin = 0) stay even:
-  - the seed R v cos(k0 t), and each rescaled previous point, is even;
-  - the system is reversible: u'' = -grad V(u) is autonomous and second
-    order, so t -> u(-t) maps solutions to solutions;
-  - the nodes t_m = 2 pi m / M are symmetric, t_m -> -t_m is m -> M - m.
-At an even iterate the Hessian samples are even in m, their transform has
-hs = 0 to roundoff, and the augmented Jacobian is block diagonal up to a
-permutation.  The even block (cos rows and the pin row against a0, acos
-and lambda) is square with side n(N+1)+1; the odd block (sin rows and the
-phase row against asin) is (nN+1) x nN.  Both split further by
-coordinates: where H[:, i, j] is exactly 0 at every node, coordinates i
-and j do not couple, and each block is, up to a permutation, block
-diagonal over the connected components of the coordinates, lambda and
-the two constraints joining the coordinates they touch.  A loop on one
-axis of a diagonal A(lambda) splits into n components of side N+1 or
-N+2; a coupled problem is one component.  The residual's sin part is
-roundoff, so each Gauss-Newton step is one LU solve of each component's
-even block and keeps asin exactly 0.  The blocks are assembled directly
-from the cosine coefficients hc of the Hessian samples by the formula of
-newton_solve's Jacobian; the full augmented Jacobian, whose hs entries
-vanish here, is never formed.  newton_solve takes general guesses, adds
-the hs blocks and solves the full system by least squares.
+Both solvers work in the time-reversible subspace.  Three facts make a
+loop even in t (asin = 0) stay even: continuation's seeds R v cos(k0 t)
+and rescaled points, and every newton_solve guess, are even; the system
+is reversible (u'' = -grad V(u) is autonomous and second order, so
+t -> u(-t) maps solutions to solutions); and the nodes t_m = 2 pi m / M
+are symmetric (t_m -> -t_m is m -> M - m).  At an even iterate the
+Hessian samples are even in m, their sine coefficients vanish, and the
+Jacobian is block diagonal up to a permutation: an even block (cos rows
+against a0 and acos, bordered in continuation by the pin row and the
+lambda column) and an odd block (sin rows and the phase row against
+asin).  Both split further over the connected components of the
+coordinates (i and j couple where H[:, i, j] is not exactly 0 at every
+node) and one node for the constraints (see _part_builder): a loop on one
+axis of a diagonal A(lambda) gives n parts of side N+1 or N+2, a coupled
+problem one part.  The residual's sin part is roundoff, so a Gauss-Newton
+step is one LU solve of each part's even block and keeps asin exactly 0.
 
-The singular values of a Jacobian (every component's two blocks, whose
-union is the whole Jacobian's, or newton_solve's whole matrix) feed the
-rank check and the reported condition number.  They are
-taken only on the last Jacobian, where the iteration converges or stops
-without converging, and on a Jacobian whose step did not lower the
-residual max-norm, so a rank-deficient system still stops within a few
-steps.  A converged point's condition number is that of its last step's
-Jacobian.
+The singular values of every part's two blocks, whose union is the whole
+Jacobian's, feed the rank check and the condition number of the last
+step's Jacobian.  They are taken only where the iteration stops and on a
+Jacobian whose step did not lower the residual max-norm, so a
+rank-deficient system still stops within a few steps.
 """
 
 import functools
@@ -287,15 +277,13 @@ def _packed(n, N, nodes):
 
 @functools.lru_cache(maxsize=1)
 def _layout(n, N, M):
-    """Index layout of both solvers' Jacobians: packed positions of the cos
+    """Index layout of an n-coordinate block: packed positions of the cos
     coefficients (k, i) (a0, then acos_k) and of the sin ones, each cos k,
     and the flat indices of h[(k -/+ l) % M, i, j] in an (M, n, n) array.
 
-    A Newton solve keeps one (n, N, M), and a branch one (s, N, M) per
-    size s of its coordinate components (see _continuation_system), so the
-    last layout is kept (read-only).  It is built once per solve, and once
-    per branch whose components have one size, the examples' 1 or a
-    coupled problem's n; each point keeps the layouts of its sizes."""
+    A solve needs one per size s of its coordinate components, (s, N, M),
+    and keeps them (_part_builder); the last one is cached (read-only), so
+    it is built once per solve or branch whose components have one size."""
     k, i = np.repeat(np.arange(N + 1), n), np.tile(np.arange(n), N + 1)
     ij = i[:, None] * n + i[None, :]
     dif = (k[:, None] - k[None, :]) % M * n * n + ij
@@ -318,9 +306,15 @@ def _components(linked):
 
 
 def _cos_blocks(hc, layout):
-    """The cos/cos and sin/sin blocks of the residual Jacobian, the whole
-    of it at a loop even in t: hc[k-l] + hc[k+l] and hc[k-l] - hc[k+l], the
-    mean row halved, k^2 subtracted on the diagonal (see _analytic_jacobian)."""
+    """The cos/cos and sin/sin blocks of the residual Jacobian
+    P diag(H(u(t_m))) T - diag(k^2), the whole of it at a loop even in t.
+
+    With hc[j] - i hs[j] = (1/M) sum_m H(u(t_m)) exp(-i j t_m), the product
+    formulas for cos/sin give the block of mode-k rows against mode-l
+    columns as a Toeplitz part in k - l plus a Hankel part in k + l
+    (indices mod M, exact for the discrete sums): hc[k-l] + hc[k+l] and
+    hc[k-l] - hc[k+l], the mean row halved, k^2 off the diagonal.  The
+    cos/sin blocks hs[k+l] -/+ hs[k-l] vanish at an even loop."""
     _, _, k, dif, tot = layout
     n, hc, d = hc.shape[1], hc.ravel(), np.diag_indices(len(k))
     toe, han = hc[dif], hc[tot]
@@ -330,39 +324,79 @@ def _cos_blocks(hc, layout):
     return cc, ss[n:, n:]
 
 
-def _analytic_jacobian(loop, lam, p, M):
-    """Exact residual Jacobian P diag(H(u(t_m))) T - diag(k^2).
+def _part_builder(n, N, M, phase):
+    """parts(H, border=None): the Jacobian of the residual and the phase
+    row ``phase`` at a loop even in t with Hessian samples H, as a list of
+    uncoupled parts (rows, cols, even, odd), one per connected component.
 
-    This is the alternating frequency/time form of harmonic balance.  With
-    hc[j] - i hs[j] = (1/M) sum_m H(u(t_m)) exp(-i j t_m), the block of
-    mode-k residual rows against mode-l coefficients is, by the product
-    formulas for cos/sin, a Toeplitz part in k - l plus a Hankel part in
-    k + l (indices mod M, exact for the discrete sums):
-
-        cos/cos: hc[k-l] + hc[k+l]    cos/sin: hs[k+l] - hs[k-l]
-        sin/cos: hs[k+l] + hs[k-l]    sin/sin: hc[k-l] - hc[k+l]
-
-    The mean row k = 0 is halved; the sin columns and rows of k = 0 do
-    not exist.  The hc blocks are _cos_blocks.
+    Coordinates i and j are linked where H[:, i, j] is not all exactly 0,
+    and one more node holds the phase row, linked to the coordinates whose
+    sin columns it touches; continuation's ``border`` = (lambda column,
+    pin row) joins that node, linked to the coordinates whose cos entries
+    it touches.  Entries between components are exactly 0.  A part holds
+    its even block (_cos_blocks, bordered in the node's part) on the rows
+    and columns ``rows``, ``cols`` of the whole, and its odd block, with
+    the phase row in the node's part.  A node left with no coordinates (a
+    constant guess's phase row is 0) gives no part.
     """
-    n, N = loop.n, loop.N
-    layout = cos, sin, _, dif, tot = _layout(n, N, M)
-    F = np.fft.fft(p.hessian_many(loop.values(M), lam), axis=0) / M
-    hs = -F.imag.ravel()
-    cs = hs[tot] - hs[dif]
-    cs[:n] *= 0.5
-    J = np.empty((n * (2 * N + 1),) * 2)
-    J[np.ix_(cos, cos)], J[np.ix_(sin, sin)] = _cos_blocks(F.real, layout)
-    J[np.ix_(cos, sin)] = cs[:, n:]
-    J[np.ix_(sin, cos)] = (hs[tot] + hs[dif])[n:]
-    return J
+    dim = n * (2 * N + 1)
+    cos, sin = _packed(n, N, np.arange(n))
+    phase_nodes = (phase[sin].reshape(N, n) != 0.0).any(axis=0)
+    # a component's coordinates -> their packed positions and _layout;
+    # kept here, so components of another size do not rebuild it each step
+    layouts = {}
+
+    def parts(H, border=None):
+        hc = (np.fft.fft(H, axis=0) / M).real
+        linked = np.zeros((n + 1, n + 1), dtype=bool)
+        linked[:n, :n] = (H != 0.0).any(axis=0)
+        linked[:n, n] = phase_nodes
+        if border is not None:
+            lam_col, pin_row = border
+            touched = (lam_col[cos] != 0.0) | (pin_row[cos] != 0.0)
+            linked[:n, n] |= touched.reshape(N + 1, n).any(axis=0)
+        out = []
+        for nodes in _components(linked | linked.T):
+            S = nodes[nodes < n]
+            if not len(S):
+                continue
+            key = S.tobytes()
+            if key not in layouts:
+                layouts[key] = (*_packed(n, N, S), _layout(len(S), N, M))
+            cos_S, sin_S, layout = layouts[key]
+            cc, ss = _cos_blocks(hc[:, S][:, :, S], layout)
+            if len(S) == len(nodes):
+                out.append((cos_S, cos_S, cc, ss))
+            elif border is None:
+                out.append((cos_S, cos_S, cc, np.vstack([ss, phase[sin_S]])))
+            else:
+                even = np.zeros((len(cos_S) + 1,) * 2)
+                even[:-1, :-1] = cc
+                even[:-1, -1] = lam_col[cos_S]
+                even[-1, :-1] = pin_row[cos_S]
+                out.append((np.r_[cos_S, dim + 1], np.r_[cos_S, dim], even,
+                            np.vstack([ss, phase[sin_S]])))
+        return out
+
+    return parts
 
 
-def _lstsq_step(J, f):
-    """Least-squares step -J^+ f, and the singular values of J, which the
-    least-squares solve has already taken."""
-    step, _, _, sv = np.linalg.lstsq(J, -f, rcond=None)
-    return step, lambda: sv
+def _solve_parts(parts, f):
+    """The step for parts (_part_builder) and residual f: one LU solve of
+    each even block, 0 on asin, or None when one is exactly singular; the
+    phase row is the one equation more than unknowns, so the step has
+    len(f) - 1 entries.  Also a callable for the singular values of every
+    block, those of the whole Jacobian up to a permutation."""
+    def sv():
+        return np.concatenate([np.linalg.svd(b, compute_uv=False)
+                               for part in parts for b in part[2:]])
+    step = np.zeros(len(f) - 1)
+    try:
+        for rows, cols, even, _ in parts:
+            step[cols] = np.linalg.solve(even, -f[rows])
+    except np.linalg.LinAlgError:
+        return None, sv
+    return step, sv
 
 
 def _rank_checked(sv):
@@ -377,22 +411,22 @@ def _rank_checked(sv):
     return cond
 
 
-def _gauss_newton(func, x0, tol, max_iter, jac, solve=_lstsq_step):
-    """Least-squares Newton on an overdetermined system.
+def _gauss_newton(func, x0, tol, max_iter, jac, solve):
+    """Gauss-Newton on an overdetermined system.
 
     Convergence is checked before the first step, so an exact initial
     guess returns without assembling a Jacobian, and a residual that is
     not finite raises NewtonConvergenceError before any is assembled.
     ``solve(jac(x), f)`` takes whatever ``jac`` returns and gives back the
     step, or None when the solve meets an exactly singular matrix, and a
-    callable for the Jacobian's singular values; the default is one full
-    least-squares solve of a matrix.  The singular values are taken only
-    where the iteration stops (converged, out of steps, a residual that is
-    not finite, a singular solve) and on a Jacobian whose step did not
-    lower the residual max-norm; each such Jacobian gets the rank check,
-    so a rank-deficient one raises SingularJacobianError.  Returns the
-    solution, its residual max-norm, the number of steps taken and the
-    condition number of the last Jacobian (None when no step was taken).
+    callable for the Jacobian's singular values.  The singular values are
+    taken only where the iteration stops (converged, out of steps, a
+    residual that is not finite, a singular solve) and on a Jacobian whose
+    step did not lower the residual max-norm; each such Jacobian gets the
+    rank check, so a rank-deficient one raises SingularJacobianError.
+    Returns the solution, its residual max-norm, the number of steps taken
+    and the condition number of the last Jacobian (None when no step was
+    taken).
     """
     x = x0.copy()
     sv = None          # gives the last Jacobian's singular values on call
@@ -423,13 +457,19 @@ def _gauss_newton(func, x0, tol, max_iter, jac, solve=_lstsq_step):
 def newton_solve(guess, lam, p):
     """Solve the projected system at fixed lambda from a caller's guess.
 
-    The solve keeps the guess's truncation order; pad the guess first
-    (FourierLoop.truncated) to solve with more modes.  The time-shift
-    degeneracy is removed by a phase condition against the guess
-    derivative; the system is solved in least-squares sense.
+    The guess must be even in t (asin = 0, as every branch point is), and
+    so is the solution: each step solves the even blocks of _part_builder's
+    parts.  The solve keeps the guess's truncation order; pad the guess
+    first (FourierLoop.truncated) to solve with more modes.  A phase
+    condition against the guess derivative removes the time-shift
+    degeneracy.
     """
+    if np.any(guess.asin != 0.0):
+        raise ValueError("newton_solve needs a guess even in t (asin = 0); "
+                         "shift the loop so that it is")
     n, N = guess.n, guess.N
     M = _nodes(None, N)
+    build = _part_builder(n, N, M, _phase_row(guess))
 
     def func(x):
         lp = FourierLoop.unpack(x, n, N)
@@ -437,44 +477,24 @@ def newton_solve(guess, lam, p):
                                [_phase_row_value(guess, lp)]])
 
     def jac(x):
-        lp = FourierLoop.unpack(x, n, N)
-        return np.vstack([_analytic_jacobian(lp, lam, p, M), _phase_row(guess)])
+        return build(p.hessian_many(FourierLoop.unpack(x, n, N).values(M), lam))
 
-    x, *_ = _gauss_newton(func, guess.pack(), NEWTON_TOL, NEWTON_MAX_ITER, jac)
+    x, *_ = _gauss_newton(func, guess.pack(), NEWTON_TOL, NEWTON_MAX_ITER, jac,
+                          _solve_parts)
     return FourierLoop.unpack(x, n, N)
 
 
 def _continuation_system(p, ref, R, k0, M):
     """(func, jac, solve) of the augmented system in z = (packed loop,
     lambda): residual, phase condition against ref, and the mode-k0
-    coefficient norm pinned to R.
-
-    jac returns the Jacobian at an even iterate (see the module docstring)
-    as a list of uncoupled parts, one per connected component of the
-    coordinates: i and j are linked where the Hessian samples H[:, i, j]
-    are not all exactly 0, and lambda with both constraints is one more
-    node, linked to every coordinate its column, the pin row or the phase
-    row touches.  Entries between components are exactly 0, so each part
-    (rows, cols, even, odd) holds the even and odd blocks (_cos_blocks,
-    with the lambda column and pin row, and with the phase row, in the
-    part that holds lambda) on its component's rows and columns of the
-    whole, and a coupled problem is one part.  solve(parts, f) steps by one
-    LU solve of each square even block (no step when one is exactly
-    singular) and hands back the singular values of every block, which are
-    those of the block-diagonal whole up to a permutation, as a callable
-    _gauss_newton invokes only where it needs them.  The lambda column and
-    step are at ref's scale 2^-e.
-    """
+    coefficient norm pinned to R.  jac gives _part_builder's parts with the
+    lambda column and pin row as border, solve steps by _solve_parts; the
+    lambda column and step are at ref's scale 2^-e."""
     n, N = ref.n, ref.N
     dim = n * (2 * N + 1)
     pin = slice(n + 2 * n * (k0 - 1), n + 2 * n * k0)  # acos_k0, asin_k0
-    cos, sin = _packed(n, N, np.arange(n))
-    phase = _phase_row(ref)
-    phase_nodes = (phase[sin].reshape(N, n) != 0.0).any(axis=0)
+    build = _part_builder(n, N, M, _phase_row(ref))
     e = _headroom(ref.pack())
-    # a component's coordinates -> their packed positions and _layout;
-    # kept here, so components of another size do not rebuild it each step
-    layouts = {}
 
     def func(z):
         lp = FourierLoop.unpack(z[:-1], n, N)
@@ -484,45 +504,15 @@ def _continuation_system(p, ref, R, k0, M):
     def jac(z):
         lam = z[-1]
         u = FourierLoop.unpack(z[:-1], n, N).values(M)
-        H = p.hessian_many(u, lam)
-        hc = (np.fft.fft(H, axis=0) / M).real
-        lam_col = _coeffs(p.gradient_lambda_many(u, lam, e), N)
         pin_row = np.zeros(dim)
         pin_row[pin.start:pin.start + n] = z[pin][:n] / _norm(z[pin])
-        touched = (lam_col[cos] != 0.0) | (pin_row[cos] != 0.0)
-        linked = np.zeros((n + 1, n + 1), dtype=bool)
-        linked[:n, :n] = (H != 0.0).any(axis=0)
-        linked[:n, n] = phase_nodes | touched.reshape(N + 1, n).any(axis=0)
-        parts = []
-        for nodes in _components(linked | linked.T):
-            S = nodes[nodes < n]
-            key = S.tobytes()
-            if key not in layouts:
-                layouts[key] = (*_packed(n, N, S), _layout(len(S), N, M))
-            cos_S, sin_S, layout = layouts[key]
-            cc, ss = _cos_blocks(hc[:, S][:, :, S], layout)
-            if len(S) == len(nodes):
-                parts.append((cos_S, cos_S, cc, ss))
-                continue
-            even = np.zeros((len(cos_S) + 1,) * 2)
-            even[:-1, :-1] = cc
-            even[:-1, -1] = lam_col[cos_S]
-            even[-1, :-1] = pin_row[cos_S]
-            parts.append((np.r_[cos_S, dim + 1], np.r_[cos_S, dim], even,
-                          np.vstack([ss, phase[sin_S]])))
-        return parts
+        return build(p.hessian_many(u, lam),
+                     (_coeffs(p.gradient_lambda_many(u, lam, e), N), pin_row))
 
     def solve(parts, f):
-        def sv():
-            return np.concatenate([np.linalg.svd(b, compute_uv=False)
-                                   for part in parts for b in part[2:]])
-        step = np.zeros(dim + 1)
-        try:
-            for rows, cols, even, _ in parts:
-                step[cols] = np.linalg.solve(even, -f[rows])
-        except np.linalg.LinAlgError:
-            return None, sv
-        step[-1] = _ldexp(step[-1], -e)
+        step, sv = _solve_parts(parts, f)
+        if step is not None:
+            step[-1] = _ldexp(step[-1], -e)
         return step, sv
 
     return func, jac, solve

@@ -126,6 +126,11 @@ class SpectralData:
         return cls(tuple((float(v), int(m)) for v, m in obj["eigenvalues"]), float(obj["tol"]))
 
 
+def _check_tol(tol):
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+
+
 def eigen_sym(A, tol=DEFAULT_TOL):
     """Eigenvalues of a symmetric matrix, clustered at tol relative.
 
@@ -134,8 +139,7 @@ def eigen_sym(A, tol=DEFAULT_TOL):
     than returning silently degraded data.
     """
     A = as_symmetric(A)
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     try:
         vals, vecs = np.linalg.eigh(A.entries)
     except np.linalg.LinAlgError as exc:
@@ -446,10 +450,11 @@ def scan_resonances(family, lo, hi, grid=DEFAULT_GRID, tol=DEFAULT_TOL):
     frequencies at the same lambda are merged into one point.  Endpoints of
     the interval participate like any other grid node.
     """
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
     if grid < 2:
         raise ValueError("grid must be at least 2")
+    _check_tol(tol)
     nodes = np.linspace(float(lo), float(hi), int(grid) + 1)
     mats = family.eval_many(nodes)
     per_k = [(k, _scan_one_frequency(family, nodes, mats, k, tol))

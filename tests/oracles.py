@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from equideg.galerkin import _cos_blocks, _layout
+
 
 def charpoly_coeffs(A):
     """Coefficients c with det(x*I - A) = sum_i c[i] * x^(n-i), c[0] = 1."""
@@ -77,6 +79,41 @@ def fd_jacobian(func, x, f0):
         xp[j] += h
         J[:, j] = (func(xp) - f0) / h
     return J
+
+
+def _analytic_jacobian(loop, lam, p, M):
+    """Exact residual Jacobian P diag(H(u(t_m))) T - diag(k^2).
+
+    This is the alternating frequency/time form of harmonic balance.  With
+    hc[j] - i hs[j] = (1/M) sum_m H(u(t_m)) exp(-i j t_m), the block of
+    mode-k residual rows against mode-l coefficients is, by the product
+    formulas for cos/sin, a Toeplitz part in k - l plus a Hankel part in
+    k + l (indices mod M, exact for the discrete sums):
+
+        cos/cos: hc[k-l] + hc[k+l]    cos/sin: hs[k+l] - hs[k-l]
+        sin/cos: hs[k+l] + hs[k-l]    sin/sin: hc[k-l] - hc[k+l]
+
+    The mean row k = 0 is halved; the sin columns and rows of k = 0 do
+    not exist.  The hc blocks are _cos_blocks.
+    """
+    n, N = loop.n, loop.N
+    layout = cos, sin, _, dif, tot = _layout(n, N, M)
+    F = np.fft.fft(p.hessian_many(loop.values(M), lam), axis=0) / M
+    hs = -F.imag.ravel()
+    cs = hs[tot] - hs[dif]
+    cs[:n] *= 0.5
+    J = np.empty((n * (2 * N + 1),) * 2)
+    J[np.ix_(cos, cos)], J[np.ix_(sin, sin)] = _cos_blocks(F.real, layout)
+    J[np.ix_(cos, sin)] = cs[:, n:]
+    J[np.ix_(sin, cos)] = (hs[tot] + hs[dif])[n:]
+    return J
+
+
+def _lstsq_step(J, f):
+    """Least-squares step -J^+ f, and the singular values of J, which the
+    least-squares solve has already taken."""
+    step, _, _, sv = np.linalg.lstsq(J, -f, rcond=None)
+    return step, lambda: sv
 
 
 def random_symmetric(rng, n, scale=3.0):

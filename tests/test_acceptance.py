@@ -12,16 +12,17 @@ import numpy as np
 from equideg.bifurcation import (bif_index, bif_index_ls, check_eqcont2,
                                  predict_periods)
 from equideg.eqdeg import ind_infinity, lin_deg, minus_id_data
-from equideg.galerkin import (FourierLoop, _analytic_jacobian,
-                              continue_to_infinity, energy_drift,
-                              minimal_period_divisor, newton_solve, residual)
+from equideg.galerkin import (FourierLoop, continue_to_infinity,
+                              energy_drift, minimal_period_divisor,
+                              newton_solve, residual)
 from equideg.problems import example1, example2, example3
 from equideg.reps import RepDecomposition
 from equideg.spectral import (eigen_sym, j_k, k_set, resonant_frequencies,
                               scan_resonances)
 from equideg.udring import ONE, ZERO, TomDieckElement, add, star
 
-from oracles import charpoly_eigenvalues, fd_jacobian, random_symmetric
+from oracles import (_analytic_jacobian, charpoly_eigenvalues, fd_jacobian,
+                     random_symmetric)
 from test_bifurcation import _random_nonresonant_problem
 from test_eqdeg import concat_block_data, rand_block_data
 from test_udring import rand_elem
@@ -232,16 +233,21 @@ def test_criterion_09(failures):
     # while N sigma is small. What a truncated solution can promise is the
     # spectral rate: refined from N to 2N modes at its own lambda, its drift
     # falls by at least exp(-N sigma). Beyond R = 40 the drift only starts to
-    # fall at N >= 4R modes, so R = 80 and 160 are not energy-checked.
+    # fall at N >= 4R modes, so R = 80 is refined to N = 320 first and checked
+    # from 320 to 640 modes; R = 160 would need 1280 and 2560 modes and is not
+    # energy-checked.
     a = ex2.problem.perturbation.a
     k0 = min(k for k in r2.frequencies if k >= 1)
     for bp in branch:
         R = bp.amplitude
-        if R > 40.0:
+        if R > 80.0:
             continue
         sigma = math.asinh(math.sqrt(a) / R) / k0
-        loop, drift = bp.loop, energy_drift(bp.loop, bp.lam, ex2.problem)
-        for N in (16, 32):
+        loop = bp.loop
+        if R > 40.0:
+            loop = newton_solve(loop.truncated(320), bp.lam, ex2.problem)
+        drift = energy_drift(loop, bp.lam, ex2.problem)
+        for N in (16, 32) if R <= 40.0 else (320,):
             loop = newton_solve(loop.truncated(2 * N), bp.lam, ex2.problem)
             refined = energy_drift(loop, bp.lam, ex2.problem)
             chk(failures, refined <= math.exp(-N * sigma) * drift,

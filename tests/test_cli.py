@@ -79,6 +79,34 @@ def test_analyze_bad_override_exits_one(option, capsys):
     assert err.startswith("error:") and "must" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "continue"])
+def test_infinite_tol_exits_one(command, tmp_path, capsys):
+    # --tol inf, and tol = inf in a problem file, used to end in an
+    # OverflowError traceback (analyze) or "no resonance" (continue)
+    path = tmp_path / "inf.cfg"
+    path.write_text(config_path("example2").read_text().replace(
+        "tol = 1e-9", "tol = inf"))
+    argv = {"analyze": ["analyze", str(path)],
+            "continue": ["continue", str(path), "--resonance", "0",
+                         "--amplitudes", "4", "--out",
+                         str(tmp_path / "b.csv")]}[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: options.tol: must be")
+    if command == "analyze":
+        assert main(["analyze", str(config_path("example2")), "--tol", "inf"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: tol must be positive and finite")
+
+
+def test_infinite_endpoint_names_its_key(tmp_path, capsys):
+    path = tmp_path / "inf.cfg"
+    path.write_text(config_path("example2").read_text().replace(
+        "lambda_minus = -0.5", "lambda_minus = -inf"))
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().err == \
+        "error: problem.lambda_minus: must be finite, got -inf\n"
+
+
 def test_analyze_json_is_deterministic(capsys):
     argv = ["analyze", str(config_path("example3")), "--json"]
     assert main(argv) == 0

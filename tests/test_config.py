@@ -199,6 +199,20 @@ def test_malformed_values_name_section_and_key(key, value):
         ProblemConfig.from_string(text)
 
 
+@pytest.mark.parametrize("key, text", [
+    ("options.tol", MINIMAL + "\n[options]\ntol = inf\n"),
+    ("problem.lambda_minus", MINIMAL.replace("lambda_minus = -1",
+                                             "lambda_minus = -inf")),
+    ("problem.lambda_minus", MINIMAL.replace("lambda_minus = -1",
+                                             "lambda_minus = nan")),
+    ("problem.lambda_plus", MINIMAL.replace("lambda_plus = 1",
+                                            "lambda_plus = inf"))],
+    ids=["tol-inf", "lambda_minus-inf", "lambda_minus-nan", "lambda_plus-inf"])
+def test_nonfinite_values_name_their_key(key, text):
+    with pytest.raises(ConfigError, match=f"^{key}: must be .*finite"):
+        ProblemConfig.from_string(text)
+
+
 def test_critical_points_parsing():
     text = MINIMAL + "\n[critical_points]\nOrigin = 2,1 1,3\nsaddle =\n"
     cfg = ProblemConfig.from_string(text)

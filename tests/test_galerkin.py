@@ -8,18 +8,17 @@ import pytest
 
 from equideg import galerkin
 from equideg.bifurcation import IndexRule, Perturbation, ProblemSpec
-from equideg.galerkin import (BranchPoint, FourierLoop,
-                              NewtonConvergenceError, SingularJacobianError,
-                              _analytic_jacobian, _coeffs,
-                              _continuation_system, _gauss_newton,
-                              _lstsq_step, _phase_row, _phase_row_value,
-                              continue_to_infinity, energy_drift,
-                              minimal_period, minimal_period_divisor,
-                              newton_solve, residual, write_branch_csv)
+from equideg.galerkin import (FourierLoop, NewtonConvergenceError,
+                              SingularJacobianError, _coeffs,
+                              _continuation_system, _gauss_newton, _phase_row,
+                              _phase_row_value, continue_to_infinity,
+                              energy_drift, minimal_period,
+                              minimal_period_divisor, newton_solve, residual,
+                              write_branch_csv)
 from equideg.problems import example1, example2, example3
 from equideg.spectral import MatrixFamily, scan_resonances
 
-from oracles import fd_jacobian
+from oracles import _analytic_jacobian, _lstsq_step, fd_jacobian
 
 
 def linear_problem(*diag_polys, pert=None):
@@ -534,6 +533,39 @@ def test_reversible_step_detects_a_singular_odd_block():
         assert err.value.cond > 1e14
 
 
+def count_linalg(monkeypatch, names):
+    """Count the calls of the np.linalg functions ``names``: (calls, sides),
+    the number of calls and the set of largest matrix sides, by name."""
+    calls = dict.fromkeys(names, 0)
+    sides = {name: set() for name in names}
+
+    def counted(name):
+        real = getattr(np.linalg, name)
+
+        def call(a, *args, **kwargs):
+            calls[name] += 1
+            sides[name].add(max(np.shape(a)))
+            return real(a, *args, **kwargs)
+        return call
+
+    for name in names:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    return calls, sides
+
+
+def record_parts(monkeypatch):
+    """The number of parts of each Gauss-Newton step newton_solve takes."""
+    parts = []
+    solve_parts = galerkin._solve_parts
+
+    def recorded(blocks, f):
+        parts.append(len(blocks))
+        return solve_parts(blocks, f)
+
+    monkeypatch.setattr(galerkin, "_solve_parts", recorded)
+    return parts
+
+
 @pytest.mark.parametrize("make, lam0", BRANCH_RESONANCES + [
     (as_user(make), lam0) for make, lam0 in BRANCH_RESONANCES] + [
     (rotated(example2), 0.0)])
@@ -554,24 +586,7 @@ def test_continuation_step_costs_one_lstsq_and_one_svd(
     r = _resonance(ex, lam0)
     n, C = ex.problem.n, ex.problem.family.coeffs
     parts = n if np.all(C == C * np.eye(n)) else 1
-    calls = {"solve": 0, "svd": 0, "lstsq": 0}
-    sides = {name: set() for name in calls}
-
-    def counted(name):
-        real = getattr(np.linalg, name)
-
-        def call(a, *args, **kwargs):
-            calls[name] += 1
-            sides[name].add(max(np.shape(a)))
-            return real(a, *args, **kwargs)
-        return call
-
-    def forbidden(*args):
-        raise AssertionError("continuation built the full Jacobian")
-
-    for name in calls:
-        monkeypatch.setattr(np.linalg, name, counted(name))
-    monkeypatch.setattr(galerkin, "_analytic_jacobian", forbidden)
+    calls, sides = count_linalg(monkeypatch, ["solve", "svd", "lstsq"])
     branch = continue_to_infinity(ex.problem, r, [4.0, 16.0, 64.0], modes)
     assert not any(bp.failed for bp in branch)
     steps = sum(bp.newton_steps for bp in branch)
@@ -659,13 +674,12 @@ def test_newton_exact_guess_converges_without_iterating(monkeypatch):
     assert np.array_equal(out.pack(), guess.pack())
 
 
-def test_newton_inexact_guess_with_no_budget_raises():
+def test_newton_inexact_guess_with_no_budget_raises(monkeypatch):
     p = linear_problem({0: 4.0})
     guess = FourierLoop.single_mode(1, [1.0], N=4)  # not a solution
-    func = lambda x: residual(FourierLoop.unpack(x, 1, 4), 0.0, p)
-    jac = lambda x: _analytic_jacobian(FourierLoop.unpack(x, 1, 4), 0.0, p, 17)
+    monkeypatch.setattr(galerkin, "NEWTON_MAX_ITER", 0)
     with pytest.raises(NewtonConvergenceError):
-        _gauss_newton(func, guess.pack(), 1e-10, 0, jac)
+        newton_solve(guess, 0.0, p)
 
 
 def test_newton_singular_jacobian_detected():
@@ -686,6 +700,53 @@ def test_newton_converges_on_perturbed_linear_problem():
     guess = FourierLoop.single_mode(3, [1e-3], N=6)
     out = newton_solve(guess, 0.0, p)
     assert np.abs(out.pack()).max() < 1e-8
+
+
+def test_newton_rejects_a_guess_with_sin_content():
+    # the solve keeps asin exactly 0, so a guess that is not even in t is
+    # refused rather than silently projected onto the even loops
+    p = linear_problem({0: 4.0})
+    guess = FourierLoop.single_mode(2, [1.0], N=4)
+    for bad in (guess.shifted(0.3), FourierLoop(guess.a0, guess.acos,
+                                                 guess.asin + 1e-300)):
+        with pytest.raises(ValueError, match="even in t"):
+            newton_solve(bad, 0.0, p)
+
+
+def test_newton_converges_from_a_constant_guess(monkeypatch):
+    # a constant guess has an all-zero phase row, which then belongs to no
+    # part; the Kepler Hessian at (0.3, -0.2) couples the two coordinates
+    # into one part, and the solve reaches the equilibrium at the origin
+    p = linear_problem({0: 2.0}, {0: 3.0},
+                       pert=Perturbation.kepler(1.0, "constant"))
+    guess = FourierLoop([0.3, -0.2], np.zeros((4, 2)), np.zeros((4, 2)))
+    parts = record_parts(monkeypatch)
+    out = newton_solve(guess, 0.0, p)
+    assert len(parts) > 0 and set(parts) == {1}
+    assert np.abs(residual(out, 0.0, p)).max() <= galerkin.NEWTON_TOL
+    assert np.abs(out.pack()).max() < 1e-10
+    assert np.all(out.asin == 0.0)
+
+
+def test_newton_refinement_costs_one_solve_per_part(monkeypatch):
+    # refining an example-2 branch point padded to 2N modes steps through
+    # the continuation's parts: A(lambda) is diagonal and the loop stays
+    # on one axis, so each of the n coordinates is a part of its own, the
+    # phase row joins the odd block of the loop's axis, and no matrix has a
+    # side above N + 1.  One LU solve per part per step, one svd per block
+    # of each part at the converged step, no least-squares solve.
+    ex = example2()
+    p, n = ex.problem, ex.problem.n
+    bp = continue_to_infinity(p, _resonance(ex, 0.0), [4.0], modes=8)[0]
+    N = 16
+    calls, sides = count_linalg(monkeypatch, ["solve", "svd", "lstsq"])
+    steps = record_parts(monkeypatch)
+    out = newton_solve(bp.loop.truncated(N), bp.lam, p)
+    assert len(steps) > 0 and set(steps) == {n}
+    assert calls == {"solve": n * len(steps), "svd": 2 * n, "lstsq": 0}
+    assert max(sides["solve"] | sides["svd"]) == N + 1
+    assert np.abs(residual(out, bp.lam, p)).max() <= galerkin.NEWTON_TOL
+    assert np.all(out.asin == 0.0)
 
 
 def test_continuation_user_perturbation_agrees_with_builtin():

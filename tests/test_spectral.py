@@ -133,6 +133,20 @@ def test_j_k_example_values():
     assert j_k(f3.eval(-1.0), 2) == 3
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_tolerance_must_be_positive_and_finite(tol):
+    with pytest.raises(ValueError, match="positive and finite"):
+        eigen_sym(np.diag([1.0, 2.0]), tol)
+    with pytest.raises(ValueError, match="positive and finite"):
+        scan_resonances(family_example2(), -0.5, 0.5, tol=tol)
+
+
+def test_scan_needs_a_finite_interval():
+    for lo, hi in ((-math.inf, 0.5), (-0.5, math.inf), (math.nan, 0.5)):
+        with pytest.raises(ValueError, match="finite lo < hi"):
+            scan_resonances(family_example2(), lo, hi)
+
+
 def test_j_k_degenerate_input_names_eigenvalue():
     with pytest.raises(DegenerateSpectrumError, match="4"):
         j_k(np.diag([4.0, 1.0]), 2)
