@@ -7,8 +7,6 @@ for every relevant k over a sign-change grid, bisects each bracket, and
 reports the kernel as a representation of the circle group.
 """
 
-import numpy as np
-
 from equideg import MatrixFamily, eigen_sym, j_k, scan_resonances
 from equideg.bifurcation import predict_periods
 

@@ -7,6 +7,7 @@ branch, `verify-examples` only when every regression row passes.
 
 import argparse
 import json
+import math
 import sys
 
 from . import problems
@@ -14,7 +15,8 @@ from .bifurcation import FORMAT_VERSION, build_report
 from .config import ProblemConfig
 from .galerkin import (continue_to_infinity, minimal_period_divisor,
                        write_branch_csv)
-from .spectral import scan_resonances
+from .spectral import (EigenConvergenceError, NonIsolatedResonanceError,
+                       scan_resonances)
 
 
 def _fmt_element(e):
@@ -81,6 +83,8 @@ def cmd_analyze(args):
 
 
 def cmd_continue(args):
+    if not math.isfinite(args.resonance):
+        raise ValueError(f"--resonance must be finite, got {args.resonance:g}")
     cfg = ProblemConfig.from_file(args.config)
     p = cfg.problem()
     points = scan_resonances(p.family, cfg.lambda_minus, cfg.lambda_plus,
@@ -191,7 +195,8 @@ def main(argv=None):
     args = build_arg_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:  # every library error is a ValueError
+    except (ValueError, OSError, NonIsolatedResonanceError,
+            EigenConvergenceError) as exc:  # bad input or unresolved spectra
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

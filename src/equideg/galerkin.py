@@ -38,10 +38,10 @@ problem one part.  The residual's sin part is roundoff, so a Gauss-Newton
 step is one LU solve of each part's even block and keeps asin exactly 0.
 
 The singular values of every part's two blocks, whose union is the whole
-Jacobian's, feed the rank check and the condition number of the last
-step's Jacobian.  They are taken only where the iteration stops and on a
-Jacobian whose step did not lower the residual max-norm, so a
-rank-deficient system still stops within a few steps.
+Jacobian's, feed the rank check.  They are taken where the iteration
+stops unconverged, on a Jacobian whose step did not lower the residual
+max-norm (so a rank-deficient system stops within a few steps), and by
+continuation alone at a converged point, for its jacobian_cond.
 """
 
 import functools
@@ -244,21 +244,12 @@ def residual(loop, lam, p, M=None):
 
 
 def _phase_row(ref):
-    """Gradient of the phase condition, a linear form in the packed loop, times
-    2^-e (_headroom of ref's modes): k a_k stays finite, row @ x = 0 unchanged."""
+    """Phase-condition row: row @ x pairs u with d/dt u_ref over a period, 0 at
+    x = ref, times 2^-e (_headroom of ref's modes) so k a_k stays finite."""
     k = np.arange(1, ref.N + 1)[:, None]
     e = _headroom(ref.acos, ref.asin)
     return math.pi * np.concatenate([np.zeros(ref.n), np.stack(
         [k * _ldexp(ref.asin, -e), -k * _ldexp(ref.acos, -e)], axis=1).ravel()])
-
-
-def _phase_row_value(ref, loop):
-    """Integral of <d/dt u_ref, u> over a period, from coefficients.
-
-    Zero at loop = ref, so a solver seeded at ref satisfies the phase
-    condition from the start.
-    """
-    return float(_phase_row(ref) @ loop.pack())
 
 
 def _norm(v):
@@ -277,9 +268,9 @@ def _packed(n, N, nodes):
 
 @functools.lru_cache(maxsize=1)
 def _layout(n, N, M):
-    """Index layout of an n-coordinate block: packed positions of the cos
-    coefficients (k, i) (a0, then acos_k) and of the sin ones, each cos k,
-    and the flat indices of h[(k -/+ l) % M, i, j] in an (M, n, n) array.
+    """Index layout (k, dif, tot) of the cos/cos block of n coordinates:
+    the mode k of each cos coefficient (k, i), k-major, and the flat
+    indices of h[(k -/+ l) % M, i, j] in an (M, n, n) array.
 
     A solve needs one per size s of its coordinate components, (s, N, M),
     and keeps them (_part_builder); the last one is cached (read-only), so
@@ -288,10 +279,9 @@ def _layout(n, N, M):
     ij = i[:, None] * n + i[None, :]
     dif = (k[:, None] - k[None, :]) % M * n * n + ij
     tot = (k[:, None] + k[None, :]) % M * n * n + ij
-    layout = (*_packed(n, N, np.arange(n)), k, dif, tot)
-    for arr in layout:
+    for arr in (k, dif, tot):
         arr.flags.writeable = False
-    return layout
+    return k, dif, tot
 
 
 def _components(linked):
@@ -315,7 +305,7 @@ def _cos_blocks(hc, layout):
     (indices mod M, exact for the discrete sums): hc[k-l] + hc[k+l] and
     hc[k-l] - hc[k+l], the mean row halved, k^2 off the diagonal.  The
     cos/sin blocks hs[k+l] -/+ hs[k-l] vanish at an even loop."""
-    _, _, k, dif, tot = layout
+    k, dif, tot = layout
     n, hc, d = hc.shape[1], hc.ravel(), np.diag_indices(len(k))
     toe, han = hc[dif], hc[tot]
     cc, ss = toe + han, toe - han
@@ -326,8 +316,8 @@ def _cos_blocks(hc, layout):
 
 def _part_builder(n, N, M, phase):
     """parts(H, border=None): the Jacobian of the residual and the phase
-    row ``phase`` at a loop even in t with Hessian samples H, as a list of
-    uncoupled parts (rows, cols, even, odd), one per connected component.
+    row ``phase`` (_phase_row, built once) at a loop even in t with Hessian
+    samples H, as uncoupled parts (rows, cols, even, odd), one per component.
 
     Coordinates i and j are linked where H[:, i, j] is not all exactly 0,
     and one more node holds the phase row, linked to the coordinates whose
@@ -411,8 +401,9 @@ def _rank_checked(sv):
     return cond
 
 
-def _gauss_newton(func, x0, tol, max_iter, jac, solve):
-    """Gauss-Newton on an overdetermined system.
+def _gauss_newton(func, x0, jac, solve):
+    """Gauss-Newton on an overdetermined system, to NEWTON_TOL in at most
+    NEWTON_MAX_ITER steps.
 
     Convergence is checked before the first step, so an exact initial
     guess returns without assembling a Jacobian, and a residual that is
@@ -420,32 +411,32 @@ def _gauss_newton(func, x0, tol, max_iter, jac, solve):
     ``solve(jac(x), f)`` takes whatever ``jac`` returns and gives back the
     step, or None when the solve meets an exactly singular matrix, and a
     callable for the Jacobian's singular values.  The singular values are
-    taken only where the iteration stops (converged, out of steps, a
+    taken only where the iteration stops unconverged (out of steps, a
     residual that is not finite, a singular solve) and on a Jacobian whose
     step did not lower the residual max-norm; each such Jacobian gets the
     rank check, so a rank-deficient one raises SingularJacobianError.
     Returns the solution, its residual max-norm, the number of steps taken
-    and the condition number of the last Jacobian (None when no step was
-    taken).
+    and the last Jacobian's singular-value callable, uncalled (None when no
+    step was taken).
     """
     x = x0.copy()
     sv = None          # gives the last Jacobian's singular values on call
     last = math.inf    # residual max-norm where that Jacobian was assembled
-    for it in range(max_iter + 1):
+    for it in range(NEWTON_MAX_ITER + 1):
         f = func(x)
         norm = float(np.abs(f).max())
-        if norm <= tol:
-            return x, norm, it, None if sv is None else _rank_checked(sv())
-        stops = not math.isfinite(norm) or it == max_iter
+        if norm <= NEWTON_TOL:
+            return x, norm, it, sv
+        stops = not math.isfinite(norm) or it == NEWTON_MAX_ITER
         if sv is not None and (stops or not norm < last):
             _rank_checked(sv())
         if not math.isfinite(norm):
             raise NewtonConvergenceError(
                 f"residual is not finite ({norm}) after {it} iterations")
-        if it == max_iter:
+        if it == NEWTON_MAX_ITER:
             raise NewtonConvergenceError(
-                f"no convergence after {max_iter} iterations "
-                f"(residual {norm:.3e}, tolerance {tol:.3e})")
+                f"no convergence after {it} iterations "
+                f"(residual {norm:.3e}, tolerance {NEWTON_TOL:.3e})")
         step, sv = solve(jac(x), f)
         if step is None:
             raise SingularJacobianError("augmented Jacobian is singular",
@@ -462,25 +453,26 @@ def newton_solve(guess, lam, p):
     parts.  The solve keeps the guess's truncation order; pad the guess
     first (FourierLoop.truncated) to solve with more modes.  A phase
     condition against the guess derivative removes the time-shift
-    degeneracy.
+    degeneracy.  A converged solve takes no singular values, so it does not
+    raise SingularJacobianError when its last Jacobian is rank deficient to
+    1e-14; a stalled, singular or exhausted one still does.
     """
     if np.any(guess.asin != 0.0):
         raise ValueError("newton_solve needs a guess even in t (asin = 0); "
                          "shift the loop so that it is")
     n, N = guess.n, guess.N
     M = _nodes(None, N)
-    build = _part_builder(n, N, M, _phase_row(guess))
+    phase = _phase_row(guess)
+    build = _part_builder(n, N, M, phase)
 
     def func(x):
         lp = FourierLoop.unpack(x, n, N)
-        return np.concatenate([residual(lp, lam, p, M),
-                               [_phase_row_value(guess, lp)]])
+        return np.concatenate([residual(lp, lam, p, M), [phase @ x]])
 
     def jac(x):
         return build(p.hessian_many(FourierLoop.unpack(x, n, N).values(M), lam))
 
-    x, *_ = _gauss_newton(func, guess.pack(), NEWTON_TOL, NEWTON_MAX_ITER, jac,
-                          _solve_parts)
+    x, *_ = _gauss_newton(func, guess.pack(), jac, _solve_parts)
     return FourierLoop.unpack(x, n, N)
 
 
@@ -493,13 +485,14 @@ def _continuation_system(p, ref, R, k0, M):
     n, N = ref.n, ref.N
     dim = n * (2 * N + 1)
     pin = slice(n + 2 * n * (k0 - 1), n + 2 * n * k0)  # acos_k0, asin_k0
-    build = _part_builder(n, N, M, _phase_row(ref))
+    phase = _phase_row(ref)
+    build = _part_builder(n, N, M, phase)
     e = _headroom(ref.pack())
 
     def func(z):
         lp = FourierLoop.unpack(z[:-1], n, N)
         return np.concatenate([residual(lp, z[-1], p, M),
-                               [_phase_row_value(ref, lp), _norm(z[pin]) - R]])
+                               [phase @ z[:-1], _norm(z[pin]) - R]])
 
     def jac(z):
         lam = z[-1]
@@ -570,8 +563,8 @@ def continue_to_infinity(p, r, amplitudes, modes=DEFAULT_MODES, direction=0):
         z0 = np.concatenate([seed.pack(), [prev_lam]])
         func, jac, solve = _continuation_system(p, seed, float(R), k0, M)
         try:
-            z, norm, steps, cond = _gauss_newton(func, z0, NEWTON_TOL,
-                                                 NEWTON_MAX_ITER, jac, solve)
+            z, norm, steps, sv = _gauss_newton(func, z0, jac, solve)
+            cond = None if sv is None else _rank_checked(sv())
         except (NewtonConvergenceError, SingularJacobianError):
             branch.append(BranchPoint(seed, prev_lam, float(R), math.inf,
                                       frozenset(), failed=True))

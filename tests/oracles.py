@@ -10,8 +10,6 @@ import math
 
 import numpy as np
 
-from equideg.galerkin import _cos_blocks, _layout
-
 
 def charpoly_coeffs(A):
     """Coefficients c with det(x*I - A) = sum_i c[i] * x^(n-i), c[0] = 1."""
@@ -94,18 +92,27 @@ def _analytic_jacobian(loop, lam, p, M):
         sin/cos: hs[k+l] + hs[k-l]    sin/sin: hc[k-l] - hc[k+l]
 
     The mean row k = 0 is halved; the sin columns and rows of k = 0 do
-    not exist.  The hc blocks are _cos_blocks.
+    not exist.  Built entry by entry from (k, i), with none of the
+    library's index layouts: a0_i sits at i, acos_{k,i} at (2k-1)n + i and
+    asin_{k,i} at 2kn + i in the packed loop.
     """
     n, N = loop.n, loop.N
-    layout = cos, sin, _, dif, tot = _layout(n, N, M)
+    k = np.repeat(np.arange(N + 1), n)  # mode and coordinate of each cos
+    i = np.tile(np.arange(n), N + 1)    # coefficient, a0 first
+    cos = np.where(k > 0, (2 * k - 1) * n + i, i)
+    sin = (2 * k * n + i)[n:]
     F = np.fft.fft(p.hessian_many(loop.values(M), lam), axis=0) / M
-    hs = -F.imag.ravel()
-    cs = hs[tot] - hs[dif]
-    cs[:n] *= 0.5
+    hc, hs = F.real, -F.imag
+    kr, kc, ir, ic = k[:, None], k[None, :], i[:, None], i[None, :]
+    toe_c, han_c = hc[(kr - kc) % M, ir, ic], hc[(kr + kc) % M, ir, ic]
+    toe_s, han_s = hs[(kr - kc) % M, ir, ic], hs[(kr + kc) % M, ir, ic]
+    half = np.where(kr == 0, 0.5, 1.0)  # the mean row is halved
+    k2 = np.diag((k * k).astype(float))
     J = np.empty((n * (2 * N + 1),) * 2)
-    J[np.ix_(cos, cos)], J[np.ix_(sin, sin)] = _cos_blocks(F.real, layout)
-    J[np.ix_(cos, sin)] = cs[:, n:]
-    J[np.ix_(sin, cos)] = (hs[tot] + hs[dif])[n:]
+    J[np.ix_(cos, cos)] = half * (toe_c + han_c) - k2
+    J[np.ix_(sin, sin)] = (toe_c - han_c - k2)[n:, n:]
+    J[np.ix_(cos, sin)] = (half * (han_s - toe_s))[:, n:]
+    J[np.ix_(sin, cos)] = (han_s + toe_s)[n:]
     return J
 
 

@@ -233,21 +233,18 @@ def test_criterion_09(failures):
     # while N sigma is small. What a truncated solution can promise is the
     # spectral rate: refined from N to 2N modes at its own lambda, its drift
     # falls by at least exp(-N sigma). Beyond R = 40 the drift only starts to
-    # fall at N >= 4R modes, so R = 80 is refined to N = 320 first and checked
-    # from 320 to 640 modes; R = 160 would need 1280 and 2560 modes and is not
-    # energy-checked.
+    # fall at N >= 4R modes, so R = 80 and 160 are refined to N = 4R first and
+    # checked from 4R to 8R modes (320 to 640, 640 to 1280).
     a = ex2.problem.perturbation.a
     k0 = min(k for k in r2.frequencies if k >= 1)
     for bp in branch:
         R = bp.amplitude
-        if R > 80.0:
-            continue
         sigma = math.asinh(math.sqrt(a) / R) / k0
         loop = bp.loop
         if R > 40.0:
-            loop = newton_solve(loop.truncated(320), bp.lam, ex2.problem)
+            loop = newton_solve(loop.truncated(int(4 * R)), bp.lam, ex2.problem)
         drift = energy_drift(loop, bp.lam, ex2.problem)
-        for N in (16, 32) if R <= 40.0 else (320,):
+        for N in (16, 32) if R <= 40.0 else (int(4 * R),):
             loop = newton_solve(loop.truncated(2 * N), bp.lam, ex2.problem)
             refined = energy_drift(loop, bp.lam, ex2.problem)
             chk(failures, refined <= math.exp(-N * sigma) * drift,

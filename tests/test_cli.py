@@ -2,9 +2,9 @@
 
 import json
 
-import numpy as np
 import pytest
 
+import equideg.cli
 import equideg.spectral
 from equideg.cli import main
 from equideg.problems import config_path
@@ -18,6 +18,28 @@ lambda_plus = 1
 
 [matrix]
 1 1 = 0:2
+
+[perturbation]
+kind = kepler
+a = 1
+scale = constant
+
+[index]
+rule = builtin
+"""
+
+
+# A(lambda) = diag(4, 2 + lambda): det(A - 2^2 Id) vanishes on the interval
+FLAT = """\
+[problem]
+format_version = 1
+n = 2
+lambda_minus = -0.5
+lambda_plus = 0.5
+
+[matrix]
+1 1 = 0:4
+2 2 = 0:2 1:1
 
 [perturbation]
 kind = kepler
@@ -107,6 +129,32 @@ def test_infinite_endpoint_names_its_key(tmp_path, capsys):
         "error: problem.lambda_minus: must be finite, got -inf\n"
 
 
+@pytest.mark.parametrize("command", ["analyze", "continue"])
+def test_non_isolated_resonance_exits_one(command, tmp_path, capsys):
+    # NonIsolatedResonanceError is a RuntimeError; it used to escape main
+    # as a traceback
+    path = tmp_path / "flat.cfg"
+    path.write_text(FLAT)
+    argv = [command, str(path)]
+    if command == "continue":
+        argv += ["--resonance", "0", "--amplitudes", "4",
+                 "--out", str(tmp_path / "b.csv")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: det(A(lambda) - 2^2 Id) vanishes on a subinterval")
+
+
+def test_failed_eigen_decomposition_exits_one(monkeypatch, capsys):
+    def fails(*args, **kwargs):
+        raise equideg.spectral.EigenConvergenceError(
+            "eigen decomposition failed: did not converge")
+
+    monkeypatch.setattr(equideg.cli, "build_report", fails)
+    assert main(["analyze", str(config_path("example2"))]) == 1
+    assert capsys.readouterr().err == \
+        "error: eigen decomposition failed: did not converge\n"
+
+
 def test_analyze_json_is_deterministic(capsys):
     argv = ["analyze", str(config_path("example3")), "--json"]
     assert main(argv) == 0
@@ -169,6 +217,19 @@ def test_continue_unknown_resonance_exits_one(capsys):
     assert rc == 1
     assert "no resonance" in err
     assert "0" in err  # the available point is listed
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf"])
+def test_continue_infinite_resonance_exits_one(value, tmp_path, capsys):
+    # an infinite target used to match every scanned point and continue the
+    # first one
+    out = tmp_path / "branch.csv"
+    rc = main(["continue", str(config_path("example2")),
+               f"--resonance={value}", "--amplitudes", "4", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        f"error: --resonance must be finite, got {value}\n"
+    assert not out.exists()
 
 
 def test_continue_bad_amplitudes_exit_one(capsys):

@@ -11,7 +11,7 @@ from equideg.bifurcation import IndexRule, Perturbation, ProblemSpec
 from equideg.galerkin import (FourierLoop, NewtonConvergenceError,
                               SingularJacobianError, _coeffs,
                               _continuation_system, _gauss_newton, _phase_row,
-                              _phase_row_value, continue_to_infinity,
+                              _rank_checked, continue_to_infinity,
                               energy_drift, minimal_period,
                               minimal_period_divisor, newton_solve, residual,
                               write_branch_csv)
@@ -200,11 +200,11 @@ def test_residual_node_count_guard():
 def test_phase_row_zero_at_reference():
     rng = np.random.default_rng(9)
     loop = random_loop(rng, 3, 4)
-    assert _phase_row_value(loop, loop) == pytest.approx(0.0, abs=1e-12)
+    assert _phase_row(loop) @ loop.pack() == pytest.approx(0.0, abs=1e-12)
     other = random_loop(rng, 3, 4)
     # antisymmetry of the pairing
-    assert _phase_row_value(loop, other) == pytest.approx(
-        -_phase_row_value(other, loop))
+    assert _phase_row(loop) @ other.pack() == pytest.approx(
+        -(_phase_row(other) @ loop.pack()))
 
 
 # ------------------------------------------------------------------ jacobians
@@ -419,17 +419,40 @@ def test_continuation_jacobian_splits_exactly_on_decoupled_loops(
 def test_singular_block_of_a_part_without_lambda_fails_the_point():
     # A(lambda) = diag(1 + lambda, 4): the second coordinate is a part of
     # its own and sits exactly at 2^2, so its even block is singular
-    # whatever lambda does, and the point fails
+    # whatever lambda does (up to FFT roundoff, so LU still steps); the
+    # iteration converges, and the rank check that continuation runs on
+    # the returned singular values fails the point
     p = linear_problem({0: 1.0, 1: 1.0}, {0: 4.0})
     N, k0 = 4, 1
     seed = FourierLoop.single_mode(k0, [2.0, 0.0], N)
     func, jac, solve = _continuation_system(p, seed, 2.0, k0, 4 * N + 1)
     z0 = np.concatenate([seed.pack(), [0.5]])
     assert [len(part[1]) for part in jac(z0)] == [N + 2, N + 1]
+    *_, sv = _gauss_newton(func, z0, jac, solve)
     with pytest.raises(SingularJacobianError) as err:
-        _gauss_newton(func, z0, galerkin.NEWTON_TOL, galerkin.NEWTON_MAX_ITER,
-                      jac, solve)
+        _rank_checked(sv())
     assert err.value.cond > 1e14
+
+
+def test_converged_point_with_rank_deficient_jacobian_fails(monkeypatch):
+    # continuation takes each converged point's singular values for its
+    # jacobian_cond; a zero among them turns the point into a failed marker
+    ex = example2()
+    system = galerkin._continuation_system
+
+    def deficient_system(*args):
+        func, jac, solve = system(*args)
+
+        def deficient(parts, f):
+            step, sv = solve(parts, f)
+            return step, lambda: np.r_[sv(), 0.0]
+        return func, jac, deficient
+
+    branch = continue_to_infinity(ex.problem, _resonance(ex, 0.0), [4.0, 8.0])
+    assert not any(bp.failed for bp in branch)
+    monkeypatch.setattr(galerkin, "_continuation_system", deficient_system)
+    branch = continue_to_infinity(ex.problem, _resonance(ex, 0.0), [4.0, 8.0])
+    assert len(branch) == 1 and branch[0].failed
 
 
 def _resonance(ex, lam0):
@@ -528,8 +551,7 @@ def test_reversible_step_detects_a_singular_odd_block():
     for blocks, solve in (([(even_rows, even_cols, even, odd)], block_solve),
                           (J, _lstsq_step)):
         with pytest.raises(SingularJacobianError) as err:
-            _gauss_newton(func, np.zeros(dim + 1), 1e-10, 5, lambda z: blocks,
-                          solve)
+            _gauss_newton(func, np.zeros(dim + 1), lambda z: blocks, solve)
         assert err.value.cond > 1e14
 
 
@@ -610,7 +632,7 @@ def test_exactly_singular_even_block_raises_singular_jacobian():
     _, _, solve = _continuation_system(linear_problem({0: 1.0}),
                                        FourierLoop.zero(n, N), 1.0, 1, 9)
     with pytest.raises(SingularJacobianError) as err:
-        _gauss_newton(lambda z: np.ones(dim + 2), np.zeros(dim + 1), 1e-10, 5,
+        _gauss_newton(lambda z: np.ones(dim + 2), np.zeros(dim + 1),
                       lambda z: [(even_rows, even_cols, even, odd)], solve)
     assert err.value.cond == math.inf
 
@@ -733,8 +755,8 @@ def test_newton_refinement_costs_one_solve_per_part(monkeypatch):
     # the continuation's parts: A(lambda) is diagonal and the loop stays
     # on one axis, so each of the n coordinates is a part of its own, the
     # phase row joins the odd block of the loop's axis, and no matrix has a
-    # side above N + 1.  One LU solve per part per step, one svd per block
-    # of each part at the converged step, no least-squares solve.
+    # side above N + 1.  One LU solve per part per step; a converged
+    # refinement takes no singular values and no least-squares solve.
     ex = example2()
     p, n = ex.problem, ex.problem.n
     bp = continue_to_infinity(p, _resonance(ex, 0.0), [4.0], modes=8)[0]
@@ -743,8 +765,8 @@ def test_newton_refinement_costs_one_solve_per_part(monkeypatch):
     steps = record_parts(monkeypatch)
     out = newton_solve(bp.loop.truncated(N), bp.lam, p)
     assert len(steps) > 0 and set(steps) == {n}
-    assert calls == {"solve": n * len(steps), "svd": 2 * n, "lstsq": 0}
-    assert max(sides["solve"] | sides["svd"]) == N + 1
+    assert calls == {"solve": n * len(steps), "svd": 0, "lstsq": 0}
+    assert max(sides["solve"]) == N + 1
     assert np.abs(residual(out, bp.lam, p)).max() <= galerkin.NEWTON_TOL
     assert np.all(out.asin == 0.0)
 

@@ -11,7 +11,7 @@ import equideg.spectral as spectral
 from equideg.spectral import (DegenerateSpectrumError, EigenConvergenceError,
                               MatrixFamily, NonIsolatedResonanceError,
                               ResolutionWarning, SpectralData, SymmetricMatrix,
-                              TangencyWarning, as_symmetric, eigen_sym,
+                              TangencyWarning, eigen_sym,
                               frequency_bound, j_k, k_set, morse_index,
                               resonant_frequencies, scan_resonances)
 from oracles import (charpoly_eigenvalues, random_orthogonal, random_symmetric,
@@ -131,6 +131,29 @@ def test_j_k_example_values():
     f3 = family_example3()
     assert j_k(f3.eval(1.0), 2) == 4
     assert j_k(f3.eval(-1.0), 2) == 3
+
+
+def test_eigen_sym_rejects_eigenpairs_that_miss_the_residual_bound(
+        monkeypatch):
+    eigh = np.linalg.eigh
+
+    def perturbed(a):
+        vals, vecs = eigh(a)
+        return vals + 1e-6, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    with pytest.raises(EigenConvergenceError, match="eigenpair residual"):
+        eigen_sym(np.diag([1.0, 4.0]))
+
+
+def test_eigen_sym_names_a_failed_decomposition(monkeypatch):
+    def fails(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fails)
+    with pytest.raises(EigenConvergenceError,
+                       match="eigen decomposition failed"):
+        eigen_sym(np.diag([1.0, 4.0]))
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
