@@ -2,14 +2,14 @@
 Hamiltonian systems, with a Fourier-Galerkin continuation harness."""
 
 from .udring import ONE, ZERO, TomDieckElement, add, product, scalar_mul, star
-from .reps import (SO2, RepDecomposition, gcd_closure, is_consistent,
-                   isotropy_gcd_set, kernel_rep_at_infinity)
+from .reps import SO2, RepDecomposition, gcd_closure, is_consistent, isotropy_gcd_set
 from .spectral import (DEFAULT_GRID, DEFAULT_TOL, DegenerateSpectrumError,
                        EigenConvergenceError, MatrixFamily,
                        NonIsolatedResonanceError, ResolutionWarning,
                        ResonancePoint, SpectralData, SymmetricMatrix,
                        TangencyWarning, as_symmetric, eigen_sym, j_k, k_set,
-                       morse_index, resonant_frequencies, scan_resonances)
+                       kernel_rep_at_infinity, morse_index,
+                       resonant_frequencies, scan_resonances)
 from .eqdeg import (BlockDataError, LinearBlockData, MissingIndexError,
                     deg_id_minus_LA, ind_infinity, lin_deg, minus_id_data)
 from .bifurcation import (AccumulationWarning, BifurcationReport,

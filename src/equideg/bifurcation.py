@@ -39,7 +39,7 @@ import numpy as np
 from .eqdeg import MissingIndexError, degree_of_spectrum, index_of_spectrum
 from .reps import gcd_closure, isotropy_gcd_set
 from .spectral import (DEFAULT_GRID, DEFAULT_TOL, MatrixFamily, ResonancePoint,
-                       SpectralData, as_symmetric, eigen_sym, k_set,
+                       SpectralData, _integers_in, as_symmetric, eigen_sym, k_set,
                        resonant_frequencies, scan_resonances)
 from .udring import TomDieckElement
 
@@ -176,13 +176,6 @@ class Perturbation:
     def hessian(self, x, lam):
         return self.hessian_many(x, lam)[0]
 
-    def to_json(self):
-        obj = {"kind": self.kind}
-        if self.kind == "kepler":
-            obj["a"] = self.a
-            obj["scale"] = self.scale
-        return obj
-
 
 @dataclass(frozen=True, eq=False)
 class IndexRule:
@@ -231,12 +224,6 @@ class IndexRule:
         raise MissingIndexError(
             "the index at infinity is unavailable for this problem; declare "
             "the built-in class or supply a value")
-
-    def to_json(self):
-        obj = {"kind": self.kind}
-        if self.kind == "value" and not callable(self._value):
-            obj["value"] = int(self._value)
-        return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -474,10 +461,9 @@ def _j_jumps(s_m, s_p):
     monotone, so the floors of the square roots of the ends bracket those k.
     """
     a, b = s_m.expanded(), s_p.expanded()
-    lo, hi = (np.floor(np.sqrt(np.maximum(f(a, b), 0.0))).astype(np.int64).tolist()
+    lo, hi = (np.floor(np.sqrt(np.maximum(f(a, b), 0.0))).astype(np.int64)
               for f in (np.minimum, np.maximum))
-    ks = np.array(sorted({k for l, h in zip(lo, hi) for k in range(max(l, 1), h + 1)}),
-                  dtype=np.int64)
+    ks = np.array(_integers_in(np.maximum(lo, 1), hi), dtype=np.int64)
     rows = zip(ks.tolist(), s_m.counts_above(ks).tolist(), s_p.counts_above(ks).tolist())
     return [(k, jm, jp) for k, jm, jp in rows if jm != jp]
 
@@ -612,7 +598,7 @@ def eqcont3_points(p, window, tol=DEFAULT_TOL):
     if not 0.0 < lo < hi:
         raise ValueError(f"window must sit inside (0, inf), got ({lo}, {hi})")
     s = eigen_sym(A, tol)
-    if any(abs(v) <= s.tol for v, _ in s.eigenvalues):
+    if s.multiplicity(0.0):
         raise PreconditionError(
             "A has an eigenvalue at 0 (at tolerance); the scaled-family "
             "criterion requires det A != 0")
@@ -632,6 +618,7 @@ def eqcont3_points(p, window, tol=DEFAULT_TOL):
             if lo <= lam0 <= hi:
                 found.append((lam0, k, alpha, ind * mult))
     found.sort()
+    # anchored at a point's first lambda0, unlike spectral._runs' chaining
     out = []
     i = 0
     while i < len(found):

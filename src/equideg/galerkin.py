@@ -571,10 +571,7 @@ def continue_to_infinity(p, r, amplitudes, modes=DEFAULT_MODES, direction=0):
             return branch
         loop = FourierLoop.unpack(z[:-1], n, N)
         lam = float(z[-1])
-        energy = loop.mode_energy()
-        total = float(energy.sum()) or 1.0
-        active = frozenset(int(k) for k in np.flatnonzero(
-            energy > ACTIVE_MODE_FRACTION * total) + 1)
+        active = frozenset(_active_modes(loop, ACTIVE_MODE_FRACTION))
         try:
             drift = energy_drift(loop, lam, p, M)
         except ValueError:  # a user perturbation without a potential
@@ -592,14 +589,18 @@ def continue_to_infinity(p, r, amplitudes, modes=DEFAULT_MODES, direction=0):
     return branch
 
 
-def minimal_period_divisor(loop):
-    """gcd of the active modes, 0 for an (almost) constant loop, from modes
-    scaled exactly by the power of two that brings the largest below 1."""
+def _active_modes(loop, fraction):
+    """Modes k >= 1 above ``fraction`` of the mode energy, from modes scaled
+    exactly by the power of two that brings the largest below 1."""
     e = math.frexp(np.abs(loop.pack()[loop.n:]).max(initial=0.0))[1]
     energy = FourierLoop(loop.a0, np.ldexp(loop.acos, -e),
                          np.ldexp(loop.asin, -e)).mode_energy()
-    active = np.flatnonzero(energy > PERIOD_MODE_FRACTION * energy.sum()) + 1
-    return math.gcd(*(int(k) for k in active))
+    return [int(k) for k in np.flatnonzero(energy > fraction * energy.sum()) + 1]
+
+
+def minimal_period_divisor(loop):
+    """gcd of the active modes, 0 for an (almost) constant loop."""
+    return math.gcd(*_active_modes(loop, PERIOD_MODE_FRACTION))
 
 
 def minimal_period(loop):

@@ -11,8 +11,6 @@ are read off from the gcd-closure of its frequency set.
 import math
 from dataclasses import dataclass
 
-from .spectral import DEFAULT_TOL, eigen_sym, resonant_frequencies
-
 #: Label for the full-group isotropy contributed by a trivial summand.
 #: Distinct from every integer label Z_g by construction.
 SO2 = "SO(2)"
@@ -90,18 +88,6 @@ def gcd_closure(freqs):
         if new == out:
             return frozenset(out)
         out = new
-
-
-def kernel_rep_at_infinity(A, tol=DEFAULT_TOL):
-    """Representation carried by ker(Id - L_A) in the loop space.
-
-    For each k >= 0 with k^2 an eigenvalue of A (within tolerance), the
-    kernel contains the mode-k loops in the corresponding eigenspace, one
-    R[mu, k] block of multiplicity mu = mu_A(k^2).
-    """
-    s = eigen_sym(A, tol)
-    return RepDecomposition([(s.multiplicity(k * k), k)
-                             for k in sorted(resonant_frequencies(s))])
 
 
 def isotropy_gcd_set(rep):

@@ -5,6 +5,7 @@ matrix A with respect to the squares {k^2 : k = 0, 1, 2, ...}:
 
 * ``j_k(A)``      -- eigenvalue count strictly above k^2,
 * ``morse_index`` -- eigenvalue count strictly below 0,
+* kernel rep      -- the sum of R[mu_A(k^2), k] over the resonant k,
 * resonances      -- parameter values where some eigenvalue hits some k^2,
                      found from det(A - k^2 Id) on whole grids at once until
                      the scan follows the eigenvalue curves (ROADMAP item 2).
@@ -12,7 +13,9 @@ matrix A with respect to the squares {k^2 : k = 0, 1, 2, ...}:
 Tolerances are relative on input (default 1e-9) and converted once into an
 absolute tolerance ``tol * (1 + max|eigenvalue|)`` that is carried inside
 ``SpectralData``; all sign decisions are made against that absolute value
-and degenerate cases raise instead of guessing.
+(``SpectralData.near``, ``multiplicity``) and degenerate cases raise instead
+of guessing.  ``_runs`` is the one grouping of sorted values, ``_integers_in``
+the one union of integer intervals.
 """
 
 import math
@@ -20,6 +23,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from .reps import RepDecomposition, gcd_closure
 
 DEFAULT_TOL = 1e-9
 DEFAULT_GRID = 512
@@ -98,9 +103,13 @@ class SpectralData:
         """Largest eigenvalue, -1.0 for an empty spectrum."""
         return max(self.values(), default=-1.0)
 
+    def near(self, x):
+        """The clusters (value, multiplicity) within tol of x, increasing."""
+        return [(v, m) for v, m in self.eigenvalues if abs(v - x) <= self.tol]
+
     def multiplicity(self, x):
         """Total multiplicity of eigenvalues within tol of x."""
-        return sum(m for v, m in self.eigenvalues if abs(v - x) <= self.tol)
+        return sum(m for _, m in self.near(x))
 
     def counts_above(self, ks):
         """j_k for every k in the integer array ks: the number of
@@ -124,6 +133,34 @@ class SpectralData:
     @classmethod
     def from_json(cls, obj):
         return cls(tuple((float(v), int(m)) for v, m in obj["eigenvalues"]), float(obj["tol"]))
+
+
+def _runs(values, gap, key=lambda v: v):
+    """Split an increasing sequence where consecutive keys are more than
+    ``gap`` apart (chain linkage: a run may span more than ``gap``)."""
+    runs, last = [], None
+    for v in values:
+        kv = key(v)
+        if not runs or kv - last > gap:
+            runs.append([])
+        runs[-1].append(v)
+        last = kv
+    return runs
+
+
+def _integers_in(first, last):
+    """The integers of the union of the intervals [first_i, last_i],
+    increasing; empty intervals add nothing."""
+    if not len(first):
+        return []
+    # merge by start: a run ends where the next start passes its top end + 1
+    order = np.argsort(first)
+    first, last = np.asarray(first)[order].astype(int), np.asarray(last)[order].astype(int)
+    top = np.maximum.accumulate(last)
+    new_run = np.concatenate(([True], first[1:] > top[:-1] + 1))
+    last_of_run = np.concatenate((new_run[1:], [True]))
+    return [k for a, b in zip(first[new_run].tolist(), top[last_of_run].tolist())
+            for k in range(a, b + 1)]
 
 
 def _check_tol(tol):
@@ -150,13 +187,7 @@ def eigen_sym(A, tol=DEFAULT_TOL):
     if resid > abs_tol:
         raise EigenConvergenceError(
             f"eigenpair residual {resid:.3e} exceeds tolerance {abs_tol:.3e}")
-    clusters = []
-    for v in vals:
-        if clusters and v - clusters[-1][-1] <= abs_tol:
-            clusters[-1].append(v)
-        else:
-            clusters.append([v])
-    eigenvalues = tuple((float(np.mean(c)), len(c)) for c in clusters)
+    eigenvalues = tuple((float(np.mean(c)), len(c)) for c in _runs(vals.tolist(), abs_tol))
     return SpectralData(eigenvalues, float(abs_tol))
 
 
@@ -198,10 +229,10 @@ def j_k(A, k, tol=DEFAULT_TOL):
         raise ValueError("k must be nonnegative")
     k = int(k)
     s = eigen_sym(A, tol)
-    for v, _ in s.eigenvalues:
-        if abs(v - k * k) <= s.tol:
-            raise DegenerateSpectrumError(
-                f"eigenvalue {v!r} lies within tolerance {s.tol:.3e} of {k}^2 = {float(k * k)}")
+    near = s.near(k * k)
+    if near:
+        raise DegenerateSpectrumError(
+            f"eigenvalue {near[0][0]!r} lies within tolerance {s.tol:.3e} of {k}^2 = {float(k * k)}")
     return int(s.counts_above(k))
 
 
@@ -210,8 +241,6 @@ def k_set(s_minus, s_plus):
 
     Empty when neither endpoint spectrum meets a positive square.
     """
-    from .reps import gcd_closure
-
     out = set()
     for s in (s_minus, s_plus):
         freqs = resonant_frequencies(s, include_zero=False)
@@ -328,8 +357,6 @@ class ResonancePoint:
 
     @classmethod
     def from_json(cls, obj):
-        from .reps import RepDecomposition
-
         return cls(
             float(obj["lambda0"]),
             frozenset(int(k) for k in obj["frequencies"]),
@@ -386,6 +413,8 @@ def _scan_one_frequency(family, nodes, mats, k, tol):
             for lam in nodes[dips].tolist()
             if not any(abs(lam - r) <= 2.0 * cell for r in roots)]
 
+    # anchored at a run's first root, unlike _runs, whose chaining differs
+    # once a grid cell is narrower than tol
     merged = []
     for r in sorted(roots):
         if not merged or r - merged[-1] > max(tol, 1e-15):
@@ -427,15 +456,7 @@ def _reachable_frequencies(family, nodes, mats, tol):
     first = np.ceil(np.sqrt(lower))
     last = np.floor(np.sqrt(upper))
     some = first <= last
-    if not np.any(some):
-        return []
-    # merge [first, last] by start: a run ends where the next start passes its top end + 1
-    order = np.argsort(first[some])
-    first, last = first[some][order].astype(int), last[some][order].astype(int)
-    top = np.maximum.accumulate(last)
-    new_run = np.r_[True, first[1:] > top[:-1] + 1]
-    return [k for a, b in zip(first[new_run].tolist(), top[np.r_[new_run[1:], True]].tolist())
-            for k in range(a, b + 1)]
+    return _integers_in(first[some], last[some])
 
 
 def scan_resonances(family, lo, hi, grid=DEFAULT_GRID, tol=DEFAULT_TOL):
@@ -467,28 +488,30 @@ def scan_resonances(family, lo, hi, grid=DEFAULT_GRID, tol=DEFAULT_TOL):
         pairs.extend((lam, k) for lam in roots)
 
     merge_tol = 8.0 * tol * (1.0 + max(abs(lo), abs(hi)))
-    groups = []
-    for lam, k in sorted(pairs):
-        if not groups or lam - groups[-1][-1][0] > merge_tol:
-            groups.append([])
-        groups[-1].append((lam, k))
-    return [_make_point(family, group, tol) for group in groups]
+    return [_make_point(family, group, tol)
+            for group in _runs(sorted(pairs), merge_tol, key=lambda pair: pair[0])]
+
+
+def _kernel_rep(s, freqs):
+    """The sum of R[mu(k^2), k] over ``freqs``, mu the multiplicity in s.
+
+    A sign change certifies a crossing even when the bisected lambda leaves
+    k^2 just outside the tol band; mu is then the nearest cluster's."""
+    return RepDecomposition(
+        [(s.multiplicity(k * k) or min(s.eigenvalues, key=lambda vm: abs(vm[0] - k * k))[1], k)
+         for k in sorted(freqs)])
+
+
+def kernel_rep_at_infinity(A, tol=DEFAULT_TOL):
+    """ker(Id - L_A) in the loop space: one R[mu_A(k^2), k] block of mode-k
+    loops for each k >= 0 with k^2 an eigenvalue of A (within tolerance)."""
+    s = eigen_sym(A, tol)
+    return _kernel_rep(s, resonant_frequencies(s))
 
 
 def _make_point(family, group, tol):
-    from .reps import RepDecomposition
-
     lam0 = float(np.mean([lam for lam, _ in group]))
     s = eigen_sym(family.eval(lam0), tol)
     freqs = set(k for _, k in group) | set(resonant_frequencies(s))
-    parts = []
-    for k in sorted(freqs):
-        mu = s.multiplicity(k * k)
-        if mu == 0:
-            # the sign change certifies the crossing even when the bisected
-            # lambda leaves the eigenvalue just outside the tol band; take
-            # the multiplicity of the nearest cluster
-            mu = min(s.eigenvalues, key=lambda vm: abs(vm[0] - k * k))[1]
-        parts.append((mu, k))
-    rep = RepDecomposition(parts)
-    return ResonancePoint(lam0, frozenset(freqs), rep, det_nonzero=(0 not in freqs))
+    return ResonancePoint(lam0, frozenset(freqs), _kernel_rep(s, freqs),
+                          det_nonzero=(0 not in freqs))

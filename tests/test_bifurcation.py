@@ -2,7 +2,9 @@
 
 import json
 import math
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,12 +21,15 @@ from equideg.bifurcation import (AccumulationWarning, BifurcationReport,
 from equideg.eqdeg import MissingIndexError, deg_id_minus_LA
 from equideg.problems import example1, example2, example3
 from equideg.reps import RepDecomposition
-from equideg.spectral import (MatrixFamily, ResonancePoint, TangencyWarning,
-                              resonant_frequencies, eigen_sym)
+from equideg.spectral import (MatrixFamily, ResonancePoint, SpectralData,
+                              TangencyWarning, resonant_frequencies, eigen_sym)
 from equideg.udring import ZERO, TomDieckElement
 
 from oracles import (charpoly_eigenvalues, random_orthogonal, random_symmetric,
                      reference_report)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402  (the benchmark's seeded stiff and dense families)
 
 
 def diag_family(*entries):
@@ -318,6 +323,32 @@ def test_bif_index_additive_over_subdivision():
         right = bif_index(p, b, c)
         assert whole == left + right
         assert bif_index(p, b, a) == -1 * left
+
+
+def _brute_j_jumps(s_m, s_p):
+    vm, vp = s_m.expanded().tolist(), s_p.expanded().tolist()
+    out = []
+    for k in range(1, math.isqrt(int(max(vm + vp + [0.0]))) + 2):
+        jm, jp = sum(v > k * k for v in vm), sum(v > k * k for v in vp)
+        if jm != jp:
+            out.append((k, jm, jp))
+    return out
+
+
+@pytest.mark.parametrize("workload", ["stiff", "dense"])
+def test_j_jumps_match_brute_force_counts(workload):
+    for seed in range(5):
+        for fam in workloads.make_inputs(workload, seed):
+            mf = MatrixFamily(fam.coeffs())
+            s_m, s_p = eigen_sym(mf.eval(workloads.LO)), eigen_sym(mf.eval(workloads.HI))
+            assert bifurcation._j_jumps(s_m, s_p) == _brute_j_jumps(s_m, s_p), fam.label
+            assert bifurcation._j_jumps(s_p, s_m) == _brute_j_jumps(s_p, s_m), fam.label
+
+
+def test_j_jumps_from_an_eigenvalue_on_a_square():
+    # j_2 counts eigenvalues strictly above 4, so 4 -> 5 moves it
+    s_m, s_p = SpectralData(((4.0, 1),), 1e-9), SpectralData(((5.0, 1),), 1e-9)
+    assert bifurcation._j_jumps(s_m, s_p) == _brute_j_jumps(s_m, s_p) == [(2, 0, 1)]
 
 
 # ------------------------------------------------------------------ criterion 1

@@ -1,11 +1,16 @@
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from equideg.reps import (SO2, RepDecomposition, gcd_closure, is_consistent,
-                          isotropy_gcd_set, kernel_rep_at_infinity)
+from equideg import (SO2, RepDecomposition, gcd_closure, is_consistent,
+                     isotropy_gcd_set, kernel_rep_at_infinity)
 
 
 def gcd_closure_oracle(freqs):
@@ -76,6 +81,19 @@ def test_kernel_rep_at_infinity_diagonal():
     r = kernel_rep_at_infinity(np.diag([0.0, 1.0, 4.0, 4.0, 7.0]))
     assert r.parts == ((1, 0), (1, 1), (2, 2))
     assert kernel_rep_at_infinity(np.diag([-3.0, 2.5])).parts == ()
+
+
+def test_reps_imports_no_other_equideg_module():
+    # load the package object without running its __init__, then reps alone
+    code = ("import importlib.util, json, sys\n"
+            "spec = importlib.util.find_spec('equideg')\n"
+            "sys.modules['equideg'] = importlib.util.module_from_spec(spec)\n"
+            "import equideg.reps\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'equideg')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert json.loads(out) == ["equideg", "equideg.reps"]
 
 
 def test_isotropy_labels():

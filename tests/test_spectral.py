@@ -173,6 +173,9 @@ def test_scan_needs_a_finite_interval():
 def test_j_k_degenerate_input_names_eigenvalue():
     with pytest.raises(DegenerateSpectrumError, match="4"):
         j_k(np.diag([4.0, 1.0]), 2)
+    # two clusters within tol of 4 (abs tol 5e-9): the lower one is named
+    with pytest.raises(DegenerateSpectrumError, match=repr(4.0 - 4e-9)):
+        j_k(np.diag([4.0 + 4e-9, 4.0 - 4e-9]), 2)
     with pytest.raises(ValueError):
         j_k(np.diag([1.0]), -1)
 
@@ -531,3 +534,32 @@ def test_reachable_frequencies_merges_integer_intervals(layout):
     assert got == union
     assert all(type(k) is int for k in got)
     assert json.loads(json.dumps(got)) == union
+    # the union itself, in any order and with empty intervals that add nothing
+    first, last = [a for a, _ in ranges], [b for _, b in ranges]
+    assert spectral._integers_in(first[::-1] + [9], last[::-1] + [8]) == union
+    assert spectral._integers_in(np.array(first, dtype=float), np.array(last, dtype=float)) \
+        == union
+
+
+def test_near_lists_the_clusters_within_tol():
+    s = SpectralData(((4.0 - 0.9e-8, 1), (4.0 + 0.9e-8, 2), (9.0, 1)), 1e-8)
+    assert s.near(4) == [(4.0 - 0.9e-8, 1), (4.0 + 0.9e-8, 2)]
+    assert s.multiplicity(4) == 3
+    assert s.near(5) == [] and s.multiplicity(5) == 0
+
+
+def test_integers_in_empty_input():
+    assert spectral._integers_in([], []) == []
+    assert spectral._integers_in(np.zeros(0), np.zeros(0)) == []
+    assert spectral._integers_in([5], [3]) == []
+
+
+def test_resonance_outside_tol_band_takes_nearest_cluster_multiplicity():
+    # bisection stops at |dlambda| < tol, which a slope of 1e6 turns into an
+    # eigenvalue 9e-5 from 4: the kernel takes the nearest cluster's multiplicity
+    (pt,) = scan_resonances(_diag1({0: 4.0123, 1: 1e6}), -1e-6, 1e-6)
+    assert pt.lambda0 == pytest.approx(-1.22e-8, rel=1e-2)
+    assert pt.frequencies == frozenset({2})
+    assert pt.kernel_rep.parts == ((1, 2),)
+    s = eigen_sym(_diag1({0: 4.0123, 1: 1e6}).eval(pt.lambda0))
+    assert s.multiplicity(4) == 0 and s.near(4) == []
