@@ -6,6 +6,7 @@ branch, `verify-examples` only when every regression row passes.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -161,7 +162,9 @@ def cmd_verify(args):
     return 0 if all(r["pass"] for r in results) else 1
 
 
+@functools.cache
 def build_arg_parser():
+    """The parser, built once and shared by every call (main's too)."""
     ap = argparse.ArgumentParser(
         prog="equideg",
         description="Equivariant-degree bifurcation-from-infinity analysis")

@@ -35,7 +35,9 @@ coordinates (i and j couple where H[:, i, j] is not exactly 0 at every
 node) and one node for the constraints (see _part_builder): a loop on one
 axis of a diagonal A(lambda) gives n parts of side N+1 or N+2, a coupled
 problem one part.  The residual's sin part is roundoff, so a Gauss-Newton
-step is one LU solve of each part's even block and keeps asin exactly 0.
+step is one LU solve of the even block of each part whose residual rows
+are not all exactly 0 (the idle axes step by exactly 0) and keeps asin
+exactly 0.  An iterate is sampled once, for its residual and Jacobian.
 
 The singular values of every part's two blocks, whose union is the whole
 Jacobian's, feed the rank check.  They are taken where the iteration
@@ -225,10 +227,9 @@ def _coeffs(samples, N):
     """Packed Fourier coefficients, modes 0..N, of samples on M nodes,
     transformed at the scale 2^-e of _headroom and scaled back."""
     M, e = samples.shape[0], _headroom(samples)
-    G = np.fft.rfft(_ldexp(samples, -e), axis=0)
-    c = FourierLoop(G[0].real / M, 2.0 * G[1:N + 1].real / M,
-                    -2.0 * G[1:N + 1].imag / M).pack()
-    return _ldexp(c, e)
+    G = np.fft.rfft(_ldexp(samples, -e), axis=0)[:N + 1]
+    c = np.stack([2.0 * G[1:].real / M, -2.0 * G[1:].imag / M], axis=1)
+    return _ldexp(np.concatenate([G[0].real / M, c.ravel()]), e)
 
 
 def residual(loop, lam, p, M=None):
@@ -236,11 +237,30 @@ def residual(loop, lam, p, M=None):
     M = _nodes(M, loop.N)
     if M < 2 * loop.N + 2:
         raise ValueError("need at least 2N+2 collocation nodes")
-    u, x = loop.values(M), loop.pack()
+    return _residual(loop.pack(), loop.values(M), lam, p)
+
+
+def _residual(x, u, lam, p):
+    """residual() of the loop packed in x, from its samples u, shape (M, n)."""
+    n, N = u.shape[1], (len(x) // u.shape[1] - 1) // 2
     e = _headroom(u, x)
-    c = _coeffs(p.gradient_many(u, lam, e), loop.N)
-    k2 = np.repeat(np.arange(1, loop.N + 1) ** 2, 2 * loop.n)  # cos and sin of mode k
-    return _ldexp(c - np.concatenate([np.zeros(loop.n), k2]) * _ldexp(x, -e), e)
+    c = _coeffs(p.gradient_many(u, lam, e), N)
+    k2 = np.repeat(np.arange(1, N + 1) ** 2, 2 * n)  # cos and sin of mode k
+    return _ldexp(c - np.concatenate([np.zeros(n), k2]) * _ldexp(x, -e), e)
+
+
+def _sampler(n, N, M):
+    """samples(x): the loop packed in x[:n(2N+1)] on M nodes.  It keeps the
+    last x and its samples, so func and jac of one iterate synthesise once."""
+    last = [None, None]
+
+    def samples(x):
+        if x is not last[0]:
+            rest = x[n:n * (2 * N + 1)].reshape(N, 2, n)
+            last[:] = x, _synthesize(x[:n], rest[:, 0], rest[:, 1], M)
+        return last[1]
+
+    return samples
 
 
 def _phase_row(ref):
@@ -332,28 +352,30 @@ def _part_builder(n, N, M, phase):
     dim = n * (2 * N + 1)
     cos, sin = _packed(n, N, np.arange(n))
     phase_nodes = (phase[sin].reshape(N, n) != 0.0).any(axis=0)
-    # a component's coordinates -> their packed positions and _layout;
-    # kept here, so components of another size do not rebuild it each step
-    layouts = {}
+    # the link pattern -> each component's nodes, coordinates, their packed
+    # positions and _layout; kept, so a pattern is split once per solve
+    split = {}
 
     def parts(H, border=None):
-        hc = (np.fft.fft(H, axis=0) / M).real
         linked = np.zeros((n + 1, n + 1), dtype=bool)
         linked[:n, :n] = (H != 0.0).any(axis=0)
+        # FFT lanes are independent: those that are all 0 are left 0
+        I, J = np.nonzero(linked[:n, :n])
+        hc = np.zeros(H.shape)
+        hc[:, I, J] = (np.fft.fft(H[:, I, J], axis=0) / M).real
         linked[:n, n] = phase_nodes
         if border is not None:
             lam_col, pin_row = border
             touched = (lam_col[cos] != 0.0) | (pin_row[cos] != 0.0)
             linked[:n, n] |= touched.reshape(N + 1, n).any(axis=0)
+        linked |= linked.T
+        key = linked.tobytes()
+        if key not in split:
+            split[key] = [(nodes, S, *_packed(n, N, S), _layout(len(S), N, M))
+                          for nodes in _components(linked)
+                          if len(S := nodes[nodes < n])]
         out = []
-        for nodes in _components(linked | linked.T):
-            S = nodes[nodes < n]
-            if not len(S):
-                continue
-            key = S.tobytes()
-            if key not in layouts:
-                layouts[key] = (*_packed(n, N, S), _layout(len(S), N, M))
-            cos_S, sin_S, layout = layouts[key]
+        for nodes, S, cos_S, sin_S, layout in split[key]:
             cc, ss = _cos_blocks(hc[:, S][:, :, S], layout)
             if len(S) == len(nodes):
                 out.append((cos_S, cos_S, cc, ss))
@@ -373,17 +395,20 @@ def _part_builder(n, N, M, phase):
 
 def _solve_parts(parts, f):
     """The step for parts (_part_builder) and residual f: one LU solve of
-    each even block, 0 on asin, or None when one is exactly singular; the
-    phase row is the one equation more than unknowns, so the step has
-    len(f) - 1 entries.  Also a callable for the singular values of every
-    block, those of the whole Jacobian up to a permutation."""
+    each even block whose rows of f are not all exactly 0 (else its LU
+    gives exactly 0), 0 on asin, or None when one is exactly singular, an
+    idle one left to the rank check; the phase row is the one equation
+    more than unknowns, so the step has len(f) - 1 entries.  Also a
+    callable for the singular values of every block, those of the whole
+    Jacobian up to a permutation."""
     def sv():
         return np.concatenate([np.linalg.svd(b, compute_uv=False)
                                for part in parts for b in part[2:]])
     step = np.zeros(len(f) - 1)
     try:
         for rows, cols, even, _ in parts:
-            step[cols] = np.linalg.solve(even, -f[rows])
+            if (rhs := f[rows]).any():
+                step[cols] = np.linalg.solve(even, -rhs)
     except np.linalg.LinAlgError:
         return None, sv
     return step, sv
@@ -455,7 +480,9 @@ def newton_solve(guess, lam, p):
     condition against the guess derivative removes the time-shift
     degeneracy.  A converged solve takes no singular values, so it does not
     raise SingularJacobianError when its last Jacobian is rank deficient to
-    1e-14; a stalled, singular or exhausted one still does.
+    1e-14; a stalled, singular or exhausted one still does.  A part whose
+    residual rows are all exactly 0 is not solved (_solve_parts), so an
+    exactly singular block there raises only through that rank check.
     """
     if np.any(guess.asin != 0.0):
         raise ValueError("newton_solve needs a guess even in t (asin = 0); "
@@ -463,14 +490,13 @@ def newton_solve(guess, lam, p):
     n, N = guess.n, guess.N
     M = _nodes(None, N)
     phase = _phase_row(guess)
-    build = _part_builder(n, N, M, phase)
+    build, samples = _part_builder(n, N, M, phase), _sampler(n, N, M)
 
     def func(x):
-        lp = FourierLoop.unpack(x, n, N)
-        return np.concatenate([residual(lp, lam, p, M), [phase @ x]])
+        return np.concatenate([_residual(x, samples(x), lam, p), [phase @ x]])
 
     def jac(x):
-        return build(p.hessian_many(FourierLoop.unpack(x, n, N).values(M), lam))
+        return build(p.hessian_many(samples(x), lam))
 
     x, *_ = _gauss_newton(func, guess.pack(), jac, _solve_parts)
     return FourierLoop.unpack(x, n, N)
@@ -486,17 +512,15 @@ def _continuation_system(p, ref, R, k0, M):
     dim = n * (2 * N + 1)
     pin = slice(n + 2 * n * (k0 - 1), n + 2 * n * k0)  # acos_k0, asin_k0
     phase = _phase_row(ref)
-    build = _part_builder(n, N, M, phase)
+    build, samples = _part_builder(n, N, M, phase), _sampler(n, N, M)
     e = _headroom(ref.pack())
 
     def func(z):
-        lp = FourierLoop.unpack(z[:-1], n, N)
-        return np.concatenate([residual(lp, z[-1], p, M),
+        return np.concatenate([_residual(z[:-1], samples(z), z[-1], p),
                                [phase @ z[:-1], _norm(z[pin]) - R]])
 
     def jac(z):
-        lam = z[-1]
-        u = FourierLoop.unpack(z[:-1], n, N).values(M)
+        lam, u = z[-1], samples(z)
         pin_row = np.zeros(dim)
         pin_row[pin.start:pin.start + n] = z[pin][:n] / _norm(z[pin])
         return build(p.hessian_many(u, lam),
@@ -593,8 +617,8 @@ def _active_modes(loop, fraction):
     """Modes k >= 1 above ``fraction`` of the mode energy, from modes scaled
     exactly by the power of two that brings the largest below 1."""
     e = math.frexp(np.abs(loop.pack()[loop.n:]).max(initial=0.0))[1]
-    energy = FourierLoop(loop.a0, np.ldexp(loop.acos, -e),
-                         np.ldexp(loop.asin, -e)).mode_energy()
+    acos, asin = np.ldexp(loop.acos, -e), np.ldexp(loop.asin, -e)
+    energy = (acos ** 2).sum(axis=1) + (asin ** 2).sum(axis=1)
     return [int(k) for k in np.flatnonzero(energy > fraction * energy.sum()) + 1]
 
 

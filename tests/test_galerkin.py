@@ -416,12 +416,39 @@ def test_continuation_jacobian_splits_exactly_on_decoupled_loops(
         assert np.abs(split - whole).max() <= 1e-12 * whole[-1]
 
 
+@pytest.mark.parametrize("pattern", ["diagonal", "chain", "dense"])
+def test_parts_transform_only_the_linked_lanes_bit_for_bit(pattern):
+    # parts() transforms only the Hessian lanes H[:, i, j] that are not all
+    # exactly 0; FFT lanes are independent, so every part's blocks equal,
+    # bit for bit, those built from the whole stack's transform.  dense is
+    # the rotated examples' pattern; in chain, coordinates 0 and 2 share a
+    # part through 1 while their own lane is all 0.
+    rng = np.random.default_rng(19)
+    n = 4
+    i, j = np.indices((n, n))
+    mask = {"diagonal": i == j, "chain": abs(i - j) <= 1, "dense": i >= 0}[pattern]
+    for N in (3, 16):
+        M = 4 * N + 1
+        phase = _phase_row(FourierLoop.single_mode(1, np.eye(n)[0], N))
+        parts = galerkin._part_builder(n, N, M, phase)
+        for _ in range(20):
+            H = mask * rng.normal(size=(M, n, n)) \
+                * 10.0 ** rng.uniform(-8.0, 8.0, size=(n, n))
+            hc = (np.fft.fft(H, axis=0) / M).real
+            for _, cols, even, odd in parts(H):
+                S = cols[cols < n]
+                cc, ss = galerkin._cos_blocks(hc[:, S][:, :, S],
+                                              galerkin._layout(len(S), N, M))
+                assert np.array_equal(even, cc)
+                assert np.array_equal(odd[:len(ss)], ss)
+
+
 def test_singular_block_of_a_part_without_lambda_fails_the_point():
     # A(lambda) = diag(1 + lambda, 4): the second coordinate is a part of
     # its own and sits exactly at 2^2, so its even block is singular
-    # whatever lambda does (up to FFT roundoff, so LU still steps); the
-    # iteration converges, and the rank check that continuation runs on
-    # the returned singular values fails the point
+    # whatever lambda does; its residual rows are exactly 0, so no LU
+    # meets it; the iteration converges, and the rank check that
+    # continuation runs on the returned singular values fails the point
     p = linear_problem({0: 1.0, 1: 1.0}, {0: 4.0})
     N, k0 = 4, 1
     seed = FourierLoop.single_mode(k0, [2.0, 0.0], N)
@@ -595,15 +622,17 @@ def record_parts(monkeypatch):
 def test_continuation_step_costs_one_lstsq_and_one_svd(
         monkeypatch, make, lam0, modes):
     # the name is the cost this test first pinned down; the cost it now
-    # asserts is lower: each Newton step solves the square even block of
-    # every uncoupled part of the Jacobian once by LU; only the converged
-    # point's last Jacobian has its singular values taken, one svd per
-    # block of each part; no least-squares solve and no full
-    # harmonic-balance matrix, also for a user perturbation, whose Hessian
-    # is a central difference.  The examples' A(lambda) is diagonal and
-    # their branches stay on one axis, so every coordinate is a part of
-    # its own and no matrix has a side above N + 2; the rotated example
-    # couples them all into one part, the even block of side n(N+1)+1.
+    # asserts is lower: each Newton step solves by LU the square even block
+    # of every uncoupled part of the Jacobian whose residual rows are not
+    # all 0; only the converged point's last Jacobian has its singular
+    # values taken, one svd per block of each part; no least-squares solve
+    # and no full harmonic-balance matrix, also for a user perturbation,
+    # whose Hessian is a central difference.  The examples' A(lambda) is
+    # diagonal and their branches stay on one axis, so every coordinate is
+    # a part of its own, no matrix has a side above N + 2, and only the
+    # loop's axis, bordered by the pin row and lambda column, moves; the
+    # rotated example couples them all into one part, the even block of
+    # side n(N+1)+1.
     ex = make()
     r = _resonance(ex, lam0)
     n, C = ex.problem.n, ex.problem.family.coeffs
@@ -613,12 +642,75 @@ def test_continuation_step_costs_one_lstsq_and_one_svd(
     assert not any(bp.failed for bp in branch)
     steps = sum(bp.newton_steps for bp in branch)
     assert steps > 0
-    assert calls == {"solve": parts * steps, "svd": 2 * parts * len(branch),
+    assert calls == {"solve": steps, "svd": 2 * parts * len(branch),
                      "lstsq": 0}
     if parts == 1:
         assert sides["solve"] == {n * (modes + 1) + 1}
     else:
-        assert max(sides["solve"] | sides["svd"]) <= modes + 2
+        assert sides["solve"] == {modes + 2}
+        assert max(sides["svd"]) <= modes + 2
+
+
+@pytest.mark.parametrize("make, lam0", BRANCH_RESONANCES)
+@pytest.mark.parametrize("modes", [8, 32])
+def test_skipped_idle_parts_leave_every_branch_bit_for_bit(
+        monkeypatch, make, lam0, modes):
+    # a part whose residual rows are all exactly 0 takes step 0 without an
+    # LU; an LU solve of every part gives the same branch, bit for bit, and
+    # each LU the solver does run has a right-hand side that is not all 0
+    ex = make()
+    r = _resonance(ex, lam0)
+    rhs = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: rhs.append(b.any()) or solve(a, b))
+    skipped = continue_to_infinity(ex.problem, r, [4.0, 16.0, 64.0], modes)
+    assert rhs and all(rhs)
+    solve_parts = galerkin._solve_parts
+
+    def solve_every_part(parts, f):
+        _, sv = solve_parts(parts, f)
+        step = np.zeros(len(f) - 1)
+        for rows, cols, even, _ in parts:
+            step[cols] = solve(even, -f[rows])
+        return step, sv
+
+    monkeypatch.setattr(galerkin, "_solve_parts", solve_every_part)
+    solved = continue_to_infinity(ex.problem, r, [4.0, 16.0, 64.0], modes)
+    assert len(skipped) == len(solved) == 3
+    for a, b in zip(skipped, solved):
+        assert a.loop.pack().tobytes() == b.loop.pack().tobytes()
+        assert dataclasses.replace(a, loop=None) == dataclasses.replace(b, loop=None)
+
+
+def test_exactly_singular_idle_part_is_left_to_the_rank_check():
+    # A(lambda) = diag(9.5, 0) or diag(1 + lambda, 0), the latter with a
+    # cubic force on the first axis, so its branch needs Newton steps: the
+    # second coordinate's Hessian lane is exactly 0, so its even block, a
+    # part of its own, has a zero a0 row, and a loop on the first axis
+    # leaves its residual rows exactly 0.  No LU meets that block:
+    # newton_solve converges, and continuation's rank check at the
+    # converged point fails it.  The resonance lambda0 = 0, k0 = 1 of the
+    # first coordinate is scanned with a second entry 2, off every k^2.
+    guess = FourierLoop.single_mode(1, [1e-3, 0.0], N=6)
+    out = newton_solve(guess, 0.0, linear_problem({0: 9.5}, {0: 0.0}))
+    assert np.abs(out.pack()).max() < 1e-12
+
+    cubic = Perturbation.user(lambda x, lam: np.array([0.01 * x[0] ** 3, 0.0]))
+    p = linear_problem({0: 1.0, 1: 1.0}, {0: 0.0}, pert=cubic)
+    scanned = linear_problem({0: 1.0, 1: 1.0}, {0: 2.0}).family
+    (r,) = scan_resonances(scanned, -0.5, 0.5)
+    N, k0 = 4, 1
+    seed = FourierLoop.single_mode(k0, [2.0, 0.0], N)
+    func, jac, solve = _continuation_system(p, seed, 2.0, k0, 4 * N + 1)
+    z0 = np.concatenate([seed.pack(), [r.lambda0]])
+    z, norm, _, sv = _gauss_newton(func, z0, jac, solve)
+    assert norm <= galerkin.NEWTON_TOL
+    with pytest.raises(SingularJacobianError) as err:
+        _rank_checked(sv())
+    assert err.value.cond == math.inf
+    branch = continue_to_infinity(p, r, [2.0, 4.0], N)
+    assert len(branch) == 1 and branch[0].failed
 
 
 def test_exactly_singular_even_block_raises_singular_jacobian():
@@ -755,8 +847,9 @@ def test_newton_refinement_costs_one_solve_per_part(monkeypatch):
     # the continuation's parts: A(lambda) is diagonal and the loop stays
     # on one axis, so each of the n coordinates is a part of its own, the
     # phase row joins the odd block of the loop's axis, and no matrix has a
-    # side above N + 1.  One LU solve per part per step; a converged
-    # refinement takes no singular values and no least-squares solve.
+    # side above N + 1.  Only the loop's axis has residual rows that are not
+    # all 0, so one LU solve per step; a converged refinement takes no
+    # singular values and no least-squares solve.
     ex = example2()
     p, n = ex.problem, ex.problem.n
     bp = continue_to_infinity(p, _resonance(ex, 0.0), [4.0], modes=8)[0]
@@ -765,8 +858,8 @@ def test_newton_refinement_costs_one_solve_per_part(monkeypatch):
     steps = record_parts(monkeypatch)
     out = newton_solve(bp.loop.truncated(N), bp.lam, p)
     assert len(steps) > 0 and set(steps) == {n}
-    assert calls == {"solve": n * len(steps), "svd": 0, "lstsq": 0}
-    assert max(sides["solve"]) == N + 1
+    assert calls == {"solve": len(steps), "svd": 0, "lstsq": 0}
+    assert sides["solve"] == {N + 1}
     assert np.abs(residual(out, bp.lam, p)).max() <= galerkin.NEWTON_TOL
     assert np.all(out.asin == 0.0)
 

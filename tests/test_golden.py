@@ -1,8 +1,9 @@
 """The command line's JSON outputs, pinned against snapshots in tests/data.
 
 ``analyze --json`` on the three bundled configs, ``verify-examples
---json`` and ``continue`` from the bundled resonances: keys, integers,
-booleans and strings must match exactly, floats to 1e-12 relative.
+--json`` and ``continue`` from the bundled resonances, at 16 modes and at
+the benchmark's 32: keys, integers, booleans and strings must match
+exactly, floats to 1e-12 relative.
 """
 
 import json
@@ -60,16 +61,28 @@ CONTINUED = {"example2": ("example2", 0.0),
              "example3_probe": ("example3", 0.0)}
 
 
-@pytest.mark.parametrize("name", list(CONTINUED))
-def test_continue_json_matches_snapshot(name, tmp_path, capsys):
+def _continued(name, modes, tmp_path, capsys):
     config, lam0 = CONTINUED[name]
     code, got = _run(["continue", str(config_path(config)), "--resonance", repr(lam0),
-                      "--amplitudes", "4,16,64", "--modes", "16",
+                      "--amplitudes", "4,16,64", "--modes", str(modes),
                       "--out", str(tmp_path / "branch.csv")], capsys)
     assert code == (1 if name == "example3_probe" else 0)
     assert got["csv"] == str(tmp_path / "branch.csv")
     got["csv"] = "branch.csv"
+    return got
+
+
+@pytest.mark.parametrize("name", list(CONTINUED))
+def test_continue_json_matches_snapshot(name, tmp_path, capsys):
+    got = _continued(name, 16, tmp_path, capsys)
     _assert_same(got, json.loads((DATA / f"continue_{name}.json").read_text()))
+
+
+# the benchmark's truncation order
+@pytest.mark.parametrize("name", ["example2", "example1", "example3"])
+def test_continue_json_matches_snapshot_at_32_modes(name, tmp_path, capsys):
+    got = _continued(name, 32, tmp_path, capsys)
+    _assert_same(got, json.loads((DATA / f"continue_{name}_32.json").read_text()))
 
 
 def test_snapshot_comparison_catches_a_changed_float():
