@@ -67,7 +67,7 @@ class Perturbation:
     """Bounded perturbation of the asymptotic quadratic part.
 
     kind "none":    eta = 0.
-    kind "kepler":  eta(x, lambda) = -s(lambda)/sqrt(|x|^2 + a), a > 0,
+    kind "kepler":  eta(x, lambda) = -s(lambda)/sqrt(|x|^2 + a), 0 < a < inf,
                     with s = 1 ("constant", the default) or s = lambda^2
                     ("lambda_squared").
     kind "user":    a caller-supplied gradient, optional potential value;
@@ -86,8 +86,9 @@ class Perturbation:
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
         if self.kind == "kepler":
             object.__setattr__(self, "a", float(self.a))
-            if not self.a > 0:
-                raise ValueError(f"kepler perturbation needs a positive a, got {self.a}")
+            if not 0 < self.a < math.inf:
+                raise ValueError("kepler perturbation needs a positive finite a, "
+                                 f"got {self.a}")
             if self.scale not in ("constant", "lambda_squared"):
                 raise ValueError(f"unknown kepler scale {self.scale!r}")
         if self.kind == "user" and self.grad is None:
@@ -254,13 +255,10 @@ class ProblemSpec:
         if self.scaled and (c.shape[0] != 3 or np.any(c[0]) or np.any(c[1])):
             raise ValueError("scaled problem must have family lambda^2 * A")
 
-    def gradient_many(self, X, lam, e=0):
-        """grad V(x, lambda) for a stack X of shape (m, n), times 2^-e (X A from X 2^-e)."""
+    def gradient_many(self, X, lam):
+        """grad V(x, lambda) for a stack X of shape (m, n)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        G = self.perturbation.gradient_many(X, lam)
-        if e:
-            X, G = np.ldexp(X, -e), np.ldexp(G, -e)
-        return X @ self.family.eval_array(lam) + G
+        return X @ self.family.eval_array(lam) + self.perturbation.gradient_many(X, lam)
 
     def potential_many(self, X, lam):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -268,13 +266,11 @@ class ProblemSpec:
         quad = 0.5 * np.einsum("mi,ij,mj->m", X, A, X)
         return quad + self.perturbation.value_many(X, lam)
 
-    def gradient_lambda_many(self, X, lam, e=0):
-        """d/dlambda grad V(x, lambda), times 2^-e as in gradient_many."""
+    def gradient_lambda_many(self, X, lam):
+        """d/dlambda grad V(x, lambda) for a stack X of shape (m, n)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        G = self.perturbation.gradient_lambda_many(X, lam)
-        if e:
-            X, G = np.ldexp(X, -e), np.ldexp(G, -e)
-        return X @ self.family.derivative_array(lam) + G
+        return (X @ self.family.derivative_array(lam)
+                + self.perturbation.gradient_lambda_many(X, lam))
 
     def hessian_many(self, X, lam):
         """Hessians of V at a stack X of shape (m, n), shape (m, n, n)."""
@@ -595,7 +591,7 @@ def eqcont3_points(p, window, tol=DEFAULT_TOL):
     """
     A = p.scaled_base_matrix()
     lo, hi = float(window[0]), float(window[1])
-    if not 0.0 < lo < hi:
+    if not 0.0 < lo < hi < math.inf:
         raise ValueError(f"window must sit inside (0, inf), got ({lo}, {hi})")
     s = eigen_sym(A, tol)
     if s.multiplicity(0.0):

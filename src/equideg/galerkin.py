@@ -38,6 +38,9 @@ problem one part.  The residual's sin part is roundoff, so a Gauss-Newton
 step is one LU solve of the even block of each part whose residual rows
 are not all exactly 0 (the idle axes step by exactly 0) and keeps asin
 exactly 0.  An iterate is sampled once, for its residual and Jacobian.
+Continuation solves each point with numpy's overflow and invalid results
+raised as FloatingPointError, so a point too large for floating point
+fails by name; newton_solve keeps the caller's numpy error settings.
 
 The singular values of every part's two blocks, whose union is the whole
 Jacobian's, feed the rank check.  They are taken where the iteration
@@ -119,7 +122,9 @@ class FourierLoop:
 
     @classmethod
     def single_mode(cls, k, vec, N):
-        """R^n-valued loop vec*cos(kt)."""
+        """R^n-valued loop vec*cos(kt), 1 <= k <= N."""
+        if not 1 <= k <= N:
+            raise ValueError(f"mode k = {k} is outside 1..N = 1..{N}")
         vec = np.asarray(vec, dtype=float)
         acos = np.zeros((N, vec.shape[0]))
         acos[k - 1] = vec
@@ -171,20 +176,6 @@ class FourierLoop:
         return FourierLoop(self.a0, acos, asin)
 
 
-def _headroom(*arrays):
-    """The e >= 0 that brings every |entry| below 2^500; 0, so no scaling
-    and the same bits, for ordinary arrays.  Sums and products at the scale
-    2^-e cannot overflow, and a power of two rounds only entries that it
-    takes below the normal range."""
-    top = max(float(np.abs(a).max(initial=0.0)) for a in arrays)
-    return max(math.frexp(top)[1] - 500, 0)
-
-
-def _ldexp(a, e):
-    """a 2^e, exact short of overflow and underflow; a itself when e = 0."""
-    return np.ldexp(a, e) if e else a
-
-
 def _nodes(M, N):
     """M, or the default of 4N+1 collocation nodes when M is 0 or None."""
     return M or 4 * N + 1
@@ -193,21 +184,16 @@ def _nodes(M, N):
 def _synthesize(c0, ccos, csin, M):
     """c0 + sum_k (ccos_k cos kt + csin_k sin kt) on M equispaced nodes.
 
-    One inverse real FFT of X_0 = M c0, X_k = (M/2)(ccos_k - i csin_k),
-    with the coefficients scaled by 2^-e and the samples back by 2^e (see
-    _headroom).  Every mode must lie below the Nyquist bin, k < M/2, or it
-    would alias.
+    One inverse real FFT of X_0 = M c0, X_k = (M/2)(ccos_k - i csin_k).
+    Every mode must lie below the Nyquist bin, k < M/2, or it would alias.
     """
     N, n = ccos.shape
     if M < 2 * N + 1:
         raise ValueError(f"need at least 2N+1 = {2 * N + 1} nodes, got {M}")
-    e = _headroom(c0, ccos, csin)
-    c0, ccos, csin = (_ldexp(c, -e) for c in (c0, ccos, csin))
     X = np.zeros((M // 2 + 1, n), dtype=complex)
     X[0] = M * c0
     X[1:N + 1] = 0.5 * M * (ccos - 1j * csin)
-    u = np.fft.irfft(X, n=M, axis=0)
-    return _ldexp(u, e)
+    return np.fft.irfft(X, n=M, axis=0)
 
 
 @dataclass(frozen=True)
@@ -224,16 +210,15 @@ class BranchPoint:
 
 
 def _coeffs(samples, N):
-    """Packed Fourier coefficients, modes 0..N, of samples on M nodes,
-    transformed at the scale 2^-e of _headroom and scaled back."""
-    M, e = samples.shape[0], _headroom(samples)
-    G = np.fft.rfft(_ldexp(samples, -e), axis=0)[:N + 1]
+    """Packed Fourier coefficients, modes 0..N, of samples on M nodes."""
+    M = samples.shape[0]
+    G = np.fft.rfft(samples, axis=0)[:N + 1]
     c = np.stack([2.0 * G[1:].real / M, -2.0 * G[1:].imag / M], axis=1)
-    return _ldexp(np.concatenate([G[0].real / M, c.ravel()]), e)
+    return np.concatenate([G[0].real / M, c.ravel()])
 
 
 def residual(loop, lam, p, M=None):
-    """Coefficient residual of u'' + grad V(u, lambda) = 0, formed at scale 2^-e (_headroom)."""
+    """Coefficient residual of u'' + grad V(u, lambda) = 0."""
     M = _nodes(M, loop.N)
     if M < 2 * loop.N + 2:
         raise ValueError("need at least 2N+2 collocation nodes")
@@ -243,10 +228,9 @@ def residual(loop, lam, p, M=None):
 def _residual(x, u, lam, p):
     """residual() of the loop packed in x, from its samples u, shape (M, n)."""
     n, N = u.shape[1], (len(x) // u.shape[1] - 1) // 2
-    e = _headroom(u, x)
-    c = _coeffs(p.gradient_many(u, lam, e), N)
+    c = _coeffs(p.gradient_many(u, lam), N)
     k2 = np.repeat(np.arange(1, N + 1) ** 2, 2 * n)  # cos and sin of mode k
-    return _ldexp(c - np.concatenate([np.zeros(n), k2]) * _ldexp(x, -e), e)
+    return c - np.concatenate([np.zeros(n), k2]) * x
 
 
 def _sampler(n, N, M):
@@ -264,18 +248,11 @@ def _sampler(n, N, M):
 
 
 def _phase_row(ref):
-    """Phase-condition row: row @ x pairs u with d/dt u_ref over a period, 0 at
-    x = ref, times 2^-e (_headroom of ref's modes) so k a_k stays finite."""
+    """Phase-condition row: row @ x pairs u with d/dt u_ref over a period, 0
+    at x = ref."""
     k = np.arange(1, ref.N + 1)[:, None]
-    e = _headroom(ref.acos, ref.asin)
     return math.pi * np.concatenate([np.zeros(ref.n), np.stack(
-        [k * _ldexp(ref.asin, -e), -k * _ldexp(ref.acos, -e)], axis=1).ravel()])
-
-
-def _norm(v):
-    """np.linalg.norm(v) without overflow: v is scaled by 2^-e and back."""
-    e = _headroom(v)
-    return math.ldexp(float(np.linalg.norm(_ldexp(v, -e))), e)
+        [k * ref.asin, -k * ref.acos], axis=1).ravel()])
 
 
 def _packed(n, N, nodes):
@@ -483,6 +460,9 @@ def newton_solve(guess, lam, p):
     1e-14; a stalled, singular or exhausted one still does.  A part whose
     residual rows are all exactly 0 is not solved (_solve_parts), so an
     exactly singular block there raises only through that rank check.
+    The solve runs under the caller's numpy error settings: a guess whose
+    samples overflow (a mode of 1e300) emits numpy RuntimeWarnings before
+    the rank check raises SingularJacobianError.
     """
     if np.any(guess.asin != 0.0):
         raise ValueError("newton_solve needs a guess even in t (asin = 0); "
@@ -506,33 +486,25 @@ def _continuation_system(p, ref, R, k0, M):
     """(func, jac, solve) of the augmented system in z = (packed loop,
     lambda): residual, phase condition against ref, and the mode-k0
     coefficient norm pinned to R.  jac gives _part_builder's parts with the
-    lambda column and pin row as border, solve steps by _solve_parts; the
-    lambda column and step are at ref's scale 2^-e."""
+    lambda column and pin row as border, and solve is _solve_parts."""
     n, N = ref.n, ref.N
     dim = n * (2 * N + 1)
     pin = slice(n + 2 * n * (k0 - 1), n + 2 * n * k0)  # acos_k0, asin_k0
     phase = _phase_row(ref)
     build, samples = _part_builder(n, N, M, phase), _sampler(n, N, M)
-    e = _headroom(ref.pack())
 
     def func(z):
         return np.concatenate([_residual(z[:-1], samples(z), z[-1], p),
-                               [phase @ z[:-1], _norm(z[pin]) - R]])
+                               [phase @ z[:-1], float(np.linalg.norm(z[pin])) - R]])
 
     def jac(z):
         lam, u = z[-1], samples(z)
         pin_row = np.zeros(dim)
-        pin_row[pin.start:pin.start + n] = z[pin][:n] / _norm(z[pin])
+        pin_row[pin.start:pin.start + n] = z[pin][:n] / float(np.linalg.norm(z[pin]))
         return build(p.hessian_many(u, lam),
-                     (_coeffs(p.gradient_lambda_many(u, lam, e), N), pin_row))
+                     (_coeffs(p.gradient_lambda_many(u, lam), N), pin_row))
 
-    def solve(parts, f):
-        step, sv = _solve_parts(parts, f)
-        if step is not None:
-            step[-1] = _ldexp(step[-1], -e)
-        return step, sv
-
-    return func, jac, solve
+    return func, jac, _solve_parts
 
 
 def _kernel_directions(p, r):
@@ -556,7 +528,10 @@ def continue_to_infinity(p, r, amplitudes, modes=DEFAULT_MODES, direction=0):
     lambda jointly, seeded from R * v * cos(k0 t) at first and from the
     rescaled previous solution afterwards.  Both seeds are even in t, so
     each step solves only the even block (see the module docstring).  A
-    failed solve appends a marker point and truncates the branch.
+    failed solve appends a marker point and truncates the branch; so does
+    a point whose solve overflows or meets an invalid value, raised as
+    FloatingPointError for that solve alone.  The measurements of a
+    converged point are taken outside it.
     """
     N, n = modes, p.n
     amplitudes = list(amplitudes)
@@ -584,12 +559,13 @@ def continue_to_infinity(p, r, amplitudes, modes=DEFAULT_MODES, direction=0):
             ratio = R / branch[-1].amplitude
             seed = FourierLoop(prev.a0 * ratio, prev.acos * ratio,
                                prev.asin * ratio)
-        z0 = np.concatenate([seed.pack(), [prev_lam]])
-        func, jac, solve = _continuation_system(p, seed, float(R), k0, M)
         try:
-            z, norm, steps, sv = _gauss_newton(func, z0, jac, solve)
-            cond = None if sv is None else _rank_checked(sv())
-        except (NewtonConvergenceError, SingularJacobianError):
+            with np.errstate(over="raise", invalid="raise"):
+                z0 = np.concatenate([seed.pack(), [prev_lam]])
+                func, jac, solve = _continuation_system(p, seed, float(R), k0, M)
+                z, norm, steps, sv = _gauss_newton(func, z0, jac, solve)
+                cond = None if sv is None else _rank_checked(sv())
+        except (NewtonConvergenceError, SingularJacobianError, FloatingPointError):
             branch.append(BranchPoint(seed, prev_lam, float(R), math.inf,
                                       frozenset(), failed=True))
             return branch

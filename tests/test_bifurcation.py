@@ -128,6 +128,8 @@ def test_kepler_scale_lambda_squared_vanishes_at_zero():
 def test_perturbation_validation():
     with pytest.raises(ValueError):
         Perturbation("kepler", a=-1.0, scale="constant")
+    with pytest.raises(ValueError, match="positive finite a"):
+        Perturbation.kepler(math.inf)
     with pytest.raises(ValueError):
         Perturbation.kepler(1.0, scale="cubic")
     with pytest.raises(ValueError):
@@ -493,6 +495,8 @@ def test_eqcont3_window_validation():
         eqcont3_points(p, (-0.5, 1.0))
     with pytest.raises(ValueError):
         eqcont3_points(p, (1.0, 0.5))
+    with pytest.raises(ValueError, match="window must sit inside"):
+        eqcont3_points(p, (0.5, math.inf))
 
 
 def test_eqcont3_point_json_roundtrip():

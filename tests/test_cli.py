@@ -267,14 +267,10 @@ def test_continue_failed_point_is_standard_json(tmp_path, capsys):
 
 def test_continue_overflowing_amplitude_keeps_the_converged_points(tmp_path,
                                                                    capfd):
-    # from 1e200 up the rescaled seed's lambda column is of order R (of
-    # order 2^500 at the seed's scale), so the rank check finds the
-    # augmented Jacobian rank deficient within a few Newton steps; the
-    # marker keeps its seed's period divisor, nothing overflows on the way
-    # (no numpy RuntimeWarning, no LAPACK complaint; from 1e307 up the
-    # loop's samples, residual terms k^2 a_k, grad V, phase row and lambda
-    # column are only finite through their power-of-two scaling) and the
-    # converged point before it is kept
+    # from 1e200 up the rescaled seed's residual or lambda column
+    # overflows, and the overflow fails the point: the marker keeps its
+    # seed's period divisor, nothing is printed (no numpy RuntimeWarning,
+    # no LAPACK complaint) and the converged point before it is kept
     def reject(name):
         raise ValueError(f"non-standard JSON constant {name}")
 

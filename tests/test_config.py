@@ -142,7 +142,7 @@ def test_perturbation_parsing():
     assert cfg.perturbation.kind == "kepler"
     assert cfg.perturbation.a == 2.0
     assert cfg.perturbation.scale == "lambda_squared"
-    for a in ("0", "nan"):
+    for a in ("0", "nan", "inf"):
         with pytest.raises(ConfigError, match="^perturbation: .*positive"):
             ProblemConfig.from_string(text.replace("a = 2", f"a = {a}"))
     with pytest.raises(ConfigError, match="scale"):

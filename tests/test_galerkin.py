@@ -67,6 +67,13 @@ def test_loop_values_single_mode():
     assert np.allclose(vals[:, 1], -0.5 * np.cos(2 * t))
 
 
+def test_single_mode_needs_a_retained_mode():
+    for k in (0, -1, 5):
+        with pytest.raises(ValueError, match="outside 1..N"):
+            FourierLoop.single_mode(k, [1.0], N=4)
+    assert FourierLoop.single_mode(4, [1.0], N=4).acos[3, 0] == 1.0
+
+
 def test_loop_velocity_matches_shifted_difference():
     rng = np.random.default_rng(3)
     loop = random_loop(rng, 2, 5)
@@ -577,9 +584,17 @@ def test_reversible_step_detects_a_singular_odd_block():
                                              FourierLoop.zero(n, N), 1.0, 1, 9)
     for blocks, solve in (([(even_rows, even_cols, even, odd)], block_solve),
                           (J, _lstsq_step)):
+        calls = []
+
+        def jac(z):
+            calls.append(z)
+            return blocks
         with pytest.raises(SingularJacobianError) as err:
-            _gauss_newton(func, np.zeros(dim + 1), lambda z: blocks, solve)
+            _gauss_newton(func, np.zeros(dim + 1), jac, solve)
         assert err.value.cond > 1e14
+        # the step leaves the residual as it was, so the rank check on that
+        # first Jacobian stops the iteration before a second is assembled
+        assert len(calls) == 1
 
 
 def count_linalg(monkeypatch, names):
@@ -730,9 +745,10 @@ def test_exactly_singular_even_block_raises_singular_jacobian():
 
 
 def test_rank_check_runs_where_a_step_does_not_lower_the_residual(monkeypatch):
-    # at 1e200 the seed's lambda column is of order 1e200: the LU step
+    # at 1e100 the seed's lambda column is of order 1e100: the LU step
     # exists but does not help, and the rank check on that Jacobian stops
     # the point after a few Jacobians instead of NEWTON_MAX_ITER of them
+    # (at 1e200 the point fails on overflow before any Jacobian is built)
     ex = example2()
     r = _resonance(ex, 0.0)
     system = galerkin._continuation_system
@@ -747,10 +763,10 @@ def test_rank_check_runs_where_a_step_does_not_lower_the_residual(monkeypatch):
         return func, counted, solve
 
     monkeypatch.setattr(galerkin, "_continuation_system", counting_system)
-    branch = continue_to_infinity(ex.problem, r, [4.0, 1e200])
+    branch = continue_to_infinity(ex.problem, r, [4.0, 1e100])
     assert [bp.failed for bp in branch] == [False, True]
     assert jacobians[4.0] == branch[0].newton_steps
-    assert 1 <= jacobians[1e200] <= 4
+    assert 1 <= jacobians[1e100] <= 4
 
 
 @pytest.mark.parametrize("modes", [16, 32])
@@ -768,12 +784,24 @@ def test_example3_probe_fails_at_its_first_amplitude(modes):
 def test_overflowing_lambda_column_fails_the_point_quietly(big):
     # at example 3's second resonance A'(lambda) has entries 3 lambda^2 of
     # about 2.7, so the lambda column u A'(lambda) of a loop of amplitude
-    # 1e308 fits only at the seed's scale; RuntimeWarnings are errors here
+    # 1e308 overflows: the overflow fails the point instead of warning
+    # (RuntimeWarnings are errors here) and the converged point is kept
     ex = example3()
     r = _resonance(ex, (4.0 - math.sqrt(10.0)) ** (1.0 / 3.0))
     branch = continue_to_infinity(ex.problem, r, [4.0, big], 16)
     assert [bp.failed for bp in branch] == [False, True]
     assert minimal_period_divisor(branch[1].loop) == 2
+
+
+def test_overflowing_point_leaves_numpy_error_settings_as_they_were():
+    # the overflow that fails the second point is raised inside the
+    # continuation alone; the caller's numpy error settings are unchanged
+    ex = example2()
+    r = _resonance(ex, 0.0)
+    before = np.geterr()
+    branch = continue_to_infinity(ex.problem, r, [4.0, 1.7e308])
+    assert [bp.failed for bp in branch] == [False, True]
+    assert np.geterr() == before
 
 
 # --------------------------------------------------------------- newton solve
