@@ -79,6 +79,9 @@ def _entry_terms(value, where):
         terms[power] = terms.get(power, 0.0) + _coefficient(ctxt, where)
     if not terms:
         raise ConfigError(f"{where}: empty polynomial")
+    for c in terms.values():  # after summing: two finite terms may overflow
+        if not math.isfinite(c):
+            raise ConfigError(f"{where}: must be finite, got {c}")
     return terms
 
 

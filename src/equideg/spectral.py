@@ -15,7 +15,8 @@ absolute tolerance ``tol * (1 + max|eigenvalue|)`` that is carried inside
 ``SpectralData``; all sign decisions are made against that absolute value
 (``SpectralData.near``, ``multiplicity``) and degenerate cases raise instead
 of guessing.  ``_runs`` is the one grouping of sorted values, ``_integers_in``
-the one union of integer intervals.
+the one union of integer intervals, ``MatrixFamily.eval_many`` the one
+evaluation of A(lambda): the scan's node stack and its bisection steps see it.
 """
 
 import math
@@ -313,9 +314,7 @@ class MatrixFamily:
         return SymmetricMatrix(self.eval_array(lam))
 
     def eval_array(self, lam):
-        d, n = self.degree, self.n
-        powers = np.power(float(lam), np.arange(d + 1))
-        return (powers @ self.coeffs.reshape(d + 1, n * n)).reshape(n, n)
+        return self.eval_many([lam])[0]
 
     def derivative_array(self, lam):
         """dA/dlambda at lam, from the same coefficient stack."""
@@ -324,9 +323,11 @@ class MatrixFamily:
         return (p * float(lam) ** (p - 1) @ self.coeffs[1:].reshape(d, n * n)).reshape(n, n)
 
     def eval_many(self, lams):
-        lams = np.asarray(lams, dtype=float)
-        powers = lams[:, None] ** np.arange(self.coeffs.shape[0])[None, :]
-        return np.tensordot(powers, self.coeffs, axes=([1], [0]))
+        """A(lambda) for each of ``lams``, each its own product with the stack: the
+        one evaluation, so the scan's nodes and bisection steps see the same bits."""
+        lams, d, n = np.asarray(lams, dtype=float), self.degree, self.n
+        powers = lams[:, None, None] ** np.arange(d + 1)
+        return (powers @ self.coeffs.reshape(d + 1, n * n)).reshape(len(lams), n, n)
 
 
 @dataclass(frozen=True)

@@ -629,6 +629,49 @@ def test_build_report_none_fires():
     assert r.resonances == []
 
 
+def test_eqcont2_silent_on_a_touching_curve():
+    # 4 + lambda^2 touches 4 at lambda = 0 without crossing: one resonance,
+    # nonresonant endpoints, no j_k jump, so no criterion fires
+    p = kepler_problem(diag_family({0: 4.0, 2: 1.0}, {0: 2.0}))
+    v = check_eqcont2(p, -0.5, 0.5)
+    assert (v.name, v.holds, v.lambda0) == ("eqcont2", False, 0.0)
+    assert v.message == "no j_k jump across the resonance"
+    r = build_report(p, -0.5, 0.5)
+    assert (r.criterion.name, r.criterion.holds) == ("none", False)
+    assert [x.lambda0 for x in r.resonances] == [0.0]
+    assert r.resonances[0].frequencies == frozenset({2})
+
+
+def test_build_report_example3_without_index_fires_nothing():
+    # eqcont2 needs one resonance (there are two), eqcont1 needs the index
+    ex = example3()
+    p = ProblemSpec(ex.problem.n, ex.problem.family, ex.problem.perturbation,
+                    IndexRule.unavailable())
+    r = build_report(p, ex.lm, ex.lp)
+    assert (r.criterion.name, r.criterion.holds) == ("none", False)
+    assert r.bif == TomDieckElement(0, {2: 1})
+    assert len(r.resonances) == 2
+
+
+@pytest.mark.parametrize("A, rule, error, name", [
+    ([[4.0]], IndexRule.unavailable(), MissingIndexError, "eqcont2(ii)"),
+    (np.diag([1e-12, 4.0]), IndexRule.builtin(), PreconditionError, "eqcont1(ii)")],
+    ids=["no-index", "det-A-zero"])
+def test_build_report_scaled_family_falls_through_eqcont3(A, rule, error, name):
+    # 4 lambda^2 = 1 at lambda = 0.5 inside (0.4, 0.6); eqcont3 raises, and
+    # the cascade goes on to eqcont2, or to eqcont1 where A's zero
+    # eigenvalue makes both endpoints resonant at k = 0
+    fam = MatrixFamily.scaled_quadratic(A)
+    p = ProblemSpec(fam.n, fam, Perturbation.kepler(1.0, "lambda_squared"), rule,
+                    scaled=True)
+    with pytest.raises(error):
+        eqcont3_points(p, (0.4, 0.6))
+    r = build_report(p, 0.4, 0.6)
+    assert r.eqcont3 == []
+    assert (r.criterion.name, r.criterion.holds, r.criterion.witness_k) == (name, True, 1)
+    assert [x.lambda0 for x in r.resonances] == pytest.approx([0.5])
+
+
 @pytest.mark.parametrize("make", [example1, example2, example3])
 def test_build_report_scans_once(make, monkeypatch):
     calls = []

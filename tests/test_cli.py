@@ -51,6 +51,19 @@ rule = builtin
 """
 
 
+# A(lambda) = 4 + lambda on [0, 1]: resonant at k = 2 at the left endpoint
+RESONANT_END = QUIET.replace("lambda_minus = -1", "lambda_minus = 0").replace(
+    "1 1 = 0:2", "1 1 = 0:4 1:1")
+
+# A(lambda) = lambda^2 diag(1, 4) on [0.4, 1.1]: points 1/2 (alpha 4, k 1)
+# and 1, where alpha = 1 with k = 1 and alpha = 4 with k = 2 merge
+SCALED = (QUIET.replace("\nn = 1", "\nn = 2")
+          .replace("lambda_minus = -1", "lambda_minus = 0.4")
+          .replace("lambda_plus = 1", "lambda_plus = 1.1\nscaled = true")
+          .replace("1 1 = 0:2", "1 1 = 2:1\n2 2 = 2:4")
+          .replace("constant", "lambda_squared"))
+
+
 @pytest.fixture
 def quiet_cfg(tmp_path):
     path = tmp_path / "quiet.cfg"
@@ -74,6 +87,19 @@ def test_analyze_quiet_problem_exits_two(quiet_cfg, capsys):
     out = capsys.readouterr().out
     assert rc == 2
     assert "did not fire" in out
+
+
+@pytest.mark.parametrize("text, rc, lines", [
+    (RESONANT_END, 2, ["  undefined coordinates at k in [2] (resonant endpoint)"]),
+    (SCALED, 0, ["  scaled-family point lambda0 = 0.5: Z_1 jump 1",
+                 "  scaled-family point lambda0 = 1: Z_1 jump 2 (merged, review)"])],
+    ids=["resonant-endpoint", "scaled-family"])
+def test_analyze_human_output_lines(text, rc, lines, tmp_path, capsys):
+    path = tmp_path / "problem.cfg"
+    path.write_text(text)
+    assert main(["analyze", str(path)]) == rc
+    out = capsys.readouterr().out.splitlines()
+    assert all(line in out for line in lines)
 
 
 def test_analyze_missing_file_exits_one(capsys):

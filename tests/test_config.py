@@ -206,8 +206,12 @@ def test_malformed_values_name_section_and_key(key, value):
     ("problem.lambda_minus", MINIMAL.replace("lambda_minus = -1",
                                              "lambda_minus = nan")),
     ("problem.lambda_plus", MINIMAL.replace("lambda_plus = 1",
-                                            "lambda_plus = inf"))],
-    ids=["tol-inf", "lambda_minus-inf", "lambda_minus-nan", "lambda_plus-inf"])
+                                            "lambda_plus = inf"))] + [
+    ("matrix.1 1", MINIMAL.replace("1 1 = 0:4", f"1 1 = {terms}"))
+    for terms in ("0:nan", "0:inf", "1:inf 0:1", "0:1e400", "0:1e308 0:1e308")],
+    ids=["tol-inf", "lambda_minus-inf", "lambda_minus-nan", "lambda_plus-inf",
+         "matrix-nan", "matrix-inf", "matrix-inf-power-1", "matrix-1e400",
+         "matrix-sum-overflows"])
 def test_nonfinite_values_name_their_key(key, text):
     with pytest.raises(ConfigError, match=f"^{key}: must be .*finite"):
         ProblemConfig.from_string(text)

@@ -975,6 +975,20 @@ def test_continuation_example2_drifts_to_resonance():
         assert bp.residual_norm < 1e-9
 
 
+def test_continuation_warns_when_the_drift_keeps_growing():
+    # shrinking amplitudes walk example 3's branch away from its resonance
+    # near 0.9427: the drift passes DRIFT_WINDOW and grows at 0.5 and 0.25
+    ex = example3()
+    r = scan_resonances(ex.problem.family, ex.lm, ex.lp)[1]
+    with pytest.warns(galerkin.DivergenceWarning) as record:
+        branch = continue_to_infinity(ex.problem, r, [4.0, 1.0, 0.5, 0.25], modes=32)
+    assert not any(bp.failed for bp in branch)
+    assert [round(bp.lam, 3) for bp in branch] == [0.93, 0.727, 0.392, -0.458]
+    assert [str(w.message).split(";")[0] for w in record] == [
+        "lambda drift grew to 0.55 at amplitude 0.5",
+        "lambda drift grew to 1.4 at amplitude 0.25"]
+
+
 def test_continuation_failure_appends_marker_and_truncates(monkeypatch):
     ex = example2()
     r = scan_resonances(ex.problem.family, ex.lm, ex.lp)[0]

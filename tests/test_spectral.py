@@ -245,6 +245,26 @@ def test_matrix_family_eval():
     with pytest.raises(AttributeError):
         fam.coeffs = None
 
+    # one evaluation of A: a matrix has the same bits alone and in a stack
+    rng = np.random.default_rng(0)
+    differ = 0
+    for _ in range(1200):
+        n, d = int(rng.integers(1, 9)), int(rng.integers(0, 4))
+        fam = MatrixFamily(rng.standard_normal((d + 1, n, n)))
+        lams = rng.uniform(-2.0, 2.0, 11)
+        many = fam.eval_many(lams)
+        differ += sum(not (np.array_equal(many[i], fam.eval_array(lam))
+                           and np.array_equal(many[i], fam.eval(lam).entries))
+                      for i, lam in enumerate(lams.tolist()))
+    assert differ == 0
+
+    # so the scan's node determinants are those its bisection steps compute
+    fam = MatrixFamily(rng.standard_normal((4, 5, 5)))
+    nodes, shift = np.linspace(-2.0, 2.0, 65), 4.0 * np.eye(5)
+    dets = np.linalg.det(fam.eval_many(nodes) - shift)
+    assert all(dets[i] == np.linalg.det(fam.eval_array(lam) - shift)
+               for i, lam in enumerate(nodes.tolist()))
+
 
 def test_matrix_family_entry_validation():
     with pytest.raises(ValueError):
