@@ -26,8 +26,7 @@ implemented:
   an explicit Z_k jump.
 
 Reports bundle the index, the fired criterion, resonance points, predicted
-minimal periods and isotropy-consistency verdicts into one JSON-stable
-structure.
+minimal periods and isotropy-consistency verdicts; ``to_json`` writes them.
 """
 
 import math
@@ -38,14 +37,19 @@ import numpy as np
 
 from .eqdeg import MissingIndexError, degree_of_spectrum, index_of_spectrum
 from .reps import gcd_closure, isotropy_gcd_set
-from .spectral import (DEFAULT_GRID, DEFAULT_TOL, MatrixFamily, ResonancePoint,
-                       SpectralData, _integers_in, as_symmetric, eigen_sym, k_set,
+from .spectral import (DEFAULT_GRID, DEFAULT_TOL, MatrixFamily, SpectralData,
+                       _integers_in, as_symmetric, eigen_sym, k_set,
                        resonant_frequencies, scan_resonances)
 from .udring import TomDieckElement
 
-#: Version of every file format written or read: problem files, the report,
-#: ``continue`` and ``verify-examples`` JSON, and the branch CSV header.
+#: Version of every file format.  Problem files are read; everything else
+#: (the report, ``continue`` and ``verify-examples`` JSON, the branch CSV
+#: header) is written.
 FORMAT_VERSION = 1
+
+#: Most candidate points k/sqrt(alpha) ``eqcont3_points`` enumerates; a
+#: wider window raises instead of costing time and memory without bound.
+EQCONT3_MAX_POINTS = 10**5
 
 
 class PreconditionError(ValueError):
@@ -174,9 +178,6 @@ class Perturbation:
                           / (up[:, j] - down[:, j])[:, None])
         return H
 
-    def hessian(self, x, lam):
-        return self.hessian_many(x, lam)[0]
-
 
 @dataclass(frozen=True, eq=False)
 class IndexRule:
@@ -211,9 +212,6 @@ class IndexRule:
     @property
     def available(self):
         return self.kind != "unavailable"
-
-    def ind(self, A, lam, tol=DEFAULT_TOL):
-        return self.ind_of(eigen_sym(A, tol), lam)
 
     def ind_of(self, s, lam):
         """The index at lambda, from the spectrum s of A(lambda)."""
@@ -277,9 +275,6 @@ class ProblemSpec:
         A = self.family.eval_array(lam)
         return A + self.perturbation.hessian_many(X, lam)
 
-    def hessian(self, x, lam):
-        return self.hessian_many(x, lam)[0]
-
     def scaled_base_matrix(self):
         """The constant A with family = lambda^2 A (scaled problems only)."""
         if not self.scaled:
@@ -307,14 +302,6 @@ class CriterionVerdict:
             "kset": sorted(self.kset) if self.kset is not None else None,
             "message": self.message,
         }
-
-    @classmethod
-    def from_json(cls, obj):
-        kset = obj.get("kset")
-        return cls(obj["name"], bool(obj["holds"]), obj.get("witness_k"),
-                   obj.get("lambda0"),
-                   frozenset(kset) if kset is not None else None,
-                   obj.get("message", ""))
 
 
 @dataclass(frozen=True)
@@ -346,10 +333,6 @@ class PeriodSet:
 
     def to_json(self):
         return {"divisors": sorted(self.divisors), "includes_zero": self.includes_zero}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(frozenset(int(g) for g in obj["divisors"]), bool(obj["includes_zero"]))
 
 
 @dataclass(frozen=True)
@@ -383,12 +366,6 @@ class Eqcont3Point:
                 "pairs": [[k, a] for k, a in self.pairs],
                 "bif_zk0": self.bif_zk0,
                 "merged": self.merged}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(float(obj["lambda0"]),
-                   tuple((int(k), float(a)) for k, a in obj["pairs"]),
-                   int(obj["bif_zk0"]))
 
 
 @dataclass(frozen=True)
@@ -606,14 +583,18 @@ def eqcont3_points(p, window, tol=DEFAULT_TOL):
             f"positive eigenvalues {small} are close to 0; bifurcation points "
             "k/sqrt(alpha) in this window are numerically unreliable",
             AccumulationWarning, stacklevel=2)
-    found = []
+    spans = []
     for alpha, mult in positive:
         root = math.sqrt(alpha)
-        for k in range(max(1, math.floor(lo * root)), math.ceil(hi * root) + 1):
-            lam0 = k / root
-            if lo <= lam0 <= hi:
-                found.append((lam0, k, alpha, ind * mult))
-    found.sort()
+        spans.append((alpha, ind * mult, root,
+                      range(max(1, math.floor(lo * root)), math.ceil(hi * root) + 1)))
+    count = sum(max(ks.stop - ks.start, 0) for *_, ks in spans)
+    if count > EQCONT3_MAX_POINTS:
+        raise PreconditionError(
+            f"the window holds {count} candidate points k/sqrt(alpha), more than "
+            f"{EQCONT3_MAX_POINTS}; narrow the window")
+    found = sorted((k / root, k, alpha, jump) for alpha, jump, root, ks in spans
+                   for k in ks if lo <= k / root <= hi)
     # anchored at a point's first lambda0, unlike spectral._runs' chaining
     out = []
     i = 0
@@ -650,7 +631,7 @@ def consistency_check(kernel_at_point, kernel_at_infinity):
 
 @dataclass(frozen=True, eq=False)
 class BifurcationReport:
-    """Full analysis of one interval, JSON-stable; equal when the JSON is."""
+    """Full analysis of one interval, as ``build_report`` assembles it."""
 
     interval: tuple
     n: int
@@ -663,17 +644,9 @@ class BifurcationReport:
     criterion: CriterionVerdict
     resonances: list
     predicted_periods: list
-    eqcont3: list = ()
-    consistency: list = ()
-    flags: dict = None
-
-    def __post_init__(self):
-        for name, norm in (("interval", lambda x: (float(x[0]), float(x[1]))),
-                           ("n", int), ("kset", frozenset), ("bif_undefined", frozenset),
-                           ("bif_ls", int), ("resonances", list), ("predicted_periods", list),
-                           ("eqcont3", list), ("consistency", list),
-                           ("flags", lambda f: dict(f or {}))):
-            object.__setattr__(self, name, norm(getattr(self, name)))
+    eqcont3: list
+    consistency: list
+    flags: dict
 
     def to_json(self):
         return {
@@ -692,31 +665,9 @@ class BifurcationReport:
                 {"lambda0": r.lambda0, **ps.to_json()}
                 for r, ps in zip(self.resonances, self.predicted_periods)],
             "eqcont3": [pt.to_json() for pt in self.eqcont3],
-            "consistency": list(self.consistency),
+            "consistency": self.consistency,
             "flags": self.flags,
         }
-
-    @classmethod
-    def from_json(cls, obj):
-        if obj.get("format_version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported format_version {obj.get('format_version')!r}")
-        return cls(
-            tuple(obj["interval"]), obj["dimension"],
-            SpectralData.from_json(obj["endpoint_spectra"]["minus"]),
-            SpectralData.from_json(obj["endpoint_spectra"]["plus"]),
-            frozenset(obj["kset"]),
-            TomDieckElement.from_json(obj["bif"]),
-            frozenset(obj["bif_undefined"]), obj["bif_ls"],
-            CriterionVerdict.from_json(obj["criterion"]),
-            [ResonancePoint.from_json(r) for r in obj["resonances"]],
-            [PeriodSet.from_json(pp) for pp in obj["predicted_periods"]],
-            [Eqcont3Point.from_json(pt) for pt in obj["eqcont3"]],
-            obj["consistency"], obj["flags"])
-
-    def __eq__(self, other):
-        if not isinstance(other, BifurcationReport):
-            return NotImplemented
-        return self.to_json() == other.to_json()
 
 
 def build_report(p, lm, lp, tol=DEFAULT_TOL, grid=DEFAULT_GRID,
@@ -778,7 +729,7 @@ def build_report(p, lm, lp, tol=DEFAULT_TOL, grid=DEFAULT_GRID,
         flags.setdefault("zero_set_bounded", True)
 
     report = BifurcationReport(
-        (lm, lp), p.n, e_m.spectrum, e_p.spectrum, k_set(e_m.spectrum, e_p.spectrum),
+        (float(lm), float(lp)), p.n, e_m.spectrum, e_p.spectrum, k_set(e_m.spectrum, e_p.spectrum),
         bif, und, bif.a0, verdict,
         resonances, periods, eq3, consistency, flags)
     if report.criterion.holds and not report.bif:

@@ -65,10 +65,6 @@ class RepDecomposition:
     def to_json(self):
         return [[j, k] for j, k in self.parts]
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls(tuple((j, k) for j, k in obj))
-
 
 def gcd_closure(freqs):
     """Closure of a set of positive integers under pairwise gcd.

@@ -131,10 +131,6 @@ class SpectralData:
     def to_json(self):
         return {"eigenvalues": [[v, m] for v, m in self.eigenvalues], "tol": self.tol}
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls(tuple((float(v), int(m)) for v, m in obj["eigenvalues"]), float(obj["tol"]))
-
 
 def _runs(values, gap, key=lambda v: v):
     """Split an increasing sequence where consecutive keys are more than
@@ -355,15 +351,6 @@ class ResonancePoint:
             "kernel_rep": self.kernel_rep.to_json(),
             "det_nonzero": self.det_nonzero,
         }
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(
-            float(obj["lambda0"]),
-            frozenset(int(k) for k in obj["frequencies"]),
-            RepDecomposition.from_json(obj["kernel_rep"]),
-            bool(obj["det_nonzero"]),
-        )
 
 
 def _scan_one_frequency(family, nodes, mats, k, tol):

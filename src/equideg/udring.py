@@ -94,18 +94,6 @@ class TomDieckElement:
         """JSON form ``{"so2": int, "zk": {"k": int}}`` with string keys."""
         return {"so2": self.a0, "zk": {str(k): v for k, v in sorted(self.zk.items())}}
 
-    @classmethod
-    def from_json(cls, obj):
-        if not isinstance(obj, dict) or set(obj) != {"so2", "zk"}:
-            raise ValueError(f"expected object with keys 'so2' and 'zk', got {obj!r}")
-        zk = {}
-        for key, v in obj["zk"].items():
-            k = int(key)
-            if str(k) != str(key).lstrip("+") or k < 1:
-                raise ValueError(f"bad frequency key {key!r}")
-            zk[k] = v
-        return cls(obj["so2"], zk)
-
 
 #: Additive identity (all coordinates zero).
 ZERO = TomDieckElement(0)

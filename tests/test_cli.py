@@ -358,6 +358,17 @@ def test_verify_examples_fails_under_tampering(monkeypatch, capsys):
     assert rc == 1
     assert "FAIL" in out
 
+    def crash(A, k, tol=1e-9):
+        raise RuntimeError("tampered")
+
+    # a row that raises is a failed row, with the exception in its detail
+    monkeypatch.setattr(equideg.spectral, "j_k", crash)
+    rc = main(["verify-examples"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert sum(l.startswith("FAIL") and l.endswith("  [RuntimeError: tampered]")
+               for l in lines) == 3
+
 
 # -------------------------------------------------------------------- parsing
 

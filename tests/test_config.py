@@ -9,6 +9,7 @@ from equideg.bifurcation import Perturbation
 from equideg.config import ConfigError, ProblemConfig
 from equideg.galerkin import DEFAULT_MODES
 from equideg.reps import RepDecomposition
+from equideg.spectral import eigen_sym
 
 MINIMAL = """\
 [problem]
@@ -79,6 +80,8 @@ def test_matrix_entry_errors():
     bad_key = MINIMAL.replace("1 1 = 0:4", "1 = 0:4")
     with pytest.raises(ConfigError, match="'i j'"):
         ProblemConfig.from_string(bad_key)
+    with pytest.raises(ConfigError, match="indices must be integers"):
+        ProblemConfig.from_string(MINIMAL + "a b = 0:1\n")
     out_of_range = MINIMAL + "3 1 = 0:1\n"
     with pytest.raises(ConfigError, match="outside"):
         ProblemConfig.from_string(out_of_range)
@@ -149,6 +152,8 @@ def test_perturbation_parsing():
         ProblemConfig.from_string(text.replace("lambda_squared", "cubic"))
     with pytest.raises(ConfigError, match="kind"):
         ProblemConfig.from_string(text.replace("kepler", "magnetic"))
+    none = MINIMAL + "\n[perturbation]\nkind = none\n"
+    assert ProblemConfig.from_string(none).perturbation.kind == "none"
 
 
 def test_kepler_scale_default_matches_the_library():
@@ -164,11 +169,12 @@ def test_kepler_scale_default_matches_the_library():
 
 
 def test_index_rule_parsing():
-    builtin = MINIMAL + "\n[index]\nrule = builtin\n"
-    assert ProblemConfig.from_string(builtin).index_rule.kind == "builtin"
+    for rule in ("builtin", "unavailable"):
+        text = MINIMAL + f"\n[index]\nrule = {rule}\n"
+        assert ProblemConfig.from_string(text).index_rule.kind == rule
     value = MINIMAL + "\n[index]\nrule = value\nvalue = -1\n"
     cfg = ProblemConfig.from_string(value)
-    assert cfg.index_rule.ind(np.eye(2), 0.0) == -1
+    assert cfg.index_rule.ind_of(eigen_sym(np.eye(2)), 0.0) == -1
     with pytest.raises(ConfigError, match="value"):
         ProblemConfig.from_string(MINIMAL + "\n[index]\nrule = value\n")
     with pytest.raises(ConfigError, match="rule"):

@@ -822,6 +822,11 @@ def test_newton_inexact_guess_with_no_budget_raises(monkeypatch):
     monkeypatch.setattr(galerkin, "NEWTON_MAX_ITER", 0)
     with pytest.raises(NewtonConvergenceError):
         newton_solve(guess, 0.0, p)
+    # a residual that is not finite stops the solve before any step
+    nan = linear_problem({0: 4.0}, pert=Perturbation.user(lambda x, lam: x * np.nan))
+    with pytest.raises(NewtonConvergenceError,
+                       match=r"^residual is not finite \(nan\) after 0 iterations$"):
+        newton_solve(guess, 0.0, nan)
 
 
 def test_newton_singular_jacobian_detected():

@@ -109,11 +109,6 @@ def test_eigen_sym_invariant_under_orthogonal_conjugation():
         assert np.abs(a - b).max() < 1e-8
 
 
-def test_spectral_data_json_round_trip():
-    s = eigen_sym(np.diag([1.0, 4.0]))
-    assert SpectralData.from_json(s.to_json()) == s
-
-
 def test_morse_index():
     assert morse_index(eigen_sym(np.diag([-1.0, -1.0, 2.0]))) == 2
     A1 = np.diag([0.0, SQRT2 + 1.0, 1.0 - SQRT2, SQRT5 + 1.0])
@@ -271,6 +266,12 @@ def test_matrix_family_entry_validation():
         MatrixFamily.from_entry_polynomials(2, {(0, 1): {0: 1.0}})
     with pytest.raises(ValueError):
         MatrixFamily.from_entry_polynomials(2, {(1, 1): {-1: 1.0}})
+    with pytest.raises(ValueError, match="coefficient stack"):
+        MatrixFamily(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="coefficient stack"):
+        MatrixFamily(np.zeros((1, 2, 3)))
+    with pytest.raises(ValueError, match="must be finite"):
+        MatrixFamily.from_entry_polynomials(2, {(1, 2): {1: math.inf}})
     fam = MatrixFamily.from_entry_polynomials(2, {(1, 2): {0: 3.0}})
     assert fam.eval(0.0).entries[1, 0] == 3.0
 
