@@ -7,7 +7,8 @@ from .spectral import (DEFAULT_GRID, DEFAULT_TOL, DegenerateSpectrumError,
                        EigenConvergenceError, MatrixFamily,
                        NonIsolatedResonanceError, ResolutionWarning,
                        ResonancePoint, SpectralData, SymmetricMatrix,
-                       TangencyWarning, as_symmetric, eigen_sym, j_k, k_set,
+                       TangencyWarning, TooManyFrequenciesError,
+                       as_symmetric, eigen_sym, j_k, k_set,
                        kernel_rep_at_infinity, morse_index,
                        resonant_frequencies, scan_resonances)
 from .eqdeg import (BlockDataError, LinearBlockData, MissingIndexError,

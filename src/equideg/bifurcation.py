@@ -434,9 +434,9 @@ def _j_jumps(s_m, s_p):
     monotone, so the floors of the square roots of the ends bracket those k.
     """
     a, b = s_m.expanded(), s_p.expanded()
-    lo, hi = (np.floor(np.sqrt(np.maximum(f(a, b), 0.0))).astype(np.int64)
+    lo, hi = (np.floor(np.sqrt(np.maximum(f(a, b), 0.0)))
               for f in (np.minimum, np.maximum))
-    ks = np.array(_integers_in(np.maximum(lo, 1), hi), dtype=np.int64)
+    ks = np.array(_integers_in(np.maximum(lo, 1.0), hi), dtype=np.int64)
     rows = zip(ks.tolist(), s_m.counts_above(ks).tolist(), s_p.counts_above(ks).tolist())
     return [(k, jm, jp) for k, jm, jp in rows if jm != jp]
 

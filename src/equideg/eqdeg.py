@@ -21,8 +21,8 @@ import numpy as np
 
 from .reps import RepDecomposition
 from .spectral import (DEFAULT_TOL, DegenerateSpectrumError, as_symmetric,
-                       eigen_sym, frequency_bound, morse_index,
-                       resonant_frequencies)
+                       check_frequency_count, eigen_sym, frequency_bound,
+                       morse_index, resonant_frequencies)
 from .udring import TomDieckElement
 
 
@@ -113,6 +113,7 @@ def degree_of_spectrum(s, a0, undefined=frozenset()):
     This is deg(Id - L_A) for a nonresonant A with a0 = (-1)^{j_0}, and the
     degree at a resonant endpoint with a0 the index at infinity.
     """
+    check_frequency_count(frequency_bound(s.top) - 1)
     ks = np.arange(1, frequency_bound(s.top))
     counts = s.counts_above(ks).tolist()
     return TomDieckElement(a0, {k: a0 * j for k, j in zip(ks.tolist(), counts)

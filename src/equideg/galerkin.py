@@ -376,11 +376,13 @@ def _solve_parts(parts, f):
     gives exactly 0), 0 on asin, or None when one is exactly singular, an
     idle one left to the rank check; the phase row is the one equation
     more than unknowns, so the step has len(f) - 1 entries.  Also a
-    callable for the singular values of every block, those of the whole
-    Jacobian up to a permutation."""
+    callable for the singular values of every distinct block: a block with
+    the shape and bytes of one already taken is skipped, so they are those
+    of the whole Jacobian as a set, extremes included."""
     def sv():
+        blocks = {(b.shape, b.tobytes()): b for part in parts for b in part[2:]}
         return np.concatenate([np.linalg.svd(b, compute_uv=False)
-                               for part in parts for b in part[2:]])
+                               for b in blocks.values()])
     step = np.zeros(len(f) - 1)
     try:
         for rows, cols, even, _ in parts:

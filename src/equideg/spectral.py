@@ -7,8 +7,10 @@ matrix A with respect to the squares {k^2 : k = 0, 1, 2, ...}:
 * ``morse_index`` -- eigenvalue count strictly below 0,
 * kernel rep      -- the sum of R[mu_A(k^2), k] over the resonant k,
 * resonances      -- parameter values where some eigenvalue hits some k^2,
-                     found from det(A - k^2 Id) on whole grids at once until
-                     the scan follows the eigenvalue curves (ROADMAP item 2).
+                     found from det(A - k^2 Id) on whole grids at once, for
+                     the k some eigenvalue curve can reach; the curves are
+                     sampled only in the blocks of cells where a square is
+                     in reach (until the scan follows them, ROADMAP item 2).
 
 Tolerances are relative on input (default 1e-9) and converted once into an
 absolute tolerance ``tol * (1 + max|eigenvalue|)`` that is carried inside
@@ -29,6 +31,8 @@ from .reps import RepDecomposition, gcd_closure
 
 DEFAULT_TOL = 1e-9
 DEFAULT_GRID = 512
+_BLOCK = 8   # cells per block in the first pass of _reachable_frequencies
+MAX_FREQUENCIES = 10**6   # the most frequencies k one report enumerates
 
 
 class EigenConvergenceError(RuntimeError):
@@ -44,12 +48,24 @@ class NonIsolatedResonanceError(RuntimeError):
     """det(A(lambda) - k^2 Id) vanishes on a whole subinterval."""
 
 
+class TooManyFrequenciesError(ValueError):
+    """A report would enumerate more than MAX_FREQUENCIES frequencies."""
+
+
 class TangencyWarning(UserWarning):
     """Determinant touches zero without changing sign between grid nodes."""
 
 
 class ResolutionWarning(UserWarning):
     """Two resonances of the same frequency fall within one grid cell."""
+
+
+def check_frequency_count(count):
+    """Raise TooManyFrequenciesError, naming ``count``, when a caller is
+    about to enumerate more than MAX_FREQUENCIES frequencies."""
+    if count > MAX_FREQUENCIES:
+        raise TooManyFrequenciesError(f"enumerating {count:.7g} frequencies k "
+                                      f"exceeds MAX_FREQUENCIES = {MAX_FREQUENCIES}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +80,7 @@ class SymmetricMatrix:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("matrix entries must be finite")
-        arr = (arr + arr.T) / 2.0
+        arr = arr / 2.0 + arr.T / 2.0
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
 
@@ -147,17 +163,20 @@ def _runs(values, gap, key=lambda v: v):
 
 def _integers_in(first, last):
     """The integers of the union of the intervals [first_i, last_i],
-    increasing; empty intervals add nothing."""
+    increasing; empty intervals add nothing.  Counted before they are
+    listed (check_frequency_count)."""
     if not len(first):
         return []
     # merge by start: a run ends where the next start passes its top end + 1
     order = np.argsort(first)
-    first, last = np.asarray(first)[order].astype(int), np.asarray(last)[order].astype(int)
+    first, last = (np.asarray(x, dtype=float)[order] for x in (first, last))
     top = np.maximum.accumulate(last)
     new_run = np.concatenate(([True], first[1:] > top[:-1] + 1))
     last_of_run = np.concatenate((new_run[1:], [True]))
-    return [k for a, b in zip(first[new_run].tolist(), top[last_of_run].tolist())
-            for k in range(a, b + 1)]
+    starts, stops = first[new_run], top[last_of_run] + 1
+    check_frequency_count(np.maximum(stops - starts, 0.0).sum())
+    return [k for a, b in zip(starts.astype(int).tolist(), stops.astype(int).tolist())
+            for k in range(a, b)]
 
 
 def _check_tol(tol):
@@ -204,13 +223,12 @@ def frequency_bound(top):
 
 def resonant_frequencies(s, include_zero=True):
     """Frequencies k with k^2 an eigenvalue within tolerance."""
-    out = set()
-    for v, _ in s.eigenvalues:
-        if v + s.tol >= 0.0:
-            # the squares near v, one k either side to spare the rounding
-            near = range(max(math.isqrt(int(max(v - s.tol, 0.0))) - 1, 0),
-                         math.isqrt(int(v + s.tol)) + 2)
-            out.update(k for k in near if abs(v - k * k) <= s.tol)
+    # the squares near each v, one k either side to spare the rounding
+    near = [(v, range(max(math.isqrt(int(max(v - s.tol, 0.0))) - 1, 0),
+                      math.isqrt(int(v + s.tol)) + 2))
+            for v, _ in s.eigenvalues if v + s.tol >= 0.0]
+    check_frequency_count(sum(ks.stop - ks.start for _, ks in near))
+    out = {k for v, ks in near for k in ks if abs(v - k * k) <= s.tol}
     if not include_zero:
         out.discard(0)
     return frozenset(out)
@@ -262,7 +280,7 @@ class MatrixFamily:
             raise ValueError(f"expected coefficient stack (degree+1, n, n), got {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("family coefficients must be finite")
-        arr = (arr + arr.transpose(0, 2, 1)) / 2.0
+        arr = arr / 2.0 + arr.transpose(0, 2, 1) / 2.0
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
 
@@ -414,6 +432,17 @@ def _scan_one_frequency(family, nodes, mats, k, tol):
     return merged, warn
 
 
+def _square_roots_in(mid, half):
+    """Elementwise bounds first, last of the integers k >= 0 whose square
+    lies in [max(mid - half, 0), mid + half]; first > last where none does."""
+    lower, upper = np.maximum(mid - half, 0.0), mid + half
+    # sqrt is correctly rounded, hence monotone: a k^2 inside [lower, upper]
+    # stays inside [first, last], and rounding can only add a k at an end
+    first = np.ceil(np.sqrt(lower))
+    last = np.where(upper >= 0.0, np.floor(np.sqrt(np.maximum(upper, 0.0))), -1.0)
+    return first, last
+
+
 def _reachable_frequencies(family, nodes, mats, tol):
     """Every k >= 0 whose square some eigenvalue curve can reach on the grid.
 
@@ -424,6 +453,16 @@ def _reachable_frequencies(family, nodes, mats, tol):
     rounding slack of evaluating A and of ``eigvalsh``, these cell intervals
     hold every value the curves take; det(A(lambda) - k^2 Id) has no zero
     on the grid's span for any k whose square misses all of them.
+
+    ``eigvalsh`` runs first at the ends of blocks of 8 cells.  On a block of
+    width w <= w_max a curve stays within L w / 2 of the mean of its end
+    values, and each of its cells has h <= w, so the block range
+    mid ± (L w_max + 2 slack) holds every cell range inside it; the second
+    slack covers the rounding of the four eigenvalues the two means read.
+    So only blocks whose range holds a square get ``eigvalsh`` at their
+    inner nodes, and their cells give the same k as the whole grid: every
+    cell whose range holds k^2, hence every bracket of a crossing, lies in
+    such a block, with the eigenvalues of its nodes taken.
     """
     r = max(abs(float(nodes[0])), abs(float(nodes[-1])))
     norms = np.abs(np.linalg.eigvalsh(family.coeffs)).max(axis=1)
@@ -433,16 +472,18 @@ def _reachable_frequencies(family, nodes, mats, tol):
     # and, times the rounding unit, the errors of evaluating A and eigvalsh
     scale = 1.0 + float(np.sum(r ** q * norms))
     slack = max(tol, 64.0 * family.n * np.finfo(float).eps) * scale
-    half = lipschitz * float(np.max(np.diff(nodes))) / 2.0 + slack
-    eigs = np.linalg.eigvalsh(mats)
-    mid = (eigs[:-1] + eigs[1:]) / 2.0
-    lower, upper = np.maximum(mid - half, 0.0), mid + half
-    hit = upper >= 0.0
-    lower, upper = lower[hit], upper[hit]
-    # sqrt is correctly rounded, hence monotone: a k^2 inside [lower, upper]
-    # stays inside [first, last], and rounding can only add a k at an end
-    first = np.ceil(np.sqrt(lower))
-    last = np.floor(np.sqrt(upper))
+    ends = np.append(np.arange(0, len(nodes) - 1, _BLOCK), len(nodes) - 1)
+    eigs = np.empty((len(nodes), family.n))
+    eigs[ends] = np.linalg.eigvalsh(mats[ends])
+    first, last = _square_roots_in((eigs[ends[:-1]] + eigs[ends[1:]]) / 2.0,
+                                   lipschitz * float(np.max(np.diff(nodes[ends])))
+                                   + 2.0 * slack)
+    refined = np.any(first <= last, axis=1)
+    cells = np.flatnonzero(refined[np.arange(len(nodes) - 1) // _BLOCK])
+    inner = cells[cells % _BLOCK > 0]
+    eigs[inner] = np.linalg.eigvalsh(mats[inner])
+    first, last = _square_roots_in((eigs[cells] + eigs[cells + 1]) / 2.0,
+                                   lipschitz * float(np.max(np.diff(nodes))) / 2.0 + slack)
     some = first <= last
     return _integers_in(first[some], last[some])
 
@@ -450,10 +491,11 @@ def _reachable_frequencies(family, nodes, mats, tol):
 def scan_resonances(family, lo, hi, grid=DEFAULT_GRID, tol=DEFAULT_TOL):
     """All resonance points of a matrix family on [lo, hi].
 
-    The eigenvalues of A on the ``grid + 1`` nodes bound, by Weyl's
-    inequality, the values each sorted eigenvalue curve can take on each
-    cell (see ``_reachable_frequencies``); only the k whose square lies in
-    one of those ranges can resonate.  For each such k, brackets and dips of
+    Eigenvalues of A at the block ends of the ``grid + 1`` nodes, and at
+    every node of the blocks where a square is in reach, bound by Weyl's
+    inequality the values each sorted curve takes on each cell (see
+    ``_reachable_frequencies``); only k whose square lies in one of those
+    ranges can resonate.  For each such k, brackets and dips of
     det(A(lambda) - k^2 Id) are array masks over the nodes, and each bracket
     is bisected to |dlambda| < tol, one ``det`` per step.  Roots of different
     frequencies at the same lambda are merged into one point.  Endpoints of

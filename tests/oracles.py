@@ -277,3 +277,33 @@ def reference_scan_one_frequency(coeffs, nodes, k, tol):
                              f"two resonances of frequency {k} fall within one grid cell "
                              f"near lambda={a:.6g}; increase the grid to separate them"))
     return merged, warn
+
+
+def reference_reachable_frequencies(coeffs, nodes, mats, tol):
+    """The k >= 0 whose square some cell range of the grid holds, with
+    ``eigvalsh`` at every node: the reference for
+    ``spectral._reachable_frequencies``.
+
+    ``coeffs`` is a family's (symmetrized) coefficient stack and ``mats``
+    its matrices at ``nodes``, both as the scan sees them.  Each cell range
+    is the mean of the sorted eigenvalues at its two nodes, widened by
+    L h / 2 plus the rounding slack, with L the Lipschitz bound of the
+    curves.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    nodes = np.asarray(nodes, dtype=float)
+    n = coeffs.shape[1]
+    r = max(abs(float(nodes[0])), abs(float(nodes[-1])))
+    norms = np.abs(np.linalg.eigvalsh(coeffs)).max(axis=1)
+    q = np.arange(len(norms))
+    lipschitz = float(np.sum(q[1:] * r ** (q[1:] - 1) * norms[1:]))
+    scale = 1.0 + float(np.sum(r ** q * norms))
+    slack = max(tol, 64.0 * n * np.finfo(float).eps) * scale
+    half = lipschitz * float(np.max(np.diff(nodes))) / 2.0 + slack
+    eigs = np.linalg.eigvalsh(mats)
+    out = set()
+    for mid in ((eigs[:-1] + eigs[1:]) / 2.0).ravel().tolist():
+        if mid + half >= 0.0:
+            first = math.ceil(math.sqrt(max(mid - half, 0.0)))
+            out.update(range(first, math.floor(math.sqrt(mid + half)) + 1))
+    return sorted(out)

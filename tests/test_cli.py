@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, output formats, error reporting."""
 
 import json
+import time
+import warnings
 
 import pytest
 
@@ -168,6 +170,24 @@ def test_non_isolated_resonance_exits_one(command, tmp_path, capsys):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith(
         "error: det(A(lambda) - 2^2 Id) vanishes on a subinterval")
+
+
+@pytest.mark.parametrize("n, entry, count", [
+    # j_k at the upper endpoint for every k below 1e10
+    ("1", "1 1 = 0:0.5 1:1e20", "1e+10"),
+    # eigenvalues +-1e308 with a tolerance of 1e299: about 1e145 squares
+    # lie within tolerance of the top one
+    ("2", "1 2 = 0:1e308", "1e+145")])
+def test_too_many_frequencies_exit_one(n, entry, count, tmp_path, capsys):
+    path = tmp_path / "big.cfg"
+    path.write_text(QUIET.replace("\nn = 1", f"\nn = {n}").replace("1 1 = 0:2", entry))
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", str(path)]) == 1
+    assert time.perf_counter() - start < 10.0
+    assert capsys.readouterr().err == (f"error: enumerating {count} frequencies k "
+                                       "exceeds MAX_FREQUENCIES = 1000000\n")
 
 
 def test_failed_eigen_decomposition_exits_one(monkeypatch, capsys):

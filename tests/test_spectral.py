@@ -15,10 +15,11 @@ from equideg.spectral import (DegenerateSpectrumError, EigenConvergenceError,
                               frequency_bound, j_k, k_set, morse_index,
                               resonant_frequencies, scan_resonances)
 from oracles import (charpoly_eigenvalues, random_orthogonal, random_symmetric,
-                     reference_scan_one_frequency)
+                     reference_reachable_frequencies, reference_scan_one_frequency)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402  (the benchmark's seeded stiff and dense families)
+from equideg.eqdeg import degree_of_spectrum  # noqa: E402
 
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
@@ -67,6 +68,11 @@ def test_symmetric_matrix_symmetrizes_exactly():
         SymmetricMatrix([[1.0, 2.0, 3.0]])
     with pytest.raises(ValueError):
         SymmetricMatrix([[np.inf, 0.0], [0.0, 1.0]])
+    # halves are added, so no finite entry overflows
+    assert np.array_equal(SymmetricMatrix([[1, 1e308], [1e308, 1]]).entries,
+                          [[1.0, 1e308], [1e308, 1.0]])
+    assert np.array_equal(MatrixFamily([[[0.0, 1.7e308], [1.5e308, 0.0]]]).coeffs[0],
+                          [[0.0, 1.6e308], [1.6e308, 0.0]])
     with pytest.raises(AttributeError):
         m.entries = None
     with pytest.raises(AttributeError):
@@ -399,20 +405,27 @@ def test_skipped_frequencies_have_no_roots_and_no_warnings(name, fam, monkeypatc
 
 
 def test_scan_sweeps_only_reachable_frequencies(monkeypatch):
-    swept = []
-    sweep = spectral._scan_one_frequency
+    # one curve crosses 1000^2 in one cell and the other stays at 2.5: the
+    # eigenvalues are taken at the 65 block ends and at the inner nodes of
+    # the blocks around the crossing only, not at all 513 nodes, besides
+    # the 2 coefficient matrices
+    swept, matrices = [], []
+    sweep, eigvalsh = spectral._scan_one_frequency, np.linalg.eigvalsh
 
     def counting(family, nodes, mats, k, tol):
         swept.append(k)
         return sweep(family, nodes, mats, k, tol)
 
     monkeypatch.setattr(spectral, "_scan_one_frequency", counting)
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: matrices.append(len(a)) or eigvalsh(a))
     fam = MatrixFamily.from_entry_polynomials(2, {(1, 1): {0: 1e6 + 0.0123, 1: 1.0},
                                                   (2, 2): {0: 2.5}})
     [pt] = scan_resonances(fam, -0.5, 0.5)
     assert abs(pt.lambda0 + 0.0123) < 1e-9
     assert pt.frequencies == {1000}
     assert 1000 in swept and len(swept) <= 3
+    assert matrices[:2] == [2, 65] and sum(matrices) <= 100
 
 
 def test_k_set():
@@ -529,6 +542,24 @@ def test_scan_one_frequency_matches_the_per_node_reference(name, fam, lo, hi, ks
         assert got[2] == ([HALF_CELL], [])
 
 
+REACH_CASES = [(name, fam, -1.0, 1.0) for name, fam in PRUNING] + [
+    (name, fam, lo, hi) for name, fam, lo, hi, _ in SCAN_ORACLE]
+
+
+@pytest.mark.parametrize("name, fam, lo, hi", REACH_CASES,
+                         ids=[case[0] for case in REACH_CASES])
+def test_reachable_frequencies_match_the_full_grid_reference(name, fam, lo, hi):
+    # eigvalsh only in the blocks of cells whose range holds a square gives
+    # the set the cell ranges of the whole grid give, on coarse and fine grids
+    for grid in (2, 9, 512, 1000):
+        nodes = np.linspace(lo, hi, grid + 1)
+        mats = fam.eval_many(nodes)
+        for tol in (1e-9, 1e-3):
+            assert spectral._reachable_frequencies(fam, nodes, mats, tol) \
+                == reference_reachable_frequencies(fam.coeffs, nodes, mats, tol), \
+                f"grid = {grid}, tol = {tol}"
+
+
 # per-curve value half-width 10 for the constant families below: the scale
 # 1 + ||A|| is 1000 and tol 0.01, and no curve moves
 MERGE_LAYOUTS = {
@@ -573,6 +604,25 @@ def test_integers_in_empty_input():
     assert spectral._integers_in([], []) == []
     assert spectral._integers_in(np.zeros(0), np.zeros(0)) == []
     assert spectral._integers_in([5], [3]) == []
+
+
+def test_frequency_enumerations_are_counted_first():
+    # each enumeration of k counts before it lists: MAX_FREQUENCIES in
+    # overlapping intervals pass, one more raises, and so does a count
+    # far past any list, which used to be built or run without end
+    cap = spectral.MAX_FREQUENCIES
+    assert len(spectral._integers_in([1, 2], [cap // 2, cap])) == cap
+    msg = f"enumerating {cap + 1} frequencies k exceeds MAX_FREQUENCIES = {cap}"
+    with pytest.raises(spectral.TooManyFrequenciesError, match=msg):
+        spectral._integers_in([0, 1], [cap // 2, cap])
+    with pytest.raises(spectral.TooManyFrequenciesError, match="1e\\+145 frequencies"):
+        resonant_frequencies(SpectralData(((1e308, 1),), 1e299))
+    with pytest.raises(spectral.TooManyFrequenciesError, match="1e\\+10 frequencies"):
+        degree_of_spectrum(SpectralData(((1e20, 1),), 1e11), 1)
+    # a report on diag(1e10 + 0.0123 + l, 2.5) reads 10^5 of them
+    assert len(degree_of_spectrum(SpectralData(((2.5, 1), (1e10 + 0.0123, 1)), 10.0), 1).zk) \
+        == 10**5
+    assert isinstance(spectral.TooManyFrequenciesError(), ValueError)
 
 
 def test_resonance_outside_tol_band_takes_nearest_cluster_multiplicity():
