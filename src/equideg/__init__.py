@@ -2,7 +2,7 @@
 Hamiltonian systems, with a Fourier-Galerkin continuation harness."""
 
 from .udring import ONE, ZERO, TomDieckElement, add, product, scalar_mul, star
-from .reps import SO2, RepDecomposition, gcd_closure, is_consistent, isotropy_gcd_set
+from .reps import SO2, RepDecomposition, gcd_closure, isotropy_gcd_set
 from .spectral import (DEFAULT_GRID, DEFAULT_TOL, DegenerateSpectrumError,
                        EigenConvergenceError, MatrixFamily,
                        NonIsolatedResonanceError, ResolutionWarning,
@@ -14,10 +14,9 @@ from .spectral import (DEFAULT_GRID, DEFAULT_TOL, DegenerateSpectrumError,
 from .eqdeg import (BlockDataError, LinearBlockData, MissingIndexError,
                     deg_id_minus_LA, ind_infinity, lin_deg, minus_id_data)
 from .bifurcation import (AccumulationWarning, BifurcationReport,
-                          ConsistencyVerdict, CriterionVerdict, Eqcont3Point,
-                          IndexRule, PeriodSet, Perturbation, PreconditionError,
-                          ProblemSpec, bif_index, bif_index_detailed,
-                          bif_index_ls, build_report, check_eqcont1,
+                          CriterionVerdict, Eqcont3Point, IndexRule, PeriodSet,
+                          Perturbation, PreconditionError, ProblemSpec,
+                          bif_index, bif_index_ls, build_report, check_eqcont1,
                           check_eqcont2, consistency_check, endpoint_degree,
                           eqcont3_points, predict_periods)
 from .galerkin import (DEFAULT_MODES, BranchPoint, DivergenceWarning,

@@ -13,7 +13,9 @@ Each endpoint degree is (c, {k: c j_k}), with c = (-1)^{j_0} at a
 nonresonant endpoint and the index at infinity at a resonant one; an
 ``EndpointAnalysis`` fixes both from one eigendecomposition.  With equal
 signs Bif lives on the k where j_k jumps, which the two sorted spectra
-bracket, and so do the criteria's witnesses.  Three checkable criteria are
+bracket, and so do the criteria's witnesses.  ``build_report`` derives each
+endpoint's resonant set and index, the K-set and the jumps once, and hands
+them to ``_bif`` and the criteria.  Three checkable criteria are
 implemented:
 
 * criterion 1: endpoints may be resonant, needs the Brouwer index at
@@ -29,6 +31,7 @@ Reports bundle the index, the fired criterion, resonance points, predicted
 minimal periods and isotropy-consistency verdicts; ``to_json`` writes them.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -369,37 +372,10 @@ class Eqcont3Point:
 
 
 @dataclass(frozen=True)
-class ConsistencyVerdict:
-    """Whether two kernel representations admit a common isotropy label.
-
-    hypothesis_holds means "not consistent": the symmetry-breaking
-    conclusion applies to branches connecting the two kernels.
-    """
-
-    consistent: bool
-    labels_left: frozenset
-    labels_right: frozenset
-    shared: frozenset
-
-    @property
-    def hypothesis_holds(self):
-        return not self.consistent
-
-    def to_json(self):
-        def enc(labels):
-            return sorted(labels, key=lambda x: (isinstance(x, str), x))
-
-        return {"consistent": self.consistent,
-                "labels_left": enc(self.labels_left),
-                "labels_right": enc(self.labels_right),
-                "shared": enc(self.shared)}
-
-
-@dataclass(frozen=True)
 class EndpointAnalysis:
     """One interval endpoint from one eigendecomposition of A(lambda): its
     spectrum, resonant k >= 0 and index rule (the built-in rule reads the
-    index at infinity off the same spectrum)."""
+    index at infinity off the same spectrum, on first use only)."""
 
     lam: float
     spectrum: SpectralData
@@ -411,7 +387,7 @@ class EndpointAnalysis:
         s = eigen_sym(p.family.eval(lam), tol)
         return cls(lam, s, resonant_frequencies(s), p.index_rule)
 
-    @property
+    @functools.cached_property
     def index(self):
         return self.index_rule.ind_of(self.spectrum, self.lam)
 
@@ -423,7 +399,10 @@ class EndpointAnalysis:
 
 
 def _endpoints(p, lm, lp, tol):
-    return EndpointAnalysis.at(p, lm, tol), EndpointAnalysis.at(p, lp, tol)
+    """The two endpoint analyses and ``jumps()``, their j_k jumps, taken on
+    the first call only: ``_bif`` and the criteria read the same list."""
+    e_m, e_p = EndpointAnalysis.at(p, lm, tol), EndpointAnalysis.at(p, lp, tol)
+    return e_m, e_p, functools.cache(lambda: _j_jumps(e_m.spectrum, e_p.spectrum))
 
 
 def _j_jumps(s_m, s_p):
@@ -441,7 +420,7 @@ def _j_jumps(s_m, s_p):
     return [(k, jm, jp) for k, jm, jp in rows if jm != jp]
 
 
-def _bif(e_m, e_p):
+def _bif(e_m, e_p, jumps):
     """deg(lp) - deg(lm) and its undefined coordinates.  The Z_k coordinate
     c+ j_k(+) - c- j_k(-) vanishes off the j_k jumps when the signs agree;
     otherwise the difference is dense."""
@@ -450,8 +429,7 @@ def _bif(e_m, e_p):
     if c_m != c_p:
         return (degree_of_spectrum(e_p.spectrum, c_p, und)
                 - degree_of_spectrum(e_m.spectrum, c_m, und)), und
-    zk = {k: c_p * (jp - jm) for k, jm, jp in _j_jumps(e_m.spectrum, e_p.spectrum)
-          if k not in und}
+    zk = {k: c_p * (jp - jm) for k, jm, jp in jumps() if k not in und}
     return TomDieckElement(0, zk), und
 
 
@@ -468,15 +446,9 @@ def endpoint_degree(p, lam, tol=DEFAULT_TOL):
     return degree_of_spectrum(e.spectrum, e.sign, und), und, e.spectrum
 
 
-def bif_index_detailed(p, lm, lp, tol=DEFAULT_TOL):
-    """(bif, undefined coordinates, spectra at both endpoints)."""
-    e_m, e_p = _endpoints(p, lm, lp, tol)
-    return (*_bif(e_m, e_p), e_m.spectrum, e_p.spectrum)
-
-
 def bif_index(p, lm, lp, tol=DEFAULT_TOL):
     """Bifurcation index of the interval [lm, lp] in the tom Dieck ring."""
-    return bif_index_detailed(p, lm, lp, tol)[0]
+    return _bif(*_endpoints(p, lm, lp, tol))[0]
 
 
 def bif_index_ls(p, lm, lp, tol=DEFAULT_TOL):
@@ -491,20 +463,20 @@ def check_eqcont1(p, lm, lp, tol=DEFAULT_TOL):
     (ii) the common index is nonzero and some frequency k outside the
     K-set has a j_k jump.  The witness is the smallest such k.
     """
-    return _eqcont1_verdict(*_endpoints(p, lm, lp, tol))
+    e_m, e_p, jumps = _endpoints(p, lm, lp, tol)
+    return _eqcont1_verdict(e_m, e_p, jumps, k_set(e_m.resonant, e_p.resonant))
 
 
-def _eqcont1_verdict(e_m, e_p):
-    """check_eqcont1 from the two endpoint analyses."""
+def _eqcont1_verdict(e_m, e_p, jumps, kset):
+    """check_eqcont1 from the two endpoint analyses, their jumps and K-set."""
     ind_m, ind_p = e_m.index, e_p.index
-    kset = k_set(e_m.spectrum, e_p.spectrum)
     if ind_p != ind_m:
         return CriterionVerdict(
             "eqcont1(i)", True, kset=kset,
             message=f"index at infinity flips: {ind_m} at {e_m.lam:g}, {ind_p} at "
                     f"{e_p.lam:g}; an unbounded branch bifurcates from infinity in the interval")
     if ind_p != 0:
-        for k, jm, jp in _j_jumps(e_m.spectrum, e_p.spectrum):
+        for k, jm, jp in jumps():
             if k not in kset:
                 return CriterionVerdict(
                     "eqcont1(ii)", True, witness_k=k, kset=kset,
@@ -521,9 +493,10 @@ def check_eqcont2(p, lm, lp, tol=DEFAULT_TOL, grid=DEFAULT_GRID):
     jumps.  The branch then meets (infinity, lambda0) at the unique
     interior resonance value.
     """
-    e_m, e_p = _endpoints(p, lm, lp, tol)
+    e_m, e_p, jumps = _endpoints(p, lm, lp, tol)
     _require_nonresonant_endpoints(e_m, e_p)
-    return _eqcont2_verdict(e_m, e_p, scan_resonances(p.family, lm, lp, grid=grid, tol=tol))
+    return _eqcont2_verdict(e_m, e_p, jumps,
+                            scan_resonances(p.family, lm, lp, grid=grid, tol=tol))
 
 
 def _require_nonresonant_endpoints(e_m, e_p):
@@ -533,8 +506,9 @@ def _require_nonresonant_endpoints(e_m, e_p):
             f"endpoints must be nonresonant, but lambda in {bad} meet {{k^2}}")
 
 
-def _eqcont2_verdict(e_m, e_p, points):
-    """check_eqcont2 from the two endpoint analyses and the scanned points."""
+def _eqcont2_verdict(e_m, e_p, jumps, points):
+    """check_eqcont2 from the two endpoint analyses, their jumps and the
+    scanned points."""
     if len(points) != 1:
         lams = [round(pt.lambda0, 9) for pt in points]
         raise PreconditionError(
@@ -547,9 +521,8 @@ def _eqcont2_verdict(e_m, e_p, points):
             "eqcont2(i)", True, lambda0=lam0,
             message=f"(-1)^j_0 flips ({j0_m} -> {j0_p}); an unbounded branch "
                     f"meets (infinity, lambda0 = {lam0:.9g})")
-    jumps = _j_jumps(e_m.spectrum, e_p.spectrum)
-    if jumps:
-        k, jm, jp = jumps[0]
+    if jumps():
+        k, jm, jp = jumps()[0]
         return CriterionVerdict(
             "eqcont2(ii)", True, witness_k=k, lambda0=lam0,
             message=f"j_{k} jumps {jm} -> {jp}; an unbounded branch meets "
@@ -623,10 +596,18 @@ def predict_periods(r):
 
 
 def consistency_check(kernel_at_point, kernel_at_infinity):
-    """Isotropy comparison powering the symmetry-breaking conclusion."""
+    """Isotropy comparison powering the symmetry-breaking conclusion, as the
+    report stores it: whether the two kernel representations admit a common
+    isotropy label, and the labels.  Where they are not consistent, the
+    conclusion applies to branches connecting the two kernels."""
     left = isotropy_gcd_set(kernel_at_point)
     right = isotropy_gcd_set(kernel_at_infinity)
-    return ConsistencyVerdict(bool(left & right), left, right, left & right)
+
+    def enc(labels):
+        return sorted(labels, key=lambda x: (isinstance(x, str), x))
+
+    return {"consistent": bool(left & right), "labels_left": enc(left),
+            "labels_right": enc(right), "shared": enc(left & right)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -679,8 +660,9 @@ def build_report(p, lm, lp, tol=DEFAULT_TOL, grid=DEFAULT_GRID,
     then the resonant-endpoint criterion.  Precondition failures fall
     through to the next criterion rather than aborting.
     """
-    e_m, e_p = _endpoints(p, lm, lp, tol)
-    bif, und = _bif(e_m, e_p)
+    e_m, e_p, jumps = _endpoints(p, lm, lp, tol)
+    bif, und = _bif(e_m, e_p, jumps)
+    kset = k_set(e_m.resonant, e_p.resonant)
     resonances = scan_resonances(p.family, lm, lp, grid=grid, tol=tol)
     periods = [predict_periods(r) for r in resonances]
 
@@ -700,14 +682,14 @@ def build_report(p, lm, lp, tol=DEFAULT_TOL, grid=DEFAULT_GRID,
     if verdict is None:
         try:
             _require_nonresonant_endpoints(e_m, e_p)
-            v = _eqcont2_verdict(e_m, e_p, resonances)
+            v = _eqcont2_verdict(e_m, e_p, jumps, resonances)
             if v.holds:
                 verdict = v
         except PreconditionError:
             pass
     if verdict is None:
         try:
-            v = _eqcont1_verdict(e_m, e_p)
+            v = _eqcont1_verdict(e_m, e_p, jumps, kset)
             if v.holds:
                 verdict = v
         except MissingIndexError:
@@ -719,9 +701,8 @@ def build_report(p, lm, lp, tol=DEFAULT_TOL, grid=DEFAULT_GRID,
     consistency = []
     for name, rep in (critical_points or {}).items():
         for r in resonances:
-            cv = consistency_check(rep, r.kernel_rep)
             consistency.append({"critical_point": name, "lambda0": r.lambda0,
-                                **cv.to_json()})
+                                **consistency_check(rep, r.kernel_rep)})
 
     flags = dict(flags or {})
     if p.perturbation.kind in ("none", "kepler"):
@@ -729,7 +710,7 @@ def build_report(p, lm, lp, tol=DEFAULT_TOL, grid=DEFAULT_GRID,
         flags.setdefault("zero_set_bounded", True)
 
     report = BifurcationReport(
-        (float(lm), float(lp)), p.n, e_m.spectrum, e_p.spectrum, k_set(e_m.spectrum, e_p.spectrum),
+        (float(lm), float(lp)), p.n, e_m.spectrum, e_p.spectrum, kset,
         bif, und, bif.a0, verdict,
         resonances, periods, eq3, consistency, flags)
     if report.criterion.holds and not report.bif:

@@ -106,16 +106,24 @@ class ProblemConfig:
 
     @classmethod
     def from_file(cls, path):
-        parser = _parser()
         with open(path) as fh:
-            parser.read_file(fh, source=str(path))
-        return cls._from_parser(parser)
+            return cls._parse(fh.read(), str(path))
 
     @classmethod
     def from_string(cls, text):
+        return cls._parse(text, "<string>")
+
+    @classmethod
+    def _parse(cls, text, source):
+        """The problem in ``text``; configparser's own errors (no section
+        header, a duplicate option or section, a stray '%') as one-line
+        ConfigErrors."""
         parser = _parser()
-        parser.read_string(text)
-        return cls._from_parser(parser)
+        try:
+            parser.read_string(text, source)
+            return cls._from_parser(parser)
+        except configparser.Error as exc:
+            raise ConfigError(" ".join(ln.strip() for ln in str(exc).splitlines())) from None
 
     @classmethod
     def _from_parser(cls, parser):

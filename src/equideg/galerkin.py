@@ -289,7 +289,9 @@ def _components(linked):
     while not np.array_equal(closer := reach @ reach, reach):
         reach = closer
     first = reach.argmax(axis=0)
-    return [np.flatnonzero(first == c) for c in np.unique(first)]
+    # a component's smallest index is its own first (np.unique imports numpy.ma)
+    roots = np.flatnonzero(first == np.arange(len(first)))
+    return [np.flatnonzero(first == c) for c in roots]
 
 
 def _cos_blocks(hc, layout):
@@ -363,7 +365,7 @@ def _part_builder(n, N, M, phase):
                 even[:-1, :-1] = cc
                 even[:-1, -1] = lam_col[cos_S]
                 even[-1, :-1] = pin_row[cos_S]
-                out.append((np.r_[cos_S, dim + 1], np.r_[cos_S, dim], even,
+                out.append((np.append(cos_S, dim + 1), np.append(cos_S, dim), even,
                             np.vstack([ss, phase[sin_S]])))
         return out
 

@@ -17,16 +17,17 @@ bundled problem file, configs/<name>.cfg:
   apply and the analysis falls back to the index-based one.
 
 ``verification_rows`` packages the headline invariants as named pass/fail
-checks for the command line's verify-examples.
+checks for the command line's verify-examples, read off one report per
+example.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from importlib import resources
 
 from . import spectral
-from .bifurcation import (ProblemSpec, bif_index, bif_index_ls, check_eqcont1,
-                          check_eqcont2, predict_periods)
+from .bifurcation import ProblemSpec, build_report
 from .config import ProblemConfig
 from .spectral import eigen_sym
 from .udring import ZERO
@@ -70,9 +71,11 @@ def config_path(name):
 def verification_rows():
     """Named regression checks over the built-in examples.
 
-    Returns a list of (name, thunk); each thunk returns (ok, detail).
-    Spectral counts go through the spectral module attributes on purpose:
-    tampering with spectral.j_k must flip rows to FAIL.
+    Returns a list of (name, thunk); each thunk returns (ok, detail).  The
+    criterion, resonance, period and index rows read the report ``analyze``
+    prints, one per example, built on first use and kept, so a crash fails
+    every row that reads it.  Spectral counts go through the spectral module
+    attributes on purpose: tampering with spectral.j_k must flip rows to FAIL.
     """
     rows = []
 
@@ -83,6 +86,11 @@ def verification_rows():
         return deco
 
     ex1, ex2, ex3 = example1(), example2(), example3()
+    report = functools.cache(lambda ex: build_report(ex.problem, ex.lm, ex.lp))
+
+    def with_periods(ex):
+        r = report(ex)
+        return list(zip(r.resonances, r.predicted_periods))
 
     @row("example1: j_1 jumps 1 -> 2 across the interval")
     def _():
@@ -92,19 +100,17 @@ def verification_rows():
 
     @row("example1: index at infinity is -1 at both endpoints")
     def _():
-        v = check_eqcont1(ex1.problem, ex1.lm, ex1.lp)
+        v = report(ex1).criterion
         ok = v.name == "eqcont1(ii)" and v.holds and v.witness_k == 1 \
             and v.kset == frozenset()
         return ok, f"verdict {v.name}, witness {v.witness_k}, K={sorted(v.kset)}"
 
     @row("example1: interior resonance at 1 - sqrt2, period 2pi")
     def _():
-        pts = spectral.scan_resonances(ex1.problem.family, ex1.lm, ex1.lp)
-        interior = [p for p in pts if p.det_nonzero]
+        interior = [(pt, ps) for pt, ps in with_periods(ex1) if pt.det_nonzero]
         if len(interior) != 1:
             return False, f"{len(interior)} interior resonances"
-        pt = interior[0]
-        periods = predict_periods(pt)
+        pt, periods = interior[0]
         ok = abs(pt.lambda0 - (1.0 - math.sqrt(2.0))) < 1e-9 \
             and periods.divisors == {1} and not periods.includes_zero
         return ok, f"lambda0={pt.lambda0!r}, periods={periods.labels()}"
@@ -119,15 +125,15 @@ def verification_rows():
     def _():
         jp = spectral.j_k(ex2.problem.family.eval(0.5), 2)
         jm = spectral.j_k(ex2.problem.family.eval(-0.5), 2)
-        v = check_eqcont2(ex2.problem, ex2.lm, ex2.lp)
+        v = report(ex2).criterion
         ok = (jp, jm) == (1, 0) and v.name == "eqcont2(ii)" and v.holds \
             and v.witness_k == 2 and abs(v.lambda0) < 1e-12
         return ok, f"j_2=({jp},{jm}), verdict {v.name} at lambda0={v.lambda0!r}"
 
     @row("example2: predicted minimal period pi")
     def _():
-        pts = spectral.scan_resonances(ex2.problem.family, ex2.lm, ex2.lp)
-        periods = predict_periods(pts[0])
+        pts = with_periods(ex2)
+        periods = pts[0][1]
         ok = len(pts) == 1 and periods.divisors == {2} and not periods.includes_zero
         return ok, f"periods={periods.labels()}"
 
@@ -145,19 +151,17 @@ def verification_rows():
 
     @row("example3: period set at lambda0 = 0 is {2pi, pi, 2pi/3, 2pi/5}")
     def _():
-        pts = spectral.scan_resonances(ex3.problem.family, ex3.lm, ex3.lp)
-        at0 = [p for p in pts if abs(p.lambda0) < 1e-9]
+        at0 = [ps for pt, ps in with_periods(ex3) if abs(pt.lambda0) < 1e-9]
         if len(at0) != 1:
             return False, f"{len(at0)} resonances at 0"
-        periods = predict_periods(at0[0])
+        periods = at0[0]
         ok = periods.divisors == {1, 2, 3, 5} and not periods.includes_zero
         return ok, f"periods={periods.labels()}"
 
     for ex in (ex1, ex2, ex3):
         def check(ex=ex):
-            bif = bif_index(ex.problem, ex.lm, ex.lp)
-            ls = bif_index_ls(ex.problem, ex.lm, ex.lp)
-            return bif != ZERO and ls == 0, f"bif={bif!r}, bif_ls={ls}"
+            r = report(ex)
+            return r.bif != ZERO and r.bif_ls == 0, f"bif={r.bif!r}, bif_ls={r.bif_ls}"
         rows.append((f"{ex.name}: nonzero bifurcation index with zero "
                      "Leray-Schauder shadow", check))
 

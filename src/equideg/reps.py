@@ -93,8 +93,3 @@ def isotropy_gcd_set(rep):
     if 0 in rep.frequencies:
         labels.add(SO2)
     return frozenset(labels)
-
-
-def is_consistent(v, w):
-    """True iff some nonzero vectors of v and w share an isotropy group."""
-    return bool(isotropy_gcd_set(v) & isotropy_gcd_set(w))

@@ -221,17 +221,14 @@ def frequency_bound(top):
     return math.isqrt(int(max(top, 0.0))) + 1
 
 
-def resonant_frequencies(s, include_zero=True):
-    """Frequencies k with k^2 an eigenvalue within tolerance."""
+def resonant_frequencies(s):
+    """Frequencies k >= 0 with k^2 an eigenvalue within tolerance."""
     # the squares near each v, one k either side to spare the rounding
-    near = [(v, range(max(math.isqrt(int(max(v - s.tol, 0.0))) - 1, 0),
-                      math.isqrt(int(v + s.tol)) + 2))
+    near = [range(max(math.isqrt(int(max(v - s.tol, 0.0))) - 1, 0),
+                  math.isqrt(int(v + s.tol)) + 2)
             for v, _ in s.eigenvalues if v + s.tol >= 0.0]
-    check_frequency_count(sum(ks.stop - ks.start for _, ks in near))
-    out = {k for v, ks in near for k in ks if abs(v - k * k) <= s.tol}
-    if not include_zero:
-        out.discard(0)
-    return frozenset(out)
+    check_frequency_count(sum(ks.stop - ks.start for ks in near))
+    return frozenset(k for ks in near for k in ks if s.near(k * k))
 
 
 def j_k(A, k, tol=DEFAULT_TOL):
@@ -251,17 +248,13 @@ def j_k(A, k, tol=DEFAULT_TOL):
     return int(s.counts_above(k))
 
 
-def k_set(s_minus, s_plus):
-    """Union of the per-endpoint gcd-closures of resonant frequencies k >= 1.
+def k_set(r_minus, r_plus):
+    """Union of the per-endpoint gcd-closures of the resonant frequencies
+    k >= 1, from each endpoint's ``resonant_frequencies``.
 
     Empty when neither endpoint spectrum meets a positive square.
     """
-    out = set()
-    for s in (s_minus, s_plus):
-        freqs = resonant_frequencies(s, include_zero=False)
-        if freqs:
-            out |= gcd_closure(freqs)
-    return frozenset(out)
+    return gcd_closure(r_minus - {0}) | gcd_closure(r_plus - {0})
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,17 +343,20 @@ class ResonancePoint:
 
     frequencies: all k >= 0 with k^2 in the spectrum at lambda0.
     kernel_rep: the representation sum of R[mu_A(k^2), k] over frequencies.
-    det_nonzero: whether det A(lambda0) is nonzero at tolerance.
     """
 
     lambda0: float
     frequencies: frozenset
     kernel_rep: object
-    det_nonzero: bool
 
     def __post_init__(self):
         if not self.frequencies:
             raise ValueError("a resonance point must carry at least one frequency")
+
+    @property
+    def det_nonzero(self):
+        """Whether det A(lambda0) is nonzero at tolerance: 0 is no frequency."""
+        return 0 not in self.frequencies
 
     def to_json(self):
         return {
@@ -543,5 +539,4 @@ def _make_point(family, group, tol):
     lam0 = float(np.mean([lam for lam, _ in group]))
     s = eigen_sym(family.eval(lam0), tol)
     freqs = set(k for _, k in group) | set(resonant_frequencies(s))
-    return ResonancePoint(lam0, frozenset(freqs), _kernel_rep(s, freqs),
-                          det_nonzero=(0 not in freqs))
+    return ResonancePoint(lam0, frozenset(freqs), _kernel_rep(s, freqs))

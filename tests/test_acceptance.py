@@ -63,7 +63,8 @@ def test_criterion_01(failures):
     chk(failures, j_k(A_m, 1) == 1, f"j_1 at -1 is {j_k(A_m, 1)}, want 1")
     chk(failures, ind_infinity(A_p) == -1, "index at +1 is not -1")
     chk(failures, ind_infinity(A_m) == -1, "index at -1 is not -1")
-    kset = k_set(eigen_sym(A_m), eigen_sym(A_p))
+    kset = k_set(resonant_frequencies(eigen_sym(A_m)),
+                 resonant_frequencies(eigen_sym(A_p)))
     chk(failures, kset == frozenset(), f"K-set {sorted(kset)} not empty")
     interior = [p for p in scan_resonances(ex.problem.family, ex.lm, ex.lp)
                 if p.det_nonzero]

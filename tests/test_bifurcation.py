@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 import equideg.bifurcation as bifurcation
+import equideg.spectral as spectral
 from equideg.bifurcation import (AccumulationWarning, Eqcont3Point, IndexRule,
                                  PeriodSet, Perturbation, PreconditionError,
-                                 ProblemSpec, bif_index, bif_index_detailed,
-                                 bif_index_ls, build_report, check_eqcont1,
+                                 ProblemSpec, bif_index, bif_index_ls,
+                                 build_report, check_eqcont1,
                                  check_eqcont2, consistency_check,
                                  endpoint_degree, eqcont3_points,
                                  predict_periods)
@@ -289,7 +290,7 @@ def test_bif_index_trims_undefined_coordinates():
     # both endpoints resonant at k = 1: the Z_1 coordinate is dropped
     fam = diag_family({0: 1.0}, {1: 1.0, 0: 7.0})
     p = kepler_problem(fam)
-    bif, undefined, _, _ = bif_index_detailed(p, -0.5, 0.5)
+    bif, undefined = bifurcation._bif(*bifurcation._endpoints(p, -0.5, 0.5, 1e-9))
     assert undefined == frozenset({1})
     assert 1 not in bif.zk
 
@@ -510,7 +511,7 @@ def test_eqcont3_point_json_roundtrip():
 
 def rp(lam0, freqs):
     kernel = RepDecomposition(tuple((1, k) for k in sorted(freqs)))
-    return ResonancePoint(lam0, frozenset(freqs), kernel, True)
+    return ResonancePoint(lam0, frozenset(freqs), kernel)
 
 
 def test_predict_periods_single_frequency():
@@ -559,24 +560,22 @@ def test_consistency_disjoint_labels():
     trivial = RepDecomposition(())
     mode2 = RepDecomposition(((1, 2),))
     v = consistency_check(trivial, mode2)
-    assert not v.consistent
-    assert v.hypothesis_holds
-    assert v.shared == frozenset()
+    assert not v["consistent"]
+    assert v["shared"] == []
 
 
 def test_consistency_shared_gcd_label():
     left = RepDecomposition(((1, 4), (1, 6)))
     right = RepDecomposition(((2, 2),))
     v = consistency_check(left, right)
-    assert v.consistent
-    assert 2 in v.shared
-    assert not v.hypothesis_holds
+    assert v["consistent"]
+    assert 2 in v["shared"]
 
 
 def test_consistency_json_encoding_sorts_mixed_labels():
     left = RepDecomposition(((1, 0), (1, 3)))
     right = RepDecomposition(((1, 3),))
-    obj = consistency_check(left, right).to_json()
+    obj = consistency_check(left, right)
     assert obj["shared"] == [3]
     assert obj["labels_left"][-1] == "SO(2)"
 
@@ -706,6 +705,35 @@ def test_build_report_analyses_each_endpoint_once(make, calls, monkeypatch):
     ex = make()
     r = build_report(ex.problem, ex.lm, ex.lp)
     assert len(count) == 2 + len(r.resonances) == calls
+
+
+@pytest.mark.parametrize("make, points, indices",
+                         [(example1, 3, 2), (example2, 1, 0), (example3, 2, 2)])
+def test_build_report_derives_each_invariant_once(make, points, indices, monkeypatch):
+    # one resonant set per endpoint and per resonance point, one list of
+    # j_k jumps, and the index at infinity once per endpoint, only where the
+    # degree's sign or a criterion reads it
+    calls = {}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    count(bifurcation, "resonant_frequencies")
+    count(spectral, "resonant_frequencies")
+    count(bifurcation, "_j_jumps")
+    count(bifurcation, "index_of_spectrum")
+    ex = make()
+    r = build_report(ex.problem, ex.lm, ex.lp)
+    assert len(r.resonances) == points
+    assert calls.pop("resonant_frequencies") == 2 + points
+    assert calls.pop("_j_jumps") == 1
+    assert calls.pop("index_of_spectrum", 0) == indices
 
 
 def _rotated(rng, diagonals):

@@ -120,6 +120,27 @@ def test_analyze_malformed_config_exits_one(tmp_path, capsys):
     assert "format_version" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("n = 4\n" + QUIET, "File contains no section headers. file: "),
+    (QUIET.replace("\nn = 1\n", "\nn = 1\nn = 2\n"), "option 'n' in section 'problem' already"),
+    (QUIET + "\n[matrix]\n1 1 = 0:3\n", "section 'matrix' already exists"),
+], ids=["no-header", "duplicate-option", "duplicate-section"])
+@pytest.mark.parametrize("command", ["analyze", "continue"])
+def test_unparsable_problem_file_exits_one(command, text, message, tmp_path, capsys):
+    # configparser's own errors are no ValueError; they used to escape main
+    # as a traceback
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    argv = [command, str(path)]
+    if command == "continue":
+        argv += ["--resonance", "0", "--amplitudes", "4",
+                 "--out", str(tmp_path / "b.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("option", [["--tol", "nan"], ["--tol", "-1"],
                                     ["--grid", "1"]])
 def test_analyze_bad_override_exits_one(option, capsys):

@@ -246,6 +246,24 @@ def test_inline_comments_are_stripped():
     assert ProblemConfig.from_string(text).family.eval_array(0.0)[0, 0] == 4.0
 
 
+@pytest.mark.parametrize("text", [
+    "n = 2\n" + MINIMAL,
+    MINIMAL.replace("n = 2\n", "n = 2\nn = 3\n"),
+    MINIMAL + "\n[matrix]\n1 1 = 0:5\n",
+    MINIMAL + "stray line\n",
+    MINIMAL.replace("n = 2", "n = 2%"),
+], ids=["no-header", "duplicate-option", "duplicate-section", "no-option", "percent"])
+def test_unparsable_text_raises_config_error(text, tmp_path):
+    # no section header, a duplicate option or section, a line that is no
+    # option, a '%' that starts no interpolation: configparser.Error
+    path = tmp_path / "problem.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError):
+        ProblemConfig.from_string(text)
+    with pytest.raises(ConfigError):
+        ProblemConfig.from_file(path)
+
+
 def test_from_file(tmp_path):
     path = tmp_path / "problem.cfg"
     path.write_text(MINIMAL)

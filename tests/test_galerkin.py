@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1057,11 +1061,29 @@ def test_continuation_needs_modes_up_to_k0():
             continue_to_infinity(ex.problem, r, [1.0], modes=modes)
 
 
+def test_continuation_imports_no_masked_arrays():
+    # numpy.ma (imported by np.unique, np.setdiff1d, ...) would cost every
+    # continuation run a module import and its memory
+    code = ("import sys\n"
+            "from equideg import continue_to_infinity, scan_resonances\n"
+            "from equideg.problems import example2\n"
+            "ex = example2()\n"
+            "pt = scan_resonances(ex.problem.family, ex.lm, ex.lp)[0]\n"
+            "branch = continue_to_infinity(ex.problem, pt, [4.0, 16.0], 32)\n"
+            "assert not any(bp.failed for bp in branch)\n"
+            "print('numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.strip() == "False"
+
+
 def test_continuation_needs_positive_frequency():
     from equideg.reps import RepDecomposition
     from equideg.spectral import ResonancePoint
     ex = example2()
-    r = ResonancePoint(0.0, frozenset({0}), RepDecomposition(((1, 0),)), True)
+    r = ResonancePoint(0.0, frozenset({0}), RepDecomposition(((1, 0),)))
+    assert not r.det_nonzero
     with pytest.raises(ValueError, match="positive frequency"):
         continue_to_infinity(ex.problem, r, [1.0])
 

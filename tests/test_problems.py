@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import equideg.bifurcation
 import equideg.problems
 import equideg.spectral
 from equideg.problems import CATALOG, config_path, example1, example2, example3
@@ -57,6 +58,42 @@ def test_verification_rows_all_pass():
         assert ok, f"{name}: {detail}"
 
 
+def test_verification_rows_read_one_report_per_example(monkeypatch):
+    # three reports and their three scans; eigh: the reports' 5 + 3 + 4,
+    # two per j_k row (3) and one per spectrum row (2)
+    counts = {"build_report": 0, "scan": 0, "eigh": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(equideg.problems, "build_report",
+                        counting("build_report", equideg.problems.build_report))
+    for module in (equideg.spectral, equideg.bifurcation):
+        monkeypatch.setattr(module, "scan_resonances",
+                            counting("scan", module.scan_resonances))
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    for name, fn in equideg.problems.verification_rows():
+        assert fn()[0], name
+    assert counts == {"build_report": 3, "scan": 3, "eigh": 20}
+
+
+def test_a_crashing_report_fails_every_row_that_reads_it(monkeypatch):
+    def crash(*args, **kwargs):
+        raise RuntimeError("tampered")
+
+    monkeypatch.setattr(equideg.problems, "build_report", crash)
+    rows = equideg.problems.verification_rows()
+    passed = sorted(name for name, fn in rows if _outcome(fn))
+    assert passed == [
+        "example1: j_1 jumps 1 -> 2 across the interval",
+        "example2: spectrum of A(0) meets the squares exactly in {4}",
+        "example3: j_2 jumps 3 -> 4 across the interval",
+        "example3: spectrum of A(0) meets the squares exactly in {4, 9, 25}"]
+
+
 def _outcome(fn):
     # a crashed check counts as failed, matching the command line
     try:
@@ -66,16 +103,20 @@ def _outcome(fn):
 
 
 def test_verification_rows_catch_spectral_tampering(monkeypatch):
-    # negative control: corrupting the j_k computation must flip rows red
+    # negative control: corrupting the j_k computation must flip rows red,
+    # exactly the three that read j_k
     monkeypatch.setattr(equideg.spectral, "j_k", lambda A, k, tol=1e-9: 0)
     rows = equideg.problems.verification_rows()
     outcomes = {name: _outcome(fn) for name, fn in rows}
-    assert not outcomes["example1: j_1 jumps 1 -> 2 across the interval"]
-    assert not outcomes["example3: j_2 jumps 3 -> 4 across the interval"]
+    assert sorted(name for name, ok in outcomes.items() if not ok) == [
+        "example1: j_1 jumps 1 -> 2 across the interval",
+        "example2: j_2 jumps 0 -> 1 and the single-resonance criterion fires",
+        "example3: j_2 jumps 3 -> 4 across the interval"]
 
 
 def test_verification_rows_catch_scan_tampering(monkeypatch):
-    monkeypatch.setattr(equideg.spectral, "scan_resonances",
+    # the rows read the reports, whose scan is bifurcation's binding
+    monkeypatch.setattr(equideg.bifurcation, "scan_resonances",
                         lambda *a, **k: [])
     rows = equideg.problems.verification_rows()
     outcomes = {name: _outcome(fn) for name, fn in rows}

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from equideg import (SO2, RepDecomposition, gcd_closure, is_consistent,
+from equideg import (SO2, RepDecomposition, consistency_check, gcd_closure,
                      isotropy_gcd_set, kernel_rep_at_infinity)
 
 
@@ -109,6 +109,9 @@ def test_so2_label_is_not_an_integer():
 
 
 def test_consistency_verdicts():
+    def is_consistent(v, w):
+        return consistency_check(v, w)["consistent"]
+
     assert not is_consistent(RepDecomposition([(1, 1)]), RepDecomposition([(1, 2)]))
     r = RepDecomposition([(2, 3), (1, 5)])
     assert is_consistent(r, r)

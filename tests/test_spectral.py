@@ -202,7 +202,6 @@ def test_j_k_nonincreasing_and_counting_identity():
 def test_resonant_frequencies():
     s = eigen_sym(np.diag([0.0, 1.0, 4.0, 6.0]))
     assert resonant_frequencies(s) == {0, 1, 2}
-    assert resonant_frequencies(s, include_zero=False) == {1, 2}
     assert resonant_frequencies(eigen_sym(np.diag([-2.0, 2.5]))) == frozenset()
 
 
@@ -214,11 +213,9 @@ def test_resonant_frequencies_matches_the_loop_over_every_k():
             near = k * k + rng.choice([-1.0, 1.0], 3) * tol * rng.choice([0.0, 0.5, 1.0, 1.5], 3)
             values = np.unique(np.concatenate([near, rng.uniform(-3.0, 40.0, 2)]))
             s = SpectralData(tuple((float(v), 1) for v in values), tol)
-            for include_zero in (True, False):
-                loop = {j for j in range(0 if include_zero else 1,
-                                         frequency_bound(s.top + s.tol) + 1)
-                        if s.multiplicity(j * j) > 0}
-                assert resonant_frequencies(s, include_zero) == loop
+            loop = {j for j in range(frequency_bound(s.top + s.tol) + 1)
+                    if s.multiplicity(j * j) > 0}
+            assert resonant_frequencies(s) == loop
 
 
 def test_counts_above_matches_the_loop_over_clusters():
@@ -429,13 +426,16 @@ def test_scan_sweeps_only_reachable_frequencies(monkeypatch):
 
 
 def test_k_set():
+    def at(A):
+        return resonant_frequencies(eigen_sym(A))
+
     f1 = family_example1()
-    assert k_set(eigen_sym(f1.eval(-1.0)), eigen_sym(f1.eval(1.0))) == frozenset()
+    assert k_set(at(f1.eval(-1.0)), at(f1.eval(1.0))) == frozenset()
     f2 = family_example2()
-    assert k_set(eigen_sym(f2.eval(-0.5)), eigen_sym(f2.eval(0.5))) == frozenset()
-    sm = eigen_sym(np.diag([4.0, 36.0, -1.0]))
-    sp = eigen_sym(np.diag([9.0, -5.0, -1.0]))
-    assert k_set(sm, sp) == {2, 6, 3}
+    assert k_set(at(f2.eval(-0.5)), at(f2.eval(0.5))) == frozenset()
+    assert k_set(at(np.diag([4.0, 36.0, -1.0])), at(np.diag([9.0, -5.0, -1.0]))) == {2, 6, 3}
+    # the frequency 0 joins no closure
+    assert k_set(frozenset({0, 4}), frozenset({0})) == {4}
 
 
 def test_eigen_sym_rejects_bad_tol():
