@@ -80,6 +80,9 @@ class Perturbation:
     kind "user":    a caller-supplied gradient, optional potential value;
                     its Hessian and lambda derivative are central
                     differences of the gradient.
+
+    Past |x| of about 1e61, where (|x|^2 + a)^(5/2) overflows, the Kepler
+    terms follow the caller's numpy error settings (the solvers raise).
     """
 
     kind: str
@@ -119,21 +122,14 @@ class Perturbation:
     def _ds(self, lam):
         return 0.0 if self.scale == "constant" else 2.0 * lam
 
-    def _kepler_rows(self, X):
-        """(Y, r2, e): rows X = 2^e Y exactly, r2 = |Y|^2 + a 4^-e; e = 0
-        unless a row exceeds 2^100, so no power of r2 taken below overflows."""
-        e = np.maximum(np.frexp(np.abs(X).max(axis=1))[1] - 100, 0)
-        Y = np.ldexp(X, -e[:, None])
-        return Y, (Y * Y).sum(axis=1) + np.ldexp(self.a, -2 * e), e[:, None]
-
     def gradient_many(self, X, lam):
         """Gradient rows for a stack X of shape (m, n)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.kind == "none":
             return np.zeros_like(X)
         if self.kind == "kepler":
-            Y, r2, e = self._kepler_rows(X)
-            return np.ldexp(self._s(lam) * Y / (r2 ** 1.5)[:, None], -2 * e)
+            r2 = (X * X).sum(axis=1) + self.a
+            return self._s(lam) * X / (r2 ** 1.5)[:, None]
         return np.array([np.asarray(self.grad(x, lam), dtype=float) for x in X])
 
     def gradient_lambda_many(self, X, lam):
@@ -142,8 +138,8 @@ class Perturbation:
         if self.kind == "none":
             return np.zeros_like(X)
         if self.kind == "kepler":
-            Y, r2, e = self._kepler_rows(X)
-            return np.ldexp(self._ds(lam) * Y / (r2 ** 1.5)[:, None], -2 * e)
+            r2 = (X * X).sum(axis=1) + self.a
+            return self._ds(lam) * X / (r2 ** 1.5)[:, None]
         h = _central_step(lam)
         up, down = lam + h, lam - h
         return (self.gradient_many(X, up) - self.gradient_many(X, down)) / (up - down)
@@ -153,8 +149,7 @@ class Perturbation:
         if self.kind == "none":
             return np.zeros(X.shape[0])
         if self.kind == "kepler":
-            _, r2, e = self._kepler_rows(X)
-            return np.ldexp(-self._s(lam) / np.sqrt(r2), -e[:, 0])
+            return -self._s(lam) / np.sqrt((X * X).sum(axis=1) + self.a)
         if self.value is None:
             raise ValueError("user perturbation has no potential value callable")
         return np.array([float(self.value(x, lam)) for x in X])
@@ -167,11 +162,10 @@ class Perturbation:
         if self.kind == "none":
             return np.zeros((m, n, n))
         if self.kind == "kepler":
-            Y, r2, e = self._kepler_rows(X)
-            return self._s(lam) * np.ldexp(
+            r2 = (X * X).sum(axis=1) + self.a
+            return self._s(lam) * (
                 np.eye(n) / (r2 ** 1.5)[:, None, None]
-                - 3.0 * Y[:, :, None] * Y[:, None, :] / (r2 ** 2.5)[:, None, None],
-                -3 * e[:, :, None])
+                - 3.0 * X[:, :, None] * X[:, None, :] / (r2 ** 2.5)[:, None, None])
         H = np.empty((m, n, n))
         for j, h in enumerate(_central_step(X).T):
             up, down = X.copy(), X.copy()
@@ -321,18 +315,12 @@ class PeriodSet:
                 raise ValueError(f"period divisor must be a positive integer, got {g!r}")
 
     def as_floats(self):
-        out = [2.0 * math.pi / g for g in sorted(self.divisors)]
-        if self.includes_zero:
-            out.append(0.0)
-        return out
+        zero = [0.0] if self.includes_zero else []
+        return [2.0 * math.pi / g for g in sorted(self.divisors)] + zero
 
     def labels(self):
-        out = []
-        for g in sorted(self.divisors):
-            out.append("2pi" if g == 1 else ("pi" if g == 2 else f"2pi/{g}"))
-        if self.includes_zero:
-            out.append("0")
-        return out
+        zero = ["0"] if self.includes_zero else []
+        return [{1: "2pi", 2: "pi"}.get(g, f"2pi/{g}") for g in sorted(self.divisors)] + zero
 
     def to_json(self):
         return {"divisors": sorted(self.divisors), "includes_zero": self.includes_zero}
@@ -698,11 +686,9 @@ def build_report(p, lm, lp, tol=DEFAULT_TOL, grid=DEFAULT_GRID,
         verdict = CriterionVerdict("none", False,
                                    message="no implemented criterion fired")
 
-    consistency = []
-    for name, rep in (critical_points or {}).items():
-        for r in resonances:
-            consistency.append({"critical_point": name, "lambda0": r.lambda0,
-                                **consistency_check(rep, r.kernel_rep)})
+    consistency = [{"critical_point": name, "lambda0": r.lambda0,
+                    **consistency_check(rep, r.kernel_rep)}
+                   for name, rep in (critical_points or {}).items() for r in resonances]
 
     flags = dict(flags or {})
     if p.perturbation.kind in ("none", "kepler"):

@@ -12,7 +12,7 @@ import math
 import sys
 
 from . import problems
-from .bifurcation import FORMAT_VERSION, build_report
+from .bifurcation import FORMAT_VERSION
 from .config import ProblemConfig
 from .galerkin import (continue_to_infinity, minimal_period_divisor,
                        write_branch_csv)
@@ -71,11 +71,9 @@ def _human_report(r):
 
 def cmd_analyze(args):
     cfg = ProblemConfig.from_file(args.config)
-    tol = args.tol if args.tol is not None else cfg.tol
-    grid = args.grid if args.grid is not None else cfg.grid
-    report = build_report(cfg.problem(), cfg.lambda_minus, cfg.lambda_plus,
-                          tol=tol, grid=grid,
-                          critical_points=cfg.critical_points, flags=cfg.flags)
+    cfg.tol = args.tol if args.tol is not None else cfg.tol
+    cfg.grid = args.grid if args.grid is not None else cfg.grid
+    report = cfg.report()
     if args.json:
         print(json.dumps(report.to_json(), sort_keys=True, indent=2))
     else:

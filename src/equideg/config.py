@@ -30,7 +30,8 @@ import configparser
 import math
 from dataclasses import dataclass, field
 
-from .bifurcation import FORMAT_VERSION, IndexRule, Perturbation, ProblemSpec
+from .bifurcation import (FORMAT_VERSION, IndexRule, Perturbation, ProblemSpec,
+                          build_report)
 from .galerkin import DEFAULT_MODES
 from .reps import RepDecomposition
 from .spectral import DEFAULT_GRID, DEFAULT_TOL, MatrixFamily
@@ -104,6 +105,12 @@ class ProblemConfig:
         return ProblemSpec(self.n, self.family, self.perturbation,
                            self.index_rule, self.scaled)
 
+    def report(self):
+        """The report ``analyze`` prints, with every option of the file."""
+        return build_report(self.problem(), self.lambda_minus, self.lambda_plus,
+                            tol=self.tol, grid=self.grid,
+                            critical_points=self.critical_points, flags=self.flags)
+
     @classmethod
     def from_file(cls, path):
         with open(path) as fh:
@@ -116,8 +123,7 @@ class ProblemConfig:
     @classmethod
     def _parse(cls, text, source):
         """The problem in ``text``; configparser's own errors (no section
-        header, a duplicate option or section, a stray '%') as one-line
-        ConfigErrors."""
+        header, a duplicate option or section) as one-line ConfigErrors."""
         parser = _parser()
         try:
             parser.read_string(text, source)
@@ -177,7 +183,8 @@ class ProblemConfig:
 
 
 def _parser():
-    p = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    p = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                  interpolation=None)
     p.optionxform = str
     return p
 

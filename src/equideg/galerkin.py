@@ -38,9 +38,8 @@ problem one part.  The residual's sin part is roundoff, so a Gauss-Newton
 step is one LU solve of the even block of each part whose residual rows
 are not all exactly 0 (the idle axes step by exactly 0) and keeps asin
 exactly 0.  An iterate is sampled once, for its residual and Jacobian.
-Continuation solves each point with numpy's overflow and invalid results
-raised as FloatingPointError, so a point too large for floating point
-fails by name; newton_solve keeps the caller's numpy error settings.
+Both solvers run with numpy's overflow and invalid results raised as
+FloatingPointError, so a loop too large for floating point fails by name.
 
 The singular values of every part's two blocks, whose union is the whole
 Jacobian's, feed the rank check.  They are taken where the iteration
@@ -463,10 +462,8 @@ def newton_solve(guess, lam, p):
     raise SingularJacobianError when its last Jacobian is rank deficient to
     1e-14; a stalled, singular or exhausted one still does.  A part whose
     residual rows are all exactly 0 is not solved (_solve_parts), so an
-    exactly singular block there raises only through that rank check.
-    The solve runs under the caller's numpy error settings: a guess whose
-    samples overflow (a mode of 1e300) emits numpy RuntimeWarnings before
-    the rank check raises SingularJacobianError.
+    exactly singular block there raises only through that rank check.  A
+    guess too large for floating point raises FloatingPointError.
     """
     if np.any(guess.asin != 0.0):
         raise ValueError("newton_solve needs a guess even in t (asin = 0); "
@@ -482,7 +479,8 @@ def newton_solve(guess, lam, p):
     def jac(x):
         return build(p.hessian_many(samples(x), lam))
 
-    x, *_ = _gauss_newton(func, guess.pack(), jac, _solve_parts)
+    with np.errstate(over="raise", invalid="raise"):
+        x, *_ = _gauss_newton(func, guess.pack(), jac, _solve_parts)
     return FourierLoop.unpack(x, n, N)
 
 

@@ -76,25 +76,6 @@ def test_user_perturbation_differences_match_kepler(scale):
             assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
 
-def test_kepler_terms_do_not_overflow_on_huge_rows():
-    # |x|^2 overflows past 1e154 and (|x|^2 + a)^(5/2) past 1e61; a huge row
-    # is scaled by a power of two first, so its terms decay without a
-    # RuntimeWarning, and an ordinary row keeps the unscaled formula's bits
-    pert = Perturbation.kepler(1.0, "lambda_squared")
-    X = np.array([[0.3, -0.7], [1e200, 0.0], [1e300, -1e300]])
-    lam = 2.0
-    x = X[:1]
-    r2 = (x * x).sum(axis=1) + 1.0
-    assert np.array_equal(pert.gradient_many(X, lam)[:1],
-                          lam * lam * x / (r2 ** 1.5)[:, None])
-    assert pert.value_many(X, lam)[0] == -lam * lam / np.sqrt(r2[0])
-    assert np.all(pert.gradient_many(X, lam)[1:] == 0.0)
-    assert np.all(pert.gradient_lambda_many(X, lam)[1:] == 0.0)
-    assert np.all(pert.hessian_many(X, lam)[1:] == 0.0)
-    assert pert.value_many(X, lam)[1:] == pytest.approx(
-        [-4e-200, -4e-300 / math.sqrt(2.0)], rel=1e-14)
-
-
 def test_kepler_hessian_matches_finite_differences():
     pert = Perturbation.kepler(1.0, "constant")
     x = np.array([0.3, -0.7, 0.2])

@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-import equideg.cli
+import equideg.config
 import equideg.spectral
 from equideg.cli import main
 from equideg.problems import config_path
@@ -124,7 +124,8 @@ def test_analyze_malformed_config_exits_one(tmp_path, capsys):
     ("n = 4\n" + QUIET, "File contains no section headers. file: "),
     (QUIET.replace("\nn = 1\n", "\nn = 1\nn = 2\n"), "option 'n' in section 'problem' already"),
     (QUIET + "\n[matrix]\n1 1 = 0:3\n", "section 'matrix' already exists"),
-], ids=["no-header", "duplicate-option", "duplicate-section"])
+    (QUIET.replace("\nn = 1\n", "\nn = 1%\n"), "error: problem.n: '1%' is not an integer"),
+], ids=["no-header", "duplicate-option", "duplicate-section", "percent"])
 @pytest.mark.parametrize("command", ["analyze", "continue"])
 def test_unparsable_problem_file_exits_one(command, text, message, tmp_path, capsys):
     # configparser's own errors are no ValueError; they used to escape main
@@ -216,7 +217,7 @@ def test_failed_eigen_decomposition_exits_one(monkeypatch, capsys):
         raise equideg.spectral.EigenConvergenceError(
             "eigen decomposition failed: did not converge")
 
-    monkeypatch.setattr(equideg.cli, "build_report", fails)
+    monkeypatch.setattr(equideg.config, "build_report", fails)
     assert main(["analyze", str(config_path("example2"))]) == 1
     assert capsys.readouterr().err == \
         "error: eigen decomposition failed: did not converge\n"
@@ -334,15 +335,16 @@ def test_continue_failed_point_is_standard_json(tmp_path, capsys):
 
 def test_continue_overflowing_amplitude_keeps_the_converged_points(tmp_path,
                                                                    capfd):
-    # from 1e200 up the rescaled seed's residual or lambda column
-    # overflows, and the overflow fails the point: the marker keeps its
-    # seed's period divisor, nothing is printed (no numpy RuntimeWarning,
-    # no LAPACK complaint) and the converged point before it is kept
+    # from about 1e61 the Kepler Hessian overflows at the first Jacobian,
+    # and from 1e200 the rescaled seed's residual or lambda column too; the
+    # overflow fails the point: the marker keeps its seed's period divisor,
+    # nothing is printed (no numpy RuntimeWarning, no LAPACK complaint) and
+    # the converged point before it is kept
     def reject(name):
         raise ValueError(f"non-standard JSON constant {name}")
 
     out_csv = tmp_path / "branch.csv"
-    for big in ("1e200", "1e307", "1e308", "1.7e308"):
+    for big in ("1e70", "1e100", "1e200", "1e307", "1e308", "1.7e308"):
         rc = main(["continue", str(config_path("example2")), "--resonance", "0",
                    "--amplitudes", f"4,{big}", "--out", str(out_csv)])
         out, err = capfd.readouterr()

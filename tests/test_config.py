@@ -255,7 +255,8 @@ def test_inline_comments_are_stripped():
 ], ids=["no-header", "duplicate-option", "duplicate-section", "no-option", "percent"])
 def test_unparsable_text_raises_config_error(text, tmp_path):
     # no section header, a duplicate option or section, a line that is no
-    # option, a '%' that starts no interpolation: configparser.Error
+    # option (configparser.Error); a '%' is read as it stands, so n = 2%
+    # is no integer
     path = tmp_path / "problem.cfg"
     path.write_text(text)
     with pytest.raises(ConfigError):

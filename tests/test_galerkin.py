@@ -755,14 +755,15 @@ def test_exactly_singular_even_block_raises_singular_jacobian():
 
 
 def test_rank_check_runs_where_a_step_does_not_lower_the_residual(monkeypatch):
-    # at 1e100 the seed's lambda column is of order 1e100: the LU step
-    # exists but does not help, and the rank check on that Jacobian stops
-    # the point after a few Jacobians instead of NEWTON_MAX_ITER of them
-    # (at 1e200 the point fails on overflow before any Jacobian is built)
+    # at 1e20 the seed's lambda column is of order 1e20: the LU step exists
+    # but does not help, and the rank check on that Jacobian stops the
+    # point after a few Jacobians instead of NEWTON_MAX_ITER of them (from
+    # about 1e61 the point fails on overflow at its first Jacobian)
     ex = example2()
     r = _resonance(ex, 0.0)
     system = galerkin._continuation_system
     jacobians = {}
+    rank_failures = []
 
     def counting_system(p, ref, R, k0, M):
         func, jac, solve = system(p, ref, R, k0, M)
@@ -772,11 +773,20 @@ def test_rank_check_runs_where_a_step_does_not_lower_the_residual(monkeypatch):
             return jac(z)
         return func, counted, solve
 
+    def recording_rank_check(sv):
+        try:
+            return _rank_checked(sv)
+        except SingularJacobianError:
+            rank_failures.append(jacobians.get(1e20))
+            raise
+
     monkeypatch.setattr(galerkin, "_continuation_system", counting_system)
-    branch = continue_to_infinity(ex.problem, r, [4.0, 1e100])
+    monkeypatch.setattr(galerkin, "_rank_checked", recording_rank_check)
+    branch = continue_to_infinity(ex.problem, r, [4.0, 1e20])
     assert [bp.failed for bp in branch] == [False, True]
     assert jacobians[4.0] == branch[0].newton_steps
-    assert 1 <= jacobians[1e100] <= 4
+    assert jacobians[1e20] == 3
+    assert rank_failures == [3]  # raised once, at that point's last Jacobian
 
 
 @pytest.mark.parametrize("modes", [16, 32])
@@ -857,6 +867,21 @@ def test_newton_converges_on_perturbed_linear_problem():
     guess = FourierLoop.single_mode(3, [1e-3], N=6)
     out = newton_solve(guess, 0.0, p)
     assert np.abs(out.pack()).max() < 1e-8
+
+
+@pytest.mark.parametrize("big", [1e70, 1e200])
+def test_newton_overflowing_guess_raises_floating_point_error(big):
+    # the Kepler Hessian's r2^(5/2) overflows past about 1e61: the solve
+    # raises the overflow by name at its first Jacobian, as continuation
+    # does, and leaves the caller's numpy error settings as they were
+    ex = example2()
+    acos = np.zeros((8, ex.problem.n))
+    acos[1, 0] = big
+    guess = FourierLoop(np.zeros(ex.problem.n), acos, np.zeros_like(acos))
+    before = np.geterr()
+    with pytest.raises(FloatingPointError):
+        newton_solve(guess, 0.0, ex.problem)
+    assert np.geterr() == before
 
 
 def test_newton_rejects_a_guess_with_sin_content():

@@ -1,13 +1,17 @@
 """Built-in examples: matrices, bundled configs and verification rows."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 import equideg.bifurcation
+import equideg.config
 import equideg.problems
 import equideg.spectral
+from equideg.bifurcation import build_report
+from equideg.cli import main
 from equideg.problems import CATALOG, config_path, example1, example2, example3
 
 
@@ -69,8 +73,8 @@ def test_verification_rows_read_one_report_per_example(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(equideg.problems, "build_report",
-                        counting("build_report", equideg.problems.build_report))
+    monkeypatch.setattr(equideg.config, "build_report",
+                        counting("build_report", equideg.config.build_report))
     for module in (equideg.spectral, equideg.bifurcation):
         monkeypatch.setattr(module, "scan_resonances",
                             counting("scan", module.scan_resonances))
@@ -81,17 +85,43 @@ def test_verification_rows_read_one_report_per_example(monkeypatch):
 
 
 def test_a_crashing_report_fails_every_row_that_reads_it(monkeypatch):
+    # the raised exception is kept like a report: one build per example
+    calls = []
+
     def crash(*args, **kwargs):
+        calls.append(args)
         raise RuntimeError("tampered")
 
-    monkeypatch.setattr(equideg.problems, "build_report", crash)
+    monkeypatch.setattr(equideg.config, "build_report", crash)
     rows = equideg.problems.verification_rows()
     passed = sorted(name for name, fn in rows if _outcome(fn))
+    assert len(calls) == 3
     assert passed == [
         "example1: j_1 jumps 1 -> 2 across the interval",
         "example2: spectrum of A(0) meets the squares exactly in {4}",
         "example3: j_2 jumps 3 -> 4 across the interval",
         "example3: spectrum of A(0) meets the squares exactly in {4, 9, 25}"]
+
+
+def test_verification_rows_read_the_report_analyze_prints(monkeypatch, capsys):
+    # the same report as analyze --json, the file's options included:
+    # example 2's [critical_points] gives its one consistency entry
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(build_report(*args, **kwargs))
+        return built[-1]
+
+    printed = []
+    for name in CATALOG:
+        assert main(["analyze", str(config_path(name)), "--json"]) == 0
+        printed.append(capsys.readouterr().out)
+    monkeypatch.setattr(equideg.config, "build_report", recording)
+    for name, fn in equideg.problems.verification_rows():
+        assert fn()[0], name
+    assert [json.dumps(r.to_json(), sort_keys=True, indent=2) + "\n"
+            for r in built] == printed
+    assert [len(r.consistency) for r in built] == [0, 1, 0]
 
 
 def _outcome(fn):

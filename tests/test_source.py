@@ -29,3 +29,32 @@ def test_unread_imports_finds_an_unread_name():
                          ids=lambda p: p.name)
 def test_every_import_is_read(path):
     assert unread_imports(path.read_text()) == []
+
+
+def unread_privates(sources):
+    """Private (_name) functions, methods and classes the sources define and
+    never read, as a name or as an attribute, sorted.  The bare ``_`` (a
+    row registered by its decorator) is not counted."""
+    trees = [ast.parse(source) for source in sources]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    defined = {node.name for node in nodes
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")
+               and node.name != "_"}
+    read = {node.id for node in nodes
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read |= {node.attr for node in nodes
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(defined - read)
+
+
+def test_unread_privates_finds_an_unread_definition():
+    sources = ["def _used(): pass\ndef _left(): pass\nclass _Kept:\n"
+               "    def _m(self): pass\n    def __init__(self): pass\n"
+               "def _(): pass\n",
+               "from a import _used\n_used()\nx = _Kept()\nx._m\n"]
+    assert unread_privates(sources) == ["_left"]
+
+
+def test_every_private_definition_is_read():
+    assert unread_privates([path.read_text() for path in MODULES]) == []
