@@ -400,7 +400,7 @@ def _j_jumps(s_m, s_p):
     k^2 in [min(a_i, b_i), max(a_i, b_i)); sqrt is correctly rounded and
     monotone, so the floors of the square roots of the ends bracket those k.
     """
-    a, b = s_m.expanded(), s_p.expanded()
+    a, b = s_m.expanded, s_p.expanded
     lo, hi = (np.floor(np.sqrt(np.maximum(f(a, b), 0.0)))
               for f in (np.minimum, np.maximum))
     ks = np.array(_integers_in(np.maximum(lo, 1.0), hi), dtype=np.int64)

@@ -8,9 +8,11 @@ matrix A with respect to the squares {k^2 : k = 0, 1, 2, ...}:
 * kernel rep      -- the sum of R[mu_A(k^2), k] over the resonant k,
 * resonances      -- parameter values where some eigenvalue hits some k^2,
                      found from det(A - k^2 Id) on whole grids at once, for
-                     the k some eigenvalue curve can reach; the curves are
-                     sampled only in the blocks of cells where a square is
-                     in reach (until the scan follows them, ROADMAP item 2).
+                     the k some eigenvalue curve can reach, and bisected in
+                     rounds that each take one stacked det for all brackets
+                     of a k; the curves are sampled only in the blocks of
+                     cells where a square is in reach (until the scan
+                     follows them, ROADMAP item 2).
 
 Tolerances are relative on input (default 1e-9) and converted once into an
 absolute tolerance ``tol * (1 + max|eigenvalue|)`` that is carried inside
@@ -18,9 +20,10 @@ absolute tolerance ``tol * (1 + max|eigenvalue|)`` that is carried inside
 (``SpectralData.near``, ``multiplicity``) and degenerate cases raise instead
 of guessing.  ``_runs`` is the one grouping of sorted values, ``_integers_in``
 the one union of integer intervals, ``MatrixFamily.eval_many`` the one
-evaluation of A(lambda): the scan's node stack and its bisection steps see it.
+evaluation of A(lambda): the scan's node stack and its bisection rounds see it.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -133,12 +136,16 @@ class SpectralData:
         eigenvalues strictly above k^2, with multiplicity.  No eigenvalue
         is checked against the tolerance band around k^2."""
         ks = np.asarray(ks, dtype=np.int64)
-        return self.n - np.searchsorted(self.expanded(), (ks * ks).astype(float),
+        return self.n - np.searchsorted(self.expanded, (ks * ks).astype(float),
                                         side="right")
 
+    @functools.cached_property
     def expanded(self):
-        """Every eigenvalue repeated by its multiplicity, increasing."""
-        return np.repeat(self.values(), [m for _, m in self.eigenvalues])
+        """Every eigenvalue repeated by its multiplicity, increasing; built
+        on first use and read-only."""
+        arr = np.repeat(self.values(), [m for _, m in self.eigenvalues])
+        arr.flags.writeable = False
+        return arr
 
     def positive_spectrum(self):
         """Clusters strictly above the tolerance band around zero."""
@@ -203,7 +210,9 @@ def eigen_sym(A, tol=DEFAULT_TOL):
     if resid > abs_tol:
         raise EigenConvergenceError(
             f"eigenpair residual {resid:.3e} exceeds tolerance {abs_tol:.3e}")
-    eigenvalues = tuple((float(np.mean(c)), len(c)) for c in _runs(vals.tolist(), abs_tol))
+    # a one-value run is its own mean; + 0.0 turns -0.0 into 0.0 as np.mean does
+    eigenvalues = tuple((c[0] + 0.0 if len(c) == 1 else float(np.mean(c)), len(c))
+                        for c in _runs(vals.tolist(), abs_tol))
     return SpectralData(eigenvalues, float(abs_tol))
 
 
@@ -331,7 +340,7 @@ class MatrixFamily:
 
     def eval_many(self, lams):
         """A(lambda) for each of ``lams``, each its own product with the stack: the
-        one evaluation, so the scan's nodes and bisection steps see the same bits."""
+        one evaluation, so the scan's nodes and bisection rounds see the same bits."""
         lams, d, n = np.asarray(lams, dtype=float), self.degree, self.n
         powers = lams[:, None, None] ** np.arange(d + 1)
         return (powers @ self.coeffs.reshape(d + 1, n * n)).reshape(len(lams), n, n)
@@ -374,8 +383,8 @@ def _scan_one_frequency(family, nodes, mats, k, tol):
     warn_messages).  Node-exact zeros are accepted when |det| < tol * scale
     with scale the largest |det| seen on the grid; other zeros must flip the
     sign of det.  Runs of tiny nodes, sign-change brackets and tangency dips
-    are boolean masks over the stacked node determinants; each bracket is
-    then bisected on its own, one ``det`` per step.
+    are boolean masks over the stacked node determinants; the brackets are
+    then bisected together by ``_bisect``, one stacked ``det`` per round.
     """
     shift = float(k * k) * np.eye(family.n)
     dets = np.linalg.det(mats - shift[None, :, :])
@@ -387,20 +396,9 @@ def _scan_one_frequency(family, nodes, mats, k, tol):
             f"det(A(lambda) - {k}^2 Id) vanishes on a subinterval of the grid; "
             "resonances are not isolated at this tolerance")
 
-    roots = nodes[tiny].tolist()
-    for i in np.flatnonzero(~tiny[:-1] & ~tiny[1:] & (dets[:-1] * dets[1:] < 0.0)):
-        a, b, fa = float(nodes[i]), float(nodes[i + 1]), dets[i]
-        while b - a > tol:
-            mid = 0.5 * (a + b)
-            fm = float(np.linalg.det(family.eval_array(mid) - shift))
-            if fm == 0.0:
-                a = b = mid
-                break
-            if fa * fm < 0.0:
-                b = mid
-            else:
-                a, fa = mid, fm
-        roots.append(0.5 * (a + b))
+    i = np.flatnonzero(~tiny[:-1] & ~tiny[1:] & (dets[:-1] * dets[1:] < 0.0))
+    roots = nodes[tiny].tolist() + _bisect(family, shift, list(zip(
+        nodes[i].tolist(), nodes[i + 1].tolist(), dets[i].tolist(), dets[i + 1].tolist())), tol)
 
     # tangential touch: same-sign local minimum of |det| dipping well below
     # the grid scale without an accepted root nearby
@@ -426,6 +424,61 @@ def _scan_one_frequency(family, nodes, mats, k, tol):
               f"near lambda={a:.6g}; increase the grid to separate them")
              for a, b in zip(merged, merged[1:]) if b - a < cell]
     return merged, warn
+
+
+def _settled(a, b, tol):
+    """Whether bisection of [a, b] is over: b - a <= tol, or a and b are
+    adjacent floats, so that their midpoint rounds to one of them."""
+    mid = 0.5 * (a + b)
+    return b - a <= tol or mid == a or mid == b
+
+
+def _guessed_path(a, b, fa, fb, tol):
+    """The midpoints that bisection of [a, b] visits if the root is the
+    secant root of the ends (fa, fb are det at a, b, of opposite signs)."""
+    # fa == fb only after an underflowed product fa * fm took a wrong step
+    guess = a + fa / (fa - fb) * (b - a) if fa != fb else a
+    path = []
+    while not _settled(a, b, tol):
+        path.append(0.5 * (a + b))
+        a, b = (a, path[-1]) if guess < path[-1] else (path[-1], b)
+    return path
+
+
+def _bisect(family, shift, brackets, tol):
+    """The bisected roots of det(A(lambda) - shift) in each bracket
+    (a, b, det at a, det at b) of a sign change, each the midpoint of its
+    final bracket.
+
+    Each round guesses the rest of every live bracket's path
+    (``_guessed_path``), takes det at all their midpoints as one stack and
+    replays the bisection on those values up to the first step the guess
+    took the wrong way.  So every midpoint, det and decision is that of a
+    bisection one ``det`` at a time; the guess only sets the number of
+    rounds, and a round takes at least one step of every bracket.
+    """
+    roots = []
+    while True:
+        live = [br for br in brackets if not _settled(br[0], br[1], tol)]
+        roots += [0.5 * (a + b) for a, b, _, _ in brackets if _settled(a, b, tol)]
+        if not live:
+            return roots
+        paths = [_guessed_path(*br, tol) for br in live]
+        fms = np.linalg.det(family.eval_many([m for p in paths for m in p]) - shift).tolist()
+        brackets, start = [], 0
+        for (a, b, fa, fb), path in zip(live, paths):
+            for mid, fm in zip(path, fms[start:start + len(path)]):
+                if mid != 0.5 * (a + b):   # the guess went the other way a step ago
+                    break
+                if fm == 0.0:
+                    a = b = mid
+                    break
+                if fa * fm < 0.0:
+                    b, fb = mid, fm
+                else:
+                    a, fa = mid, fm
+            brackets.append((a, b, fa, fb))
+            start += len(path)
 
 
 def _square_roots_in(mid, half):
@@ -492,10 +545,11 @@ def scan_resonances(family, lo, hi, grid=DEFAULT_GRID, tol=DEFAULT_TOL):
     inequality the values each sorted curve takes on each cell (see
     ``_reachable_frequencies``); only k whose square lies in one of those
     ranges can resonate.  For each such k, brackets and dips of
-    det(A(lambda) - k^2 Id) are array masks over the nodes, and each bracket
-    is bisected to |dlambda| < tol, one ``det`` per step.  Roots of different
-    frequencies at the same lambda are merged into one point.  Endpoints of
-    the interval participate like any other grid node.
+    det(A(lambda) - k^2 Id) are array masks over the nodes, and the brackets
+    are bisected to |dlambda| <= tol, or to adjacent floats, together: one
+    stacked ``det`` per round of guessed and replayed steps (``_bisect``).
+    Roots of different frequencies at the same lambda are merged into one
+    point.  Endpoints of the interval participate like any other grid node.
     """
     if not -math.inf < lo < hi < math.inf:
         raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")

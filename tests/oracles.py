@@ -240,6 +240,8 @@ def reference_scan_one_frequency(coeffs, nodes, k, tol):
         if fa * fb < 0.0:
             while b - a > tol:
                 mid = 0.5 * (a + b)
+                if mid == a or mid == b:   # adjacent floats: no step is left
+                    break
                 fm = det_at(mid)
                 if fm == 0.0:
                     a = b = mid

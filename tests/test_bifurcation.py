@@ -308,7 +308,7 @@ def test_bif_index_additive_over_subdivision():
 
 
 def _brute_j_jumps(s_m, s_p):
-    vm, vp = s_m.expanded().tolist(), s_p.expanded().tolist()
+    vm, vp = s_m.expanded.tolist(), s_p.expanded.tolist()
     out = []
     for k in range(1, math.isqrt(int(max(vm + vp + [0.0]))) + 2):
         jm, jp = sum(v > k * k for v in vm), sum(v > k * k for v in vp)
@@ -686,6 +686,19 @@ def test_build_report_analyses_each_endpoint_once(make, calls, monkeypatch):
     ex = make()
     r = build_report(ex.problem, ex.lm, ex.lp)
     assert len(count) == 2 + len(r.resonances) == calls
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_build_report_bisects_in_stacked_rounds(seed, monkeypatch):
+    # one det stack for the nodes of each scanned k and one per bisection
+    # round of all its brackets (one det per bisection step made 22)
+    count = []
+    det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda a: count.append(a.shape) or det(a))
+    for fam in workloads.make_inputs("stiff", seed):
+        count.clear()
+        build_report(kepler_problem(MatrixFamily(fam.coeffs())), workloads.LO, workloads.HI)
+        assert len(count) <= 3, fam.label
 
 
 @pytest.mark.parametrize("make, points, indices",

@@ -278,6 +278,41 @@ def test_continue_reports_newton_trace_per_point(tmp_path, capsys):
         assert 0.0 <= pt["energy_drift"] < 1.0
 
 
+SUB_SPACING_TOL = """\
+[problem]
+format_version = 1
+n = 2
+lambda_minus = -0.5
+lambda_plus = 0.5
+
+[matrix]
+1 1 = 0:4.0123 1:0.6
+1 2 = 0:0.3 1:0.8
+2 2 = 0:2.5 1:-0.6
+
+[perturbation]
+kind = kepler
+a = 1
+
+[index]
+rule = builtin
+
+[options]
+tol = 1e-19
+"""
+
+
+def test_continue_with_tol_below_the_float_spacing_exits_zero(tmp_path, capsys):
+    # the scan's bisection used to run without end once its bracket's ends
+    # were adjacent floats, still wider than tol
+    path = tmp_path / "subtol.cfg"
+    path.write_text(SUB_SPACING_TOL)
+    rc = main(["continue", str(path), "--resonance", "-0.0831526821",
+               "--amplitudes", "4", "--out", str(tmp_path / "branch.csv")])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["converged"] is True
+
+
 def test_continue_unknown_resonance_exits_one(capsys):
     rc = main(["continue", str(config_path("example2")),
                "--resonance", "0.37", "--amplitudes", "1,2"])

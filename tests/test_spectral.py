@@ -85,6 +85,39 @@ def test_eigen_sym_diagonal_clusters():
     assert s.n == 3
 
 
+@pytest.mark.parametrize("sizes", [(1,), (2,), (3,), (9,), (1, 2, 3, 9), (9, 1, 1, 3)])
+def test_eigen_sym_cluster_values_are_the_means_of_their_runs(sizes):
+    # a one-value run is taken as it stands; every value is np.mean's, bit
+    # for bit, down to the sign of a zero
+    rng = np.random.default_rng(len(sizes) * 10 + sizes[0])
+    for _ in range(20):
+        centres = np.cumsum(rng.uniform(1.0, 5.0, len(sizes))) - 7.0
+        values = np.concatenate([c + rng.uniform(-1e-12, 1e-12, m)
+                                 for c, m in zip(centres, sizes)])
+        Q = random_orthogonal(rng, len(values))
+        A = SymmetricMatrix(Q @ np.diag(values) @ Q.T)
+        vals = np.linalg.eigh(A.entries)[0]
+        runs = np.split(vals, np.cumsum(sizes)[:-1])
+        assert [(v.hex(), m) for v, m in eigen_sym(A).eigenvalues] \
+            == [(float(np.mean(r)).hex(), len(r)) for r in runs]
+    for zero in ([[-0.0]], [[0.0]], np.diag([-0.0, 3.0])):
+        vals = np.linalg.eigh(np.asarray(zero))[0]
+        assert [v.hex() for v, _ in eigen_sym(zero).eigenvalues] \
+            == [float(np.mean([v])).hex() for v in vals]
+
+
+def test_expanded_is_built_once_and_read_only():
+    s = SpectralData(((-1.0, 2), (4.0, 1), (9.0, 3)), 1e-9)
+    assert "expanded" not in vars(s)
+    first = s.expanded
+    assert first.tolist() == [-1.0, -1.0, 4.0, 9.0, 9.0, 9.0]
+    assert s.expanded is first
+    with pytest.raises(ValueError, match="read-only"):
+        first[0] = 0.0
+    assert s.counts_above([0, 2, 3]).tolist() == [4, 3, 0]
+    assert s.expanded is first
+
+
 def test_eigen_sym_offdiagonal_pair():
     s = eigen_sym([[0.0, 1.0], [1.0, 0.0]])
     assert s.eigenvalues == ((-1.0, 1), (1.0, 1))
@@ -449,14 +482,25 @@ def _diag1(terms):
 
 
 def _node_roots_family(lams):
-    """4 + 64 prod (lambda - l) for dyadic grid nodes l: every coefficient
-    and every node value is exact, so det(A - 4 Id) is 0.0 at those nodes."""
+    """4 + 64 prod (lambda - l): det(A - 4 Id) vanishes at each l, and is
+    0.0 there when every l is a dyadic grid node, since every coefficient
+    and every node value is then exact."""
     poly = 64.0 * np.poly(lams)[::-1]
     poly[0] += 4.0
     return _diag1(dict(enumerate(poly.tolist())))
 
 
 HALF_CELL = (300 + 0.5) / 512 - 0.5   # a cell midpoint of the [-1/2, 1/2] grid
+EIGHTH_CELL = (300 + 0.125) / 512 - 0.5   # the third bisection midpoint of that cell
+CUBIC_ROOT, CUBIC_SLOPE = 0.0123456, 1e-7
+
+
+def _cubic_family():
+    """(lambda - r)^3 + c (lambda - r) with c small: det(A) has one simple
+    root r, and the cubic term dominates on r's grid cell, so the secant
+    root of the cell's ends misses r."""
+    r, c = CUBIC_ROOT, CUBIC_SLOPE
+    return _diag1({0: -r ** 3 - c * r, 1: 3.0 * r * r + c, 2: -3.0 * r, 3: 1.0})
 
 
 def _bench_family(fam):
@@ -495,6 +539,11 @@ def scan_oracle_cases():
                                               2: 1.0}), -0.5, 0.5, None),
         ("two-roots-in-one-cell", _diag1({0: 1.0 - 1e-8, 2: 1.0}), -1.0, 1.0, None),
         ("root-at-cell-midpoint", _diag1({0: 4.0 - HALF_CELL, 1: 1.0}), -0.5, 0.5, None),
+        ("root-at-third-midpoint", _diag1({0: 4.0 - EIGHTH_CELL, 1: 1.0}), -0.5, 0.5, None),
+        ("curved-det", _cubic_family(), -0.5, 0.5, None),
+        # cells of 2e-10, narrower than tol: the bracket is its own root
+        ("cell-narrower-than-tol", _diag1({0: -3.3e-8, 1: 1.0}), 0.0, 1e-7, None),
+        ("three-brackets", _node_roots_family([-0.3001, 0.1001, 0.3701]), -0.5, 0.5, [2]),
     ]
     return cases
 
@@ -511,15 +560,19 @@ SCAN_ORACLE = scan_oracle_cases()
 
 @pytest.mark.parametrize("name, fam, lo, hi, ks", SCAN_ORACLE,
                          ids=[case[0] for case in SCAN_ORACLE])
-def test_scan_one_frequency_matches_the_per_node_reference(name, fam, lo, hi, ks):
+def test_scan_one_frequency_matches_the_per_node_reference(name, fam, lo, hi, ks,
+                                                          monkeypatch):
     tol = spectral.DEFAULT_TOL
     nodes = np.linspace(lo, hi, spectral.DEFAULT_GRID + 1)
     mats = fam.eval_many(nodes)
     if ks is None:
         ks = range(frequency_bound(float(np.linalg.eigvalsh(mats).max())) + 2)
-    got = {}
+    got, stacks, seen, det = {}, {}, [], np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda m: seen.append(len(m)) or det(m))
     for k in ks:
+        seen.clear()
         got[k] = _scan_outcome(spectral._scan_one_frequency, fam, nodes, mats, k, tol)
+        stacks[k] = seen[1:]   # the sizes of the bisection rounds' stacks
         # exact float equality of the roots; warnings by class, text and order
         assert got[k] == _scan_outcome(reference_scan_one_frequency, fam.coeffs,
                                        nodes, k, tol), f"k = {k}"
@@ -540,6 +593,47 @@ def test_scan_one_frequency_matches_the_per_node_reference(name, fam, lo, hi, ks
     elif name == "root-at-cell-midpoint":
         # the first bisection midpoint is the root itself, det is exactly 0.0
         assert got[2] == ([HALF_CELL], [])
+    elif name == "root-at-third-midpoint":
+        # the secant guess is exact, and one round reaches the 0.0 at its
+        # third midpoint and drops the rest of the path
+        assert got[2] == ([EIGHTH_CELL], []) and len(stacks[2]) == 1
+    elif name == "curved-det":
+        # each round's guess is wrong after a few steps
+        assert len(got[0][0]) == 1 and abs(got[0][0][0] - CUBIC_ROOT) <= tol
+        assert len(stacks[0]) >= 4
+    elif name == "cell-narrower-than-tol":
+        assert len(got[0][0]) == 1 and stacks[0] == []
+    elif name == "three-brackets":
+        # one stack per round for all three brackets, the first with the 21
+        # guessed steps of each
+        assert len(got[2][0]) == 3 and stacks[2][0] == 3 * 21 and len(stacks[2]) < 3
+
+
+def test_bisection_stops_at_adjacent_floats(monkeypatch):
+    # the floats near the root, 0.0071, are 2^-60 = 8.7e-19 apart: at tol
+    # 1e-18 bisection ends on the width, below it where the bracket's ends
+    # are adjacent floats and its midpoint rounds to one of them (it never
+    # ended there before), with the same root
+    fam = MatrixFamily(workloads.make_inputs("stiff", 1)[0].coeffs())
+    nodes = np.linspace(-0.5, 0.5, spectral.DEFAULT_GRID + 1)
+    mats = fam.eval_many(nodes)
+    (k,) = spectral._reachable_frequencies(fam, nodes, mats, spectral.DEFAULT_TOL)
+    seen, det = [], np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda m: seen.append(len(m)) or det(m))
+    got = []
+    for tol in (1e-18, 1e-19, 1e-300):
+        seen.clear()
+        got.append(spectral._scan_one_frequency(fam, nodes, mats, k, tol))
+        # each round takes one or more of the 51 steps that halve a cell of
+        # 2^-9 to 2^-60
+        assert len(seen) <= 1 + 51
+        assert got[-1] == reference_scan_one_frequency(fam.coeffs, nodes, k, tol)
+    assert got[0] == got[1] == got[2] and len(got[0][0]) == 1
+    assert abs(got[0][0][0] - scan_resonances(fam, -0.5, 0.5)[0].lambda0) < 1e-9
+    # the whole scan ends too; the eigenpair residual check at the root
+    # cannot meet such a tol
+    with pytest.raises(EigenConvergenceError):
+        scan_resonances(fam, -0.5, 0.5, tol=1e-19)
 
 
 REACH_CASES = [(name, fam, -1.0, 1.0) for name, fam in PRUNING] + [
