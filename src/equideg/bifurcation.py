@@ -41,8 +41,8 @@ import numpy as np
 from .eqdeg import MissingIndexError, degree_of_spectrum, index_of_spectrum
 from .reps import gcd_closure, isotropy_gcd_set
 from .spectral import (DEFAULT_GRID, DEFAULT_TOL, MatrixFamily, SpectralData,
-                       _integers_in, as_symmetric, eigen_sym, k_set,
-                       resonant_frequencies, scan_resonances)
+                       _integers_in, _runs, _square_roots_in, as_symmetric,
+                       eigen_sym, k_set, resonant_frequencies, scan_resonances)
 from .udring import TomDieckElement
 
 #: Version of every file format.  Problem files are read; everything else
@@ -176,12 +176,20 @@ class Perturbation:
         return H
 
 
+def _integer_index(v):
+    """v as an int; an index that is not an integer (bool included) raises."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"the index at infinity must be an integer, got {v!r}")
+    return int(v)
+
+
 @dataclass(frozen=True, eq=False)
 class IndexRule:
     """How ind(-grad V(., lambda), infinity) is obtained.
 
     "builtin": closed form for the built-in perturbation class;
-    "value": caller-supplied integer (constant or function of lambda);
+    "value": caller-supplied integer (constant or function of lambda),
+             where a value that is not an integer raises ValueError;
     "unavailable": criteria needing the index raise.
     """
 
@@ -193,6 +201,8 @@ class IndexRule:
             raise ValueError(f"unknown index rule {self.kind!r}")
         if self.kind == "value" and self._value is None:
             raise ValueError("index rule 'value' needs the value")
+        if self.kind == "value" and not callable(self._value):
+            _integer_index(self._value)
 
     @classmethod
     def builtin(cls):
@@ -216,7 +226,7 @@ class IndexRule:
             return index_of_spectrum(s)
         if self.kind == "value":
             v = self._value
-            return int(v(lam)) if callable(v) else int(v)
+            return _integer_index(v(lam) if callable(v) else v)
         raise MissingIndexError(
             "the index at infinity is unavailable for this problem; declare "
             "the built-in class or supply a value")
@@ -397,13 +407,12 @@ def _j_jumps(s_m, s_p):
     """(k, j_k(s_m), j_k(s_p)) for every k >= 1 where the counts differ.
 
     The i-th sorted eigenvalues a_i, b_i of the two spectra move j_k only for
-    k^2 in [min(a_i, b_i), max(a_i, b_i)); sqrt is correctly rounded and
-    monotone, so the floors of the square roots of the ends bracket those k.
+    k^2 in [min(a_i, b_i), max(a_i, b_i)), so the k with a square in that
+    band (``_square_roots_in``) are the candidates.
     """
     a, b = s_m.expanded, s_p.expanded
-    lo, hi = (np.floor(np.sqrt(np.maximum(f(a, b), 0.0)))
-              for f in (np.minimum, np.maximum))
-    ks = np.array(_integers_in(np.maximum(lo, 1.0), hi), dtype=np.int64)
+    first, last = _square_roots_in(np.minimum(a, b), np.maximum(a, b))
+    ks = np.array(_integers_in(np.maximum(first, 1.0), last), dtype=np.int64)
     rows = zip(ks.tolist(), s_m.counts_above(ks).tolist(), s_p.counts_above(ks).tolist())
     return [(k, jm, jp) for k, jm, jp in rows if jm != jp]
 
@@ -497,6 +506,7 @@ def _require_nonresonant_endpoints(e_m, e_p):
 def _eqcont2_verdict(e_m, e_p, jumps, points):
     """check_eqcont2 from the two endpoint analyses, their jumps and the
     scanned points."""
+    _require_nonresonant_endpoints(e_m, e_p)
     if len(points) != 1:
         lams = [round(pt.lambda0, 9) for pt in points]
         raise PreconditionError(
@@ -556,20 +566,9 @@ def eqcont3_points(p, window, tol=DEFAULT_TOL):
             f"{EQCONT3_MAX_POINTS}; narrow the window")
     found = sorted((k / root, k, alpha, jump) for alpha, jump, root, ks in spans
                    for k in ks if lo <= k / root <= hi)
-    # anchored at a point's first lambda0, unlike spectral._runs' chaining
-    out = []
-    i = 0
-    while i < len(found):
-        lam0, k, alpha, jump = found[i]
-        pairs, total = [(k, alpha)], jump
-        j = i + 1
-        while j < len(found) and found[j][0] - lam0 <= tol * (1.0 + lam0):
-            pairs.append((found[j][1], found[j][2]))
-            total += found[j][3]
-            j += 1
-        out.append(Eqcont3Point(lam0, tuple(pairs), total))
-        i = j
-    return out
+    runs = _runs(found, lambda run, pt: pt[0] - run[0][0] <= tol * (1.0 + run[0][0]))
+    return [Eqcont3Point(run[0][0], tuple((k, alpha) for _, k, alpha, _ in run),
+                         sum(jump for *_, jump in run)) for run in runs]
 
 
 def predict_periods(r):
@@ -639,14 +638,24 @@ class BifurcationReport:
         }
 
 
+def _applies(criterion):
+    """criterion(), or None where the theorem's hypotheses fail: the one
+    rule by which the cascade of ``build_report`` falls through."""
+    try:
+        return criterion()
+    except (MissingIndexError, PreconditionError):
+        return None
+
+
 def build_report(p, lm, lp, tol=DEFAULT_TOL, grid=DEFAULT_GRID,
                  critical_points=None, flags=None):
     """Run the full criterion cascade on [lm, lp] and assemble the report.
 
     Criteria are tried from most to least informative: the scaled-family
     enumeration (when applicable), then the single-resonance criterion,
-    then the resonant-endpoint criterion.  Precondition failures fall
-    through to the next criterion rather than aborting.
+    then the resonant-endpoint criterion; the first verdict that holds is
+    the report's.  A criterion whose hypotheses fail falls through to the
+    next (``_applies``) rather than aborting.
     """
     e_m, e_p, jumps = _endpoints(p, lm, lp, tol)
     bif, und = _bif(e_m, e_p, jumps)
@@ -654,37 +663,16 @@ def build_report(p, lm, lp, tol=DEFAULT_TOL, grid=DEFAULT_GRID,
     resonances = scan_resonances(p.family, lm, lp, grid=grid, tol=tol)
     periods = [predict_periods(r) for r in resonances]
 
-    eq3 = []
-    verdict = None
-    if p.scaled and lm > 0.0:
-        try:
-            eq3 = eqcont3_points(p, (lm, lp), tol)
-        except (MissingIndexError, PreconditionError):
-            eq3 = []
-        if eq3:
-            first = eq3[0]
-            verdict = CriterionVerdict(
-                "eqcont3", True, witness_k=first.k0, lambda0=first.lambda0,
-                message=f"{len(eq3)} bifurcation point(s) lambda0 = k/sqrt(alpha) "
-                        "in the window, each with a nonzero Z_k jump")
-    if verdict is None:
-        try:
-            _require_nonresonant_endpoints(e_m, e_p)
-            v = _eqcont2_verdict(e_m, e_p, jumps, resonances)
-            if v.holds:
-                verdict = v
-        except PreconditionError:
-            pass
-    if verdict is None:
-        try:
-            v = _eqcont1_verdict(e_m, e_p, jumps, kset)
-            if v.holds:
-                verdict = v
-        except MissingIndexError:
-            pass
-    if verdict is None:
-        verdict = CriterionVerdict("none", False,
-                                   message="no implemented criterion fired")
+    eq3 = (p.scaled and lm > 0.0 and _applies(lambda: eqcont3_points(p, (lm, lp), tol))) or []
+    criteria = (
+        lambda: eq3 and CriterionVerdict(
+            "eqcont3", True, witness_k=eq3[0].k0, lambda0=eq3[0].lambda0,
+            message=f"{len(eq3)} bifurcation point(s) lambda0 = k/sqrt(alpha) "
+                    "in the window, each with a nonzero Z_k jump"),
+        lambda: _eqcont2_verdict(e_m, e_p, jumps, resonances),
+        lambda: _eqcont1_verdict(e_m, e_p, jumps, kset))
+    verdict = next((v for v in map(_applies, criteria) if v and v.holds),
+                   CriterionVerdict("none", False, message="no implemented criterion fired"))
 
     consistency = [{"critical_point": name, "lambda0": r.lambda0,
                     **consistency_check(rep, r.kernel_rep)}

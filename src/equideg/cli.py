@@ -6,6 +6,7 @@ branch, `verify-examples` only when every regression row passes.
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -71,9 +72,9 @@ def _human_report(r):
 
 def cmd_analyze(args):
     cfg = ProblemConfig.from_file(args.config)
-    cfg.tol = args.tol if args.tol is not None else cfg.tol
-    cfg.grid = args.grid if args.grid is not None else cfg.grid
-    report = cfg.report()
+    report = dataclasses.replace(
+        cfg, tol=args.tol if args.tol is not None else cfg.tol,
+        grid=args.grid if args.grid is not None else cfg.grid).report()
     if args.json:
         print(json.dumps(report.to_json(), sort_keys=True, indent=2))
     else:

@@ -86,7 +86,7 @@ def _entry_terms(value, where):
     return terms
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ProblemConfig:
     n: int
     family: MatrixFamily

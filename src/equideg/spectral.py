@@ -18,9 +18,12 @@ Tolerances are relative on input (default 1e-9) and converted once into an
 absolute tolerance ``tol * (1 + max|eigenvalue|)`` that is carried inside
 ``SpectralData``; all sign decisions are made against that absolute value
 (``SpectralData.near``, ``multiplicity``) and degenerate cases raise instead
-of guessing.  ``_runs`` is the one grouping of sorted values, ``_integers_in``
-the one union of integer intervals, ``MatrixFamily.eval_many`` the one
-evaluation of A(lambda): the scan's node stack and its bisection rounds see it.
+of guessing.  The sign of a determinant is read off its sign bit, never off a
+product of two, which underflows.  ``_runs`` is the one grouping of sorted
+values, ``_square_roots_in`` the one band of squares on float arrays,
+``_integers_in`` the one union of integer intervals, ``MatrixFamily.eval_many``
+the one evaluation of A(lambda): the scan's node stack and its bisection
+rounds see it.
 """
 
 import functools
@@ -155,16 +158,17 @@ class SpectralData:
         return {"eigenvalues": [[v, m] for v, m in self.eigenvalues], "tol": self.tol}
 
 
-def _runs(values, gap, key=lambda v: v):
-    """Split an increasing sequence where consecutive keys are more than
-    ``gap`` apart (chain linkage: a run may span more than ``gap``)."""
-    runs, last = [], None
+def _runs(values, joins):
+    """Split a sorted sequence into runs: a value joins the current run
+    when ``joins(run, value)`` holds.  Chained callers compare the value
+    with ``run[-1]`` (a run may span more than the gap), anchored callers
+    with ``run[0]``."""
+    runs = []
     for v in values:
-        kv = key(v)
-        if not runs or kv - last > gap:
-            runs.append([])
-        runs[-1].append(v)
-        last = kv
+        if runs and joins(runs[-1], v):
+            runs[-1].append(v)
+        else:
+            runs.append([v])
     return runs
 
 
@@ -212,7 +216,7 @@ def eigen_sym(A, tol=DEFAULT_TOL):
             f"eigenpair residual {resid:.3e} exceeds tolerance {abs_tol:.3e}")
     # a one-value run is its own mean; + 0.0 turns -0.0 into 0.0 as np.mean does
     eigenvalues = tuple((c[0] + 0.0 if len(c) == 1 else float(np.mean(c)), len(c))
-                        for c in _runs(vals.tolist(), abs_tol))
+                        for c in _runs(vals.tolist(), lambda run, v: v - run[-1] <= abs_tol))
     return SpectralData(eigenvalues, float(abs_tol))
 
 
@@ -383,8 +387,9 @@ def _scan_one_frequency(family, nodes, mats, k, tol):
     warn_messages).  Node-exact zeros are accepted when |det| < tol * scale
     with scale the largest |det| seen on the grid; other zeros must flip the
     sign of det.  Runs of tiny nodes, sign-change brackets and tangency dips
-    are boolean masks over the stacked node determinants; the brackets are
-    then bisected together by ``_bisect``, one stacked ``det`` per round.
+    are boolean masks over the stacked node determinants and their sign bits;
+    the brackets are then bisected together by ``_bisect``, one stacked
+    ``det`` per round.  Roots within tol of a run's first root are one root.
     """
     shift = float(k * k) * np.eye(family.n)
     dets = np.linalg.det(mats - shift[None, :, :])
@@ -396,7 +401,8 @@ def _scan_one_frequency(family, nodes, mats, k, tol):
             f"det(A(lambda) - {k}^2 Id) vanishes on a subinterval of the grid; "
             "resonances are not isolated at this tolerance")
 
-    i = np.flatnonzero(~tiny[:-1] & ~tiny[1:] & (dets[:-1] * dets[1:] < 0.0))
+    neg = dets < 0.0
+    i = np.flatnonzero(~tiny[:-1] & ~tiny[1:] & (neg[:-1] != neg[1:]))
     roots = nodes[tiny].tolist() + _bisect(family, shift, list(zip(
         nodes[i].tolist(), nodes[i + 1].tolist(), dets[i].tolist(), dets[i + 1].tolist())), tol)
 
@@ -406,19 +412,15 @@ def _scan_one_frequency(family, nodes, mats, k, tol):
     mid_absd = absd[1:-1]
     dips = 1 + np.flatnonzero(
         ~(tiny[:-2] | tiny[1:-1] | tiny[2:]) & (mid_absd < math.sqrt(tol) * scale)
-        & (mid_absd <= absd[:-2]) & (mid_absd <= absd[2:]) & (dets[:-2] * dets[2:] > 0.0))
+        & (mid_absd <= absd[:-2]) & (mid_absd <= absd[2:]) & (neg[:-2] == neg[2:]))
     warn = [(TangencyWarning,
              f"det(A(lambda) - {k}^2 Id) touches zero near lambda={lam:.6g} "
              "without a sign change; tangential resonance not reported as a point")
             for lam in nodes[dips].tolist()
             if not any(abs(lam - r) <= 2.0 * cell for r in roots)]
 
-    # anchored at a run's first root, unlike _runs, whose chaining differs
-    # once a grid cell is narrower than tol
-    merged = []
-    for r in sorted(roots):
-        if not merged or r - merged[-1] > max(tol, 1e-15):
-            merged.append(r)
+    merged = [run[0] for run in _runs(sorted(roots),
+                                      lambda run, r: r - run[0] <= max(tol, 1e-15))]
     warn += [(ResolutionWarning,
               f"two resonances of frequency {k} fall within one grid cell "
               f"near lambda={a:.6g}; increase the grid to separate them")
@@ -435,9 +437,9 @@ def _settled(a, b, tol):
 
 def _guessed_path(a, b, fa, fb, tol):
     """The midpoints that bisection of [a, b] visits if the root is the
-    secant root of the ends (fa, fb are det at a, b, of opposite signs)."""
-    # fa == fb only after an underflowed product fa * fm took a wrong step
-    guess = a + fa / (fa - fb) * (b - a) if fa != fb else a
+    secant root of the ends (fa, fb are det at a, b, nonzero and of
+    opposite signs)."""
+    guess = a + fa / (fa - fb) * (b - a)
     path = []
     while not _settled(a, b, tol):
         path.append(0.5 * (a + b))
@@ -473,7 +475,7 @@ def _bisect(family, shift, brackets, tol):
                 if fm == 0.0:
                     a = b = mid
                     break
-                if fa * fm < 0.0:
+                if (fm < 0.0) != (fa < 0.0):
                     b, fb = mid, fm
                 else:
                     a, fa = mid, fm
@@ -481,13 +483,17 @@ def _bisect(family, shift, brackets, tol):
             start += len(path)
 
 
-def _square_roots_in(mid, half):
+def _square_roots_in(lower, upper):
     """Elementwise bounds first, last of the integers k >= 0 whose square
-    lies in [max(mid - half, 0), mid + half]; first > last where none does."""
-    lower, upper = np.maximum(mid - half, 0.0), mid + half
+    lies in [lower, upper]; first > last where none does.
+
+    The one squares-in-a-band rule of the float array paths.  The scalar
+    ``frequency_bound`` and ``resonant_frequencies`` keep the exact
+    ``math.isqrt``, which stays exact past 2^53, where a float square root
+    can be one k off."""
     # sqrt is correctly rounded, hence monotone: a k^2 inside [lower, upper]
     # stays inside [first, last], and rounding can only add a k at an end
-    first = np.ceil(np.sqrt(lower))
+    first = np.ceil(np.sqrt(np.maximum(lower, 0.0)))
     last = np.where(upper >= 0.0, np.floor(np.sqrt(np.maximum(upper, 0.0))), -1.0)
     return first, last
 
@@ -524,15 +530,16 @@ def _reachable_frequencies(family, nodes, mats, tol):
     ends = np.append(np.arange(0, len(nodes) - 1, _BLOCK), len(nodes) - 1)
     eigs = np.empty((len(nodes), family.n))
     eigs[ends] = np.linalg.eigvalsh(mats[ends])
-    first, last = _square_roots_in((eigs[ends[:-1]] + eigs[ends[1:]]) / 2.0,
-                                   lipschitz * float(np.max(np.diff(nodes[ends])))
-                                   + 2.0 * slack)
+    mid = (eigs[ends[:-1]] + eigs[ends[1:]]) / 2.0
+    half = lipschitz * float(np.max(np.diff(nodes[ends]))) + 2.0 * slack
+    first, last = _square_roots_in(mid - half, mid + half)
     refined = np.any(first <= last, axis=1)
     cells = np.flatnonzero(refined[np.arange(len(nodes) - 1) // _BLOCK])
     inner = cells[cells % _BLOCK > 0]
     eigs[inner] = np.linalg.eigvalsh(mats[inner])
-    first, last = _square_roots_in((eigs[cells] + eigs[cells + 1]) / 2.0,
-                                   lipschitz * float(np.max(np.diff(nodes))) / 2.0 + slack)
+    mid = (eigs[cells] + eigs[cells + 1]) / 2.0
+    half = lipschitz * float(np.max(np.diff(nodes))) / 2.0 + slack
+    first, last = _square_roots_in(mid - half, mid + half)
     some = first <= last
     return _integers_in(first[some], last[some])
 
@@ -568,8 +575,8 @@ def scan_resonances(family, lo, hi, grid=DEFAULT_GRID, tol=DEFAULT_TOL):
         pairs.extend((lam, k) for lam in roots)
 
     merge_tol = 8.0 * tol * (1.0 + max(abs(lo), abs(hi)))
-    return [_make_point(family, group, tol)
-            for group in _runs(sorted(pairs), merge_tol, key=lambda pair: pair[0])]
+    return [_make_point(family, group, tol) for group in
+            _runs(sorted(pairs), lambda run, pair: pair[0] - run[-1][0] <= merge_tol)]
 
 
 def _kernel_rep(s, freqs):

@@ -203,7 +203,9 @@ def reference_scan_one_frequency(coeffs, nodes, k, tol):
     ``coeffs`` is a family's (symmetrized) coefficient stack; A(lambda) is
     built here with its own ``np.tensordot``.  Returns (roots, warnings) as
     (class, message) pairs in emission order, and raises
-    NonIsolatedResonanceError on three tiny determinants in a row.
+    NonIsolatedResonanceError on three tiny determinants in a row.  Signs
+    are compared by sign bit, never by a product of two determinants, which
+    underflows to zero once they are small enough.
     """
     from equideg.spectral import (NonIsolatedResonanceError, ResolutionWarning,
                                   TangencyWarning)
@@ -237,7 +239,7 @@ def reference_scan_one_frequency(coeffs, nodes, k, tol):
             continue
         a, b = float(nodes[i]), float(nodes[i + 1])
         fa, fb = dets[i], dets[i + 1]
-        if fa * fb < 0.0:
+        if (fa < 0.0) != (fb < 0.0):
             while b - a > tol:
                 mid = 0.5 * (a + b)
                 if mid == a or mid == b:   # adjacent floats: no step is left
@@ -246,7 +248,7 @@ def reference_scan_one_frequency(coeffs, nodes, k, tol):
                 if fm == 0.0:
                     a = b = mid
                     break
-                if fa * fm < 0.0:
+                if (fm < 0.0) != (fa < 0.0):
                     b, fb = mid, fm
                 else:
                     a, fa = mid, fm
@@ -259,7 +261,7 @@ def reference_scan_one_frequency(coeffs, nodes, k, tol):
         if tiny[i - 1] or tiny[i] or tiny[i + 1]:
             continue
         if absd[i] < touch_thresh and absd[i] <= absd[i - 1] and absd[i] <= absd[i + 1] \
-                and dets[i - 1] * dets[i + 1] > 0.0:
+                and (dets[i - 1] < 0.0) == (dets[i + 1] < 0.0):
             lam = float(nodes[i])
             if not any(abs(lam - r) <= 2.0 * cell for r in roots):
                 warn.append((TangencyWarning,

@@ -1,6 +1,7 @@
 """Bifurcation indices, the three criteria and the assembled report."""
 
 import math
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -148,6 +149,17 @@ def test_index_rule_builtin_and_value_and_unavailable():
         IndexRule("magic")
     with pytest.raises(AttributeError):
         rule.kind = "builtin"
+
+
+def test_index_rule_value_rejects_an_index_that_is_not_an_integer():
+    s = eigen_sym(np.diag([2.0, -3.0]))
+    assert IndexRule.value(np.int64(-2)).ind_of(s, 0.0) == -2
+    for v in (1.5, -0.7, "1", True, np.float64(2.0)):
+        with pytest.raises(ValueError, match=re.escape(f"got {v!r}")):
+            IndexRule.value(v)
+    for v in (2.9, False, None):
+        with pytest.raises(ValueError, match=f"got {v!r}"):
+            IndexRule.value(lambda lam, v=v: v).ind_of(s, 0.0)
 
 
 # ----------------------------------------------------------------- problem spec

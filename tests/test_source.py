@@ -58,3 +58,32 @@ def test_unread_privates_finds_an_unread_definition():
 
 def test_every_private_definition_is_read():
     assert unread_privates([path.read_text() for path in MODULES]) == []
+
+
+def unfrozen_dataclasses(source):
+    """Classes whose ``@dataclass`` decorator does not pass frozen=True."""
+    def frozen(deco):
+        return isinstance(deco, ast.Call) and any(
+            kw.arg == "frozen" and isinstance(kw.value, ast.Constant) and kw.value.value is True
+            for kw in deco.keywords)
+
+    def name(deco):
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        return getattr(target, "id", getattr(target, "attr", None))
+
+    return [node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)
+            for deco in node.decorator_list if name(deco) == "dataclass" and not frozen(deco)]
+
+
+def test_unfrozen_dataclasses_finds_a_mutable_one():
+    assert unfrozen_dataclasses("@dataclass\nclass A: pass\n"
+                                "@dataclasses.dataclass(eq=False)\nclass B: pass\n"
+                                "@dataclass(frozen=False)\nclass C: pass\n"
+                                "@dataclass(frozen=True, eq=False)\nclass D: pass\n") \
+        == ["A", "B", "C"]
+
+
+# one immutability idiom: every dataclass of the package is frozen
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_dataclass_is_frozen(path):
+    assert unfrozen_dataclasses(path.read_text()) == []

@@ -106,6 +106,13 @@ def test_eigen_sym_cluster_values_are_the_means_of_their_runs(sizes):
             == [float(np.mean([v])).hex() for v in vals]
 
 
+def test_runs_chains_or_anchors_by_what_joins_compares():
+    values = [0.0, 0.6, 1.2]
+    assert spectral._runs(values, lambda run, v: v - run[-1] <= 1.0) == [values]
+    assert spectral._runs(values, lambda run, v: v - run[0] <= 1.0) == [[0.0, 0.6], [1.2]]
+    assert spectral._runs([], lambda run, v: True) == []
+
+
 def test_expanded_is_built_once_and_read_only():
     s = SpectralData(((-1.0, 2), (4.0, 1), (9.0, 3)), 1e-9)
     assert "expanded" not in vars(s)
@@ -481,6 +488,11 @@ def _diag1(terms):
     return MatrixFamily.from_entry_polynomials(1, {(1, 1): terms})
 
 
+def _underflow_family(c):
+    """c (lambda - 0.0123456), exact for a power of two c."""
+    return _diag1({0: -0.0123456 * c, 1: c})
+
+
 def _node_roots_family(lams):
     """4 + 64 prod (lambda - l): det(A - 4 Id) vanishes at each l, and is
     0.0 there when every l is a dyadic grid node, since every coefficient
@@ -545,7 +557,21 @@ def scan_oracle_cases():
         ("cell-narrower-than-tol", _diag1({0: -3.3e-8, 1: 1.0}), 0.0, 1e-7, None),
         ("three-brackets", _node_roots_family([-0.3001, 0.1001, 0.3701]), -0.5, 0.5, [2]),
     ]
+    # a product of two dets would underflow: at 2^-532 already across the
+    # grid cell of the root, at 2^-515 in its later bisection steps
+    cases += [(f"underflow-2^-{e}", _underflow_family(2.0 ** -e), -0.5, 0.5, None)
+              for e in (515, 532)]
     return cases
+
+
+@pytest.mark.parametrize("e", [0, 515, 532, 665])
+def test_scan_finds_a_root_whose_det_products_underflow(e):
+    # signs are compared by sign bit, so the root is the same at every scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        points = scan_resonances(_underflow_family(2.0 ** -e), -0.5, 0.5)
+    assert [(pt.lambda0.hex(), pt.frequencies) for pt in points] \
+        == [((0.0123456004075706).hex(), {0})]
 
 
 def _scan_outcome(scan, *args):
