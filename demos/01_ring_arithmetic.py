@@ -10,9 +10,7 @@ does not.
 import numpy as np
 
 from equideg import (ONE, ZERO, TomDieckElement, add, deg_id_minus_LA,
-                     lin_deg, minus_id_data, product, star)
-from equideg.eqdeg import LinearBlockData
-from equideg.reps import RepDecomposition
+                     product, star)
 
 a = TomDieckElement(2, {1: 3, 4: -1})
 b = TomDieckElement(-1, {1: 1, 2: -4})
@@ -37,10 +35,11 @@ print("blind^2    =", star(blind, blind), " (nilpotent, scalar shadow 0)")
 A = np.diag([4.5, 2.0, 2.0, 2.0])
 print("\ndeg(Id - L_A) for A = diag(4.5, 2, 2, 2):", deg_id_minus_LA(A))
 
-# Degrees of block-diagonal linear maps multiply, and the map -Id has an
-# explicit degree determined by the block multiplicities alone.
-rep = RepDecomposition(((2, 0), (3, 5)))
-print("deg(-Id) on R^2 + 3 copies of mode 5:", lin_deg(minus_id_data(rep)))
-d1 = LinearBlockData(RepDecomposition(((1, 2),)), (2,))
-d2 = LinearBlockData(RepDecomposition(((2, 0),)), (1,))
-print("product law:", star(lin_deg(d1), lin_deg(d2)))
+# Degrees of block-diagonal linear maps multiply: A (+) B acts on the
+# loops of A and of B side by side.
+B = np.diag([-0.5, 1.5])
+AB = np.diag([4.5, 2.0, 2.0, 2.0, -0.5, 1.5])
+print("deg(Id - L_B) for B = diag(-0.5, 1.5):", deg_id_minus_LA(B))
+print("product law: deg(Id - L_{A+B})             =", deg_id_minus_LA(AB))
+print("             deg(Id - L_A) * deg(Id - L_B) =",
+      star(deg_id_minus_LA(A), deg_id_minus_LA(B)))

@@ -11,12 +11,12 @@ from .spectral import (DEFAULT_GRID, DEFAULT_TOL, DegenerateSpectrumError,
                        as_symmetric, eigen_sym, j_k, k_set,
                        kernel_rep_at_infinity, morse_index,
                        resonant_frequencies, scan_resonances)
-from .eqdeg import (BlockDataError, LinearBlockData, MissingIndexError,
-                    deg_id_minus_LA, ind_infinity, lin_deg, minus_id_data)
+from .eqdeg import MissingIndexError, deg_id_minus_LA, ind_infinity
 from .bifurcation import (AccumulationWarning, BifurcationReport,
-                          CriterionVerdict, Eqcont3Point, IndexRule, PeriodSet,
+                          CriterionVerdict, Eqcont3Point,
+                          IndexContradictionError, IndexRule, PeriodSet,
                           Perturbation, PreconditionError, ProblemSpec,
-                          bif_index, bif_index_ls, build_report, check_eqcont1,
+                          bif_index, build_report, check_eqcont1,
                           check_eqcont2, consistency_check, endpoint_degree,
                           eqcont3_points, predict_periods)
 from .galerkin import (DEFAULT_MODES, BranchPoint, DivergenceWarning,

@@ -59,6 +59,11 @@ class PreconditionError(ValueError):
     """A theorem's standing hypotheses fail for the given problem."""
 
 
+class IndexContradictionError(ValueError):
+    """A supplied index at infinity differs from the (-1)^{j_0} that the
+    spectrum fixes at a nonresonant endpoint."""
+
+
 class AccumulationWarning(UserWarning):
     """Positive spectrum close to zero: scaled-family bifurcation points
     lambda0 = k/sqrt(alpha) become unreliable."""
@@ -387,7 +392,15 @@ class EndpointAnalysis:
 
     @functools.cached_property
     def index(self):
-        return self.index_rule.ind_of(self.spectrum, self.lam)
+        """The rule's index at infinity; where the endpoint is nonresonant
+        it must be the sign, (-1)^{j_0}, or IndexContradictionError."""
+        ind = self.index_rule.ind_of(self.spectrum, self.lam)
+        if not self.resonant and ind != self.sign:
+            raise IndexContradictionError(
+                f"the index at infinity {ind} supplied at lambda = {self.lam:g} "
+                f"contradicts the spectrum: A({self.lam:g}) is nonresonant, so the "
+                f"index is (-1)^j_0 = {self.sign}")
+        return ind
 
     @property
     def sign(self):
@@ -446,11 +459,6 @@ def endpoint_degree(p, lam, tol=DEFAULT_TOL):
 def bif_index(p, lm, lp, tol=DEFAULT_TOL):
     """Bifurcation index of the interval [lm, lp] in the tom Dieck ring."""
     return _bif(*_endpoints(p, lm, lp, tol))[0]
-
-
-def bif_index_ls(p, lm, lp, tol=DEFAULT_TOL):
-    """Leray-Schauder shadow: the SO(2)-coordinate of the bifurcation index."""
-    return bif_index(p, lm, lp, tol).a0
 
 
 def check_eqcont1(p, lm, lp, tol=DEFAULT_TOL):
@@ -640,7 +648,8 @@ class BifurcationReport:
 
 def _applies(criterion):
     """criterion(), or None where the theorem's hypotheses fail: the one
-    rule by which the cascade of ``build_report`` falls through."""
+    rule by which the cascade of ``build_report`` falls through.  An input
+    error, such as IndexContradictionError, is raised."""
     try:
         return criterion()
     except (MissingIndexError, PreconditionError):

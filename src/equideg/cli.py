@@ -15,8 +15,7 @@ import sys
 from . import problems
 from .bifurcation import FORMAT_VERSION
 from .config import ProblemConfig
-from .galerkin import (continue_to_infinity, minimal_period_divisor,
-                       write_branch_csv)
+from .galerkin import continue_to_infinity, write_branch_csv
 from .spectral import (EigenConvergenceError, NonIsolatedResonanceError,
                        scan_resonances)
 
@@ -122,7 +121,7 @@ def cmd_continue(args):
             "amplitude": bp.amplitude,
             "lambda": bp.lam,
             "residual_norm": None if bp.failed else bp.residual_norm,
-            "min_period_divisor": minimal_period_divisor(bp.loop),
+            "min_period_divisor": bp.minimal_period_divisor,
             "active_modes": sorted(bp.active_modes),
             "failed": bp.failed,
             "newton_steps": bp.newton_steps,

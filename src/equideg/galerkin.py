@@ -207,6 +207,11 @@ class BranchPoint:
     jacobian_cond: float | None = None   # sigma_max / sigma_min, last step
     energy_drift: float | None = None    # see energy_drift()
 
+    @functools.cached_property
+    def minimal_period_divisor(self):
+        """``minimal_period_divisor`` of the loop, taken on first use."""
+        return minimal_period_divisor(self.loop)
+
 
 def _coeffs(samples, N):
     """Packed Fourier coefficients, modes 0..N, of samples on M nodes."""
@@ -645,5 +650,5 @@ def write_branch_csv(path, branch):
         fh.write(",".join(cols) + "\n")
         for bp in branch:
             row = [bp.lam, bp.amplitude, bp.residual_norm,
-                   minimal_period_divisor(bp.loop)] + bp.loop.pack().tolist()
+                   bp.minimal_period_divisor] + bp.loop.pack().tolist()
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")

@@ -3,7 +3,7 @@
 Deliberately avoids numpy.linalg eigensolvers: eigenvalues come from the
 characteristic polynomial (Faddeev-LeVerrier recurrence) with roots isolated
 by sign changes and refined by bisection.  Slow but order-of-magnitude
-independent of the library under test.
+independent of the library under test, which no function here imports.
 """
 
 import math
@@ -133,6 +133,54 @@ def random_orthogonal(rng, n):
     return Q * np.sign(np.diag(R))
 
 
+def lin_deg(parts, morse):
+    """Gradient degree of a block-diagonal self-adjoint isomorphism
+    L = diag(L_0, L_1, ...) from its block Morse indices, as (a0, {k: Z_k}).
+
+    parts: (j, k) per block, with k strictly increasing; the block acts on
+    R[j, k], j copies of the plane on which SO(2) rotates with speed k
+    (k = 0: j copies of the line, fixed).  morse: m(L_i) per block.  A
+    block with k >= 1 is complex linear, so its Morse index is even and at
+    most 2j; that of the k = 0 block is at most j.  Then
+
+        a0 = (-1)^{m(L_0)},    Z_k = a0 m(L_k) / 2,
+
+    with zero coordinates left out.  Block data of another shape raise
+    ValueError.
+    """
+    if len(parts) != len(morse):
+        raise ValueError(f"expected {len(parts)} Morse indices, got {len(morse)}")
+    if any(b <= a for (_, a), (_, b) in zip(parts, parts[1:])):
+        raise ValueError(f"frequencies must be strictly increasing in {parts}")
+    for (j, k), m in zip(parts, morse):
+        if not 0 <= m <= (2 * j if k else j) or k and m % 2:
+            raise ValueError(f"Morse index {m} is not one of block R[{j},{k}]")
+    a0 = -1 if sum(m for (_, k), m in zip(parts, morse) if k == 0) % 2 else 1
+    return a0, {k: a0 * (m // 2) for (_, k), m in zip(parts, morse) if k and m}
+
+
+def minus_id_morse(parts):
+    """Block Morse indices of -Id on the blocks ``parts``: all negative."""
+    return tuple(2 * j if k else j for j, k in parts)
+
+
+def loop_degree(eig):
+    """deg(Id - L_A) on 2pi-periodic loops by the block formula ``lin_deg``.
+
+    eig: every eigenvalue of a nonresonant symmetric A, with multiplicity.
+    Id - L_A acts on the loops of mode k as a positive multiple of
+    k^2 - A, on n real dimensions for k = 0 and on n complex ones for
+    k >= 1, so its block Morse indices are m(L_0) = j_0 and
+    m(L_k) = 2 j_k, with j_k the eigenvalues above k^2, counted one by one
+    up to the first k past every eigenvalue.
+    """
+    eig = [float(v) for v in eig]
+    ks = range(int(max(max(eig), 0.0) ** 0.5) + 2)
+    counts = [sum(1 for v in eig if v > k * k) for k in ks]
+    return lin_deg([(len(eig), k) for k in ks],
+                   [count if k == 0 else 2 * count for k, count in zip(ks, counts)])
+
+
 def reference_report(eig_m, eig_p, n_resonances, ind_m=None, ind_p=None, tol=1e-9):
     """Bifurcation index and criterion of an interval, one k at a time.
 
@@ -147,7 +195,9 @@ def reference_report(eig_m, eig_p, n_resonances, ind_m=None, ind_p=None, tol=1e-
     and c = the index at a resonant one, Bif = deg(+) - deg(-) without the
     resonant coordinates; then eqcont2 (nonresonant endpoints, one
     resonance), then eqcont1.  Returns (so2, {k: Z_k}, undefined,
-    criterion name, witness k).
+    criterion name, witness k).  Where eqcont1 is reached, a supplied index
+    that differs from (-1)^{j_0} at a nonresonant endpoint, which the
+    spectrum fixes there, raises ValueError.
     """
     ends = []
     for eig, ind in ((eig_m, ind_m), (eig_p, ind_p)):
@@ -188,6 +238,10 @@ def reference_report(eig_m, eig_p, n_resonances, ind_m=None, ind_p=None, tol=1e-
                 break
             closed = more
         kset |= closed
+    for eig, res, ind in ((em, res_m, ind_m), (ep, res_p, ind_p)):
+        if not res and ind != (-1) ** j(eig, 0):
+            raise ValueError(f"supplied index {ind} contradicts (-1)^j_0 = "
+                             f"{(-1) ** j(eig, 0)} at a nonresonant endpoint")
     if ind_m != ind_p:
         return c_p - c_m, zk, undefined, "eqcont1(i)", None
     outside = [k for k in jumps if k not in kset]
@@ -202,14 +256,11 @@ def reference_scan_one_frequency(coeffs, nodes, k, tol):
 
     ``coeffs`` is a family's (symmetrized) coefficient stack; A(lambda) is
     built here with its own ``np.tensordot``.  Returns (roots, warnings) as
-    (class, message) pairs in emission order, and raises
-    NonIsolatedResonanceError on three tiny determinants in a row.  Signs
-    are compared by sign bit, never by a product of two determinants, which
-    underflows to zero once they are small enough.
+    (class name, message) pairs in emission order, or
+    ("NonIsolatedResonanceError", message) on three tiny determinants in a
+    row.  Signs are compared by sign bit, never by a product of two
+    determinants, which underflows to zero once they are small enough.
     """
-    from equideg.spectral import (NonIsolatedResonanceError, ResolutionWarning,
-                                  TangencyWarning)
-
     coeffs = np.asarray(coeffs, dtype=float)
     n = coeffs.shape[1]
     powers = np.asarray(nodes, dtype=float)[:, None] ** np.arange(coeffs.shape[0])[None, :]
@@ -224,9 +275,9 @@ def reference_scan_one_frequency(coeffs, nodes, k, tol):
     for flag in tiny:
         run = run + 1 if flag else 0
         if run >= 3:
-            raise NonIsolatedResonanceError(
-                f"det(A(lambda) - {k}^2 Id) vanishes on a subinterval of the grid; "
-                "resonances are not isolated at this tolerance")
+            return ("NonIsolatedResonanceError",
+                    f"det(A(lambda) - {k}^2 Id) vanishes on a subinterval of the grid; "
+                    "resonances are not isolated at this tolerance")
 
     def det_at(lam):
         A = np.tensordot(np.power(float(lam), np.arange(coeffs.shape[0])), coeffs, axes=1)
@@ -264,7 +315,7 @@ def reference_scan_one_frequency(coeffs, nodes, k, tol):
                 and (dets[i - 1] < 0.0) == (dets[i + 1] < 0.0):
             lam = float(nodes[i])
             if not any(abs(lam - r) <= 2.0 * cell for r in roots):
-                warn.append((TangencyWarning,
+                warn.append(("TangencyWarning",
                              f"det(A(lambda) - {k}^2 Id) touches zero near lambda={lam:.6g} "
                              "without a sign change; tangential resonance not reported as a point"))
 
@@ -277,7 +328,7 @@ def reference_scan_one_frequency(coeffs, nodes, k, tol):
     if cell > 0.0:
         for a, b in zip(merged, merged[1:]):
             if b - a < cell:
-                warn.append((ResolutionWarning,
+                warn.append(("ResolutionWarning",
                              f"two resonances of frequency {k} fall within one grid cell "
                              f"near lambda={a:.6g}; increase the grid to separate them"))
     return merged, warn

@@ -9,22 +9,19 @@ import math
 
 import numpy as np
 
-from equideg.bifurcation import (bif_index, bif_index_ls, check_eqcont2,
-                                 predict_periods)
-from equideg.eqdeg import ind_infinity, lin_deg, minus_id_data
+from equideg.bifurcation import bif_index, build_report, predict_periods
 from equideg.galerkin import (FourierLoop, continue_to_infinity,
                               energy_drift, minimal_period_divisor,
                               newton_solve, residual)
 from equideg.problems import example1, example2, example3
-from equideg.reps import RepDecomposition
-from equideg.spectral import (eigen_sym, j_k, k_set, resonant_frequencies,
+from equideg.spectral import (eigen_sym, j_k, resonant_frequencies,
                               scan_resonances)
 from equideg.udring import ONE, ZERO, TomDieckElement, add, star
 
 from oracles import (_analytic_jacobian, charpoly_eigenvalues, fd_jacobian,
-                     random_symmetric)
+                     minus_id_morse, random_symmetric)
 from test_bifurcation import _random_nonresonant_problem
-from test_eqdeg import concat_block_data, rand_block_data
+from test_eqdeg import block_deg, concat_block_data, rand_block_data
 from test_udring import rand_elem
 
 
@@ -61,20 +58,20 @@ def test_criterion_01(failures):
     A_p, A_m = ex.problem.family.eval(1.0), ex.problem.family.eval(-1.0)
     chk(failures, j_k(A_p, 1) == 2, f"j_1 at +1 is {j_k(A_p, 1)}, want 2")
     chk(failures, j_k(A_m, 1) == 1, f"j_1 at -1 is {j_k(A_m, 1)}, want 1")
-    chk(failures, ind_infinity(A_p) == -1, "index at +1 is not -1")
-    chk(failures, ind_infinity(A_m) == -1, "index at -1 is not -1")
-    kset = k_set(resonant_frequencies(eigen_sym(A_m)),
-                 resonant_frequencies(eigen_sym(A_p)))
-    chk(failures, kset == frozenset(), f"K-set {sorted(kset)} not empty")
-    interior = [p for p in scan_resonances(ex.problem.family, ex.lm, ex.lp)
+    r = build_report(ex.problem, ex.lm, ex.lp)   # on [-1, 1]
+    rule = ex.problem.index_rule
+    chk(failures, rule.ind_of(r.s_plus, ex.lp) == -1, "index at +1 is not -1")
+    chk(failures, rule.ind_of(r.s_minus, ex.lm) == -1, "index at -1 is not -1")
+    chk(failures, r.kset == frozenset(), f"K-set {sorted(r.kset)} not empty")
+    interior = [(p, ps) for p, ps in zip(r.resonances, r.predicted_periods)
                 if p.det_nonzero]
     chk(failures, len(interior) == 1,
         f"{len(interior)} interior resonances, want 1")
     if interior:
-        lam0 = interior[0].lambda0
+        pt, ps = interior[0]
+        lam0 = pt.lambda0
         chk(failures, abs(lam0 - (1.0 - math.sqrt(2.0))) < 1e-9,
             f"lambda0 {lam0!r} misses 1 - sqrt2 by more than 1e-9")
-        ps = predict_periods(interior[0])
         chk(failures, ps.divisors == {1} and not ps.includes_zero,
             f"predicted periods {ps.labels()}, want exactly 2pi")
 
@@ -88,12 +85,12 @@ def test_criterion_02(failures):
     jp = j_k(ex.problem.family.eval(0.5), 2)
     jm = j_k(ex.problem.family.eval(-0.5), 2)
     chk(failures, (jp, jm) == (1, 0), f"j_2 pair {(jp, jm)}, want (1, 0)")
-    v = check_eqcont2(ex.problem, ex.lm, ex.lp)
+    r = build_report(ex.problem, ex.lm, ex.lp)
+    v = r.criterion
     chk(failures, v.holds and v.name == "eqcont2(ii)" and v.witness_k == 2,
         f"criterion verdict {v.name} witness {v.witness_k}")
     chk(failures, abs(v.lambda0) < 1e-9, f"lambda0 {v.lambda0!r} not at 0")
-    pts = scan_resonances(ex.problem.family, ex.lm, ex.lp)
-    ps = predict_periods(pts[0])
+    ps = r.predicted_periods[0]
     chk(failures, ps.divisors == {2} and not ps.includes_zero,
         f"predicted periods {ps.labels()}, want exactly pi")
 
@@ -119,10 +116,9 @@ def test_criterion_03(failures):
 @criterion(4, "nonzero bifurcation index invisible to the scalar shadow")
 def test_criterion_04(failures):
     for ex in (example1(), example2(), example3()):
-        bif = bif_index(ex.problem, ex.lm, ex.lp)
-        ls = bif_index_ls(ex.problem, ex.lm, ex.lp)
-        chk(failures, bif != ZERO, f"{ex.name}: bifurcation index is zero")
-        chk(failures, ls == 0, f"{ex.name}: scalar shadow {ls}, want 0")
+        r = build_report(ex.problem, ex.lm, ex.lp)
+        chk(failures, r.bif != ZERO, f"{ex.name}: bifurcation index is zero")
+        chk(failures, r.bif_ls == 0, f"{ex.name}: scalar shadow {r.bif_ls}, want 0")
 
 
 @criterion(5, "ring laws on 1000 random triples")
@@ -147,16 +143,16 @@ def test_criterion_05(failures):
 
 @criterion(6, "linear degree laws on random block data")
 def test_criterion_06(failures):
+    # on the block formula of tests/oracles.py, the oracle of the degrees
+    # the pipeline computes
     rng = np.random.default_rng(2026)
     bad_product = bad_suspension = 0
     for _ in range(200):
         d1, d2 = rand_block_data(rng), rand_block_data(rng)
-        if lin_deg(concat_block_data(d1, d2)) != star(lin_deg(d1), lin_deg(d2)):
+        if block_deg(concat_block_data(d1, d2)) != star(block_deg(d1), block_deg(d2)):
             bad_product += 1
-        free_k = max(k for _, k in d1.rep.parts) + 1
-        from equideg.eqdeg import LinearBlockData
-        pos = LinearBlockData(RepDecomposition([(2, free_k)]), (0,))
-        if lin_deg(concat_block_data(d1, pos)) != lin_deg(d1):
+        free_k = max(k for _, k in d1[0]) + 1
+        if block_deg(concat_block_data(d1, (((2, free_k),), (0,)))) != block_deg(d1):
             bad_suspension += 1
     chk(failures, bad_product == 0,
         f"{bad_product} of 200 pairs broke the product formula")
@@ -166,13 +162,11 @@ def test_criterion_06(failures):
     for _ in range(100):
         ks = sorted(rng.choice(np.arange(0, 7), size=int(rng.integers(1, 4)),
                                replace=False).tolist())
-        rep = RepDecomposition(tuple((int(rng.integers(1, 4)), int(k))
-                                     for k in ks))
-        j0 = next((j for j, k in rep.parts if k == 0), 0)
+        parts = tuple((int(rng.integers(1, 4)), int(k)) for k in ks)
+        j0 = next((j for j, k in parts if k == 0), 0)
         sign = (-1) ** j0
-        want = TomDieckElement(sign, {k: sign * j for j, k in rep.parts
-                                      if k >= 1})
-        if lin_deg(minus_id_data(rep)) != want:
+        want = TomDieckElement(sign, {k: sign * j for j, k in parts if k >= 1})
+        if block_deg((parts, minus_id_morse(parts))) != want:
             bad_minus += 1
     chk(failures, bad_minus == 0,
         f"{bad_minus} of 100 minus-identity degrees missed the closed form")

@@ -11,9 +11,10 @@ import pytest
 
 import equideg.bifurcation as bifurcation
 import equideg.spectral as spectral
-from equideg.bifurcation import (AccumulationWarning, Eqcont3Point, IndexRule,
+from equideg.bifurcation import (AccumulationWarning, Eqcont3Point,
+                                 IndexContradictionError, IndexRule,
                                  PeriodSet, Perturbation, PreconditionError,
-                                 ProblemSpec, bif_index, bif_index_ls,
+                                 ProblemSpec, bif_index,
                                  build_report, check_eqcont1,
                                  check_eqcont2, consistency_check,
                                  endpoint_degree, eqcont3_points,
@@ -22,7 +23,8 @@ from equideg.eqdeg import MissingIndexError, deg_id_minus_LA
 from equideg.problems import example1, example2, example3
 from equideg.reps import RepDecomposition
 from equideg.spectral import (MatrixFamily, ResonancePoint, SpectralData,
-                              TangencyWarning, resonant_frequencies, eigen_sym)
+                              TangencyWarning, resonant_frequencies, eigen_sym,
+                              scan_resonances)
 from equideg.udring import ZERO, TomDieckElement
 
 from oracles import (charpoly_eigenvalues, random_orthogonal, random_symmetric,
@@ -264,19 +266,16 @@ def test_endpoint_degree_without_index_raises():
 def test_bif_index_example1():
     ex = example1()
     assert bif_index(ex.problem, ex.lm, ex.lp) == TomDieckElement(0, {1: -1})
-    assert bif_index_ls(ex.problem, ex.lm, ex.lp) == 0
 
 
 def test_bif_index_example2():
     ex = example2()
     assert bif_index(ex.problem, ex.lm, ex.lp) == TomDieckElement(0, {2: 1})
-    assert bif_index_ls(ex.problem, ex.lm, ex.lp) == 0
 
 
 def test_bif_index_example3():
     ex = example3()
     assert bif_index(ex.problem, ex.lm, ex.lp) == TomDieckElement(0, {2: 1})
-    assert bif_index_ls(ex.problem, ex.lm, ex.lp) == 0
 
 
 def test_bif_index_trims_undefined_coordinates():
@@ -386,6 +385,27 @@ def test_eqcont1_needs_the_index():
     p = ProblemSpec(1, fam, Perturbation.none(), IndexRule.unavailable())
     with pytest.raises(MissingIndexError):
         check_eqcont1(p, -1.0, 1.0)
+
+
+def test_a_supplied_index_contradicting_the_spectrum_is_named():
+    # A(lambda) = 0.5 + 0.1 lambda is nonresonant at both ends with j_0 = 1,
+    # so the index is -1 there; the rule supplies +1 at lambda = 1, and the
+    # cascade reaches eqcont1, which reads it
+    fam = MatrixFamily([[[0.5]], [[0.1]]])
+    flip = IndexRule.value(lambda lam: 1 if lam > 0 else -1)
+    p = ProblemSpec(1, fam, Perturbation.kepler(1.0), flip)
+    with pytest.raises(IndexContradictionError,
+                       match=re.escape("index at infinity 1 supplied at lambda = 1 ")) as exc:
+        build_report(p, -1.0, 1.0)
+    assert "(-1)^j_0 = -1" in str(exc.value)
+    assert not issubclass(IndexContradictionError, (MissingIndexError, PreconditionError))
+    # the value the spectrum fixes is accepted, and at a resonant endpoint
+    # the rule is the only source of the index
+    agree = ProblemSpec(1, fam, Perturbation.kepler(1.0), IndexRule.value(-1))
+    assert build_report(agree, -1.0, 1.0).criterion.name == "none"
+    resonant = ProblemSpec(1, diag_family({1: 1.0}), Perturbation.kepler(1.0),
+                           IndexRule.value(lambda lam: 1 if lam > 0 else -1))
+    assert build_report(resonant, 0.0, 1.0).criterion.name == "eqcont1(i)"
 
 
 # ------------------------------------------------------------------ criterion 2
@@ -788,14 +808,23 @@ def test_report_matches_the_per_k_reference():
     for p, lm, lp, eig_m, eig_p, ind in _reference_cases():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
+            points = len(scan_resonances(p.family, lm, lp))
+            try:
+                want = reference_report(eig_m, eig_p, points, ind, ind)
+            except ValueError:
+                # the supplied index contradicts a nonresonant endpoint
+                with pytest.raises(IndexContradictionError):
+                    build_report(p, lm, lp)
+                names.add("contradiction")
+                continue
             r = build_report(p, lm, lp)
-        so2, zk, undefined, name, witness = reference_report(
-            eig_m, eig_p, len(r.resonances), ind, ind)
+        so2, zk, undefined, name, witness = want
         assert r.bif == TomDieckElement(so2, zk)
         assert r.bif_undefined == undefined
         assert (r.criterion.name, r.criterion.witness_k) == (name, witness)
         names.add(name)
-    assert names == {"eqcont1(i)", "eqcont1(ii)", "eqcont2(i)", "eqcont2(ii)", "none"}
+    assert names == {"eqcont1(i)", "eqcont1(ii)", "eqcont2(i)", "eqcont2(ii)", "none",
+                     "contradiction"}
 
 
 def test_build_report_emits_each_scan_warning_once():

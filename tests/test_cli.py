@@ -6,7 +6,9 @@ import warnings
 
 import pytest
 
+import equideg.cli
 import equideg.config
+import equideg.galerkin
 import equideg.spectral
 from equideg.cli import main
 from equideg.problems import config_path
@@ -179,6 +181,25 @@ def test_infinite_endpoint_names_its_key(tmp_path, capsys):
         "error: problem.lambda_minus: must be finite, got -inf\n"
 
 
+# diag(lambda / 2, lambda^2 + 0.5): three interior resonances, so eqcont1 reads
+# the index; j_0 is 1 at lambda = -1 and 2 at lambda = 1
+CONTRADICTED = QUIET.replace("1 1 = 0:2", "1 1 = 1:0.5\n2 2 = 0:0.5 2:1").replace(
+    "\nn = 1", "\nn = 2").replace("rule = builtin", "rule = value\nvalue = -1")
+
+
+def test_analyze_supplied_index_contradicting_the_spectrum_exits_one(tmp_path, capsys):
+    path = tmp_path / "contradicted.cfg"
+    path.write_text(CONTRADICTED)
+    assert main(["analyze", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: the index at infinity -1 supplied at lambda = 1 contradicts "
+                   "the spectrum: A(1) is nonresonant, so the index is (-1)^j_0 = 1\n")
+    path.write_text(CONTRADICTED.replace("value = -1", "value = 1"))
+    assert main(["analyze", str(path)]) == 1
+    assert "supplied at lambda = -1 " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["analyze", "continue"])
 def test_non_isolated_resonance_exits_one(command, tmp_path, capsys):
     # NonIsolatedResonanceError is a RuntimeError; it used to escape main
@@ -264,6 +285,23 @@ def test_continue_example2_writes_branch(tmp_path, capsys):
     lines = out_csv.read_text().splitlines()
     assert lines[0].startswith("#")
     assert len(lines) == 2 + 2  # comment, header, two points
+
+
+def test_continue_takes_each_period_divisor_once(monkeypatch, tmp_path, capsys):
+    # the CSV and the JSON summary both read BranchPoint.minimal_period_divisor;
+    # the command line keeps no binding of the function of its own
+    calls, divisor = [], equideg.galerkin.minimal_period_divisor
+    for module in (equideg.galerkin, equideg.cli):
+        monkeypatch.setattr(module, "minimal_period_divisor",
+                            lambda loop: calls.append(loop) or divisor(loop), raising=False)
+    out_csv = tmp_path / "branch.csv"
+    assert main(["continue", str(config_path("example2")), "--resonance", "0",
+                 "--amplitudes", "1,2,4", "--modes", "8", "--out", str(out_csv)]) == 0
+    points = json.loads(capsys.readouterr().out)["points"]
+    rows = out_csv.read_text().splitlines()[2:]
+    assert len(calls) == len(points) == len(rows) == 3
+    assert [pt["min_period_divisor"] for pt in points] \
+        == [int(float(row.split(",")[3])) for row in rows] == [2, 2, 2]
 
 
 def test_continue_reports_newton_trace_per_point(tmp_path, capsys):

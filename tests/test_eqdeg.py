@@ -3,18 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from equideg.eqdeg import (BlockDataError, LinearBlockData, deg_id_minus_LA,
-                           ind_infinity, lin_deg, minus_id_data)
-from equideg.reps import RepDecomposition
+from equideg.eqdeg import deg_id_minus_LA, ind_infinity
 from equideg.spectral import DegenerateSpectrumError
 from equideg.udring import ONE, TomDieckElement, star
+
+from oracles import (charpoly_eigenvalues, lin_deg, loop_degree, minus_id_morse,
+                     random_symmetric)
 
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
 SQRT10 = math.sqrt(10.0)
 
 
+def block_deg(d):
+    """The oracle's block formula on block data d = (parts, morse)."""
+    return TomDieckElement(*lin_deg(*d))
+
+
 def rand_block_data(rng, kmax=5):
+    """Block data (parts, morse) on one to three blocks at distinct k."""
     ks = sorted(rng.choice(np.arange(0, kmax + 1), size=int(rng.integers(1, 4)),
                            replace=False).tolist())
     parts, morse = [], []
@@ -26,53 +33,50 @@ def rand_block_data(rng, kmax=5):
         if k >= 1 and m % 2:
             m -= 1
         morse.append(m)
-    return LinearBlockData(RepDecomposition(parts), tuple(morse))
+    return tuple(parts), tuple(morse)
 
 
 def concat_block_data(d1, d2):
     """Block-diagonal sum: merge multiplicities and Morse counts per k."""
     per_k = {}
-    for d in (d1, d2):
-        for (j, k), m in zip(d.rep.parts, d.block_morse):
+    for parts, morse in (d1, d2):
+        for (j, k), m in zip(parts, morse):
             J, M = per_k.get(k, (0, 0))
             per_k[k] = (J + j, M + m)
-    parts = [(J, k) for k, (J, _) in sorted(per_k.items())]
-    morse = [M for _, (_, M) in sorted(per_k.items())]
-    return LinearBlockData(RepDecomposition(parts), tuple(morse))
+    return (tuple((J, k) for k, (J, _) in sorted(per_k.items())),
+            tuple(M for _, (_, M) in sorted(per_k.items())))
 
 
+# the block formula lives in tests/oracles.py, an oracle of degree_of_spectrum
 def test_block_data_validation():
-    rep = RepDecomposition([(2, 0), (1, 3)])
-    LinearBlockData(rep, (1, 2))
-    with pytest.raises(BlockDataError):
-        LinearBlockData(rep, (1, 1))  # odd Morse count on a rotating block
-    with pytest.raises(BlockDataError):
-        LinearBlockData(rep, (3, 2))  # exceeds block dimension
-    with pytest.raises(BlockDataError):
-        LinearBlockData(rep, (1,))
-    with pytest.raises(TypeError):
-        LinearBlockData([(2, 0)], (1,))
-    with pytest.raises(AttributeError):
-        LinearBlockData(rep, (1, 2)).block_morse = (0, 0)
+    parts = ((2, 0), (1, 3))
+    assert lin_deg(parts, (1, 2)) == (-1, {3: -1})
+    with pytest.raises(ValueError):
+        lin_deg(parts, (1, 1))  # odd Morse count on a rotating block
+    with pytest.raises(ValueError):
+        lin_deg(parts, (3, 2))  # exceeds block dimension
+    with pytest.raises(ValueError):
+        lin_deg(parts, (1,))
+    with pytest.raises(ValueError):
+        lin_deg(((1, 3), (2, 0)), (2, 1))  # frequencies out of order
 
 
 def test_lin_deg_of_minus_id():
-    d = minus_id_data(RepDecomposition([(2, 0), (3, 5)]))
-    assert lin_deg(d) == TomDieckElement(1, {5: 3})
-    d = minus_id_data(RepDecomposition([(1, 0), (2, 3)]))
-    assert lin_deg(d) == TomDieckElement(-1, {3: -2})
+    parts = ((2, 0), (3, 5))
+    assert block_deg((parts, minus_id_morse(parts))) == TomDieckElement(1, {5: 3})
+    parts = ((1, 0), (2, 3))
+    assert block_deg((parts, minus_id_morse(parts))) == TomDieckElement(-1, {3: -2})
 
 
 def test_lin_deg_positive_definite_is_unit():
-    rep = RepDecomposition([(2, 0), (1, 1), (4, 6)])
-    assert lin_deg(LinearBlockData(rep, (0, 0, 0))) == ONE
+    assert block_deg((((2, 0), (1, 1), (4, 6)), (0, 0, 0))) == ONE
 
 
 def test_lin_deg_product_formula():
     rng = np.random.default_rng(29)
     for _ in range(60):
         d1, d2 = rand_block_data(rng), rand_block_data(rng)
-        assert lin_deg(concat_block_data(d1, d2)) == star(lin_deg(d1), lin_deg(d2))
+        assert block_deg(concat_block_data(d1, d2)) == star(block_deg(d1), block_deg(d2))
 
 
 def test_lin_deg_suspension_invariance():
@@ -80,13 +84,34 @@ def test_lin_deg_suspension_invariance():
     for _ in range(40):
         d = rand_block_data(rng, kmax=4)
         # append a fresh positive-definite block at an unused frequency
-        free_k = max(k for _, k in d.rep.parts) + 1
-        sus = concat_block_data(
-            d, LinearBlockData(RepDecomposition([(2, free_k)]), (0,)))
-        assert lin_deg(sus) == lin_deg(d)
-        sus0 = concat_block_data(
-            d, LinearBlockData(RepDecomposition([(3, 0)]), (0,)))
-        assert lin_deg(sus0) == lin_deg(d)
+        free_k = max(k for _, k in d[0]) + 1
+        assert block_deg(concat_block_data(d, (((2, free_k),), (0,)))) == block_deg(d)
+        assert block_deg(concat_block_data(d, (((3, 0),), (0,)))) == block_deg(d)
+
+
+def _nonresonant_symmetric(rng):
+    """A random symmetric n x n matrix, n <= 4, with its eigenvalues at
+    least 1e-3 from every square k^2 and from each other."""
+    while True:
+        n = int(rng.integers(1, 5))
+        A = random_symmetric(rng, n, scale=3.0) + rng.uniform(-4.0, 20.0) * np.eye(n)
+        eig = np.linalg.eigvalsh(A)
+        squares = np.arange(8.0) ** 2
+        if np.abs(eig[:, None] - squares).min() > 1e-3 and np.all(np.diff(eig) > 1e-3):
+            return A
+
+
+def test_product_law_on_the_pipeline():
+    # deg(Id - L_{A (+) B}) = deg(Id - L_A) * deg(Id - L_B), with every degree
+    # from degree_of_spectrum, and the block formula agreeing on each
+    rng = np.random.default_rng(33)
+    for _ in range(200):
+        A, B = _nonresonant_symmetric(rng), _nonresonant_symmetric(rng)
+        AB = np.block([[A, np.zeros((len(A), len(B)))], [np.zeros((len(B), len(A))), B]])
+        dA, dB, dAB = deg_id_minus_LA(A), deg_id_minus_LA(B), deg_id_minus_LA(AB)
+        assert dAB == star(dA, dB)
+        for M, d in ((A, dA), (B, dB)):
+            assert TomDieckElement(*loop_degree(charpoly_eigenvalues(M))) == d
 
 
 def test_deg_id_minus_la_negative_definite():

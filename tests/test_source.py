@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 MODULES = sorted((Path(__file__).resolve().parents[1] / "src" / "equideg").glob("*.py"))
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
 
 def unread_imports(source):
@@ -87,3 +88,26 @@ def test_unfrozen_dataclasses_finds_a_mutable_one():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_dataclass_is_frozen(path):
     assert unfrozen_dataclasses(path.read_text()) == []
+
+
+def imports_of(source, package):
+    """Modules of ``package`` that the source imports, at any depth of the
+    file (function bodies too), in order."""
+    nodes = list(ast.walk(ast.parse(source)))
+    names = [alias.name for node in nodes if isinstance(node, ast.Import)
+             for alias in node.names]
+    names += [node.module for node in nodes
+              if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module]
+    return [name for name in names if name == package or name.startswith(package + ".")]
+
+
+def test_imports_of_finds_a_nested_import():
+    assert imports_of("import numpy\nimport equideg.spectral as s\nimport equidegx\n"
+                      "def f():\n    from equideg import cli\n"
+                      "    from .equideg import x\n", "equideg") \
+        == ["equideg.spectral", "equideg"]
+
+
+# the oracles stay independent of the code they check
+def test_oracles_import_nothing_from_the_package():
+    assert imports_of(ORACLES.read_text(), "equideg") == []
