@@ -18,8 +18,8 @@ from equideg.spectral import MatrixFamily
 
 for name, factory in sorted(CATALOG.items()):
     ex = factory()
-    r = build_report(ex.problem, ex.lm, ex.lp)
-    print(f"== {name} on [{ex.lm:g}, {ex.lp:g}] ==")
+    r = build_report(ex.problem(), ex.lambda_minus, ex.lambda_plus)
+    print(f"== {name} on [{ex.lambda_minus:g}, {ex.lambda_plus:g}] ==")
     print("  bifurcation index:", r.bif)
     print("  scalar shadow    :", r.bif_ls)
     print("  criterion        :", r.criterion.name, "->", r.criterion.message)
@@ -41,6 +41,6 @@ for pt in eqcont3_points(p, (0.4, 1.6)):
 
 # Reports serialize losslessly; the command line prints the same object.
 ex = CATALOG["example2"]()
-obj = build_report(ex.problem, ex.lm, ex.lp).to_json()
+obj = build_report(ex.problem(), ex.lambda_minus, ex.lambda_plus).to_json()
 print("\nreport keys:", ", ".join(sorted(obj)))
 print("criterion as JSON:", json.dumps(obj["criterion"], sort_keys=True))

@@ -15,12 +15,12 @@ from equideg.problems import example2
 from equideg.spectral import scan_resonances
 
 ex = example2()
-[res] = scan_resonances(ex.problem.family, ex.lm, ex.lp)
+[res] = scan_resonances(ex.problem().family, ex.lambda_minus, ex.lambda_plus)
 print(f"resonance at lambda0 = {res.lambda0:g}, frequencies "
       f"{sorted(res.frequencies)} (prediction: minimal period pi)")
 
 amplitudes = [2.0, 5.0, 10.0, 25.0, 60.0]
-branch = continue_to_infinity(ex.problem, res, amplitudes, modes=16)
+branch = continue_to_infinity(ex.problem(), res, amplitudes, modes=16)
 
 print(f"\n{'R':>6} {'lambda':>12} {'residual':>10} {'T_min':>8} "
       f"{'energy drift':>12} {'steps':>5}")

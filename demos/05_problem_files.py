@@ -40,9 +40,9 @@ grid = 512
 """
 
 cfg = ProblemConfig.from_string(TEXT)
-print("parsed: n =", cfg.n, "interval =", (cfg.lambda_minus, cfg.lambda_plus))
+print("parsed: n =", cfg.problem().n, "interval =", (cfg.lambda_minus, cfg.lambda_plus))
 print("A(0.1) =")
-print(cfg.family.eval_array(0.1))
+print(cfg.problem().family.eval_array(0.1))
 
 report = build_report(cfg.problem(), cfg.lambda_minus, cfg.lambda_plus,
                       tol=cfg.tol, grid=cfg.grid)

@@ -25,6 +25,6 @@ from .galerkin import (DEFAULT_MODES, BranchPoint, DivergenceWarning,
                        energy_drift, minimal_period, minimal_period_divisor,
                        newton_solve, residual, write_branch_csv)
 from .config import ConfigError, ProblemConfig
-from .problems import CATALOG, BuiltinExample, config_path, verification_rows
+from .problems import CATALOG, config_path, verification_rows
 
 __version__ = "0.1.0"

@@ -411,8 +411,16 @@ class EndpointAnalysis:
 
 def _endpoints(p, lm, lp, tol):
     """The two endpoint analyses and ``jumps()``, their j_k jumps, taken on
-    the first call only: ``_bif`` and the criteria read the same list."""
+    the first call only: ``_bif`` and the criteria read the same list.
+
+    A supplied index (``IndexRule.value``) is read at each nonresonant
+    endpoint here, so one that contradicts the spectrum raises whichever
+    criterion would settle the report.  The built-in rule agrees with the
+    spectrum there, and an unavailable one still raises only where read."""
     e_m, e_p = EndpointAnalysis.at(p, lm, tol), EndpointAnalysis.at(p, lp, tol)
+    for e in (e_m, e_p):
+        if p.index_rule.kind == "value" and not e.resonant:
+            e.index  # IndexContradictionError on a contradiction
     return e_m, e_p, functools.cache(lambda: _j_jumps(e_m.spectrum, e_p.spectrum))
 
 
@@ -541,9 +549,11 @@ def eqcont3_points(p, window, tol=DEFAULT_TOL):
     """Bifurcation points of a scaled family V(x, lambda) = lambda^2 V(x).
 
     Every lambda0 = k/sqrt(alpha) with alpha in the positive spectrum of A
-    and lambda0 inside the window is a bifurcation point, with Z_{k0} jump
-    ind(-grad V, inf) * mu_A(alpha0).  Jumps all carry the sign of the
-    index, so distinct contributions can never cancel.
+    and lambda0 strictly inside the window is a bifurcation point, with
+    Z_{k0} jump ind(-grad V, inf) * mu_A(alpha0).  Jumps all carry the sign
+    of the index, so distinct contributions can never cancel.  A point at a
+    window end makes that end resonant at k, where the interval's index has
+    no defined Z_k coordinate to witness it, so it is not counted.
     """
     A = p.scaled_base_matrix()
     lo, hi = float(window[0]), float(window[1])
@@ -573,7 +583,7 @@ def eqcont3_points(p, window, tol=DEFAULT_TOL):
             f"the window holds {count} candidate points k/sqrt(alpha), more than "
             f"{EQCONT3_MAX_POINTS}; narrow the window")
     found = sorted((k / root, k, alpha, jump) for alpha, jump, root, ks in spans
-                   for k in ks if lo <= k / root <= hi)
+                   for k in ks if lo < k / root < hi)
     runs = _runs(found, lambda run, pt: pt[0] - run[0][0] <= tol * (1.0 + run[0][0]))
     return [Eqcont3Point(run[0][0], tuple((k, alpha) for _, k, alpha, _ in run),
                          sum(jump for *_, jump in run)) for run in runs]
@@ -673,11 +683,14 @@ def build_report(p, lm, lp, tol=DEFAULT_TOL, grid=DEFAULT_GRID,
     periods = [predict_periods(r) for r in resonances]
 
     eq3 = (p.scaled and lm > 0.0 and _applies(lambda: eqcont3_points(p, (lm, lp), tol))) or []
+    # the interval's index witnesses a point only at a k where no end is resonant
+    eq3 = [pt for pt in eq3 if {k for k, _ in pt.pairs} - und]
     criteria = (
         lambda: eq3 and CriterionVerdict(
             "eqcont3", True, witness_k=eq3[0].k0, lambda0=eq3[0].lambda0,
             message=f"{len(eq3)} bifurcation point(s) lambda0 = k/sqrt(alpha) "
-                    "in the window, each with a nonzero Z_k jump"),
+                    "strictly inside the window, each with a nonzero Z_k jump at "
+                    "a k where both ends are nonresonant"),
         lambda: _eqcont2_verdict(e_m, e_p, jumps, resonances),
         lambda: _eqcont1_verdict(e_m, e_p, jumps, kset))
     verdict = next((v for v in map(_applies, criteria) if v and v.holds),

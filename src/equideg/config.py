@@ -88,11 +88,10 @@ def _entry_terms(value, where):
 
 @dataclass(frozen=True, eq=False)
 class ProblemConfig:
-    n: int
-    family: MatrixFamily
-    perturbation: Perturbation
-    index_rule: IndexRule
-    scaled: bool
+    """One problem file: the system it states, one ProblemSpec built at
+    parse time, and the window and options it analyzes that system with."""
+
+    _spec: ProblemSpec
     lambda_minus: float
     lambda_plus: float
     tol: float = DEFAULT_TOL
@@ -102,8 +101,7 @@ class ProblemConfig:
     flags: dict = field(default_factory=dict)
 
     def problem(self):
-        return ProblemSpec(self.n, self.family, self.perturbation,
-                           self.index_rule, self.scaled)
+        return self._spec
 
     def report(self):
         """The report ``analyze`` prints, with every option of the file."""
@@ -176,10 +174,9 @@ class ProblemConfig:
             for name in parser["flags"]:
                 flags[name] = _get_bool(parser["flags"], name, "flags")
 
-        cfg = cls(n, family, pert, rule, scaled, lm, lp, tol, grid, modes,
-                  critical, flags)
-        _built("problem", cfg.problem)  # ProblemSpec's rules span sections
-        return cfg
+        # ProblemSpec's rules span sections
+        spec = _built("problem", ProblemSpec, n, family, pert, rule, scaled)
+        return cls(spec, lm, lp, tol, grid, modes, critical, flags)
 
 
 def _parser():

@@ -644,11 +644,11 @@ def write_branch_csv(path, branch):
     for k in range(1, N + 1):
         cols += [f"cos{k}_{i + 1}" for i in range(n)]
         cols += [f"sin{k}_{i + 1}" for i in range(n)]
+    fmt = ",".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w") as fh:
         fh.write(f"# branch of 2pi-periodic solutions, format_version={FORMAT_VERSION}, "
                  f"n={n}, modes={N}\n")
         fh.write(",".join(cols) + "\n")
         for bp in branch:
-            row = [bp.lam, bp.amplitude, bp.residual_norm,
-                   bp.minimal_period_divisor] + bp.loop.pack().tolist()
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            fh.write(fmt % (bp.lam, bp.amplitude, bp.residual_norm,
+                            bp.minimal_period_divisor, *bp.loop.pack().tolist()))

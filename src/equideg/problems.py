@@ -1,8 +1,8 @@
 """Built-in example systems and their regression checks.
 
 Three diagonal families with a bounded gravitational-type perturbation,
-used throughout the tests and the command line; each is read from its
-bundled problem file, configs/<name>.cfg:
+used throughout the tests and the command line; each example is the
+``ProblemConfig`` of its bundled problem file, configs/<name>.cfg:
 
 * example1: n = 4, A = diag(l^2 - 1, sqrt2 + l, l - sqrt2, sqrt5 + l) on
   [-1, 1], perturbation -l^2/sqrt(|x|^2 + 1).  Resonant endpoints (k = 0),
@@ -22,39 +22,24 @@ example.
 """
 
 import math
-from dataclasses import dataclass
 from importlib import resources
 
 from . import spectral
-from .bifurcation import ProblemSpec
 from .config import ProblemConfig
 from .spectral import eigen_sym
 from .udring import ZERO
 
 
-@dataclass(frozen=True)
-class BuiltinExample:
-    name: str
-    problem: ProblemSpec
-    lm: float
-    lp: float
-
-
-def _load(name):
-    cfg = ProblemConfig.from_file(config_path(name))
-    return BuiltinExample(name, cfg.problem(), cfg.lambda_minus, cfg.lambda_plus)
-
-
 def example1():
-    return _load("example1")
+    return ProblemConfig.from_file(config_path("example1"))
 
 
 def example2():
-    return _load("example2")
+    return ProblemConfig.from_file(config_path("example2"))
 
 
 def example3():
-    return _load("example3")
+    return ProblemConfig.from_file(config_path("example3"))
 
 
 CATALOG = {"example1": example1, "example2": example2, "example3": example3}
@@ -84,8 +69,7 @@ def verification_rows():
             return fn
         return deco
 
-    ex1, ex2, ex3 = cfgs = [ProblemConfig.from_file(config_path(name))
-                            for name in CATALOG]
+    ex1, ex2, ex3 = cfgs = [make() for make in CATALOG.values()]
     kept = {}  # id(cfg) -> its report or the exception building it raised
 
     def report(cfg):
@@ -104,8 +88,8 @@ def verification_rows():
 
     @row("example1: j_1 jumps 1 -> 2 across the interval")
     def _():
-        jp = spectral.j_k(ex1.family.eval(1.0), 1)
-        jm = spectral.j_k(ex1.family.eval(-1.0), 1)
+        jp = spectral.j_k(ex1.problem().family.eval(1.0), 1)
+        jm = spectral.j_k(ex1.problem().family.eval(-1.0), 1)
         return (jp, jm) == (2, 1), f"j_1(+1)={jp}, j_1(-1)={jm}"
 
     @row("example1: index at infinity is -1 at both endpoints")
@@ -128,13 +112,13 @@ def verification_rows():
     @row("example2: spectrum of A(0) meets the squares exactly in {4}")
     def _():
         met = spectral.resonant_frequencies(
-            eigen_sym(ex2.family.eval(0.0)))
+            eigen_sym(ex2.problem().family.eval(0.0)))
         return met == {2}, f"k with k^2 in spectrum: {sorted(met)}"
 
     @row("example2: j_2 jumps 0 -> 1 and the single-resonance criterion fires")
     def _():
-        jp = spectral.j_k(ex2.family.eval(0.5), 2)
-        jm = spectral.j_k(ex2.family.eval(-0.5), 2)
+        jp = spectral.j_k(ex2.problem().family.eval(0.5), 2)
+        jm = spectral.j_k(ex2.problem().family.eval(-0.5), 2)
         v = report(ex2).criterion
         ok = (jp, jm) == (1, 0) and v.name == "eqcont2(ii)" and v.holds \
             and v.witness_k == 2 and abs(v.lambda0) < 1e-12
@@ -150,13 +134,13 @@ def verification_rows():
     @row("example3: spectrum of A(0) meets the squares exactly in {4, 9, 25}")
     def _():
         met = spectral.resonant_frequencies(
-            eigen_sym(ex3.family.eval(0.0)))
+            eigen_sym(ex3.problem().family.eval(0.0)))
         return met == {2, 3, 5}, f"k with k^2 in spectrum: {sorted(met)}"
 
     @row("example3: j_2 jumps 3 -> 4 across the interval")
     def _():
-        jp = spectral.j_k(ex3.family.eval(1.0), 2)
-        jm = spectral.j_k(ex3.family.eval(-1.0), 2)
+        jp = spectral.j_k(ex3.problem().family.eval(1.0), 2)
+        jm = spectral.j_k(ex3.problem().family.eval(-1.0), 2)
         return (jp, jm) == (4, 3), f"j_2(+1)={jp}, j_2(-1)={jm}"
 
     @row("example3: period set at lambda0 = 0 is {2pi, pi, 2pi/3, 2pi/5}")

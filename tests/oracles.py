@@ -195,9 +195,9 @@ def reference_report(eig_m, eig_p, n_resonances, ind_m=None, ind_p=None, tol=1e-
     and c = the index at a resonant one, Bif = deg(+) - deg(-) without the
     resonant coordinates; then eqcont2 (nonresonant endpoints, one
     resonance), then eqcont1.  Returns (so2, {k: Z_k}, undefined,
-    criterion name, witness k).  Where eqcont1 is reached, a supplied index
-    that differs from (-1)^{j_0} at a nonresonant endpoint, which the
-    spectrum fixes there, raises ValueError.
+    criterion name, witness k).  A supplied index that differs from
+    (-1)^{j_0} at a nonresonant endpoint, which the spectrum fixes there,
+    raises ValueError, whichever criterion would settle the interval.
     """
     ends = []
     for eig, ind in ((eig_m, ind_m), (eig_p, ind_p)):
@@ -213,6 +213,10 @@ def reference_report(eig_m, eig_p, n_resonances, ind_m=None, ind_p=None, tol=1e-
     def j(eig, k):
         return sum(1 for v in eig if v > k * k)
 
+    for eig, res, ind in ((em, res_m, ind_m), (ep, res_p, ind_p)):
+        if not res and ind != (-1) ** j(eig, 0):
+            raise ValueError(f"supplied index {ind} contradicts (-1)^j_0 = "
+                             f"{(-1) ** j(eig, 0)} at a nonresonant endpoint")
     ks = range(1, max(top_m, top_p) + 1)
     c_m = ind_m if res_m else (-1) ** j(em, 0)
     c_p = ind_p if res_p else (-1) ** j(ep, 0)
@@ -238,10 +242,6 @@ def reference_report(eig_m, eig_p, n_resonances, ind_m=None, ind_p=None, tol=1e-
                 break
             closed = more
         kset |= closed
-    for eig, res, ind in ((em, res_m, ind_m), (ep, res_p, ind_p)):
-        if not res and ind != (-1) ** j(eig, 0):
-            raise ValueError(f"supplied index {ind} contradicts (-1)^j_0 = "
-                             f"{(-1) ** j(eig, 0)} at a nonresonant endpoint")
     if ind_m != ind_p:
         return c_p - c_m, zk, undefined, "eqcont1(i)", None
     outside = [k for k in jumps if k not in kset]

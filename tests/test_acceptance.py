@@ -55,13 +55,13 @@ def chk(failures, ok, msg):
 @criterion(1, "example 1 spectral invariants and resonance location")
 def test_criterion_01(failures):
     ex = example1()
-    A_p, A_m = ex.problem.family.eval(1.0), ex.problem.family.eval(-1.0)
+    A_p, A_m = ex.problem().family.eval(1.0), ex.problem().family.eval(-1.0)
     chk(failures, j_k(A_p, 1) == 2, f"j_1 at +1 is {j_k(A_p, 1)}, want 2")
     chk(failures, j_k(A_m, 1) == 1, f"j_1 at -1 is {j_k(A_m, 1)}, want 1")
-    r = build_report(ex.problem, ex.lm, ex.lp)   # on [-1, 1]
-    rule = ex.problem.index_rule
-    chk(failures, rule.ind_of(r.s_plus, ex.lp) == -1, "index at +1 is not -1")
-    chk(failures, rule.ind_of(r.s_minus, ex.lm) == -1, "index at -1 is not -1")
+    r = build_report(ex.problem(), ex.lambda_minus, ex.lambda_plus)   # on [-1, 1]
+    rule = ex.problem().index_rule
+    chk(failures, rule.ind_of(r.s_plus, ex.lambda_plus) == -1, "index at +1 is not -1")
+    chk(failures, rule.ind_of(r.s_minus, ex.lambda_minus) == -1, "index at -1 is not -1")
     chk(failures, r.kset == frozenset(), f"K-set {sorted(r.kset)} not empty")
     interior = [(p, ps) for p, ps in zip(r.resonances, r.predicted_periods)
                 if p.det_nonzero]
@@ -79,13 +79,13 @@ def test_criterion_01(failures):
 @criterion(2, "example 2 spectral invariants and single-resonance criterion")
 def test_criterion_02(failures):
     ex = example2()
-    met = resonant_frequencies(eigen_sym(ex.problem.family.eval(0.0)))
+    met = resonant_frequencies(eigen_sym(ex.problem().family.eval(0.0)))
     chk(failures, met == frozenset({2}),
         f"squares met at 0: {sorted(k * k for k in met)}, want [4]")
-    jp = j_k(ex.problem.family.eval(0.5), 2)
-    jm = j_k(ex.problem.family.eval(-0.5), 2)
+    jp = j_k(ex.problem().family.eval(0.5), 2)
+    jm = j_k(ex.problem().family.eval(-0.5), 2)
     chk(failures, (jp, jm) == (1, 0), f"j_2 pair {(jp, jm)}, want (1, 0)")
-    r = build_report(ex.problem, ex.lm, ex.lp)
+    r = build_report(ex.problem(), ex.lambda_minus, ex.lambda_plus)
     v = r.criterion
     chk(failures, v.holds and v.name == "eqcont2(ii)" and v.witness_k == 2,
         f"criterion verdict {v.name} witness {v.witness_k}")
@@ -98,13 +98,13 @@ def test_criterion_02(failures):
 @criterion(3, "example 3 spectral invariants and period set")
 def test_criterion_03(failures):
     ex = example3()
-    met = resonant_frequencies(eigen_sym(ex.problem.family.eval(0.0)))
+    met = resonant_frequencies(eigen_sym(ex.problem().family.eval(0.0)))
     chk(failures, met == frozenset({2, 3, 5}),
         f"squares met at 0: {sorted(k * k for k in met)}, want [4, 9, 25]")
-    jp = j_k(ex.problem.family.eval(1.0), 2)
-    jm = j_k(ex.problem.family.eval(-1.0), 2)
+    jp = j_k(ex.problem().family.eval(1.0), 2)
+    jm = j_k(ex.problem().family.eval(-1.0), 2)
     chk(failures, (jp, jm) == (4, 3), f"j_2 pair {(jp, jm)}, want (4, 3)")
-    at0 = [p for p in scan_resonances(ex.problem.family, ex.lm, ex.lp)
+    at0 = [p for p in scan_resonances(ex.problem().family, ex.lambda_minus, ex.lambda_plus)
            if abs(p.lambda0) < 1e-9]
     chk(failures, len(at0) == 1, f"{len(at0)} resonances at 0, want 1")
     if at0:
@@ -115,10 +115,11 @@ def test_criterion_03(failures):
 
 @criterion(4, "nonzero bifurcation index invisible to the scalar shadow")
 def test_criterion_04(failures):
-    for ex in (example1(), example2(), example3()):
-        r = build_report(ex.problem, ex.lm, ex.lp)
-        chk(failures, r.bif != ZERO, f"{ex.name}: bifurcation index is zero")
-        chk(failures, r.bif_ls == 0, f"{ex.name}: scalar shadow {r.bif_ls}, want 0")
+    for make in (example1, example2, example3):
+        ex = make()
+        r = build_report(ex.problem(), ex.lambda_minus, ex.lambda_plus)
+        chk(failures, r.bif != ZERO, f"{make.__name__}: bifurcation index is zero")
+        chk(failures, r.bif_ls == 0, f"{make.__name__}: scalar shadow {r.bif_ls}, want 0")
 
 
 @criterion(5, "ring laws on 1000 random triples")
@@ -207,9 +208,9 @@ def test_criterion_09(failures):
     amplitudes = [10.0, 20.0, 40.0, 80.0, 160.0]
 
     ex2 = example2()
-    r2 = [p for p in scan_resonances(ex2.problem.family, ex2.lm, ex2.lp)
+    r2 = [p for p in scan_resonances(ex2.problem().family, ex2.lambda_minus, ex2.lambda_plus)
           if p.det_nonzero][0]
-    branch = continue_to_infinity(ex2.problem, r2, amplitudes, modes=16)
+    branch = continue_to_infinity(ex2.problem(), r2, amplitudes, modes=16)
     chk(failures, all(not bp.failed for bp in branch),
         "example 2: a branch point failed to converge")
     for bp in branch:
@@ -230,18 +231,18 @@ def test_criterion_09(failures):
     # falls by at least exp(-N sigma). Beyond R = 40 the drift only starts to
     # fall at N >= 4R modes, so R = 80 and 160 are refined to N = 4R first and
     # checked from 4R to 8R modes (320 to 640, 640 to 1280).
-    a = ex2.problem.perturbation.a
+    a = ex2.problem().perturbation.a
     k0 = min(k for k in r2.frequencies if k >= 1)
     for bp in branch:
         R = bp.amplitude
         sigma = math.asinh(math.sqrt(a) / R) / k0
         loop = bp.loop
         if R > 40.0:
-            loop = newton_solve(loop.truncated(int(4 * R)), bp.lam, ex2.problem)
-        drift = energy_drift(loop, bp.lam, ex2.problem)
+            loop = newton_solve(loop.truncated(int(4 * R)), bp.lam, ex2.problem())
+        drift = energy_drift(loop, bp.lam, ex2.problem())
         for N in (16, 32) if R <= 40.0 else (int(4 * R),):
-            loop = newton_solve(loop.truncated(2 * N), bp.lam, ex2.problem)
-            refined = energy_drift(loop, bp.lam, ex2.problem)
+            loop = newton_solve(loop.truncated(2 * N), bp.lam, ex2.problem())
+            refined = energy_drift(loop, bp.lam, ex2.problem())
             chk(failures, refined <= math.exp(-N * sigma) * drift,
                 f"example 2: energy drift {drift:.3e} at N={N} fell only to "
                 f"{refined:.3e} at N={2 * N}, R={R:g} "
@@ -249,9 +250,9 @@ def test_criterion_09(failures):
             drift = refined
 
     ex1 = example1()
-    r1 = [p for p in scan_resonances(ex1.problem.family, ex1.lm, ex1.lp)
+    r1 = [p for p in scan_resonances(ex1.problem().family, ex1.lambda_minus, ex1.lambda_plus)
           if p.det_nonzero][0]
-    branch1 = continue_to_infinity(ex1.problem, r1, amplitudes, modes=16)
+    branch1 = continue_to_infinity(ex1.problem(), r1, amplitudes, modes=16)
     chk(failures, all(not bp.failed for bp in branch1),
         "example 1: a branch point failed to converge")
     for bp in branch1:
@@ -263,7 +264,7 @@ def test_criterion_09(failures):
 
 @criterion(10, "Jacobian consistency and time-shift equivariance")
 def test_criterion_10(failures):
-    p = example2().problem
+    p = example2().problem()
     rng = np.random.default_rng(2030)
     worst_jac = worst_shift = 0.0
     for _ in range(20):

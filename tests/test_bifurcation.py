@@ -170,18 +170,18 @@ def test_problem_spec_gradient_and_potential():
     ex = example2()
     X = np.array([[1.0, 0.0, 0.0, 0.0], [0.5, -0.5, 1.0, 2.0]])
     lam = 0.25
-    A = ex.problem.family.eval_array(lam)
-    G = ex.problem.gradient_many(X, lam)
+    A = ex.problem().family.eval_array(lam)
+    G = ex.problem().gradient_many(X, lam)
     # quadratic part x A plus the bounded gravitational gradient
-    pert = ex.problem.perturbation.gradient_many(X, lam)
+    pert = ex.problem().perturbation.gradient_many(X, lam)
     assert np.allclose(G, X @ A + pert)
     # gradient of the potential, checked by finite differences
     h = 1e-6
     for j in range(4):
         e = np.zeros(4)
         e[j] = h
-        fd = (ex.problem.potential_many(X + e, lam)
-              - ex.problem.potential_many(X - e, lam)) / (2 * h)
+        fd = (ex.problem().potential_many(X + e, lam)
+              - ex.problem().potential_many(X - e, lam)) / (2 * h)
         assert np.allclose(G[:, j], fd, atol=1e-7)
 
 
@@ -189,13 +189,13 @@ def test_problem_spec_hessian_is_jacobian_of_gradient():
     ex = example2()
     x = np.array([0.2, -0.1, 0.4, 0.3])
     lam = 0.1
-    H = ex.problem.hessian_many(x, lam)[0]
+    H = ex.problem().hessian_many(x, lam)[0]
     h = 1e-6
     for j in range(4):
         e = np.zeros(4)
         e[j] = h
-        fd = (ex.problem.gradient_many((x + e)[None], lam)[0]
-              - ex.problem.gradient_many((x - e)[None], lam)[0]) / (2 * h)
+        fd = (ex.problem().gradient_many((x + e)[None], lam)[0]
+              - ex.problem().gradient_many((x - e)[None], lam)[0]) / (2 * h)
         assert np.allclose(H[:, j], fd, atol=1e-7)
 
 
@@ -225,21 +225,21 @@ def test_scaled_problem_needs_a_lambda_squared_family():
 
 def test_endpoint_degree_nonresonant_agrees_with_closed_form():
     ex = example2()
-    for lam in (ex.lm, ex.lp):
-        deg, undefined, s = endpoint_degree(ex.problem, lam)
+    for lam in (ex.lambda_minus, ex.lambda_plus):
+        deg, undefined, s = endpoint_degree(ex.problem(), lam)
         assert undefined == frozenset()
-        assert deg == deg_id_minus_LA(ex.problem.family.eval(lam))
+        assert deg == deg_id_minus_LA(ex.problem().family.eval(lam))
 
 
 def test_endpoint_degree_resonant_endpoint_uses_index():
     # example1 at lambda = -1: spectrum {0, sqrt2 - 1, -1 - sqrt2, sqrt5 - 1},
     # resonant only at frequency 0, index (-1)^(4-1) = -1, j_1 = 1
     ex = example1()
-    deg, undefined, s = endpoint_degree(ex.problem, -1.0)
+    deg, undefined, s = endpoint_degree(ex.problem(), -1.0)
     assert undefined == frozenset()
     assert resonant_frequencies(s) == frozenset({0})
     assert deg == TomDieckElement(-1, {1: -1})
-    deg_p, _, _ = endpoint_degree(ex.problem, 1.0)
+    deg_p, _, _ = endpoint_degree(ex.problem(), 1.0)
     assert deg_p == TomDieckElement(-1, {1: -2})
 
 
@@ -265,17 +265,17 @@ def test_endpoint_degree_without_index_raises():
 
 def test_bif_index_example1():
     ex = example1()
-    assert bif_index(ex.problem, ex.lm, ex.lp) == TomDieckElement(0, {1: -1})
+    assert bif_index(ex.problem(), ex.lambda_minus, ex.lambda_plus) == TomDieckElement(0, {1: -1})
 
 
 def test_bif_index_example2():
     ex = example2()
-    assert bif_index(ex.problem, ex.lm, ex.lp) == TomDieckElement(0, {2: 1})
+    assert bif_index(ex.problem(), ex.lambda_minus, ex.lambda_plus) == TomDieckElement(0, {2: 1})
 
 
 def test_bif_index_example3():
     ex = example3()
-    assert bif_index(ex.problem, ex.lm, ex.lp) == TomDieckElement(0, {2: 1})
+    assert bif_index(ex.problem(), ex.lambda_minus, ex.lambda_plus) == TomDieckElement(0, {2: 1})
 
 
 def test_bif_index_trims_undefined_coordinates():
@@ -289,8 +289,8 @@ def test_bif_index_trims_undefined_coordinates():
 
 def test_bif_index_antisymmetric_on_nonresonant_endpoints():
     ex = example2()
-    fwd = bif_index(ex.problem, ex.lm, ex.lp)
-    rev = bif_index(ex.problem, ex.lp, ex.lm)
+    fwd = bif_index(ex.problem(), ex.lambda_minus, ex.lambda_plus)
+    rev = bif_index(ex.problem(), ex.lambda_plus, ex.lambda_minus)
     assert fwd == -1 * rev
 
 
@@ -356,7 +356,7 @@ def test_eqcont1_fires_on_index_flip():
 
 def test_eqcont1_fires_on_jk_jump_outside_kset():
     ex = example1()
-    v = check_eqcont1(ex.problem, ex.lm, ex.lp)
+    v = check_eqcont1(ex.problem(), ex.lambda_minus, ex.lambda_plus)
     assert v.holds and v.name == "eqcont1(ii)"
     assert v.witness_k == 1
     assert v.kset == frozenset()
@@ -412,7 +412,7 @@ def test_a_supplied_index_contradicting_the_spectrum_is_named():
 
 def test_eqcont2_fires_on_example2():
     ex = example2()
-    v = check_eqcont2(ex.problem, ex.lm, ex.lp)
+    v = check_eqcont2(ex.problem(), ex.lambda_minus, ex.lambda_plus)
     assert v.holds and v.name == "eqcont2(ii)"
     assert v.witness_k == 2
     assert v.lambda0 == pytest.approx(0.0, abs=1e-9)
@@ -430,13 +430,13 @@ def test_eqcont2_fires_on_j0_flip():
 def test_eqcont2_rejects_resonant_endpoint():
     ex = example2()
     with pytest.raises(PreconditionError, match="nonresonant"):
-        check_eqcont2(ex.problem, 0.0, ex.lp)
+        check_eqcont2(ex.problem(), 0.0, ex.lambda_plus)
 
 
 def test_eqcont2_rejects_example3_two_resonances():
     ex = example3()
     with pytest.raises(PreconditionError, match="exactly one") as err:
-        check_eqcont2(ex.problem, ex.lm, ex.lp)
+        check_eqcont2(ex.problem(), ex.lambda_minus, ex.lambda_plus)
     # both interior resonances are named: 0 and (4 - sqrt10)^(1/3)
     msg = str(err.value)
     assert "0.0" in msg and "0.9426852" in msg
@@ -520,6 +520,14 @@ def test_eqcont3_point_json_roundtrip():
                             "bif_zk0": -2, "merged": True}
 
 
+def test_eqcont3_counts_only_points_strictly_inside_the_window():
+    # A = diag(4, 4): points k/2; 1.0 (k = 2) and 1.5 (k = 3) sit on window ends
+    p = scaled_problem(np.diag([4.0, 4.0]))
+    assert eqcont3_points(p, (1.0, 1.5)) == []
+    assert eqcont3_points(p, (1.0, 1.4)) == []
+    assert [(pt.lambda0, pt.k0) for pt in eqcont3_points(p, (1.0, 1.6))] == [(1.5, 3)]
+
+
 # --------------------------------------------------------------------- periods
 
 def rp(lam0, freqs):
@@ -597,7 +605,7 @@ def test_consistency_json_encoding_sorts_mixed_labels():
 
 def test_build_report_example2_fires_eqcont2():
     ex = example2()
-    r = build_report(ex.problem, ex.lm, ex.lp)
+    r = build_report(ex.problem(), ex.lambda_minus, ex.lambda_plus)
     assert r.criterion.name == "eqcont2(ii)" and r.criterion.holds
     assert r.bif == TomDieckElement(0, {2: 1})
     assert r.bif_ls == 0
@@ -608,7 +616,7 @@ def test_build_report_example2_fires_eqcont2():
 
 def test_build_report_example1_falls_back_to_eqcont1():
     ex = example1()
-    r = build_report(ex.problem, ex.lm, ex.lp)
+    r = build_report(ex.problem(), ex.lambda_minus, ex.lambda_plus)
     assert r.criterion.name == "eqcont1(ii)"
     assert r.criterion.witness_k == 1
     assert [round(x.lambda0, 6) for x in r.resonances] == \
@@ -617,7 +625,7 @@ def test_build_report_example1_falls_back_to_eqcont1():
 
 def test_build_report_example3_survives_double_resonance():
     ex = example3()
-    r = build_report(ex.problem, ex.lm, ex.lp)
+    r = build_report(ex.problem(), ex.lambda_minus, ex.lambda_plus)
     assert r.criterion.name == "eqcont1(ii)"
     assert r.criterion.witness_k == 2
     assert len(r.resonances) == 2
@@ -633,6 +641,48 @@ def test_build_report_scaled_family_uses_eqcont3():
     assert r.criterion.name == "eqcont3" and r.criterion.holds
     assert len(r.eqcont3) == 3
     assert r.criterion.lambda0 == pytest.approx(0.5)
+
+
+def test_build_report_counts_no_eqcont3_point_at_a_resonant_k():
+    # 0.5 = 1/sqrt(4) is a k = 1 point strictly inside [0.4, 0.6], but the
+    # end 0.4 = 1/sqrt(6.25) is resonant at k = 1: Bif has no Z_1 to witness it
+    p = scaled_problem(np.diag([4.0, 6.25]))
+    assert [pt.lambda0 for pt in eqcont3_points(p, (0.4, 0.6))] == [0.5]
+    r = build_report(p, 0.4, 0.6)
+    assert (r.criterion.name, r.eqcont3, r.bif_undefined) == ("none", [], frozenset({1}))
+
+
+def scaled_corpus(seed, size):
+    """(problem, lm, lp) for scaled problems, n <= 3, half of them rotated;
+    three windows in four have an end exactly on a point k/sqrt(alpha)."""
+    rng = np.random.default_rng(seed)
+    for i in range(size):
+        n = 1 + i % 3
+        alphas = rng.choice([0.25, 1.0, 2.0, 2.25, 4.0, 6.25, 9.0, -1.0, -4.0], size=n)
+        alphas[0] = abs(alphas[0])
+        A = np.diag(alphas)
+        if i % 2:
+            Q = random_orthogonal(rng, n)
+            A = Q @ A @ Q.T
+        p = scaled_problem(A)
+        roots = [math.sqrt(v) for v, _ in eigen_sym(p.scaled_base_matrix()).positive_spectrum()]
+
+        def on_a_point():
+            return int(rng.integers(1, 4)) / roots[rng.integers(len(roots))]
+
+        lm = on_a_point() if i % 4 < 2 else float(rng.uniform(0.2, 1.5))
+        lp = on_a_point() if i % 4 in (0, 2) else lm + float(rng.uniform(0.1, 1.0))
+        if lm != lp:
+            yield p, min(lm, lp), max(lm, lp)
+
+
+def test_scaled_corpus_never_trips_the_self_check():
+    names = []
+    for p, lm, lp in scaled_corpus(7, 60):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            names.append(build_report(p, lm, lp).criterion.name)
+    assert len(names) >= 55 and set(names) == {"eqcont3", "none"}
 
 
 def test_build_report_none_fires():
@@ -662,9 +712,9 @@ def test_eqcont2_silent_on_a_touching_curve():
 def test_build_report_example3_without_index_fires_nothing():
     # eqcont2 needs one resonance (there are two), eqcont1 needs the index
     ex = example3()
-    p = ProblemSpec(ex.problem.n, ex.problem.family, ex.problem.perturbation,
+    p = ProblemSpec(ex.problem().n, ex.problem().family, ex.problem().perturbation,
                     IndexRule.unavailable())
-    r = build_report(p, ex.lm, ex.lp)
+    r = build_report(p, ex.lambda_minus, ex.lambda_plus)
     assert (r.criterion.name, r.criterion.holds) == ("none", False)
     assert r.bif == TomDieckElement(0, {2: 1})
     assert len(r.resonances) == 2
@@ -700,7 +750,7 @@ def test_build_report_scans_once(make, monkeypatch):
 
     monkeypatch.setattr(bifurcation, "scan_resonances", counting)
     ex = make()
-    build_report(ex.problem, ex.lm, ex.lp)
+    build_report(ex.problem(), ex.lambda_minus, ex.lambda_plus)
     assert len(calls) == 1
 
 
@@ -716,7 +766,7 @@ def test_build_report_analyses_each_endpoint_once(make, calls, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     ex = make()
-    r = build_report(ex.problem, ex.lm, ex.lp)
+    r = build_report(ex.problem(), ex.lambda_minus, ex.lambda_plus)
     assert len(count) == 2 + len(r.resonances) == calls
 
 
@@ -755,7 +805,7 @@ def test_build_report_derives_each_invariant_once(make, points, indices, monkeyp
     count(bifurcation, "_j_jumps")
     count(bifurcation, "index_of_spectrum")
     ex = make()
-    r = build_report(ex.problem, ex.lm, ex.lp)
+    r = build_report(ex.problem(), ex.lambda_minus, ex.lambda_plus)
     assert len(r.resonances) == points
     assert calls.pop("resonant_frequencies") == 2 + points
     assert calls.pop("_j_jumps") == 1
@@ -840,7 +890,7 @@ def test_build_report_emits_each_scan_warning_once():
 def test_build_report_consistency_rows():
     ex = example2()
     cps = {"origin": RepDecomposition(())}
-    r = build_report(ex.problem, ex.lm, ex.lp, critical_points=cps)
+    r = build_report(ex.problem(), ex.lambda_minus, ex.lambda_plus, critical_points=cps)
     assert len(r.consistency) == 1
     row = r.consistency[0]
     assert row["critical_point"] == "origin"
@@ -849,6 +899,6 @@ def test_build_report_consistency_rows():
 
 def test_report_is_immutable():
     ex = example2()
-    r = build_report(ex.problem, ex.lm, ex.lp)
+    r = build_report(ex.problem(), ex.lambda_minus, ex.lambda_plus)
     with pytest.raises(AttributeError):
         r.criterion = None

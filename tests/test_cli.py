@@ -200,6 +200,43 @@ def test_analyze_supplied_index_contradicting_the_spectrum_exits_one(tmp_path, c
     assert "supplied at lambda = -1 " in capsys.readouterr().err
 
 
+def test_analyze_checks_a_supplied_index_that_the_settling_criterion_never_reads(
+        tmp_path, capsys):
+    # eqcont2 settles example 2 without the index, but A(-0.5) = diag(3.5, 2, 2, 2)
+    # is nonresonant, so the index there is (-1)^j_0 = 1, not the supplied -1
+    path = tmp_path / "example2_value.cfg"
+    path.write_text(config_path("example2").read_text().replace(
+        "rule = builtin", "rule = value\nvalue = -1"))
+    assert main(["analyze", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: the index at infinity -1 supplied at lambda = -0.5 contradicts "
+                   "the spectrum: A(-0.5) is nonresonant, so the index is (-1)^j_0 = 1\n")
+
+
+# A(lambda) = lambda^2 diag(4, 4): scaled-family points k/2, so 1.0 and 1.5
+# fall on window ends
+SCALED_ENDS = (SCALED.replace("lambda_minus = 0.4", "lambda_minus = 1.0")
+               .replace("2:1\n", "2:4\n"))
+
+
+@pytest.mark.parametrize("lp, rc, criterion", [
+    ("1.5", 2, "criterion none did not fire"),
+    ("1.4", 2, "criterion none did not fire"),
+    ("1.6", 0, "criterion eqcont3 fired: 1 bifurcation point(s)")])
+def test_analyze_counts_scaled_points_strictly_inside_the_window(lp, rc, criterion,
+                                                                 tmp_path, capsys):
+    path = tmp_path / "scaled.cfg"
+    path.write_text(SCALED_ENDS.replace("lambda_plus = 1.1", f"lambda_plus = {lp}"))
+    with warnings.catch_warnings():
+        # diag(4, 4) crosses 9 twice at 1.5, so det(A - 9 Id) does not change sign
+        warnings.simplefilter("ignore", equideg.spectral.TangencyWarning)
+        assert main(["analyze", str(path)]) == rc
+    out = capsys.readouterr().out
+    assert criterion in out
+    assert ("scaled-family point lambda0 = 1.5: Z_3 jump 2" in out) == (rc == 0)
+
+
 @pytest.mark.parametrize("command", ["analyze", "continue"])
 def test_non_isolated_resonance_exits_one(command, tmp_path, capsys):
     # NonIsolatedResonanceError is a RuntimeError; it used to escape main

@@ -1,5 +1,6 @@
 """Problem-file parsing."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -26,17 +27,17 @@ lambda_plus = 1
 
 def test_minimal_config_and_defaults():
     cfg = ProblemConfig.from_string(MINIMAL)
-    assert cfg.n == 2
+    assert cfg.problem().n == 2
     assert (cfg.lambda_minus, cfg.lambda_plus) == (-1.0, 1.0)
-    assert cfg.scaled is False
+    assert cfg.problem().scaled is False
     assert cfg.tol == 1e-9
     assert cfg.grid == 512
     assert cfg.modes == DEFAULT_MODES == 16  # continue_to_infinity's default
     assert cfg.critical_points == {}
     assert cfg.flags == {}
-    assert cfg.perturbation.kind == "none"
-    assert not cfg.index_rule.available
-    A = cfg.family.eval_array(0.5)
+    assert cfg.problem().perturbation.kind == "none"
+    assert not cfg.problem().index_rule.available
+    A = cfg.problem().family.eval_array(0.5)
     assert np.allclose(A, np.diag([4.0, 2.5]))
 
 
@@ -46,10 +47,19 @@ def test_problem_method_builds_spec():
     assert np.allclose(p.family.eval_array(-1.0), np.diag([4.0, 1.0]))
 
 
+def test_a_file_holds_one_problem_spec():
+    # built once at parse time and kept, also when options are replaced
+    cfg = ProblemConfig.from_string(MINIMAL)
+    assert cfg.problem() is cfg.problem()
+    assert dataclasses.replace(cfg, tol=1e-6, grid=64).problem() is cfg.problem()
+    assert {f.name for f in dataclasses.fields(cfg)}.isdisjoint(
+        {"n", "family", "perturbation", "index_rule", "scaled"})
+
+
 def test_named_constants_and_signs():
     text = MINIMAL.replace("1 1 = 0:4", "1 1 = 0:sqrt2 1:-sqrt10 2:+pi")
     cfg = ProblemConfig.from_string(text)
-    A = cfg.family.eval_array(1.0)
+    A = cfg.problem().family.eval_array(1.0)
     assert A[0, 0] == pytest.approx(math.sqrt(2) - math.sqrt(10) + math.pi,
                                     abs=1e-15)
 
@@ -57,17 +67,17 @@ def test_named_constants_and_signs():
 def test_repeated_power_accumulates():
     text = MINIMAL.replace("1 1 = 0:4", "1 1 = 0:1 0:2.5")
     cfg = ProblemConfig.from_string(text)
-    assert cfg.family.eval_array(0.0)[0, 0] == 3.5
+    assert cfg.problem().family.eval_array(0.0)[0, 0] == 3.5
 
 
 def test_offdiagonal_mirroring():
     text = MINIMAL + "1 2 = 0:1\n"
     cfg = ProblemConfig.from_string(text)
-    A = cfg.family.eval_array(0.0)
+    A = cfg.problem().family.eval_array(0.0)
     assert A[0, 1] == A[1, 0] == 1.0
     # both triangles may be present when they agree
     both = text + "2 1 = 0:1\n"
-    assert ProblemConfig.from_string(both).family.eval_array(0.0)[1, 0] == 1.0
+    assert ProblemConfig.from_string(both).problem().family.eval_array(0.0)[1, 0] == 1.0
 
 
 def test_offdiagonal_mirror_conflict():
@@ -135,16 +145,16 @@ scaled = true
 1 1 = 2:4
 """
     cfg = ProblemConfig.from_string(ok)
-    assert cfg.scaled
+    assert cfg.problem().scaled
     assert cfg.problem().scaled_base_matrix().entries[0, 0] == 4.0
 
 
 def test_perturbation_parsing():
     text = MINIMAL + "\n[perturbation]\nkind = kepler\na = 2\nscale = lambda_squared\n"
     cfg = ProblemConfig.from_string(text)
-    assert cfg.perturbation.kind == "kepler"
-    assert cfg.perturbation.a == 2.0
-    assert cfg.perturbation.scale == "lambda_squared"
+    assert cfg.problem().perturbation.kind == "kepler"
+    assert cfg.problem().perturbation.a == 2.0
+    assert cfg.problem().perturbation.scale == "lambda_squared"
     for a in ("0", "nan", "inf"):
         with pytest.raises(ConfigError, match="^perturbation: .*positive"):
             ProblemConfig.from_string(text.replace("a = 2", f"a = {a}"))
@@ -153,13 +163,13 @@ def test_perturbation_parsing():
     with pytest.raises(ConfigError, match="kind"):
         ProblemConfig.from_string(text.replace("kepler", "magnetic"))
     none = MINIMAL + "\n[perturbation]\nkind = none\n"
-    assert ProblemConfig.from_string(none).perturbation.kind == "none"
+    assert ProblemConfig.from_string(none).problem().perturbation.kind == "none"
 
 
 def test_kepler_scale_default_matches_the_library():
     # a problem file without `scale` gets Perturbation.kepler's default
     text = MINIMAL + "\n[perturbation]\nkind = kepler\na = 2\n"
-    parsed = ProblemConfig.from_string(text).perturbation
+    parsed = ProblemConfig.from_string(text).problem().perturbation
     direct = Perturbation.kepler(2.0)
     assert parsed.scale == direct.scale == "constant"
     X = np.array([[0.3, -1.2], [2.0, 0.5]])
@@ -171,10 +181,10 @@ def test_kepler_scale_default_matches_the_library():
 def test_index_rule_parsing():
     for rule in ("builtin", "unavailable"):
         text = MINIMAL + f"\n[index]\nrule = {rule}\n"
-        assert ProblemConfig.from_string(text).index_rule.kind == rule
+        assert ProblemConfig.from_string(text).problem().index_rule.kind == rule
     value = MINIMAL + "\n[index]\nrule = value\nvalue = -1\n"
     cfg = ProblemConfig.from_string(value)
-    assert cfg.index_rule.ind_of(eigen_sym(np.eye(2)), 0.0) == -1
+    assert cfg.problem().index_rule.ind_of(eigen_sym(np.eye(2)), 0.0) == -1
     with pytest.raises(ConfigError, match="value"):
         ProblemConfig.from_string(MINIMAL + "\n[index]\nrule = value\n")
     with pytest.raises(ConfigError, match="rule"):
@@ -243,7 +253,7 @@ def test_flags_parsing():
 
 def test_inline_comments_are_stripped():
     text = MINIMAL.replace("1 1 = 0:4", "1 1 = 0:4  # asymptotic block")
-    assert ProblemConfig.from_string(text).family.eval_array(0.0)[0, 0] == 4.0
+    assert ProblemConfig.from_string(text).problem().family.eval_array(0.0)[0, 0] == 4.0
 
 
 @pytest.mark.parametrize("text", [
@@ -269,4 +279,4 @@ def test_from_file(tmp_path):
     path = tmp_path / "problem.cfg"
     path.write_text(MINIMAL)
     cfg = ProblemConfig.from_file(path)
-    assert cfg.n == 2
+    assert cfg.problem().n == 2

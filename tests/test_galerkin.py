@@ -140,7 +140,7 @@ def test_loop_amplitude_and_mode_energy():
 # ----------------------------------------------------------------- residual
 
 def test_residual_zero_loop_is_zero():
-    p = example2().problem
+    p = example2().problem()
     loop = FourierLoop.zero(4, 8)
     assert np.allclose(residual(loop, 0.3, p), 0.0)
 
@@ -169,7 +169,7 @@ def test_residual_exact_solution_of_linear_problem():
 def test_residual_against_quadrature_oracle():
     # same fine grid, but coefficients via explicit cosine/sine sums instead
     # of the fft: pins down index offsets and normalization
-    p = example2().problem
+    p = example2().problem()
     rng = np.random.default_rng(7)
     loop = random_loop(rng, 4, 3, scale=0.4)
     lam = 0.2
@@ -191,7 +191,7 @@ def test_residual_against_quadrature_oracle():
 def test_residual_commutes_with_time_shift():
     # on a node count generous enough that aliasing sits at machine level,
     # the residual of a shifted loop is the shifted residual
-    p = example2().problem
+    p = example2().problem()
     rng = np.random.default_rng(8)
     loop = random_loop(rng, 4, 6, scale=0.5)
     s = 1.234
@@ -221,7 +221,7 @@ def test_phase_row_zero_at_reference():
 # ------------------------------------------------------------------ jacobians
 
 def test_analytic_jacobian_matches_finite_differences():
-    p = example2().problem
+    p = example2().problem()
     rng = np.random.default_rng(10)
     loop = random_loop(rng, 4, 3, scale=0.5)
     lam = 0.1
@@ -295,7 +295,7 @@ def test_continuation_jacobian_matches_finite_differences(make):
     # the augmented system at even loops: lambda column (example 1 has a
     # lambda^2 Kepler scale and a lambda-dependent family) and pin row in
     # the even block, phase row in the odd block
-    p = make().problem
+    p = make().problem()
     rng = np.random.default_rng(11)
     N, M, k0 = 3, 13, 2
     even_rows, even_cols, odd_rows, odd_cols = block_indices(p.n, N)
@@ -322,7 +322,7 @@ def test_continuation_jacobian_is_block_diagonal_at_even_loops(make):
     # sin columns, the pin row on the cos columns.  A loop with sin content
     # couples the two, so the first check can fail.  The blocks jac builds
     # directly are the full matrix's diagonal blocks.
-    p = make().problem
+    p = make().problem()
     rng = np.random.default_rng(14)
     N, k0 = 5, 2
     M = 4 * N + 1
@@ -366,10 +366,10 @@ def unperturbed_example2(lam_on_2=0.0):
 
 
 @pytest.mark.parametrize("problem, axes, pinned, phased", [
-    (lambda: example1().problem, [0], [0], [0]),
-    (lambda: example2().problem, [0], [0], [0]),
-    (lambda: example3().problem, [2], [2], [2]),
-    (lambda: example2().problem, [0, 1], [0], [0]),
+    (lambda: example1().problem(), [0], [0], [0]),
+    (lambda: example2().problem(), [0], [0], [0]),
+    (lambda: example3().problem(), [2], [2], [2]),
+    (lambda: example2().problem(), [0, 1], [0], [0]),
     (unperturbed_example2, [0, 1], [0, 1], [0]),
     (unperturbed_example2, [0, 1], [0], [0, 1]),
     (lambda: unperturbed_example2(1.0), [0, 1], [0], [0])],
@@ -486,15 +486,15 @@ def test_converged_point_with_rank_deficient_jacobian_fails(monkeypatch):
             return step, lambda: np.r_[sv(), 0.0]
         return func, jac, deficient
 
-    branch = continue_to_infinity(ex.problem, _resonance(ex, 0.0), [4.0, 8.0])
+    branch = continue_to_infinity(ex.problem(), _resonance(ex, 0.0), [4.0, 8.0])
     assert not any(bp.failed for bp in branch)
     monkeypatch.setattr(galerkin, "_continuation_system", deficient_system)
-    branch = continue_to_infinity(ex.problem, _resonance(ex, 0.0), [4.0, 8.0])
+    branch = continue_to_infinity(ex.problem(), _resonance(ex, 0.0), [4.0, 8.0])
     assert len(branch) == 1 and branch[0].failed
 
 
 def _resonance(ex, lam0):
-    points = scan_resonances(ex.problem.family, ex.lm, ex.lp)
+    points = scan_resonances(ex.problem().family, ex.lambda_minus, ex.lambda_plus)
     return min(points, key=lambda r: abs(r.lambda0 - lam0))
 
 
@@ -508,10 +508,10 @@ def as_user(make):
     over as a user gradient callable."""
     def make_user():
         ex = make()
-        pert = ex.problem.perturbation
+        pert = ex.problem().perturbation
         user = Perturbation.user(lambda x, lam: pert.gradient_many(x, lam)[0])
-        return dataclasses.replace(ex, problem=dataclasses.replace(
-            ex.problem, perturbation=user))
+        return dataclasses.replace(ex, _spec=dataclasses.replace(
+            ex.problem(), perturbation=user))
     make_user.__name__ = f"{make.__name__}_user"
     return make_user
 
@@ -523,10 +523,10 @@ def rotated(make):
     def make_rotated():
         ex = make()
         rng = np.random.default_rng(5)
-        Q, _ = np.linalg.qr(rng.normal(size=(ex.problem.n,) * 2))
-        family = MatrixFamily(Q @ ex.problem.family.coeffs @ Q.T)
-        return dataclasses.replace(ex, problem=dataclasses.replace(
-            ex.problem, family=family))
+        Q, _ = np.linalg.qr(rng.normal(size=(ex.problem().n,) * 2))
+        family = MatrixFamily(Q @ ex.problem().family.coeffs @ Q.T)
+        return dataclasses.replace(ex, _spec=dataclasses.replace(
+            ex.problem(), family=family))
     make_rotated.__name__ = f"{make.__name__}_rotated"
     return make_rotated
 
@@ -555,9 +555,9 @@ def test_reversible_step_agrees_with_the_full_solve(monkeypatch, make, lam0, mod
                 _lstsq_step)
 
     monkeypatch.setattr(galerkin, "_continuation_system", recording_system)
-    new = continue_to_infinity(ex.problem, r, [4.0, 16.0, 64.0], modes)
+    new = continue_to_infinity(ex.problem(), r, [4.0, 16.0, 64.0], modes)
     monkeypatch.setattr(galerkin, "_continuation_system", full_system)
-    ref = continue_to_infinity(ex.problem, r, [4.0, 16.0, 64.0], modes)
+    ref = continue_to_infinity(ex.problem(), r, [4.0, 16.0, 64.0], modes)
     assert len(new) == len(ref) == 3
     for a, b in zip(new, ref):
         assert not a.failed and not b.failed
@@ -657,11 +657,11 @@ def test_continuation_step_costs_one_lstsq_and_one_svd(
     # side n(N+1)+1.
     ex = make()
     r = _resonance(ex, lam0)
-    n, C = ex.problem.n, ex.problem.family.coeffs
+    n, C = ex.problem().n, ex.problem().family.coeffs
     parts = n if np.all(C == C * np.eye(n)) else 1
     distinct = len({C[:, i, i].tobytes() for i in range(n)}) if parts == n else 1
     calls, sides = count_linalg(monkeypatch, ["solve", "svd", "lstsq"])
-    branch = continue_to_infinity(ex.problem, r, [4.0, 16.0, 64.0], modes)
+    branch = continue_to_infinity(ex.problem(), r, [4.0, 16.0, 64.0], modes)
     assert not any(bp.failed for bp in branch)
     steps = sum(bp.newton_steps for bp in branch)
     assert steps > 0
@@ -689,7 +689,7 @@ def test_skipped_idle_parts_leave_every_branch_bit_for_bit(
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve",
                         lambda a, b: rhs.append(b.any()) or solve(a, b))
-    skipped = continue_to_infinity(ex.problem, r, [4.0, 16.0, 64.0], modes)
+    skipped = continue_to_infinity(ex.problem(), r, [4.0, 16.0, 64.0], modes)
     assert rhs and all(rhs)
     solve_parts = galerkin._solve_parts
 
@@ -701,7 +701,7 @@ def test_skipped_idle_parts_leave_every_branch_bit_for_bit(
         return step, sv
 
     monkeypatch.setattr(galerkin, "_solve_parts", solve_every_part)
-    solved = continue_to_infinity(ex.problem, r, [4.0, 16.0, 64.0], modes)
+    solved = continue_to_infinity(ex.problem(), r, [4.0, 16.0, 64.0], modes)
     assert len(skipped) == len(solved) == 3
     for a, b in zip(skipped, solved):
         assert a.loop.pack().tobytes() == b.loop.pack().tobytes()
@@ -782,7 +782,7 @@ def test_rank_check_runs_where_a_step_does_not_lower_the_residual(monkeypatch):
 
     monkeypatch.setattr(galerkin, "_continuation_system", counting_system)
     monkeypatch.setattr(galerkin, "_rank_checked", recording_rank_check)
-    branch = continue_to_infinity(ex.problem, r, [4.0, 1e20])
+    branch = continue_to_infinity(ex.problem(), r, [4.0, 1e20])
     assert [bp.failed for bp in branch] == [False, True]
     assert jacobians[4.0] == branch[0].newton_steps
     assert jacobians[1e20] == 3
@@ -796,7 +796,7 @@ def test_example3_probe_fails_at_its_first_amplitude(modes):
     ex = example3()
     r = _resonance(ex, 0.0)
     assert r.lambda0 == pytest.approx(0.0, abs=1e-9)
-    branch = continue_to_infinity(ex.problem, r, [4.0, 16.0, 64.0], modes)
+    branch = continue_to_infinity(ex.problem(), r, [4.0, 16.0, 64.0], modes)
     assert len(branch) == 1 and branch[0].failed
 
 
@@ -808,7 +808,7 @@ def test_overflowing_lambda_column_fails_the_point_quietly(big):
     # (RuntimeWarnings are errors here) and the converged point is kept
     ex = example3()
     r = _resonance(ex, (4.0 - math.sqrt(10.0)) ** (1.0 / 3.0))
-    branch = continue_to_infinity(ex.problem, r, [4.0, big], 16)
+    branch = continue_to_infinity(ex.problem(), r, [4.0, big], 16)
     assert [bp.failed for bp in branch] == [False, True]
     assert minimal_period_divisor(branch[1].loop) == 2
 
@@ -819,7 +819,7 @@ def test_overflowing_point_leaves_numpy_error_settings_as_they_were():
     ex = example2()
     r = _resonance(ex, 0.0)
     before = np.geterr()
-    branch = continue_to_infinity(ex.problem, r, [4.0, 1.7e308])
+    branch = continue_to_infinity(ex.problem(), r, [4.0, 1.7e308])
     assert [bp.failed for bp in branch] == [False, True]
     assert np.geterr() == before
 
@@ -875,12 +875,12 @@ def test_newton_overflowing_guess_raises_floating_point_error(big):
     # raises the overflow by name at its first Jacobian, as continuation
     # does, and leaves the caller's numpy error settings as they were
     ex = example2()
-    acos = np.zeros((8, ex.problem.n))
+    acos = np.zeros((8, ex.problem().n))
     acos[1, 0] = big
-    guess = FourierLoop(np.zeros(ex.problem.n), acos, np.zeros_like(acos))
+    guess = FourierLoop(np.zeros(ex.problem().n), acos, np.zeros_like(acos))
     before = np.geterr()
     with pytest.raises(FloatingPointError):
-        newton_solve(guess, 0.0, ex.problem)
+        newton_solve(guess, 0.0, ex.problem())
     assert np.geterr() == before
 
 
@@ -919,7 +919,7 @@ def test_newton_refinement_costs_one_solve_per_part(monkeypatch):
     # all 0, so one LU solve per step; a converged refinement takes no
     # singular values and no least-squares solve.
     ex = example2()
-    p, n = ex.problem, ex.problem.n
+    p, n = ex.problem(), ex.problem().n
     bp = continue_to_infinity(p, _resonance(ex, 0.0), [4.0], modes=8)[0]
     N = 16
     calls, sides = count_linalg(monkeypatch, ["solve", "svd", "lstsq"])
@@ -936,10 +936,10 @@ def test_continuation_user_perturbation_agrees_with_builtin():
     # a user perturbation has no Hessian, so its Newton steps use finite
     # differences; handed the Kepler gradient it must find the same branch
     ex = example2()
-    r = scan_resonances(ex.problem.family, ex.lm, ex.lp)[0]
-    user = ProblemSpec(4, ex.problem.family, Perturbation.user(
+    r = scan_resonances(ex.problem().family, ex.lambda_minus, ex.lambda_plus)[0]
+    user = ProblemSpec(4, ex.problem().family, Perturbation.user(
         lambda x, lam: x / (x @ x + 1.0) ** 1.5), IndexRule.builtin())
-    an = continue_to_infinity(ex.problem, r, [3.0, 6.0], modes=10)
+    an = continue_to_infinity(ex.problem(), r, [3.0, 6.0], modes=10)
     fd = continue_to_infinity(user, r, [3.0, 6.0], modes=10)
     for a, b in zip(an, fd):
         assert not a.failed and not b.failed
@@ -954,10 +954,10 @@ def test_newton_and_continuation_share_the_node_rule():
     # solution and comes back bit for bit (on 2N+3 nodes its residual is
     # above 1e-6 and a solve there would move it)
     ex = example2()
-    r = scan_resonances(ex.problem.family, ex.lm, ex.lp)[0]
-    bp = continue_to_infinity(ex.problem, r, [4.0], modes=6)[0]
-    assert np.abs(residual(bp.loop, bp.lam, ex.problem, 15)).max() > 1e-6
-    out = newton_solve(bp.loop, bp.lam, ex.problem)
+    r = scan_resonances(ex.problem().family, ex.lambda_minus, ex.lambda_plus)[0]
+    bp = continue_to_infinity(ex.problem(), r, [4.0], modes=6)[0]
+    assert np.abs(residual(bp.loop, bp.lam, ex.problem(), 15)).max() > 1e-6
+    out = newton_solve(bp.loop, bp.lam, ex.problem())
     assert out.N == 6
     assert np.array_equal(out.pack(), bp.loop.pack())
 
@@ -966,13 +966,13 @@ def test_newton_solution_shift_family():
     # any time shift of a solution is again a solution; per-mode residual
     # energies are shift-invariant (the packed components themselves rotate)
     ex = example2()
-    r = scan_resonances(ex.problem.family, ex.lm, ex.lp)[0]
-    branch = continue_to_infinity(ex.problem, r, [2.0], modes=10)
+    r = scan_resonances(ex.problem().family, ex.lambda_minus, ex.lambda_plus)[0]
+    branch = continue_to_infinity(ex.problem(), r, [2.0], modes=10)
     loop = branch[0].loop
     M = 1024
 
     def mode_energies(lp):
-        r_loop = FourierLoop.unpack(residual(lp, branch[0].lam, ex.problem, M),
+        r_loop = FourierLoop.unpack(residual(lp, branch[0].lam, ex.problem(), M),
                                     4, 10)
         return np.concatenate([[float(r_loop.a0 @ r_loop.a0)],
                                r_loop.mode_energy()])
@@ -1002,8 +1002,8 @@ def test_continuation_linear_family_stays_at_resonance():
 
 def test_continuation_example2_drifts_to_resonance():
     ex = example2()
-    r = scan_resonances(ex.problem.family, ex.lm, ex.lp)[0]
-    branch = continue_to_infinity(ex.problem, r, [2.0, 4.0, 8.0], modes=12)
+    r = scan_resonances(ex.problem().family, ex.lambda_minus, ex.lambda_plus)[0]
+    branch = continue_to_infinity(ex.problem(), r, [2.0, 4.0, 8.0], modes=12)
     assert all(not bp.failed for bp in branch)
     drift = [abs(bp.lam - r.lambda0) for bp in branch]
     assert drift[0] > drift[1] > drift[2]
@@ -1019,9 +1019,9 @@ def test_continuation_warns_when_the_drift_keeps_growing():
     # shrinking amplitudes walk example 3's branch away from its resonance
     # near 0.9427: the drift passes DRIFT_WINDOW and grows at 0.5 and 0.25
     ex = example3()
-    r = scan_resonances(ex.problem.family, ex.lm, ex.lp)[1]
+    r = scan_resonances(ex.problem().family, ex.lambda_minus, ex.lambda_plus)[1]
     with pytest.warns(galerkin.DivergenceWarning) as record:
-        branch = continue_to_infinity(ex.problem, r, [4.0, 1.0, 0.5, 0.25], modes=32)
+        branch = continue_to_infinity(ex.problem(), r, [4.0, 1.0, 0.5, 0.25], modes=32)
     assert not any(bp.failed for bp in branch)
     assert [round(bp.lam, 3) for bp in branch] == [0.93, 0.727, 0.392, -0.458]
     assert [str(w.message).split(";")[0] for w in record] == [
@@ -1031,9 +1031,9 @@ def test_continuation_warns_when_the_drift_keeps_growing():
 
 def test_continuation_failure_appends_marker_and_truncates(monkeypatch):
     ex = example2()
-    r = scan_resonances(ex.problem.family, ex.lm, ex.lp)[0]
+    r = scan_resonances(ex.problem().family, ex.lambda_minus, ex.lambda_plus)[0]
     monkeypatch.setattr(galerkin, "NEWTON_MAX_ITER", 0)
-    branch = continue_to_infinity(ex.problem, r, [2.0, 4.0], modes=10)
+    branch = continue_to_infinity(ex.problem(), r, [2.0, 4.0], modes=10)
     assert len(branch) == 1
     assert branch[0].failed
     assert branch[0].residual_norm == math.inf
@@ -1041,9 +1041,9 @@ def test_continuation_failure_appends_marker_and_truncates(monkeypatch):
 
 def test_continuation_direction_validation():
     ex = example2()
-    r = scan_resonances(ex.problem.family, ex.lm, ex.lp)[0]
+    r = scan_resonances(ex.problem().family, ex.lambda_minus, ex.lambda_plus)[0]
     with pytest.raises(ValueError, match="direction"):
-        continue_to_infinity(ex.problem, r, [1.0], direction=5)
+        continue_to_infinity(ex.problem(), r, [1.0], direction=5)
 
 
 def test_continuation_follows_each_direction_of_a_triple_crossing():
@@ -1070,20 +1070,20 @@ def test_continuation_follows_each_direction_of_a_triple_crossing():
 
 def test_continuation_rejects_nonpositive_amplitudes():
     ex = example2()
-    r = scan_resonances(ex.problem.family, ex.lm, ex.lp)[0]
+    r = scan_resonances(ex.problem().family, ex.lambda_minus, ex.lambda_plus)[0]
     for amplitudes in ([0.0, 1.0], [-1.0], [1.0, math.nan]):
         with pytest.raises(ValueError, match="positive"):
-            continue_to_infinity(ex.problem, r, amplitudes)
+            continue_to_infinity(ex.problem(), r, amplitudes)
 
 
 def test_continuation_needs_modes_up_to_k0():
     ex = example2()
-    r = scan_resonances(ex.problem.family, ex.lm, ex.lp)[0]
+    r = scan_resonances(ex.problem().family, ex.lambda_minus, ex.lambda_plus)[0]
     with pytest.raises(ValueError, match="k0 = 2"):
-        continue_to_infinity(ex.problem, r, [1.0], modes=1)
+        continue_to_infinity(ex.problem(), r, [1.0], modes=1)
     for modes in (0, -3):
         with pytest.raises(ValueError, match=f"modes = {modes}"):
-            continue_to_infinity(ex.problem, r, [1.0], modes=modes)
+            continue_to_infinity(ex.problem(), r, [1.0], modes=modes)
 
 
 def test_continuation_imports_no_masked_arrays():
@@ -1093,8 +1093,8 @@ def test_continuation_imports_no_masked_arrays():
             "from equideg import continue_to_infinity, scan_resonances\n"
             "from equideg.problems import example2\n"
             "ex = example2()\n"
-            "pt = scan_resonances(ex.problem.family, ex.lm, ex.lp)[0]\n"
-            "branch = continue_to_infinity(ex.problem, pt, [4.0, 16.0], 32)\n"
+            "pt = scan_resonances(ex.problem().family, ex.lambda_minus, ex.lambda_plus)[0]\n"
+            "branch = continue_to_infinity(ex.problem(), pt, [4.0, 16.0], 32)\n"
             "assert not any(bp.failed for bp in branch)\n"
             "print('numpy.ma' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
@@ -1110,15 +1110,15 @@ def test_continuation_needs_positive_frequency():
     r = ResonancePoint(0.0, frozenset({0}), RepDecomposition(((1, 0),)))
     assert not r.det_nonzero
     with pytest.raises(ValueError, match="positive frequency"):
-        continue_to_infinity(ex.problem, r, [1.0])
+        continue_to_infinity(ex.problem(), r, [1.0])
 
 
 def test_continuation_truncation_refinement_is_small():
     # doubling the truncation order barely moves the retained coefficients
     ex = example2()
-    r = scan_resonances(ex.problem.family, ex.lm, ex.lp)[0]
-    coarse = continue_to_infinity(ex.problem, r, [2.0], modes=16)[0]
-    fine = newton_solve(coarse.loop.truncated(32), coarse.lam, ex.problem)
+    r = scan_resonances(ex.problem().family, ex.lambda_minus, ex.lambda_plus)[0]
+    coarse = continue_to_infinity(ex.problem(), r, [2.0], modes=16)[0]
+    fine = newton_solve(coarse.loop.truncated(32), coarse.lam, ex.problem())
     assert np.abs(fine.acos[:16] - coarse.loop.acos).max() < 1e-5
     assert np.abs(fine.asin[:16] - coarse.loop.asin).max() < 1e-5
 
@@ -1172,16 +1172,16 @@ def test_energy_conserved_on_exact_linear_orbit():
 
 def test_energy_drift_small_amplitude_branch():
     ex = example2()
-    r = scan_resonances(ex.problem.family, ex.lm, ex.lp)[0]
-    branch = continue_to_infinity(ex.problem, r, [0.4], modes=32)
+    r = scan_resonances(ex.problem().family, ex.lambda_minus, ex.lambda_plus)[0]
+    branch = continue_to_infinity(ex.problem(), r, [0.4], modes=32)
     bp = branch[0]
     assert not bp.failed
-    assert energy_drift(bp.loop, bp.lam, ex.problem) < 1e-9
+    assert energy_drift(bp.loop, bp.lam, ex.problem()) < 1e-9
 
 
 def test_energy_drift_detects_bad_loop():
     # a random non-solution has wildly varying energy
-    p = example2().problem
+    p = example2().problem()
     rng = np.random.default_rng(12)
     loop = random_loop(rng, 4, 4)
     assert energy_drift(loop, 0.0, p) > 1e-2
@@ -1191,8 +1191,8 @@ def test_energy_drift_detects_bad_loop():
 
 def test_write_branch_csv_roundtrip(tmp_path):
     ex = example2()
-    r = scan_resonances(ex.problem.family, ex.lm, ex.lp)[0]
-    branch = continue_to_infinity(ex.problem, r, [2.0, 4.0], modes=6)
+    r = scan_resonances(ex.problem().family, ex.lambda_minus, ex.lambda_plus)[0]
+    branch = continue_to_infinity(ex.problem(), r, [2.0, 4.0], modes=6)
     path = tmp_path / "branch.csv"
     write_branch_csv(path, branch)
     lines = path.read_text().splitlines()
@@ -1208,6 +1208,24 @@ def test_write_branch_csv_roundtrip(tmp_path):
     assert data[0, 0] == branch[0].lam
     assert data[1, 1] == 4.0
     assert data[0, 3] == minimal_period_divisor(branch[0].loop)
+
+
+def test_write_branch_csv_rows_match_the_per_value_format(tmp_path):
+    # one format operation per row writes the bytes of a per-value
+    # f"{v:.17g}" join, the failed marker's inf and the integer divisors too
+    ex = example2()
+    branch = continue_to_infinity(ex.problem(), _resonance(ex, 0.0), [4.0, 16.0, 1.7e308],
+                                  modes=8)
+    assert [bp.failed for bp in branch] == [False, False, True]
+    assert branch[-1].residual_norm == math.inf
+    assert all(isinstance(bp.minimal_period_divisor, int) for bp in branch)
+    path = tmp_path / "branch.csv"
+    write_branch_csv(path, branch)
+    rows = [[bp.lam, bp.amplitude, bp.residual_norm, bp.minimal_period_divisor]
+            + bp.loop.pack().tolist() for bp in branch]
+    lines = path.read_bytes().split(b"\n", 2)
+    assert lines[2] == "".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                               for row in rows).encode()
 
 
 def test_write_branch_csv_rejects_empty(tmp_path):

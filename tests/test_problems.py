@@ -12,17 +12,18 @@ import equideg.problems
 import equideg.spectral
 from equideg.bifurcation import build_report
 from equideg.cli import main
+from equideg.config import ProblemConfig
 from equideg.problems import CATALOG, config_path, example1, example2, example3
 
 
 def test_example_matrices():
     lam = 0.3
-    A1 = example1().problem.family.eval_array(lam)
+    A1 = example1().problem().family.eval_array(lam)
     assert np.allclose(A1, np.diag([lam ** 2 - 1, math.sqrt(2) + lam,
                                     lam - math.sqrt(2), math.sqrt(5) + lam]))
-    A2 = example2().problem.family.eval_array(lam)
+    A2 = example2().problem().family.eval_array(lam)
     assert np.allclose(A2, np.diag([4 + lam, 2, 2, 2]))
-    A3 = example3().problem.family.eval_array(lam)
+    A3 = example3().problem().family.eval_array(lam)
     assert np.allclose(A3, np.diag([4 + lam ** 2 / 2,
                                     lam ** 3 - math.sqrt(10),
                                     9 + lam ** 2 / 2,
@@ -32,16 +33,23 @@ def test_example_matrices():
 
 def test_example_intervals_and_perturbations():
     ex1, ex2, ex3 = example1(), example2(), example3()
-    assert (ex1.lm, ex1.lp) == (-1.0, 1.0)
-    assert (ex2.lm, ex2.lp) == (-0.5, 0.5)
-    assert (ex3.lm, ex3.lp) == (-1.0, 1.0)
-    assert ex1.problem.perturbation.scale == "lambda_squared"
-    assert ex2.problem.perturbation.scale == "constant"
-    assert ex3.problem.perturbation.scale == "constant"
+    assert (ex1.lambda_minus, ex1.lambda_plus) == (-1.0, 1.0)
+    assert (ex2.lambda_minus, ex2.lambda_plus) == (-0.5, 0.5)
+    assert (ex3.lambda_minus, ex3.lambda_plus) == (-1.0, 1.0)
+    assert ex1.problem().perturbation.scale == "lambda_squared"
+    assert ex2.problem().perturbation.scale == "constant"
+    assert ex3.problem().perturbation.scale == "constant"
     for ex in (ex1, ex2, ex3):
-        assert ex.problem.perturbation.kind == "kepler"
-        assert ex.problem.perturbation.a == 1.0
-        assert ex.problem.index_rule.kind == "builtin"
+        assert ex.problem().perturbation.kind == "kepler"
+        assert ex.problem().perturbation.a == 1.0
+        assert ex.problem().index_rule.kind == "builtin"
+
+
+def test_examples_are_the_problem_files_they_load():
+    for name, make in CATALOG.items():
+        ex = make()
+        assert isinstance(ex, ProblemConfig)
+        assert (ex.tol, ex.grid, ex.modes) == (1e-9, 512, 16), name
 
 
 def test_config_path_resolves_bundled_files():
