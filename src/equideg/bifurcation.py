@@ -41,7 +41,7 @@ import numpy as np
 from .eqdeg import MissingIndexError, degree_of_spectrum, index_of_spectrum
 from .reps import gcd_closure, isotropy_gcd_set
 from .spectral import (DEFAULT_GRID, DEFAULT_TOL, MatrixFamily, SpectralData,
-                       _integers_in, _runs, _square_roots_in, as_symmetric,
+                       _integers_in, _square_roots_in, as_symmetric,
                        eigen_sym, k_set, resonant_frequencies, scan_resonances)
 from .udring import TomDieckElement
 
@@ -343,35 +343,19 @@ class PeriodSet:
 
 @dataclass(frozen=True)
 class Eqcont3Point:
-    """One bifurcation point of a scaled family.
+    """One bifurcation point lambda0 = k0/sqrt(alpha0) of a scaled family.
 
-    pairs: the (k0, alpha0) combinations producing this lambda0; more than
-    one pair means coincident points merged, flagged for review because the
-    per-point jump formula assumes a singleton.
-    bif_zk0: total Z_{k0} jump, ind * mu_A(alpha0) summed over pairs.
+    bif_zk0: its jump ind * mu_A(alpha0) in the Z_{k0} coordinate.
     """
 
     lambda0: float
-    pairs: tuple
+    k0: int
+    alpha0: float
     bif_zk0: int
 
-    @property
-    def k0(self):
-        return self.pairs[0][0]
-
-    @property
-    def alpha0(self):
-        return self.pairs[0][1]
-
-    @property
-    def merged(self):
-        return len(self.pairs) > 1
-
     def to_json(self):
-        return {"lambda0": self.lambda0,
-                "pairs": [[k, a] for k, a in self.pairs],
-                "bif_zk0": self.bif_zk0,
-                "merged": self.merged}
+        return {"lambda0": self.lambda0, "k0": self.k0, "alpha0": self.alpha0,
+                "bif_zk0": self.bif_zk0}
 
 
 @dataclass(frozen=True)
@@ -507,7 +491,6 @@ def check_eqcont2(p, lm, lp, tol=DEFAULT_TOL, grid=DEFAULT_GRID):
     interior resonance value.
     """
     e_m, e_p, jumps = _endpoints(p, lm, lp, tol)
-    _require_nonresonant_endpoints(e_m, e_p)
     return _eqcont2_verdict(e_m, e_p, jumps,
                             scan_resonances(p.family, lm, lp, grid=grid, tol=tol))
 
@@ -550,10 +533,11 @@ def eqcont3_points(p, window, tol=DEFAULT_TOL):
 
     Every lambda0 = k/sqrt(alpha) with alpha in the positive spectrum of A
     and lambda0 strictly inside the window is a bifurcation point, with
-    Z_{k0} jump ind(-grad V, inf) * mu_A(alpha0).  Jumps all carry the sign
-    of the index, so distinct contributions can never cancel.  A point at a
-    window end makes that end resonant at k, where the interval's index has
-    no defined Z_k coordinate to witness it, so it is not counted.
+    Z_{k0} jump ind(-grad V, inf) * mu_A(alpha0): one point per (k, alpha),
+    sorted by (lambda0, k), so points of different k at one lambda0 are
+    listed apart, each in its own coordinate.  A point at a window end
+    makes that end resonant at k, where the interval's index has no defined
+    Z_k coordinate to witness it, so it is not counted.
     """
     A = p.scaled_base_matrix()
     lo, hi = float(window[0]), float(window[1])
@@ -582,11 +566,9 @@ def eqcont3_points(p, window, tol=DEFAULT_TOL):
         raise PreconditionError(
             f"the window holds {count} candidate points k/sqrt(alpha), more than "
             f"{EQCONT3_MAX_POINTS}; narrow the window")
-    found = sorted((k / root, k, alpha, jump) for alpha, jump, root, ks in spans
-                   for k in ks if lo < k / root < hi)
-    runs = _runs(found, lambda run, pt: pt[0] - run[0][0] <= tol * (1.0 + run[0][0]))
-    return [Eqcont3Point(run[0][0], tuple((k, alpha) for _, k, alpha, _ in run),
-                         sum(jump for *_, jump in run)) for run in runs]
+    return [Eqcont3Point(*pt) for pt in sorted(
+        (k / root, k, alpha, jump) for alpha, jump, root, ks in spans
+        for k in ks if lo < k / root < hi)]
 
 
 def predict_periods(r):
@@ -620,19 +602,29 @@ class BifurcationReport:
     """Full analysis of one interval, as ``build_report`` assembles it."""
 
     interval: tuple
-    n: int
     s_minus: SpectralData
     s_plus: SpectralData
     kset: frozenset
     bif: TomDieckElement
     bif_undefined: frozenset
-    bif_ls: int
     criterion: CriterionVerdict
     resonances: list
-    predicted_periods: list
     eqcont3: list
     consistency: list
     flags: dict
+
+    @property
+    def n(self):
+        return self.s_minus.n
+
+    @property
+    def bif_ls(self):
+        """The Leray-Schauder shadow: the SO(2) coordinate of the index."""
+        return self.bif.a0
+
+    @functools.cached_property
+    def predicted_periods(self):
+        return [predict_periods(r) for r in self.resonances]
 
     def to_json(self):
         return {
@@ -680,11 +672,10 @@ def build_report(p, lm, lp, tol=DEFAULT_TOL, grid=DEFAULT_GRID,
     bif, und = _bif(e_m, e_p, jumps)
     kset = k_set(e_m.resonant, e_p.resonant)
     resonances = scan_resonances(p.family, lm, lp, grid=grid, tol=tol)
-    periods = [predict_periods(r) for r in resonances]
 
     eq3 = (p.scaled and lm > 0.0 and _applies(lambda: eqcont3_points(p, (lm, lp), tol))) or []
     # the interval's index witnesses a point only at a k where no end is resonant
-    eq3 = [pt for pt in eq3 if {k for k, _ in pt.pairs} - und]
+    eq3 = [pt for pt in eq3 if pt.k0 not in und]
     criteria = (
         lambda: eq3 and CriterionVerdict(
             "eqcont3", True, witness_k=eq3[0].k0, lambda0=eq3[0].lambda0,
@@ -706,9 +697,8 @@ def build_report(p, lm, lp, tol=DEFAULT_TOL, grid=DEFAULT_GRID,
         flags.setdefault("zero_set_bounded", True)
 
     report = BifurcationReport(
-        (float(lm), float(lp)), p.n, e_m.spectrum, e_p.spectrum, kset,
-        bif, und, bif.a0, verdict,
-        resonances, periods, eq3, consistency, flags)
+        (float(lm), float(lp)), e_m.spectrum, e_p.spectrum, kset,
+        bif, und, verdict, resonances, eq3, consistency, flags)
     if report.criterion.holds and not report.bif:
         raise AssertionError("criterion fired but the bifurcation index is zero")
     return report

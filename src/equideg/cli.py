@@ -56,9 +56,8 @@ def _human_report(r):
     else:
         lines.append("resonances: none in the interval")
     for pt in r.eqcont3:
-        tag = " (merged, review)" if pt.merged else ""
         lines.append(f"  scaled-family point lambda0 = {pt.lambda0:.9g}: "
-                     f"Z_{pt.k0} jump {pt.bif_zk0}{tag}")
+                     f"Z_{pt.k0} jump {pt.bif_zk0}")
     for c in r.consistency:
         verdict = "consistent" if c["consistent"] else "not consistent"
         lines.append(f"critical point {c['critical_point']} vs infinity at "

@@ -411,15 +411,15 @@ def _rank_checked(sv):
     return cond
 
 
-def _gauss_newton(func, x0, jac, solve):
+def _gauss_newton(func, x0, jac):
     """Gauss-Newton on an overdetermined system, to NEWTON_TOL in at most
     NEWTON_MAX_ITER steps.
 
     Convergence is checked before the first step, so an exact initial
     guess returns without assembling a Jacobian, and a residual that is
     not finite raises NewtonConvergenceError before any is assembled.
-    ``solve(jac(x), f)`` takes whatever ``jac`` returns and gives back the
-    step, or None when the solve meets an exactly singular matrix, and a
+    ``jac(x)`` gives _part_builder's parts, and ``_solve_parts(jac(x), f)``
+    the step, or None when the solve meets an exactly singular matrix, and a
     callable for the Jacobian's singular values.  The singular values are
     taken only where the iteration stops unconverged (out of steps, a
     residual that is not finite, a singular solve) and on a Jacobian whose
@@ -447,7 +447,7 @@ def _gauss_newton(func, x0, jac, solve):
             raise NewtonConvergenceError(
                 f"no convergence after {it} iterations "
                 f"(residual {norm:.3e}, tolerance {NEWTON_TOL:.3e})")
-        step, sv = solve(jac(x), f)
+        step, sv = _solve_parts(jac(x), f)
         if step is None:
             raise SingularJacobianError("augmented Jacobian is singular",
                                         cond=_rank_checked(sv()))
@@ -485,15 +485,15 @@ def newton_solve(guess, lam, p):
         return build(p.hessian_many(samples(x), lam))
 
     with np.errstate(over="raise", invalid="raise"):
-        x, *_ = _gauss_newton(func, guess.pack(), jac, _solve_parts)
+        x, *_ = _gauss_newton(func, guess.pack(), jac)
     return FourierLoop.unpack(x, n, N)
 
 
 def _continuation_system(p, ref, R, k0, M):
-    """(func, jac, solve) of the augmented system in z = (packed loop,
-    lambda): residual, phase condition against ref, and the mode-k0
-    coefficient norm pinned to R.  jac gives _part_builder's parts with the
-    lambda column and pin row as border, and solve is _solve_parts."""
+    """(func, jac) of the augmented system in z = (packed loop, lambda):
+    residual, phase condition against ref, and the mode-k0 coefficient norm
+    pinned to R.  jac gives _part_builder's parts with the lambda column and
+    pin row as border."""
     n, N = ref.n, ref.N
     dim = n * (2 * N + 1)
     pin = slice(n + 2 * n * (k0 - 1), n + 2 * n * k0)  # acos_k0, asin_k0
@@ -511,7 +511,7 @@ def _continuation_system(p, ref, R, k0, M):
         return build(p.hessian_many(u, lam),
                      (_coeffs(p.gradient_lambda_many(u, lam), N), pin_row))
 
-    return func, jac, _solve_parts
+    return func, jac
 
 
 def _kernel_directions(p, r):
@@ -569,8 +569,8 @@ def continue_to_infinity(p, r, amplitudes, modes=DEFAULT_MODES, direction=0):
         try:
             with np.errstate(over="raise", invalid="raise"):
                 z0 = np.concatenate([seed.pack(), [prev_lam]])
-                func, jac, solve = _continuation_system(p, seed, float(R), k0, M)
-                z, norm, steps, sv = _gauss_newton(func, z0, jac, solve)
+                func, jac = _continuation_system(p, seed, float(R), k0, M)
+                z, norm, steps, sv = _gauss_newton(func, z0, jac)
                 cond = None if sv is None else _rank_checked(sv())
         except (NewtonConvergenceError, SingularJacobianError, FloatingPointError):
             branch.append(BranchPoint(seed, prev_lam, float(R), math.inf,

@@ -354,17 +354,20 @@ class MatrixFamily:
 class ResonancePoint:
     """A parameter value where sigma(A(lambda)) meets {k^2}.
 
-    frequencies: all k >= 0 with k^2 in the spectrum at lambda0.
-    kernel_rep: the representation sum of R[mu_A(k^2), k] over frequencies.
+    kernel_rep: the representation sum of R[mu_A(k^2), k] over the
+    frequencies, all k >= 0 with k^2 in the spectrum at lambda0.
     """
 
     lambda0: float
-    frequencies: frozenset
-    kernel_rep: object
+    kernel_rep: RepDecomposition
 
     def __post_init__(self):
-        if not self.frequencies:
+        if not self.kernel_rep:
             raise ValueError("a resonance point must carry at least one frequency")
+
+    @property
+    def frequencies(self):
+        return self.kernel_rep.frequencies
 
     @property
     def det_nonzero(self):
@@ -600,4 +603,4 @@ def _make_point(family, group, tol):
     lam0 = float(np.mean([lam for lam, _ in group]))
     s = eigen_sym(family.eval(lam0), tol)
     freqs = set(k for _, k in group) | set(resonant_frequencies(s))
-    return ResonancePoint(lam0, frozenset(freqs), _kernel_rep(s, freqs))
+    return ResonancePoint(lam0, _kernel_rep(s, freqs))

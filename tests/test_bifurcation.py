@@ -1,5 +1,6 @@
 """Bifurcation indices, the three criteria and the assembled report."""
 
+import json
 import math
 import re
 import sys
@@ -464,19 +465,19 @@ def test_eqcont3_single_eigenvalue_grid():
     assert [pt.k0 for pt in pts] == [1, 2, 3]
     ind = (-1) ** 1  # n = 1, no negative eigenvalues
     assert all(pt.bif_zk0 == ind for pt in pts)
-    assert not any(pt.merged for pt in pts)
+    assert all(pt.alpha0 == 4.0 for pt in pts)
 
 
-def test_eqcont3_merges_coincident_points():
-    # alpha = 1 with k = 1 and alpha = 4 with k = 2 both give lambda0 = 1
+def test_eqcont3_keeps_coincident_points_of_different_k_apart():
+    # alpha = 1 with k = 1 and alpha = 4 with k = 2 both give lambda0 = 1;
+    # each jump sits in its own Z_k coordinate, as in the interval's index
     p = scaled_problem(np.diag([1.0, 4.0]))
     pts = eqcont3_points(p, (0.9, 1.1))
-    assert len(pts) == 1
-    pt = pts[0]
-    assert pt.lambda0 == pytest.approx(1.0)
-    assert pt.merged
-    assert sorted(pt.pairs) == [(1, pytest.approx(1.0)), (2, pytest.approx(4.0))]
-    assert pt.bif_zk0 == 2 * (-1) ** 2  # jumps share the sign of the index
+    assert [(pt.lambda0, pt.k0, pt.alpha0, pt.bif_zk0) for pt in pts] == [
+        (1.0, 1, pytest.approx(1.0), 1), (1.0, 2, pytest.approx(4.0), 1)]
+    r = build_report(p, 0.9, 1.1)
+    assert r.bif == TomDieckElement(0, {1: 1, 2: 1})
+    assert r.eqcont3 == pts
 
 
 def test_eqcont3_ignores_negative_spectrum():
@@ -514,10 +515,10 @@ def test_eqcont3_window_validation():
         eqcont3_points(p, (0.5, 1e5))
 
 
-def test_eqcont3_point_json_roundtrip():
-    pt = Eqcont3Point(1.0, ((1, 1.0), (2, 4.0)), -2)
-    assert pt.to_json() == {"lambda0": 1.0, "pairs": [[1, 1.0], [2, 4.0]],
-                            "bif_zk0": -2, "merged": True}
+def test_eqcont3_point_json():
+    pt = Eqcont3Point(1.0, 2, 4.0, -1)
+    assert pt.to_json() == {"lambda0": 1.0, "k0": 2, "alpha0": 4.0, "bif_zk0": -1}
+    assert json.loads(json.dumps(pt.to_json())) == pt.to_json()
 
 
 def test_eqcont3_counts_only_points_strictly_inside_the_window():
@@ -531,8 +532,7 @@ def test_eqcont3_counts_only_points_strictly_inside_the_window():
 # --------------------------------------------------------------------- periods
 
 def rp(lam0, freqs):
-    kernel = RepDecomposition(tuple((1, k) for k in sorted(freqs)))
-    return ResonancePoint(lam0, frozenset(freqs), kernel)
+    return ResonancePoint(lam0, RepDecomposition(tuple((1, k) for k in sorted(freqs))))
 
 
 def test_predict_periods_single_frequency():
@@ -683,6 +683,26 @@ def test_scaled_corpus_never_trips_the_self_check():
             warnings.simplefilter("ignore")
             names.append(build_report(p, lm, lp).criterion.name)
     assert len(names) >= 55 and set(names) == {"eqcont3", "none"}
+
+
+def test_eqcont3_jumps_agree_with_the_index_on_every_scaled_report():
+    # each point's jump sits in its own Z_k coordinate: summed per k, the
+    # jumps are the index's coordinates, also where points of different k
+    # coincide
+    cases = [*scaled_corpus(7, 60), *scaled_corpus(11, 200),
+             (scaled_problem(np.diag([1.0, 4.0])), 0.9, 1.1)]
+    assert len(cases) == 247
+    bad = []
+    for p, lm, lp in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            r = build_report(p, lm, lp)
+        ks = (set(r.bif.zk) | {pt.k0 for pt in r.eqcont3}) - r.bif_undefined
+        for k in sorted(ks):
+            total = sum(pt.bif_zk0 for pt in r.eqcont3 if pt.k0 == k)
+            if total != r.bif.coeff(k):
+                bad.append((lm, lp, k, total, r.bif.coeff(k)))
+    assert bad == []
 
 
 def test_build_report_none_fires():

@@ -60,7 +60,7 @@ RESONANT_END = QUIET.replace("lambda_minus = -1", "lambda_minus = 0").replace(
     "1 1 = 0:2", "1 1 = 0:4 1:1")
 
 # A(lambda) = lambda^2 diag(1, 4) on [0.4, 1.1]: points 1/2 (alpha 4, k 1)
-# and 1, where alpha = 1 with k = 1 and alpha = 4 with k = 2 merge
+# and 1, where alpha = 1 with k = 1 and alpha = 4 with k = 2 coincide
 SCALED = (QUIET.replace("\nn = 1", "\nn = 2")
           .replace("lambda_minus = -1", "lambda_minus = 0.4")
           .replace("lambda_plus = 1", "lambda_plus = 1.1\nscaled = true")
@@ -96,7 +96,8 @@ def test_analyze_quiet_problem_exits_two(quiet_cfg, capsys):
 @pytest.mark.parametrize("text, rc, lines", [
     (RESONANT_END, 2, ["  undefined coordinates at k in [2] (resonant endpoint)"]),
     (SCALED, 0, ["  scaled-family point lambda0 = 0.5: Z_1 jump 1",
-                 "  scaled-family point lambda0 = 1: Z_1 jump 2 (merged, review)"])],
+                 "  scaled-family point lambda0 = 1: Z_1 jump 1",
+                 "  scaled-family point lambda0 = 1: Z_2 jump 1"])],
     ids=["resonant-endpoint", "scaled-family"])
 def test_analyze_human_output_lines(text, rc, lines, tmp_path, capsys):
     path = tmp_path / "problem.cfg"

@@ -301,7 +301,7 @@ def test_continuation_jacobian_matches_finite_differences(make):
     even_rows, even_cols, odd_rows, odd_cols = block_indices(p.n, N)
     for _ in range(5):
         ref = even_loop(rng, p.n, N, scale=0.5)
-        func, jac, _ = _continuation_system(p, ref, 1.5, k0, M)
+        func, jac = _continuation_system(p, ref, 1.5, k0, M)
         z = np.concatenate([even_loop(rng, p.n, N, scale=0.5).pack(),
                             [rng.uniform(-0.9, 0.9)]])
         (part,) = jac(z)    # the random loop uses every coordinate
@@ -343,7 +343,7 @@ def test_continuation_jacobian_is_block_diagonal_at_even_loops(make):
         assert np.all(J[pin, sin] == 0.0)
         assert J[phase, lam_col] == 0.0
 
-        _, jac, _ = _continuation_system(p, even, 1.5, k0, M)
+        _, jac = _continuation_system(p, even, 1.5, k0, M)
         (part,) = jac(z)    # the random loop uses every coordinate
         assert same_indices(part_indices(p.n, N, part), block_indices(p.n, N))
         even_block, odd_block = part[2:]
@@ -403,7 +403,7 @@ def test_continuation_jacobian_splits_exactly_on_decoupled_loops(
         ref = FourierLoop(phase * loop.a0, phase * loop.acos, loop.asin)
         J = full_continuation_jacobian(p, ref, k0, M, z)
         scale = float(np.abs(J).max())
-        _, jac, _ = _continuation_system(p, ref, 1.5, k0, M)
+        _, jac = _continuation_system(p, ref, 1.5, k0, M)
         parts = jac(z)
         assert sorted(len(part[1]) // (N + 1) for part in parts) \
             == [1] * (p.n - len(axes)) + [len(axes)]
@@ -463,10 +463,10 @@ def test_singular_block_of_a_part_without_lambda_fails_the_point():
     p = linear_problem({0: 1.0, 1: 1.0}, {0: 4.0})
     N, k0 = 4, 1
     seed = FourierLoop.single_mode(k0, [2.0, 0.0], N)
-    func, jac, solve = _continuation_system(p, seed, 2.0, k0, 4 * N + 1)
+    func, jac = _continuation_system(p, seed, 2.0, k0, 4 * N + 1)
     z0 = np.concatenate([seed.pack(), [0.5]])
     assert [len(part[1]) for part in jac(z0)] == [N + 2, N + 1]
-    *_, sv = _gauss_newton(func, z0, jac, solve)
+    *_, sv = _gauss_newton(func, z0, jac)
     with pytest.raises(SingularJacobianError) as err:
         _rank_checked(sv())
     assert err.value.cond > 1e14
@@ -476,19 +476,15 @@ def test_converged_point_with_rank_deficient_jacobian_fails(monkeypatch):
     # continuation takes each converged point's singular values for its
     # jacobian_cond; a zero among them turns the point into a failed marker
     ex = example2()
-    system = galerkin._continuation_system
+    solve = galerkin._solve_parts
 
-    def deficient_system(*args):
-        func, jac, solve = system(*args)
-
-        def deficient(parts, f):
-            step, sv = solve(parts, f)
-            return step, lambda: np.r_[sv(), 0.0]
-        return func, jac, deficient
+    def deficient(parts, f):
+        step, sv = solve(parts, f)
+        return step, lambda: np.r_[sv(), 0.0]
 
     branch = continue_to_infinity(ex.problem(), _resonance(ex, 0.0), [4.0, 8.0])
     assert not any(bp.failed for bp in branch)
-    monkeypatch.setattr(galerkin, "_continuation_system", deficient_system)
+    monkeypatch.setattr(galerkin, "_solve_parts", deficient)
     branch = continue_to_infinity(ex.problem(), _resonance(ex, 0.0), [4.0, 8.0])
     assert len(branch) == 1 and branch[0].failed
 
@@ -542,21 +538,21 @@ def test_reversible_step_agrees_with_the_full_solve(monkeypatch, make, lam0, mod
     system = galerkin._continuation_system
 
     def recording_system(p, ref, R, k0, M):
-        func, jac, solve = system(p, ref, R, k0, M)
+        func, jac = system(p, ref, R, k0, M)
 
         def rec(z):
             last_z[R] = (p, ref, k0, M, z.copy())
             return jac(z)
-        return func, rec, solve
+        return func, rec
 
     def full_system(p, ref, R, k0, M):
-        func, _, _ = system(p, ref, R, k0, M)
-        return (func, lambda z: full_continuation_jacobian(p, ref, k0, M, z),
-                _lstsq_step)
+        func, _ = system(p, ref, R, k0, M)
+        return func, lambda z: full_continuation_jacobian(p, ref, k0, M, z)
 
     monkeypatch.setattr(galerkin, "_continuation_system", recording_system)
     new = continue_to_infinity(ex.problem(), r, [4.0, 16.0, 64.0], modes)
     monkeypatch.setattr(galerkin, "_continuation_system", full_system)
+    monkeypatch.setattr(galerkin, "_solve_parts", _lstsq_step)
     ref = continue_to_infinity(ex.problem(), r, [4.0, 16.0, 64.0], modes)
     assert len(new) == len(ref) == 3
     for a, b in zip(new, ref):
@@ -572,7 +568,7 @@ def test_reversible_step_agrees_with_the_full_solve(monkeypatch, make, lam0, mod
         assert a.jacobian_cond == pytest.approx(sv[0] / sv[-1], rel=1e-6)
 
 
-def test_reversible_step_detects_a_singular_odd_block():
+def test_reversible_step_detects_a_singular_odd_block(monkeypatch):
     # n = 1, N = 2: the even block is the identity, the odd block has two
     # equal columns, so only the singular values of the odd block reveal
     # that the full Jacobian is rank deficient
@@ -584,17 +580,16 @@ def test_reversible_step_detects_a_singular_odd_block():
     J[even_rows, even_cols] = 1.0
     J[np.ix_(odd_rows, odd_cols)] = 1.0
     func = lambda z: np.ones(dim + 2)
-    _, _, block_solve = _continuation_system(linear_problem({0: 1.0}),
-                                             FourierLoop.zero(n, N), 1.0, 1, 9)
-    for blocks, solve in (([(even_rows, even_cols, even, odd)], block_solve),
+    for blocks, solve in (([(even_rows, even_cols, even, odd)], galerkin._solve_parts),
                           (J, _lstsq_step)):
         calls = []
+        monkeypatch.setattr(galerkin, "_solve_parts", solve)
 
         def jac(z):
             calls.append(z)
             return blocks
         with pytest.raises(SingularJacobianError) as err:
-            _gauss_newton(func, np.zeros(dim + 1), jac, solve)
+            _gauss_newton(func, np.zeros(dim + 1), jac)
         assert err.value.cond > 1e14
         # the step leaves the residual as it was, so the rank check on that
         # first Jacobian stops the iteration before a second is assembled
@@ -727,9 +722,9 @@ def test_exactly_singular_idle_part_is_left_to_the_rank_check():
     (r,) = scan_resonances(scanned, -0.5, 0.5)
     N, k0 = 4, 1
     seed = FourierLoop.single_mode(k0, [2.0, 0.0], N)
-    func, jac, solve = _continuation_system(p, seed, 2.0, k0, 4 * N + 1)
+    func, jac = _continuation_system(p, seed, 2.0, k0, 4 * N + 1)
     z0 = np.concatenate([seed.pack(), [r.lambda0]])
-    z, norm, _, sv = _gauss_newton(func, z0, jac, solve)
+    z, norm, _, sv = _gauss_newton(func, z0, jac)
     assert norm <= galerkin.NEWTON_TOL
     with pytest.raises(SingularJacobianError) as err:
         _rank_checked(sv())
@@ -746,11 +741,9 @@ def test_exactly_singular_even_block_raises_singular_jacobian():
     dim = n * (2 * N + 1)
     even_rows, even_cols, _, _ = block_indices(n, N)
     even, odd = np.zeros((n * (N + 1) + 1,) * 2), np.eye(n * N + 1, n * N)
-    _, _, solve = _continuation_system(linear_problem({0: 1.0}),
-                                       FourierLoop.zero(n, N), 1.0, 1, 9)
     with pytest.raises(SingularJacobianError) as err:
         _gauss_newton(lambda z: np.ones(dim + 2), np.zeros(dim + 1),
-                      lambda z: [(even_rows, even_cols, even, odd)], solve)
+                      lambda z: [(even_rows, even_cols, even, odd)])
     assert err.value.cond == math.inf
 
 
@@ -766,12 +759,12 @@ def test_rank_check_runs_where_a_step_does_not_lower_the_residual(monkeypatch):
     rank_failures = []
 
     def counting_system(p, ref, R, k0, M):
-        func, jac, solve = system(p, ref, R, k0, M)
+        func, jac = system(p, ref, R, k0, M)
 
         def counted(z):
             jacobians[R] = jacobians.get(R, 0) + 1
             return jac(z)
-        return func, counted, solve
+        return func, counted
 
     def recording_rank_check(sv):
         try:
@@ -1107,7 +1100,7 @@ def test_continuation_needs_positive_frequency():
     from equideg.reps import RepDecomposition
     from equideg.spectral import ResonancePoint
     ex = example2()
-    r = ResonancePoint(0.0, frozenset({0}), RepDecomposition(((1, 0),)))
+    r = ResonancePoint(0.0, RepDecomposition(((1, 0),)))
     assert not r.det_nonzero
     with pytest.raises(ValueError, match="positive frequency"):
         continue_to_infinity(ex.problem(), r, [1.0])

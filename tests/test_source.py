@@ -1,6 +1,7 @@
 """Static checks over the package source."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -90,15 +91,28 @@ def test_every_dataclass_is_frozen(path):
     assert unfrozen_dataclasses(path.read_text()) == []
 
 
-def imports_of(source, package):
-    """Modules of ``package`` that the source imports, at any depth of the
-    file (function bodies too), in order."""
+def absolute_imports(source):
+    """Modules the source imports by absolute name, at any depth of the
+    file (function bodies too), in order; relative imports are left out."""
     nodes = list(ast.walk(ast.parse(source)))
     names = [alias.name for node in nodes if isinstance(node, ast.Import)
              for alias in node.names]
     names += [node.module for node in nodes
               if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module]
-    return [name for name in names if name == package or name.startswith(package + ".")]
+    return names
+
+
+def imports_of(source, package):
+    """Modules of ``package`` that the source imports, as absolute_imports."""
+    return [name for name in absolute_imports(source)
+            if name == package or name.startswith(package + ".")]
+
+
+def dependencies(source):
+    """Modules the source imports from outside the standard library,
+    numpy included, as absolute_imports."""
+    return [name for name in absolute_imports(source)
+            if name.split(".")[0] not in sys.stdlib_module_names]
 
 
 def test_imports_of_finds_a_nested_import():
@@ -111,3 +125,16 @@ def test_imports_of_finds_a_nested_import():
 # the oracles stay independent of the code they check
 def test_oracles_import_nothing_from_the_package():
     assert imports_of(ORACLES.read_text(), "equideg") == []
+
+
+def test_dependencies_finds_a_third_party_import():
+    assert dependencies("import os.path\nimport numpy as np\nimport scipy\n"
+                        "from . import spectral\nfrom numpy.linalg import svd\n"
+                        "def f():\n    from scipy.linalg import eigh\n") \
+        == ["numpy", "scipy", "numpy.linalg", "scipy.linalg"]
+
+
+# numpy is the package's only dependency
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_numpy_is_the_only_dependency(path):
+    assert {name.split(".")[0] for name in dependencies(path.read_text())} <= {"numpy"}
