@@ -55,8 +55,7 @@ def _coefficient(token, where):
         sign = -1.0 if body[0] == "-" else 1.0
         body = body[1:]
     if body in NAMED_CONSTANTS:
-        # named constants resolve to 17-significant-digit literals
-        return sign * float(f"{NAMED_CONSTANTS[body]:.17g}")
+        return sign * NAMED_CONSTANTS[body]
     try:
         return sign * float(body)
     except ValueError:

@@ -9,40 +9,41 @@ retained modes gives the residual
     R_k^sin  = -k^2 b_k + s_k
 
 with (c, s) the transform of t -> grad V(u(t), lambda) on M equispaced
-nodes (the solvers use 4N+1; the residual needs at least 2N+2).  A
-Gauss-Newton iteration on the residual augmented with a phase condition
-(and, for continuation, an amplitude pin with lambda freed) runs to
-NEWTON_TOL in at most NEWTON_MAX_ITER steps.  The truncation order N is
-the solvers' only setting: newton_solve keeps its guess's and
-continue_to_infinity takes ``modes``.  The branch points' measured minimal
+nodes (the solvers use 4N+1; the residual needs at least 2N+2).  A Newton
+iteration on the residual (for continuation, with an amplitude pin and
+lambda freed) runs to NEWTON_TOL in at most NEWTON_MAX_ITER steps.  The
+truncation order N is the solvers' only setting: newton_solve keeps its
+guess's and continue_to_infinity takes ``modes``.  The branch points' measured minimal
 periods, lambda drift and energy drift are the numerical evidence the
 analysis module's predictions are checked against.  Each step assembles
 the Jacobian in closed form from the potential's Hessian at the nodes
 (for a user perturbation, a central difference of its gradient).
 
-Both solvers work in the time-reversible subspace.  Three facts make a
-loop even in t (asin = 0) stay even: continuation's seeds R v cos(k0 t)
-and rescaled points, and every newton_solve guess, are even; the system
-is reversible (u'' = -grad V(u) is autonomous and second order, so
-t -> u(-t) maps solutions to solutions); and the nodes t_m = 2 pi m / M
-are symmetric (t_m -> -t_m is m -> M - m).  At an even iterate the
-Hessian samples are even in m, their sine coefficients vanish, and the
-Jacobian is block diagonal up to a permutation: an even block (cos rows
-against a0 and acos, bordered in continuation by the pin row and the
-lambda column) and an odd block (sin rows and the phase row against
-asin).  Both split further over the connected components of the
-coordinates (i and j couple where H[:, i, j] is not exactly 0 at every
-node) and one node for the constraints (see _part_builder): a loop on one
-axis of a diagonal A(lambda) gives n parts of side N+1 or N+2, a coupled
-problem one part.  The residual's sin part is roundoff, so a Gauss-Newton
-step is one LU solve of the even block of each part whose residual rows
-are not all exactly 0 (the idle axes step by exactly 0) and keeps asin
-exactly 0.  An iterate is sampled once, for its residual and Jacobian.
-Both solvers run with numpy's overflow and invalid results raised as
-FloatingPointError, so a loop too large for floating point fails by name.
+Both solvers work on the loops even in t (asin = 0), which meet each
+time-shift orbit of solutions only in isolated points, so no phase
+condition is needed.  Three facts make an even loop stay even:
+continuation's seeds R v cos(k0 t) and rescaled points, and every
+newton_solve guess, are even; the system is reversible (u'' = -grad V(u)
+is autonomous and second order, so t -> u(-t) maps solutions to
+solutions); and the nodes t_m = 2 pi m / M are symmetric (t_m -> -t_m is
+m -> M - m).  At an even iterate the Hessian samples are even in m, their
+sine coefficients vanish, the cos rows do not see the sin columns, and
+the sin rows are roundoff.  The solvers' system is the square cosine
+system: cos rows against a0 and acos, bordered in continuation by the pin
+row and the lambda column.  It splits over the connected components of
+the coordinates (i and j couple where H[:, i, j] is not exactly 0 at
+every node) and one node for the border (see _part_builder): a loop on
+one axis of a diagonal A(lambda) gives n parts of side N+1 or N+2, a
+coupled problem one part.  A step is one LU solve of each part whose
+residual rows are not all exactly 0 (the idle axes step by exactly 0) and
+keeps asin exactly 0; convergence is judged on the whole residual, sin
+rows included.  An iterate is sampled once, for its residual and
+Jacobian.  Both solvers run with numpy's overflow and invalid results
+raised as FloatingPointError, so a loop too large for floating point
+fails by name.
 
-The singular values of every part's two blocks, whose union is the whole
-Jacobian's, feed the rank check.  They are taken where the iteration
+The singular values of every part's block, whose union is the cosine
+system's, feed the rank check.  They are taken where the iteration
 stops unconverged, on a Jacobian whose step did not lower the residual
 max-norm (so a rank-deficient system stops within a few steps), and by
 continuation alone at a converged point, for its jacobian_cond.
@@ -76,7 +77,7 @@ class NewtonConvergenceError(RuntimeError):
 
 
 class SingularJacobianError(RuntimeError):
-    """Augmented Jacobian is rank deficient."""
+    """The Jacobian Newton steps with is rank deficient."""
 
     def __init__(self, message, cond):
         super().__init__(f"{message} (condition estimate {cond:.3e})")
@@ -251,20 +252,11 @@ def _sampler(n, N, M):
     return samples
 
 
-def _phase_row(ref):
-    """Phase-condition row: row @ x pairs u with d/dt u_ref over a period, 0
-    at x = ref."""
-    k = np.arange(1, ref.N + 1)[:, None]
-    return math.pi * np.concatenate([np.zeros(ref.n), np.stack(
-        [k * ref.asin, -k * ref.acos], axis=1).ravel()])
-
-
 def _packed(n, N, nodes):
     """Packed positions of the cos coefficients (k, i), k = 0..N (a0, then
-    acos_k), and of the sin ones, k = 1..N, for i in nodes, k-major."""
+    acos_k), for i in nodes, k-major."""
     k = np.arange(N + 1)[:, None]
-    return ((np.maximum(2 * k - 1, 0) * n + nodes).ravel(),
-            (2 * k[1:] * n + nodes).ravel())
+    return (np.maximum(2 * k - 1, 0) * n + nodes).ravel()
 
 
 @functools.lru_cache(maxsize=1)
@@ -298,45 +290,41 @@ def _components(linked):
     return [np.flatnonzero(first == c) for c in roots]
 
 
-def _cos_blocks(hc, layout):
-    """The cos/cos and sin/sin blocks of the residual Jacobian
-    P diag(H(u(t_m))) T - diag(k^2), the whole of it at a loop even in t.
+def _cos_block(hc, layout):
+    """The cos/cos block of the residual Jacobian P diag(H(u(t_m))) T -
+    diag(k^2), its rows and columns a0 and acos.
 
     With hc[j] - i hs[j] = (1/M) sum_m H(u(t_m)) exp(-i j t_m), the product
     formulas for cos/sin give the block of mode-k rows against mode-l
     columns as a Toeplitz part in k - l plus a Hankel part in k + l
-    (indices mod M, exact for the discrete sums): hc[k-l] + hc[k+l] and
-    hc[k-l] - hc[k+l], the mean row halved, k^2 off the diagonal.  The
-    cos/sin blocks hs[k+l] -/+ hs[k-l] vanish at an even loop."""
+    (indices mod M, exact for the discrete sums): hc[k-l] + hc[k+l], the
+    mean row halved, k^2 off the diagonal.  The cos/sin blocks
+    hs[k+l] -/+ hs[k-l] vanish at an even loop."""
     k, dif, tot = layout
-    n, hc, d = hc.shape[1], hc.ravel(), np.diag_indices(len(k))
-    toe, han = hc[dif], hc[tot]
-    cc, ss = toe + han, toe - han
+    n, hc = hc.shape[1], hc.ravel()
+    cc = hc[dif] + hc[tot]
     cc[:n] *= 0.5
-    cc[d], ss[d] = cc[d] - k * k, ss[d] - k * k
-    return cc, ss[n:, n:]
+    cc[np.diag_indices(len(k))] -= k * k
+    return cc
 
 
-def _part_builder(n, N, M, phase):
-    """parts(H, border=None): the Jacobian of the residual and the phase
-    row ``phase`` (_phase_row, built once) at a loop even in t with Hessian
-    samples H, as uncoupled parts (rows, cols, even, odd), one per component.
+def _part_builder(n, N, M):
+    """parts(H, border=None): the Jacobian of the residual's cos rows
+    against a0 and acos at a loop even in t with Hessian samples H, as
+    uncoupled parts (positions, block), one per component.
 
-    Coordinates i and j are linked where H[:, i, j] is not all exactly 0,
-    and one more node holds the phase row, linked to the coordinates whose
-    sin columns it touches; continuation's ``border`` = (lambda column,
-    pin row) joins that node, linked to the coordinates whose cos entries
-    it touches.  Entries between components are exactly 0.  A part holds
-    its even block (_cos_blocks, bordered in the node's part) on the rows
-    and columns ``rows``, ``cols`` of the whole, and its odd block, with
-    the phase row in the node's part.  A node left with no coordinates (a
-    constant guess's phase row is 0) gives no part.
+    Coordinates i and j are linked where H[:, i, j] is not all exactly 0;
+    continuation's ``border`` = (lambda column, pin row) is one more node,
+    linked to the coordinates whose cos entries it touches.  Entries
+    between components are exactly 0.  A part holds its block (_cos_block,
+    bordered in the node's part) on the rows and columns ``positions`` of
+    the whole; the pin row and the lambda column share the position dim.
     """
     dim = n * (2 * N + 1)
-    cos, sin = _packed(n, N, np.arange(n))
-    phase_nodes = (phase[sin].reshape(N, n) != 0.0).any(axis=0)
-    # the link pattern -> each component's nodes, coordinates, their packed
-    # positions and _layout; kept, so a pattern is split once per solve
+    cos = _packed(n, N, np.arange(n))
+    # the link pattern -> each component's coordinates, their packed
+    # positions, _layout and whether it holds the border; kept, so a
+    # pattern is split once per solve
     split = {}
 
     def parts(H, border=None):
@@ -346,31 +334,23 @@ def _part_builder(n, N, M, phase):
         I, J = np.nonzero(linked[:n, :n])
         hc = np.zeros(H.shape)
         hc[:, I, J] = (np.fft.fft(H[:, I, J], axis=0) / M).real
-        linked[:n, n] = phase_nodes
         if border is not None:
             lam_col, pin_row = border
             touched = (lam_col[cos] != 0.0) | (pin_row[cos] != 0.0)
-            linked[:n, n] |= touched.reshape(N + 1, n).any(axis=0)
+            linked[:n, n] = touched.reshape(N + 1, n).any(axis=0)
         linked |= linked.T
         key = linked.tobytes()
         if key not in split:
-            split[key] = [(nodes, S, *_packed(n, N, S), _layout(len(S), N, M))
+            split[key] = [(S, _packed(n, N, S), _layout(len(S), N, M), n in nodes)
                           for nodes in _components(linked)
                           if len(S := nodes[nodes < n])]
         out = []
-        for nodes, S, cos_S, sin_S, layout in split[key]:
-            cc, ss = _cos_blocks(hc[:, S][:, :, S], layout)
-            if len(S) == len(nodes):
-                out.append((cos_S, cos_S, cc, ss))
-            elif border is None:
-                out.append((cos_S, cos_S, cc, np.vstack([ss, phase[sin_S]])))
-            else:
-                even = np.zeros((len(cos_S) + 1,) * 2)
-                even[:-1, :-1] = cc
-                even[:-1, -1] = lam_col[cos_S]
-                even[-1, :-1] = pin_row[cos_S]
-                out.append((np.append(cos_S, dim + 1), np.append(cos_S, dim), even,
-                            np.vstack([ss, phase[sin_S]])))
+        for S, pos, layout, bordered in split[key]:
+            block = _cos_block(hc[:, S][:, :, S], layout)
+            if bordered:
+                block = np.block([[block, lam_col[pos, None]], [pin_row[pos], 0.0]])
+                pos = np.append(pos, dim)
+            out.append((pos, block))
         return out
 
     return parts
@@ -378,22 +358,21 @@ def _part_builder(n, N, M, phase):
 
 def _solve_parts(parts, f):
     """The step for parts (_part_builder) and residual f: one LU solve of
-    each even block whose rows of f are not all exactly 0 (else its LU
-    gives exactly 0), 0 on asin, or None when one is exactly singular, an
-    idle one left to the rank check; the phase row is the one equation
-    more than unknowns, so the step has len(f) - 1 entries.  Also a
-    callable for the singular values of every distinct block: a block with
-    the shape and bytes of one already taken is skipped, so they are those
-    of the whole Jacobian as a set, extremes included."""
+    each block whose entries of f are not all exactly 0 (else its LU gives
+    exactly 0), 0 on asin, or None when one is exactly singular, an idle
+    one left to the rank check.  Also a callable for the singular values of
+    every distinct block: a block with the shape and bytes of one already
+    taken is skipped, so they are those of the whole system as a set,
+    extremes included."""
     def sv():
-        blocks = {(b.shape, b.tobytes()): b for part in parts for b in part[2:]}
+        blocks = {(b.shape, b.tobytes()): b for _, b in parts}
         return np.concatenate([np.linalg.svd(b, compute_uv=False)
                                for b in blocks.values()])
-    step = np.zeros(len(f) - 1)
+    step = np.zeros(len(f))
     try:
-        for rows, cols, even, _ in parts:
-            if (rhs := f[rows]).any():
-                step[cols] = np.linalg.solve(even, -rhs)
+        for pos, block in parts:
+            if (rhs := f[pos]).any():
+                step[pos] = np.linalg.solve(block, -rhs)
     except np.linalg.LinAlgError:
         return None, sv
     return step, sv
@@ -406,14 +385,13 @@ def _rank_checked(sv):
     smax, smin = float(sv.max()), float(sv.min())
     cond = smax / smin if smin > 0.0 else math.inf
     if smin <= 1e-14 * smax:
-        raise SingularJacobianError("augmented Jacobian is rank deficient",
-                                    cond=cond)
+        raise SingularJacobianError("Jacobian is rank deficient", cond=cond)
     return cond
 
 
 def _gauss_newton(func, x0, jac):
-    """Gauss-Newton on an overdetermined system, to NEWTON_TOL in at most
-    NEWTON_MAX_ITER steps.
+    """Newton on the cosine system, to NEWTON_TOL in at most NEWTON_MAX_ITER
+    steps.
 
     Convergence is checked before the first step, so an exact initial
     guess returns without assembling a Jacobian, and a residual that is
@@ -449,7 +427,7 @@ def _gauss_newton(func, x0, jac):
                 f"(residual {norm:.3e}, tolerance {NEWTON_TOL:.3e})")
         step, sv = _solve_parts(jac(x), f)
         if step is None:
-            raise SingularJacobianError("augmented Jacobian is singular",
+            raise SingularJacobianError("Jacobian is singular",
                                         cond=_rank_checked(sv()))
         x, last = x + step, norm
     raise AssertionError("unreachable")
@@ -459,12 +437,11 @@ def newton_solve(guess, lam, p):
     """Solve the projected system at fixed lambda from a caller's guess.
 
     The guess must be even in t (asin = 0, as every branch point is), and
-    so is the solution: each step solves the even blocks of _part_builder's
-    parts.  The solve keeps the guess's truncation order; pad the guess
-    first (FourierLoop.truncated) to solve with more modes.  A phase
-    condition against the guess derivative removes the time-shift
-    degeneracy.  A converged solve takes no singular values, so it does not
-    raise SingularJacobianError when its last Jacobian is rank deficient to
+    so is the solution: each step solves _part_builder's parts, so no phase
+    condition is needed.  The solve keeps the guess's truncation order; pad
+    the guess first (FourierLoop.truncated) to solve with more modes.  A
+    converged solve takes no singular values, so it does not raise
+    SingularJacobianError when its last Jacobian is rank deficient to
     1e-14; a stalled, singular or exhausted one still does.  A part whose
     residual rows are all exactly 0 is not solved (_solve_parts), so an
     exactly singular block there raises only through that rank check.  A
@@ -475,11 +452,10 @@ def newton_solve(guess, lam, p):
                          "shift the loop so that it is")
     n, N = guess.n, guess.N
     M = _nodes(None, N)
-    phase = _phase_row(guess)
-    build, samples = _part_builder(n, N, M, phase), _sampler(n, N, M)
+    build, samples = _part_builder(n, N, M), _sampler(n, N, M)
 
     def func(x):
-        return np.concatenate([_residual(x, samples(x), lam, p), [phase @ x]])
+        return _residual(x, samples(x), lam, p)
 
     def jac(x):
         return build(p.hessian_many(samples(x), lam))
@@ -491,18 +467,16 @@ def newton_solve(guess, lam, p):
 
 def _continuation_system(p, ref, R, k0, M):
     """(func, jac) of the augmented system in z = (packed loop, lambda):
-    residual, phase condition against ref, and the mode-k0 coefficient norm
-    pinned to R.  jac gives _part_builder's parts with the lambda column and
-    pin row as border."""
+    residual, and the mode-k0 coefficient norm pinned to R.  jac gives
+    _part_builder's parts with the lambda column and pin row as border."""
     n, N = ref.n, ref.N
     dim = n * (2 * N + 1)
     pin = slice(n + 2 * n * (k0 - 1), n + 2 * n * k0)  # acos_k0, asin_k0
-    phase = _phase_row(ref)
-    build, samples = _part_builder(n, N, M, phase), _sampler(n, N, M)
+    build, samples = _part_builder(n, N, M), _sampler(n, N, M)
 
     def func(z):
         return np.concatenate([_residual(z[:-1], samples(z), z[-1], p),
-                               [phase @ z[:-1], float(np.linalg.norm(z[pin])) - R]])
+                               [float(np.linalg.norm(z[pin])) - R]])
 
     def jac(z):
         lam, u = z[-1], samples(z)
@@ -530,11 +504,11 @@ def _kernel_directions(p, r):
 def continue_to_infinity(p, r, amplitudes, modes=DEFAULT_MODES, direction=0):
     """Follow the branch rooted at a resonance toward large amplitude.
 
-    For each requested amplitude R the augmented system (residual, phase
-    condition, mode-k0 coefficient norm = R) is solved for the loop and
-    lambda jointly, seeded from R * v * cos(k0 t) at first and from the
-    rescaled previous solution afterwards.  Both seeds are even in t, so
-    each step solves only the even block (see the module docstring).  A
+    For each requested amplitude R the augmented system (residual,
+    mode-k0 coefficient norm = R) is solved for the loop and lambda
+    jointly, seeded from R * v * cos(k0 t) at first and from the rescaled
+    previous point afterwards.  Both seeds are even in t, so each step
+    solves only the cosine system (see the module docstring).  A
     failed solve appends a marker point and truncates the branch; so does
     a point whose solve overflows or meets an invalid value, raised as
     FloatingPointError for that solve alone.  The measurements of a
@@ -557,15 +531,14 @@ def continue_to_infinity(p, r, amplitudes, modes=DEFAULT_MODES, direction=0):
     M = _nodes(None, N)
     lam0 = r.lambda0
     branch = []
-    prev = None
-    prev_lam = lam0
     for R in amplitudes:
-        if prev is None:
-            seed = FourierLoop.single_mode(k0, R * vec, N)
+        if branch:
+            prev = branch[-1]
+            ratio, prev_lam = R / prev.amplitude, prev.lam
+            seed = FourierLoop(prev.loop.a0 * ratio, prev.loop.acos * ratio,
+                               prev.loop.asin * ratio)
         else:
-            ratio = R / branch[-1].amplitude
-            seed = FourierLoop(prev.a0 * ratio, prev.acos * ratio,
-                               prev.asin * ratio)
+            seed, prev_lam = FourierLoop.single_mode(k0, R * vec, N), lam0
         try:
             with np.errstate(over="raise", invalid="raise"):
                 z0 = np.concatenate([seed.pack(), [prev_lam]])
@@ -592,7 +565,6 @@ def continue_to_infinity(p, r, amplitudes, modes=DEFAULT_MODES, direction=0):
                 f"lambda drift grew to {abs(lam - lam0):.3g} at amplitude {R:g}; "
                 "the branch may not meet this resonance", DivergenceWarning,
                 stacklevel=2)
-        prev, prev_lam = loop, lam
     return branch
 
 

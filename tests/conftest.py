@@ -1,4 +1,5 @@
 import os
 import sys
 
-sys.path.insert(0, os.path.dirname(__file__))
+here = os.path.dirname(__file__)
+sys.path[:0] = [here, os.path.join(os.path.dirname(here), "src")]

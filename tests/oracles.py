@@ -116,6 +116,38 @@ def _analytic_jacobian(loop, lam, p, M):
     return J
 
 
+def phase_row(ref):
+    """Phase-condition row against the loop ``ref``: row @ x pairs u with
+    d/dt u_ref over a period, 0 at x = ref.  It removes the time-shift
+    degeneracy of the full system, which the even loops do not have."""
+    k = np.arange(1, ref.N + 1)[:, None]
+    return math.pi * np.concatenate([np.zeros(ref.n), np.stack(
+        [k * ref.asin, -k * ref.acos], axis=1).ravel()])
+
+
+def full_continuation_jacobian(p, ref, k0, M, loop, lam):
+    """The whole augmented continuation Jacobian at (loop, lambda), with a
+    phase row against ``ref``.  Rows are the packed residual, the phase row
+    at dim and the pin row (the mode-k0 coefficient norm) at dim + 1;
+    columns are the packed loop and lambda at dim.  The lambda column is
+    the trigonometric sum of d/dlambda grad V over the M nodes, term by
+    term, with no FFT."""
+    n, N = loop.n, loop.N
+    dim = n * (2 * N + 1)
+    t = 2.0 * math.pi * np.arange(M) / M
+    k = np.arange(1, N + 1)[:, None]
+    g = p.gradient_lambda_many(loop.values(M), lam)
+    pin = slice((2 * k0 - 1) * n, (2 * k0 + 1) * n)  # acos_k0, asin_k0
+    x = loop.pack()
+    J = np.zeros((dim + 2, dim + 1))
+    J[:dim, :dim] = _analytic_jacobian(loop, lam, p, M)
+    J[:dim, dim] = np.concatenate([g.mean(axis=0), np.stack(
+        [np.cos(k * t) @ g, np.sin(k * t) @ g], axis=1).ravel() * (2.0 / M)])
+    J[dim, :dim] = phase_row(ref)
+    J[dim + 1, pin] = x[pin] / np.linalg.norm(x[pin])
+    return J
+
+
 def _lstsq_step(J, f):
     """Least-squares step -J^+ f, and the singular values of J, which the
     least-squares solve has already taken."""

@@ -13,16 +13,16 @@ import pytest
 from equideg import galerkin
 from equideg.bifurcation import IndexRule, Perturbation, ProblemSpec
 from equideg.galerkin import (FourierLoop, NewtonConvergenceError,
-                              SingularJacobianError, _coeffs,
-                              _continuation_system, _gauss_newton, _phase_row,
-                              _rank_checked, continue_to_infinity,
-                              energy_drift, minimal_period,
-                              minimal_period_divisor, newton_solve, residual,
-                              write_branch_csv)
+                              SingularJacobianError, _continuation_system,
+                              _gauss_newton, _rank_checked,
+                              continue_to_infinity, energy_drift,
+                              minimal_period, minimal_period_divisor,
+                              newton_solve, residual, write_branch_csv)
 from equideg.problems import example1, example2, example3
 from equideg.spectral import MatrixFamily, scan_resonances
 
-from oracles import _analytic_jacobian, _lstsq_step, fd_jacobian
+from oracles import (_analytic_jacobian, _lstsq_step, fd_jacobian,
+                     full_continuation_jacobian, phase_row)
 
 
 def linear_problem(*diag_polys, pert=None):
@@ -211,11 +211,11 @@ def test_residual_node_count_guard():
 def test_phase_row_zero_at_reference():
     rng = np.random.default_rng(9)
     loop = random_loop(rng, 3, 4)
-    assert _phase_row(loop) @ loop.pack() == pytest.approx(0.0, abs=1e-12)
+    assert phase_row(loop) @ loop.pack() == pytest.approx(0.0, abs=1e-12)
     other = random_loop(rng, 3, 4)
     # antisymmetry of the pairing
-    assert _phase_row(loop) @ other.pack() == pytest.approx(
-        -(_phase_row(other) @ loop.pack()))
+    assert phase_row(loop) @ other.pack() == pytest.approx(
+        -(phase_row(other) @ loop.pack()))
 
 
 # ------------------------------------------------------------------ jacobians
@@ -244,45 +244,25 @@ def parity_indices(n, N):
 
 
 def block_indices(n, N):
-    """(even rows, even columns, odd rows, odd columns) of the augmented
-    Jacobian: rows are the packed residual, the phase row dim and the pin
-    row dim + 1; columns are the packed loop and lambda at dim."""
+    """(rows, columns) of the cosine system in full_continuation_jacobian:
+    the cos rows and the pin row dim + 1 against the cos columns and
+    lambda at dim."""
     dim = n * (2 * N + 1)
-    cos, sin = parity_indices(n, N)
-    return np.r_[cos, dim + 1], np.r_[cos, dim], np.r_[sin, dim], sin
+    cos, _ = parity_indices(n, N)
+    return np.r_[cos, dim + 1], np.r_[cos, dim]
 
 
 def part_indices(n, N, part):
-    """(even rows, even columns, odd rows, odd columns) of one part of the
-    continuation Jacobian, (rows, cols, even, odd), in the numbering of
-    block_indices: its coordinates are its k = 0 columns, and it holds the
-    phase row when it holds the lambda column."""
-    rows, cols, _, _ = part
+    """(rows, columns) of one part (positions, block) of the continuation
+    Jacobian in the numbering of block_indices: the part's pin row shares
+    the position dim with its lambda column."""
+    pos, _ = part
     dim = n * (2 * N + 1)
-    _, sin = parity_indices(n, N)
-    odd_cols = sin.reshape(N, n)[:, cols[cols < n]].ravel()
-    odd_rows = np.r_[odd_cols, dim] if dim in cols else odd_cols
-    return rows, cols, odd_rows, odd_cols
+    return np.where(pos == dim, dim + 1, pos), pos
 
 
 def same_indices(a, b):
     return all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
-
-
-def full_continuation_jacobian(p, ref, k0, M, z):
-    """The whole augmented Jacobian of _continuation_system's func, built
-    from the full harmonic-balance matrix: the reference the even and odd
-    blocks are checked against."""
-    n, N = ref.n, ref.N
-    dim = n * (2 * N + 1)
-    pin = slice(n + 2 * n * (k0 - 1), n + 2 * n * k0)  # acos_k0, asin_k0
-    lp, lam = FourierLoop.unpack(z[:-1], n, N), z[-1]
-    J = np.zeros((dim + 2, dim + 1))
-    J[:dim, :dim] = _analytic_jacobian(lp, lam, p, M)
-    J[:dim, dim] = _coeffs(p.gradient_lambda_many(lp.values(M), lam), N)
-    J[dim, :dim] = _phase_row(ref)
-    J[dim + 1, pin] = z[pin] / np.linalg.norm(z[pin])
-    return J
 
 
 def even_loop(rng, n, N, scale=1.0):
@@ -292,68 +272,60 @@ def even_loop(rng, n, N, scale=1.0):
 
 @pytest.mark.parametrize("make", [example1, example2, example3])
 def test_continuation_jacobian_matches_finite_differences(make):
-    # the augmented system at even loops: lambda column (example 1 has a
-    # lambda^2 Kepler scale and a lambda-dependent family) and pin row in
-    # the even block, phase row in the odd block
+    # the cosine system at even loops: the lambda column (example 1 has a
+    # lambda^2 Kepler scale and a lambda-dependent family) and the pin row
+    # border the cos/cos block and share the position dim
     p = make().problem()
     rng = np.random.default_rng(11)
     N, M, k0 = 3, 13, 2
-    even_rows, even_cols, odd_rows, odd_cols = block_indices(p.n, N)
+    cos, _ = parity_indices(p.n, N)
     for _ in range(5):
         ref = even_loop(rng, p.n, N, scale=0.5)
         func, jac = _continuation_system(p, ref, 1.5, k0, M)
         z = np.concatenate([even_loop(rng, p.n, N, scale=0.5).pack(),
                             [rng.uniform(-0.9, 0.9)]])
-        (part,) = jac(z)    # the random loop uses every coordinate
-        assert same_indices(part_indices(p.n, N, part), block_indices(p.n, N))
-        even, odd = part[2:]
+        ((pos, block),) = jac(z)    # the random loop uses every coordinate
+        assert np.array_equal(pos, np.r_[cos, p.n * (2 * N + 1)])
+        assert block.shape == (p.n * (N + 1) + 1,) * 2
         J_fd = fd_jacobian(func, z, func(z))
-        assert even.shape == (p.n * (N + 1) + 1,) * 2
-        assert odd.shape == (p.n * N + 1, p.n * N)
-        scale = max(1.0, float(np.abs(even).max()), float(np.abs(odd).max()))
-        assert np.abs(even - J_fd[np.ix_(even_rows, even_cols)]).max() / scale < 1e-5
-        assert np.abs(odd - J_fd[np.ix_(odd_rows, odd_cols)]).max() / scale < 1e-5
+        scale = max(1.0, float(np.abs(block).max()))
+        assert np.abs(block - J_fd[np.ix_(pos, pos)]).max() / scale < 1e-5
 
 
 @pytest.mark.parametrize("make", [example1, example2, example3])
 def test_continuation_jacobian_is_block_diagonal_at_even_loops(make):
     # reversibility: at a loop even in t on symmetric nodes the cos rows
     # do not see the sin columns and vice versa; the phase row lives on the
-    # sin columns, the pin row on the cos columns.  A loop with sin content
-    # couples the two, so the first check can fail.  The blocks jac builds
-    # directly are the full matrix's diagonal blocks.
+    # sin columns, the pin row on the cos columns.  So the full system
+    # needs no phase row there, and its cosine system is the solver's.  A
+    # loop with sin content couples the two, so the first check can fail.
+    # The block jac builds directly is the full matrix's diagonal block.
     p = make().problem()
     rng = np.random.default_rng(14)
     N, k0 = 5, 2
     M = 4 * N + 1
     dim = p.n * (2 * N + 1)
     cos, sin = parity_indices(p.n, N)
-    even_rows, even_cols, odd_rows, odd_cols = block_indices(p.n, N)
+    rows, cols = block_indices(p.n, N)
     lam_col, phase, pin = dim, dim, dim + 1
     for _ in range(3):
         loop = random_loop(rng, p.n, N, scale=0.5)
         even = FourierLoop(loop.a0, loop.acos, np.zeros_like(loop.asin))
         lam = rng.uniform(-0.9, 0.9)
-        z = np.concatenate([even.pack(), [lam]])
-        J = full_continuation_jacobian(p, even, k0, M, z)
+        J = full_continuation_jacobian(p, even, k0, M, even, lam)
         scale = float(np.abs(J).max())
         assert np.abs(J[np.ix_(cos, sin)]).max() <= 1e-13 * scale
-        assert np.abs(J[np.ix_(sin, even_cols)]).max() <= 1e-13 * scale
-        assert np.all(J[phase, even_cols] == 0.0)
+        assert np.abs(J[np.ix_(sin, cols)]).max() <= 1e-13 * scale
+        assert np.all(J[phase, cols] == 0.0)
         assert np.all(J[pin, sin] == 0.0)
         assert J[phase, lam_col] == 0.0
 
         _, jac = _continuation_system(p, even, 1.5, k0, M)
-        (part,) = jac(z)    # the random loop uses every coordinate
-        assert same_indices(part_indices(p.n, N, part), block_indices(p.n, N))
-        even_block, odd_block = part[2:]
-        assert np.abs(even_block - J[np.ix_(even_rows, even_cols)]).max() \
-            <= 1e-14 * scale
-        assert np.abs(odd_block - J[np.ix_(odd_rows, odd_cols)]).max() \
-            <= 1e-14 * scale
+        (part,) = jac(np.concatenate([even.pack(), [lam]]))
+        assert same_indices(part_indices(p.n, N, part), (rows, cols))
+        assert np.abs(part[1] - J[np.ix_(rows, cols)]).max() <= 1e-14 * scale
 
-        J = full_continuation_jacobian(
-            p, loop, k0, M, np.concatenate([loop.pack(), [lam]]))
+        J = full_continuation_jacobian(p, loop, k0, M, loop, lam)
         scale = float(np.abs(J).max())
         assert np.abs(J[np.ix_(cos, sin)]).max() > 1e-6 * scale
 
@@ -365,98 +337,86 @@ def unperturbed_example2(lam_on_2=0.0):
                           {0: 2.0})
 
 
-@pytest.mark.parametrize("problem, axes, pinned, phased", [
-    (lambda: example1().problem(), [0], [0], [0]),
-    (lambda: example2().problem(), [0], [0], [0]),
-    (lambda: example3().problem(), [2], [2], [2]),
-    (lambda: example2().problem(), [0, 1], [0], [0]),
-    (unperturbed_example2, [0, 1], [0, 1], [0]),
-    (unperturbed_example2, [0, 1], [0], [0, 1]),
-    (lambda: unperturbed_example2(1.0), [0, 1], [0], [0])],
+@pytest.mark.parametrize("problem, axes, pinned", [
+    (lambda: example1().problem(), [0], [0]),
+    (lambda: example2().problem(), [0], [0]),
+    (lambda: example3().problem(), [2], [2]),
+    (lambda: example2().problem(), [0, 1], [0]),
+    (unperturbed_example2, [0, 1], [0, 1]),
+    (lambda: unperturbed_example2(1.0), [0, 1], [0])],
     ids=["example1", "example2", "example3", "hessian-joins", "pin-joins",
-         "phase-joins", "lambda-column-joins"])
+         "lambda-column-joins"])
 def test_continuation_jacobian_splits_exactly_on_decoupled_loops(
-        problem, axes, pinned, phased):
+        problem, axes, pinned):
     # A(lambda) is diagonal, so a loop on some axes links only those.  Its
-    # mode k0 uses the pinned axes, the reference loop of the phase row
-    # the phased ones.  One part holds the axes linked to lambda, every
-    # other axis is a part of its own.  On two axes, one link joins the
-    # second axis to the part with lambda: example 2's Kepler Hessian,
-    # with its u u^T term, or, without it, the pin row, the phase row or
-    # the lambda column alone.  Between parts the whole Jacobian is
-    # exactly 0, within one it is the part's blocks, and the parts'
-    # singular values are the whole blocks' ones.
+    # mode k0 uses the pinned axes.  One part holds the axes linked to
+    # lambda, every other axis is a part of its own.  On two axes, one link
+    # joins the second axis to the part with lambda: example 2's Kepler
+    # Hessian, with its u u^T term, or, without it, the pin row or the
+    # lambda column alone.  Between parts the cosine system is exactly 0,
+    # within one it is the part's block, and the parts' singular values
+    # are the whole cosine system's.
     p = problem()
     rng = np.random.default_rng(17)
     N, k0 = 5, 2
     M = 4 * N + 1
-    dim = p.n * (2 * N + 1)
-    even_rows, even_cols, odd_rows, odd_cols = block_indices(p.n, N)
-    on, pin, phase = np.zeros((3, p.n))
-    on[axes], pin[pinned], phase[phased] = 1.0, 1.0, 1.0
+    rows, cols = block_indices(p.n, N)
+    on, pin = np.zeros((2, p.n))
+    on[axes], pin[pinned] = 1.0, 1.0
     for _ in range(3):
         loop = even_loop(rng, p.n, N, scale=0.5)
         acos = on * loop.acos
         acos[k0 - 1] *= pin
-        z = np.concatenate([FourierLoop(on * loop.a0, acos, loop.asin).pack(),
-                            [rng.uniform(-0.9, 0.9)]])
-        ref = FourierLoop(phase * loop.a0, phase * loop.acos, loop.asin)
-        J = full_continuation_jacobian(p, ref, k0, M, z)
+        loop, lam = FourierLoop(on * loop.a0, acos, loop.asin), rng.uniform(-0.9, 0.9)
+        J = full_continuation_jacobian(p, loop, k0, M, loop, lam)
         scale = float(np.abs(J).max())
-        _, jac = _continuation_system(p, ref, 1.5, k0, M)
-        parts = jac(z)
-        assert sorted(len(part[1]) // (N + 1) for part in parts) \
+        _, jac = _continuation_system(p, loop, 1.5, k0, M)
+        parts = jac(np.concatenate([loop.pack(), [lam]]))
+        assert sorted(len(pos) // (N + 1) for pos, _ in parts) \
             == [1] * (p.n - len(axes)) + [len(axes)]
         indices = [part_indices(p.n, N, part) for part in parts]
-        rows = [np.r_[ix[0], ix[2]] for ix in indices]
-        cols = [np.r_[ix[1], ix[3]] for ix in indices]
-        assert np.array_equal(np.sort(np.concatenate(rows)), np.arange(dim + 2))
-        assert np.array_equal(np.sort(np.concatenate(cols)), np.arange(dim + 1))
-        for a, r in enumerate(rows):
-            for b, c in enumerate(cols):
+        assert np.array_equal(np.sort(np.concatenate([r for r, _ in indices])),
+                              np.sort(rows))
+        assert np.array_equal(np.sort(np.concatenate([c for _, c in indices])),
+                              np.sort(cols))
+        for a, (r, _) in enumerate(indices):
+            for b, (_, c) in enumerate(indices):
                 assert a == b or np.all(J[np.ix_(r, c)] == 0.0)
-        for (er, ec, orows, oc), (*_, even, odd) in zip(indices, parts):
-            assert np.abs(even - J[np.ix_(er, ec)]).max() <= 1e-14 * scale
-            assert np.abs(odd - J[np.ix_(orows, oc)]).max() <= 1e-14 * scale
-        whole = np.sort(np.concatenate([
-            np.linalg.svd(J[np.ix_(even_rows, even_cols)], compute_uv=False),
-            np.linalg.svd(J[np.ix_(odd_rows, odd_cols)], compute_uv=False)]))
+        for (r, c), (_, block) in zip(indices, parts):
+            assert np.abs(block - J[np.ix_(r, c)]).max() <= 1e-14 * scale
+        whole = np.sort(np.linalg.svd(J[np.ix_(rows, cols)], compute_uv=False))
         split = np.sort(np.concatenate([
-            np.linalg.svd(b, compute_uv=False) for part in parts
-            for b in part[2:]]))
+            np.linalg.svd(block, compute_uv=False) for _, block in parts]))
         assert np.abs(split - whole).max() <= 1e-12 * whole[-1]
 
 
 @pytest.mark.parametrize("pattern", ["diagonal", "chain", "dense"])
 def test_parts_transform_only_the_linked_lanes_bit_for_bit(pattern):
     # parts() transforms only the Hessian lanes H[:, i, j] that are not all
-    # exactly 0; FFT lanes are independent, so every part's blocks equal,
-    # bit for bit, those built from the whole stack's transform.  dense is
-    # the rotated examples' pattern; in chain, coordinates 0 and 2 share a
-    # part through 1 while their own lane is all 0.
+    # exactly 0; FFT lanes are independent, so every part's block equals,
+    # bit for bit, the one built from the whole stack's transform.  dense
+    # is the rotated examples' pattern; in chain, coordinates 0 and 2 share
+    # a part through 1 while their own lane is all 0.
     rng = np.random.default_rng(19)
     n = 4
     i, j = np.indices((n, n))
     mask = {"diagonal": i == j, "chain": abs(i - j) <= 1, "dense": i >= 0}[pattern]
     for N in (3, 16):
         M = 4 * N + 1
-        phase = _phase_row(FourierLoop.single_mode(1, np.eye(n)[0], N))
-        parts = galerkin._part_builder(n, N, M, phase)
+        parts = galerkin._part_builder(n, N, M)
         for _ in range(20):
             H = mask * rng.normal(size=(M, n, n)) \
                 * 10.0 ** rng.uniform(-8.0, 8.0, size=(n, n))
             hc = (np.fft.fft(H, axis=0) / M).real
-            for _, cols, even, odd in parts(H):
-                S = cols[cols < n]
-                cc, ss = galerkin._cos_blocks(hc[:, S][:, :, S],
-                                              galerkin._layout(len(S), N, M))
-                assert np.array_equal(even, cc)
-                assert np.array_equal(odd[:len(ss)], ss)
+            for pos, block in parts(H):
+                S = pos[pos < n]
+                assert np.array_equal(block, galerkin._cos_block(
+                    hc[:, S][:, :, S], galerkin._layout(len(S), N, M)))
 
 
 def test_singular_block_of_a_part_without_lambda_fails_the_point():
     # A(lambda) = diag(1 + lambda, 4): the second coordinate is a part of
-    # its own and sits exactly at 2^2, so its even block is singular
+    # its own and sits exactly at 2^2, so its cosine block is singular
     # whatever lambda does; its residual rows are exactly 0, so no LU
     # meets it; the iteration converges, and the rank check that
     # continuation runs on the returned singular values fails the point
@@ -465,7 +425,7 @@ def test_singular_block_of_a_part_without_lambda_fails_the_point():
     seed = FourierLoop.single_mode(k0, [2.0, 0.0], N)
     func, jac = _continuation_system(p, seed, 2.0, k0, 4 * N + 1)
     z0 = np.concatenate([seed.pack(), [0.5]])
-    assert [len(part[1]) for part in jac(z0)] == [N + 2, N + 1]
+    assert [len(pos) for pos, _ in jac(z0)] == [N + 2, N + 1]
     *_, sv = _gauss_newton(func, z0, jac)
     with pytest.raises(SingularJacobianError) as err:
         _rank_checked(sv())
@@ -530,12 +490,17 @@ def rotated(make):
 @pytest.mark.parametrize("make, lam0", BRANCH_RESONANCES)
 @pytest.mark.parametrize("modes", [8, 16])
 def test_reversible_step_agrees_with_the_full_solve(monkeypatch, make, lam0, modes):
-    # the same branch through the even-block step and through one full
-    # least-squares solve of the whole augmented Jacobian per step
+    # the same branch through the cosine step and through one full
+    # least-squares solve per step of the whole augmented system: sin rows,
+    # sin columns and a phase row against the seed
     ex = make()
     r = _resonance(ex, lam0)
     last_z = {}
     system = galerkin._continuation_system
+
+    def full_jacobian(p, ref, k0, M, z):
+        loop = FourierLoop.unpack(z[:-1], ref.n, ref.N)
+        return full_continuation_jacobian(p, ref, k0, M, loop, z[-1])
 
     def recording_system(p, ref, R, k0, M):
         func, jac = system(p, ref, R, k0, M)
@@ -547,7 +512,9 @@ def test_reversible_step_agrees_with_the_full_solve(monkeypatch, make, lam0, mod
 
     def full_system(p, ref, R, k0, M):
         func, _ = system(p, ref, R, k0, M)
-        return func, lambda z: full_continuation_jacobian(p, ref, k0, M, z)
+        phase = phase_row(ref)
+        return (lambda z: np.insert(func(z), -1, phase @ z[:-1]),
+                lambda z: full_jacobian(p, ref, k0, M, z))
 
     monkeypatch.setattr(galerkin, "_continuation_system", recording_system)
     new = continue_to_infinity(ex.problem(), r, [4.0, 16.0, 64.0], modes)
@@ -563,37 +530,52 @@ def test_reversible_step_agrees_with_the_full_solve(monkeypatch, make, lam0, mod
         assert abs(a.lam - b.lam) <= 1e-12
         assert np.abs(a.loop.pack() - b.loop.pack()).max() <= 1e-10
         assert np.all(a.loop.asin == 0.0)
-        sv = np.linalg.svd(full_continuation_jacobian(*last_z[a.amplitude]),
-                           compute_uv=False)
+        rows, cols = block_indices(a.loop.n, a.loop.N)
+        J = full_jacobian(*last_z[a.amplitude])
+        sv = np.linalg.svd(J[np.ix_(rows, cols)], compute_uv=False)
         assert a.jacobian_cond == pytest.approx(sv[0] / sv[-1], rel=1e-6)
 
 
-def test_reversible_step_detects_a_singular_odd_block(monkeypatch):
-    # n = 1, N = 2: the even block is the identity, the odd block has two
-    # equal columns, so only the singular values of the odd block reveal
-    # that the full Jacobian is rank deficient
-    n, N = 1, 2
-    dim = n * (2 * N + 1)
-    even_rows, even_cols, odd_rows, odd_cols = block_indices(n, N)
-    even, odd = np.eye(n * (N + 1) + 1), np.ones((n * N + 1, n * N))
-    J = np.zeros((dim + 2, dim + 1))
-    J[even_rows, even_cols] = 1.0
-    J[np.ix_(odd_rows, odd_cols)] = 1.0
-    func = lambda z: np.ones(dim + 2)
-    for blocks, solve in (([(even_rows, even_cols, even, odd)], galerkin._solve_parts),
-                          (J, _lstsq_step)):
-        calls = []
-        monkeypatch.setattr(galerkin, "_solve_parts", solve)
+def test_regular_cosine_block_converges_whatever_the_sin_block(monkeypatch):
+    # A(lambda) = diag(1 + lambda, delta) with a Kepler term: a loop on the
+    # first axis leaves the second a part of its own, whose sin/sin block
+    # in the full Jacobian is delta I + S, S from the loop's Kepler Hessian.
+    # delta = 2 - mu, mu the eigenvalue of that block at delta = 2 nearest
+    # 0 at the point's last Jacobian, makes it singular there: an odd
+    # direction that breaks the reversible symmetry.  The first axis does
+    # not see delta, so the point is the same, bit for bit; its cosine
+    # system stays regular, and the point converges with a finite
+    # jacobian_cond.
+    N, k0 = 8, 1
+    M = 4 * N + 1
+    sin_2 = 2 * np.arange(1, N + 1) * 2 + 1
+    last_z = {}
+    system = galerkin._continuation_system
 
-        def jac(z):
-            calls.append(z)
-            return blocks
-        with pytest.raises(SingularJacobianError) as err:
-            _gauss_newton(func, np.zeros(dim + 1), jac)
-        assert err.value.cond > 1e14
-        # the step leaves the residual as it was, so the rank check on that
-        # first Jacobian stops the iteration before a second is assembled
-        assert len(calls) == 1
+    def recording_system(p, ref, R, k0, M):
+        func, jac = system(p, ref, R, k0, M)
+        return func, lambda z: last_z.update(z=z.copy()) or jac(z)
+
+    def point(delta):
+        p = linear_problem({0: 1.0, 1: 1.0}, {0: delta},
+                           pert=Perturbation.kepler(1.0, "constant"))
+        (r,) = scan_resonances(p.family, -0.5, 0.5)
+        (bp,) = continue_to_infinity(p, r, [2.0], N)
+        z = last_z["z"]
+        J = full_continuation_jacobian(p, bp.loop, k0, M,
+                                       FourierLoop.unpack(z[:-1], 2, N), z[-1])
+        return bp, J[np.ix_(sin_2, sin_2)]
+
+    monkeypatch.setattr(galerkin, "_continuation_system", recording_system)
+    regular, odd = point(2.0)
+    mu = np.linalg.eigvalsh(odd)
+    singular, odd = point(2.0 - mu[np.argmin(np.abs(mu))])
+    sv = np.linalg.svd(odd, compute_uv=False)
+    assert sv[-1] <= 1e-14 * sv[0]
+    assert not regular.failed and not singular.failed
+    assert singular.loop.pack().tobytes() == regular.loop.pack().tobytes()
+    assert singular.newton_steps == regular.newton_steps
+    assert 1.0 <= singular.jacobian_cond < 1e14
 
 
 def count_linalg(monkeypatch, names):
@@ -636,10 +618,10 @@ def record_parts(monkeypatch):
 def test_continuation_step_costs_one_lstsq_and_one_svd(
         monkeypatch, make, lam0, modes):
     # the name is the cost this test first pinned down; the cost it now
-    # asserts is lower: each Newton step solves by LU the square even block
-    # of every uncoupled part of the Jacobian whose residual rows are not
-    # all 0; only the converged point's last Jacobian has its singular
-    # values taken, one svd per distinct block of each part; no
+    # asserts is lower: each Newton step solves by LU the square cosine
+    # block of every uncoupled part of the Jacobian whose residual rows are
+    # not all 0; only the converged point's last Jacobian has its singular
+    # values taken, one svd per distinct block; no
     # least-squares solve and no full harmonic-balance matrix, also for a
     # user perturbation, whose Hessian is a central difference.  The
     # examples' A(lambda) is diagonal and their branches stay on one axis,
@@ -647,8 +629,8 @@ def test_continuation_step_costs_one_lstsq_and_one_svd(
     # N + 2, and only the loop's axis, bordered by the pin row and lambda
     # column, moves; idle coordinates with the same diagonal entry of
     # A(lambda) have bit-identical blocks, and their repeats take no svd
-    # (example 2's three idle entries 2 share two blocks: 12 svd calls).  The
-    # rotated example couples them all into one part, the even block of
+    # (example 2's three idle entries 2 share one block: 6 svd calls).  The
+    # rotated example couples them all into one part, the cosine block of
     # side n(N+1)+1.
     ex = make()
     r = _resonance(ex, lam0)
@@ -660,10 +642,10 @@ def test_continuation_step_costs_one_lstsq_and_one_svd(
     assert not any(bp.failed for bp in branch)
     steps = sum(bp.newton_steps for bp in branch)
     assert steps > 0
-    assert calls == {"solve": steps, "svd": 2 * distinct * len(branch),
+    assert calls == {"solve": steps, "svd": distinct * len(branch),
                      "lstsq": 0}
     if make is example2 and modes == 32:
-        assert calls["svd"] == 12
+        assert calls["svd"] == 6
     if parts == 1:
         assert sides["solve"] == {n * (modes + 1) + 1}
     else:
@@ -690,9 +672,9 @@ def test_skipped_idle_parts_leave_every_branch_bit_for_bit(
 
     def solve_every_part(parts, f):
         _, sv = solve_parts(parts, f)
-        step = np.zeros(len(f) - 1)
-        for rows, cols, even, _ in parts:
-            step[cols] = solve(even, -f[rows])
+        step = np.zeros(len(f))
+        for pos, block in parts:
+            step[pos] = solve(block, -f[pos])
         return step, sv
 
     monkeypatch.setattr(galerkin, "_solve_parts", solve_every_part)
@@ -706,7 +688,7 @@ def test_skipped_idle_parts_leave_every_branch_bit_for_bit(
 def test_exactly_singular_idle_part_is_left_to_the_rank_check():
     # A(lambda) = diag(9.5, 0) or diag(1 + lambda, 0), the latter with a
     # cubic force on the first axis, so its branch needs Newton steps: the
-    # second coordinate's Hessian lane is exactly 0, so its even block, a
+    # second coordinate's Hessian lane is exactly 0, so its cosine block, a
     # part of its own, has a zero a0 row, and a loop on the first axis
     # leaves its residual rows exactly 0.  No LU meets that block:
     # newton_solve converges, and continuation's rank check at the
@@ -739,11 +721,10 @@ def test_exactly_singular_even_block_raises_singular_jacobian():
     # turns it into SingularJacobianError with the singular values' verdict
     n, N = 1, 2
     dim = n * (2 * N + 1)
-    even_rows, even_cols, _, _ = block_indices(n, N)
-    even, odd = np.zeros((n * (N + 1) + 1,) * 2), np.eye(n * N + 1, n * N)
+    pos = np.r_[parity_indices(n, N)[0], dim]
     with pytest.raises(SingularJacobianError) as err:
-        _gauss_newton(lambda z: np.ones(dim + 2), np.zeros(dim + 1),
-                      lambda z: [(even_rows, even_cols, even, odd)])
+        _gauss_newton(lambda z: np.ones(dim + 1), np.zeros(dim + 1),
+                      lambda z: [(pos, np.zeros((len(pos),) * 2))])
     assert err.value.cond == math.inf
 
 
@@ -889,9 +870,9 @@ def test_newton_rejects_a_guess_with_sin_content():
 
 
 def test_newton_converges_from_a_constant_guess(monkeypatch):
-    # a constant guess has an all-zero phase row, which then belongs to no
-    # part; the Kepler Hessian at (0.3, -0.2) couples the two coordinates
-    # into one part, and the solve reaches the equilibrium at the origin
+    # the Kepler Hessian at the constant guess (0.3, -0.2) couples the two
+    # coordinates into one part, and the solve reaches the equilibrium at
+    # the origin
     p = linear_problem({0: 2.0}, {0: 3.0},
                        pert=Perturbation.kepler(1.0, "constant"))
     guess = FourierLoop([0.3, -0.2], np.zeros((4, 2)), np.zeros((4, 2)))
@@ -906,11 +887,10 @@ def test_newton_converges_from_a_constant_guess(monkeypatch):
 def test_newton_refinement_costs_one_solve_per_part(monkeypatch):
     # refining an example-2 branch point padded to 2N modes steps through
     # the continuation's parts: A(lambda) is diagonal and the loop stays
-    # on one axis, so each of the n coordinates is a part of its own, the
-    # phase row joins the odd block of the loop's axis, and no matrix has a
-    # side above N + 1.  Only the loop's axis has residual rows that are not
-    # all 0, so one LU solve per step; a converged refinement takes no
-    # singular values and no least-squares solve.
+    # on one axis, so each of the n coordinates is a part of its own and no
+    # matrix has a side above N + 1.  Only the loop's axis has residual
+    # rows that are not all 0, so one LU solve per step; a converged
+    # refinement takes no singular values and no least-squares solve.
     ex = example2()
     p, n = ex.problem(), ex.problem().n
     bp = continue_to_infinity(p, _resonance(ex, 0.0), [4.0], modes=8)[0]
