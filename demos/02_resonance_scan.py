@@ -7,8 +7,8 @@ for every relevant k over a sign-change grid, bisects each bracket, and
 reports the kernel as a representation of the circle group.
 """
 
-from equideg import MatrixFamily, eigen_sym, j_k, scan_resonances
-from equideg.bifurcation import predict_periods
+from equideg import (MatrixFamily, eigen_sym, isotropy_gcd_set, j_k, period_labels,
+                     scan_resonances)
 
 # diag(4 + l, 2, 2, 2): the first entry crosses 4 = 2^2 at l = 0
 family = MatrixFamily.from_entry_polynomials(4, {
@@ -21,7 +21,7 @@ for pt in scan_resonances(family, -0.5, 0.5):
     print("  frequencies:", sorted(pt.frequencies))
     print("  kernel rep :", pt.kernel_rep)
     print("  det A != 0 :", pt.det_nonzero)
-    print("  periods    :", ", ".join(predict_periods(pt).labels()))
+    print("  periods    :", ", ".join(period_labels(isotropy_gcd_set(pt.kernel_rep))))
 
 # The count j_k (eigenvalues above k^2) is the quantity whose jumps drive
 # the degree coordinates; here j_2 jumps across the resonance.
@@ -42,6 +42,6 @@ family3 = MatrixFamily.from_entry_polynomials(5, {
 })
 print("\nfive-dimensional family on [-1, 1]:")
 for pt in scan_resonances(family3, -1.0, 1.0):
-    labels = ", ".join(predict_periods(pt).labels())
+    labels = ", ".join(period_labels(isotropy_gcd_set(pt.kernel_rep)))
     print(f"  lambda0 = {pt.lambda0:+.9f}  frequencies {sorted(pt.frequencies)}"
           f"  minimal periods {{{labels}}}")

@@ -10,7 +10,7 @@ arguments.
 
 import json
 
-from equideg import build_report
+from equideg import build_report, isotropy_gcd_set, period_labels
 from equideg.bifurcation import (IndexRule, Perturbation, ProblemSpec,
                                  eqcont3_points)
 from equideg.problems import CATALOG
@@ -23,9 +23,10 @@ for name, factory in sorted(CATALOG.items()):
     print("  bifurcation index:", r.bif)
     print("  scalar shadow    :", r.bif_ls)
     print("  criterion        :", r.criterion.name, "->", r.criterion.message)
-    for pt, ps in zip(r.resonances, r.predicted_periods):
+    for pt in r.resonances:
+        periods = period_labels(isotropy_gcd_set(pt.kernel_rep))
         print(f"  resonance {pt.lambda0:+.9f}: frequencies "
-              f"{sorted(pt.frequencies)}, periods {ps.labels()}")
+              f"{sorted(pt.frequencies)}, periods {periods}")
     print()
 
 # Scaled potentials admit an explicit bifurcation-point grid: with

@@ -10,6 +10,9 @@ are named, and tolerances live in [options].  The same files drive the
     equideg verify-examples
 """
 
+from pathlib import Path
+
+import equideg
 from equideg.config import ProblemConfig
 from equideg.problems import config_path
 from equideg import build_report
@@ -42,14 +45,14 @@ grid = 512
 cfg = ProblemConfig.from_string(TEXT)
 print("parsed: n =", cfg.problem().n, "interval =", (cfg.lambda_minus, cfg.lambda_plus))
 print("A(0.1) =")
-print(cfg.problem().family.eval_array(0.1))
+print(cfg.problem().family.eval(0.1))
 
 report = build_report(cfg.problem(), cfg.lambda_minus, cfg.lambda_plus,
                       tol=cfg.tol, grid=cfg.grid)
 print("\ncriterion:", report.criterion.name, "->", report.criterion.message)
 print("index    :", report.bif)
 
-# The bundled example files are regular data files on disk:
+# The bundled example files are regular data files on disk, inside the package:
 print("\nbundled files:")
 for name in ("example1", "example2", "example3"):
-    print(" ", config_path(name))
+    print(" ", Path(config_path(name)).relative_to(Path(equideg.__file__).parent))

@@ -2,23 +2,21 @@
 Hamiltonian systems, with a Fourier-Galerkin continuation harness."""
 
 from .udring import ONE, ZERO, TomDieckElement, add, product, scalar_mul, star
-from .reps import SO2, RepDecomposition, gcd_closure, isotropy_gcd_set
+from .reps import SO2, RepDecomposition, gcd_closure, isotropy_gcd_set, period_labels
 from .spectral import (DEFAULT_GRID, DEFAULT_TOL, DegenerateSpectrumError,
                        EigenConvergenceError, MatrixFamily,
                        NonIsolatedResonanceError, ResolutionWarning,
-                       ResonancePoint, SpectralData, SymmetricMatrix,
-                       TangencyWarning, TooManyFrequenciesError,
-                       as_symmetric, eigen_sym, j_k, k_set,
+                       ResonancePoint, SpectralData, TangencyWarning,
+                       TooManyFrequenciesError, eigen_sym, j_k, k_set,
                        kernel_rep_at_infinity, morse_index,
                        resonant_frequencies, scan_resonances)
 from .eqdeg import MissingIndexError, deg_id_minus_LA, ind_infinity
 from .bifurcation import (AccumulationWarning, BifurcationReport,
                           CriterionVerdict, Eqcont3Point,
-                          IndexContradictionError, IndexRule, PeriodSet,
-                          Perturbation, PreconditionError, ProblemSpec,
-                          bif_index, build_report, check_eqcont1,
-                          check_eqcont2, consistency_check, endpoint_degree,
-                          eqcont3_points, predict_periods)
+                          IndexContradictionError, IndexRule, Perturbation,
+                          PreconditionError, ProblemSpec, bif_index,
+                          build_report, check_eqcont1, check_eqcont2,
+                          consistency_check, endpoint_degree, eqcont3_points)
 from .galerkin import (DEFAULT_MODES, BranchPoint, DivergenceWarning,
                        FourierLoop, NewtonConvergenceError,
                        SingularJacobianError, continue_to_infinity,

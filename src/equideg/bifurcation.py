@@ -39,10 +39,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eqdeg import MissingIndexError, degree_of_spectrum, index_of_spectrum
-from .reps import gcd_closure, isotropy_gcd_set
+from .reps import SO2, isotropy_gcd_set
 from .spectral import (DEFAULT_GRID, DEFAULT_TOL, MatrixFamily, SpectralData,
-                       _integers_in, _square_roots_in, as_symmetric,
-                       eigen_sym, k_set, resonant_frequencies, scan_resonances)
+                       _integers_in, _square_roots_in, eigen_sym, k_set,
+                       resonant_frequencies, scan_resonances)
 from .udring import TomDieckElement
 
 #: Version of every file format.  Problem files are read; everything else
@@ -221,10 +221,6 @@ class IndexRule:
     def unavailable(cls):
         return cls("unavailable")
 
-    @property
-    def available(self):
-        return self.kind != "unavailable"
-
     def ind_of(self, s, lam):
         """The index at lambda, from the spectrum s of A(lambda)."""
         if self.kind == "builtin":
@@ -268,11 +264,11 @@ class ProblemSpec:
     def gradient_many(self, X, lam):
         """grad V(x, lambda) for a stack X of shape (m, n)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return X @ self.family.eval_array(lam) + self.perturbation.gradient_many(X, lam)
+        return X @ self.family.eval(lam) + self.perturbation.gradient_many(X, lam)
 
     def potential_many(self, X, lam):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        A = self.family.eval_array(lam)
+        A = self.family.eval(lam)
         quad = 0.5 * np.einsum("mi,ij,mj->m", X, A, X)
         return quad + self.perturbation.value_many(X, lam)
 
@@ -284,14 +280,14 @@ class ProblemSpec:
 
     def hessian_many(self, X, lam):
         """Hessians of V at a stack X of shape (m, n), shape (m, n, n)."""
-        A = self.family.eval_array(lam)
+        A = self.family.eval(lam)
         return A + self.perturbation.hessian_many(X, lam)
 
     def scaled_base_matrix(self):
         """The constant A with family = lambda^2 A (scaled problems only)."""
         if not self.scaled:
             raise ValueError("not a scaled problem")
-        return as_symmetric(self.family.coeffs[2])
+        return self.family.coeffs[2]
 
 
 @dataclass(frozen=True)
@@ -314,31 +310,6 @@ class CriterionVerdict:
             "kset": sorted(self.kset) if self.kset is not None else None,
             "message": self.message,
         }
-
-
-@dataclass(frozen=True)
-class PeriodSet:
-    """Exact set of predicted minimal periods: 2pi/g per divisor g, plus 0
-    for constant solutions when the kernel has a trivial summand."""
-
-    divisors: frozenset
-    includes_zero: bool = False
-
-    def __post_init__(self):
-        for g in self.divisors:
-            if not isinstance(g, int) or g < 1:
-                raise ValueError(f"period divisor must be a positive integer, got {g!r}")
-
-    def as_floats(self):
-        zero = [0.0] if self.includes_zero else []
-        return [2.0 * math.pi / g for g in sorted(self.divisors)] + zero
-
-    def labels(self):
-        zero = ["0"] if self.includes_zero else []
-        return [{1: "2pi", 2: "pi"}.get(g, f"2pi/{g}") for g in sorted(self.divisors)] + zero
-
-    def to_json(self):
-        return {"divisors": sorted(self.divisors), "includes_zero": self.includes_zero}
 
 
 @dataclass(frozen=True)
@@ -571,17 +542,6 @@ def eqcont3_points(p, window, tol=DEFAULT_TOL):
         for k in ks if lo < k / root < hi)]
 
 
-def predict_periods(r):
-    """Minimal periods forced by a resonance point's kernel frequencies.
-
-    2pi/g for every g in the gcd-closure of the nonzero frequencies; 0 is
-    possible exactly when the frequency 0 participates (constant solutions
-    in ker A(lambda0)).
-    """
-    nonzero = frozenset(k for k in r.frequencies if k >= 1)
-    return PeriodSet(gcd_closure(nonzero), includes_zero=(0 in r.frequencies))
-
-
 def consistency_check(kernel_at_point, kernel_at_infinity):
     """Isotropy comparison powering the symmetry-breaking conclusion, as the
     report stores it: whether the two kernel representations admit a common
@@ -622,11 +582,8 @@ class BifurcationReport:
         """The Leray-Schauder shadow: the SO(2) coordinate of the index."""
         return self.bif.a0
 
-    @functools.cached_property
-    def predicted_periods(self):
-        return [predict_periods(r) for r in self.resonances]
-
     def to_json(self):
+        periods = [(r.lambda0, isotropy_gcd_set(r.kernel_rep)) for r in self.resonances]
         return {
             "format_version": FORMAT_VERSION,
             "interval": list(self.interval),
@@ -639,9 +596,8 @@ class BifurcationReport:
             "bif_ls": self.bif_ls,
             "criterion": self.criterion.to_json(),
             "resonances": [r.to_json() for r in self.resonances],
-            "predicted_periods": [
-                {"lambda0": r.lambda0, **ps.to_json()}
-                for r, ps in zip(self.resonances, self.predicted_periods)],
+            "predicted_periods": [{"lambda0": lam, "divisors": sorted(labels - {SO2}),
+                                   "includes_zero": SO2 in labels} for lam, labels in periods],
             "eqcont3": [pt.to_json() for pt in self.eqcont3],
             "consistency": self.consistency,
             "flags": self.flags,

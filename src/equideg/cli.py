@@ -16,6 +16,7 @@ from . import problems
 from .bifurcation import FORMAT_VERSION
 from .config import ProblemConfig
 from .galerkin import continue_to_infinity, write_branch_csv
+from .reps import isotropy_gcd_set, period_labels
 from .spectral import (EigenConvergenceError, NonIsolatedResonanceError,
                        scan_resonances)
 
@@ -48,9 +49,9 @@ def _human_report(r):
     lines.append(f"criterion {r.criterion.name} {status}: {r.criterion.message}")
     if r.resonances:
         lines.append("resonances:")
-        for pt, ps in zip(r.resonances, r.predicted_periods):
+        for pt in r.resonances:
             freqs = ", ".join(str(k) for k in sorted(pt.frequencies))
-            periods = ", ".join(ps.labels())
+            periods = ", ".join(period_labels(isotropy_gcd_set(pt.kernel_rep)))
             lines.append(f"  lambda0 = {pt.lambda0:.9g}: frequencies {{{freqs}}}, "
                          f"predicted minimal periods {{{periods}}}")
     else:

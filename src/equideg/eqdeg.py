@@ -16,9 +16,8 @@ spectrum already computed.
 
 import numpy as np
 
-from .spectral import (DEFAULT_TOL, DegenerateSpectrumError, as_symmetric,
-                       check_frequency_count, eigen_sym, frequency_bound,
-                       morse_index, resonant_frequencies)
+from .spectral import (DEFAULT_TOL, DegenerateSpectrumError, check_frequency_count,
+                       eigen_sym, frequency_bound, morse_index, resonant_frequencies)
 from .udring import TomDieckElement
 
 
@@ -61,10 +60,10 @@ def ind_infinity(A, n=None, tol=DEFAULT_TOL):
     them.  Outside the built-in class there is no formula: the value comes
     from the caller through ``IndexRule.value``.
     """
-    A = as_symmetric(A)
-    if n is not None and n != A.n:
-        raise ValueError(f"declared dimension {n} does not match matrix size {A.n}")
-    return index_of_spectrum(eigen_sym(A, tol))
+    s = eigen_sym(A, tol)
+    if n is not None and n != s.n:
+        raise ValueError(f"declared dimension {n} does not match matrix size {s.n}")
+    return index_of_spectrum(s)
 
 
 def index_of_spectrum(s):

@@ -496,7 +496,7 @@ def _kernel_directions(p, r):
     if k0 is None:
         raise ValueError("resonance point has no positive frequency to continue")
     mu = r.kernel_rep.multiplicity(k0)
-    vals, vecs = np.linalg.eigh(p.family.eval_array(r.lambda0))
+    vals, vecs = np.linalg.eigh(p.family.eval(r.lambda0))
     nearest = np.sort(np.argsort(np.abs(vals - k0 * k0), kind="stable")[:mu])
     return k0, [v * np.sign(v[np.argmax(np.abs(v))]) for v in vecs[:, nearest].T]
 

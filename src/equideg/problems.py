@@ -26,6 +26,7 @@ from importlib import resources
 
 from . import spectral
 from .config import ProblemConfig
+from .reps import isotropy_gcd_set, period_labels
 from .spectral import eigen_sym
 from .udring import ZERO
 
@@ -83,8 +84,7 @@ def verification_rows():
         return outcome
 
     def with_periods(ex):
-        r = report(ex)
-        return list(zip(r.resonances, r.predicted_periods))
+        return [(pt, isotropy_gcd_set(pt.kernel_rep)) for pt in report(ex).resonances]
 
     @row("example1: j_1 jumps 1 -> 2 across the interval")
     def _():
@@ -101,13 +101,12 @@ def verification_rows():
 
     @row("example1: interior resonance at 1 - sqrt2, period 2pi")
     def _():
-        interior = [(pt, ps) for pt, ps in with_periods(ex1) if pt.det_nonzero]
+        interior = [(pt, labels) for pt, labels in with_periods(ex1) if pt.det_nonzero]
         if len(interior) != 1:
             return False, f"{len(interior)} interior resonances"
-        pt, periods = interior[0]
-        ok = abs(pt.lambda0 - (1.0 - math.sqrt(2.0))) < 1e-9 \
-            and periods.divisors == {1} and not periods.includes_zero
-        return ok, f"lambda0={pt.lambda0!r}, periods={periods.labels()}"
+        pt, labels = interior[0]
+        ok = abs(pt.lambda0 - (1.0 - math.sqrt(2.0))) < 1e-9 and labels == {1}
+        return ok, f"lambda0={pt.lambda0!r}, periods={period_labels(labels)}"
 
     @row("example2: spectrum of A(0) meets the squares exactly in {4}")
     def _():
@@ -127,9 +126,9 @@ def verification_rows():
     @row("example2: predicted minimal period pi")
     def _():
         pts = with_periods(ex2)
-        periods = pts[0][1]
-        ok = len(pts) == 1 and periods.divisors == {2} and not periods.includes_zero
-        return ok, f"periods={periods.labels()}"
+        labels = pts[0][1]
+        ok = len(pts) == 1 and labels == {2}
+        return ok, f"periods={period_labels(labels)}"
 
     @row("example3: spectrum of A(0) meets the squares exactly in {4, 9, 25}")
     def _():
@@ -145,12 +144,12 @@ def verification_rows():
 
     @row("example3: period set at lambda0 = 0 is {2pi, pi, 2pi/3, 2pi/5}")
     def _():
-        at0 = [ps for pt, ps in with_periods(ex3) if abs(pt.lambda0) < 1e-9]
+        at0 = [labels for pt, labels in with_periods(ex3) if abs(pt.lambda0) < 1e-9]
         if len(at0) != 1:
             return False, f"{len(at0)} resonances at 0"
-        periods = at0[0]
-        ok = periods.divisors == {1, 2, 3, 5} and not periods.includes_zero
-        return ok, f"periods={periods.labels()}"
+        labels = at0[0]
+        ok = labels == {1, 2, 3, 5}
+        return ok, f"periods={period_labels(labels)}"
 
     for name, ex in zip(CATALOG, cfgs):
         def check(ex=ex):

@@ -93,3 +93,11 @@ def isotropy_gcd_set(rep):
     if 0 in rep.frequencies:
         labels.add(SO2)
     return frozenset(labels)
+
+
+def period_labels(labels):
+    """The minimal periods of the isotropy ``labels`` as text: 2pi/g for each
+    Z_g by increasing g (``2pi``, ``pi``, ``2pi/3``, ...), then ``0``, the
+    period of a constant, for SO(2)."""
+    return ([{1: "2pi", 2: "pi"}.get(g, f"2pi/{g}") for g in sorted(labels - {SO2})]
+            + (["0"] if SO2 in labels else []))

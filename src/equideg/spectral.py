@@ -74,32 +74,19 @@ def check_frequency_count(count):
                                       f"exceeds MAX_FREQUENCIES = {MAX_FREQUENCIES}")
 
 
-@dataclass(frozen=True, eq=False)
-class SymmetricMatrix:
-    """Square real matrix, symmetrized exactly at construction."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.entries, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("matrix entries must be finite")
-        arr = arr / 2.0 + arr.T / 2.0
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def n(self):
-        return self.entries.shape[0]
-
-    def __repr__(self):
-        return f"SymmetricMatrix({self.entries.tolist()})"
-
-
-def as_symmetric(A):
-    return A if isinstance(A, SymmetricMatrix) else SymmetricMatrix(A)
+def _symmetric(a, ndim):
+    """``a`` as a read-only float array of ``ndim`` axes, the last two
+    square and finite, symmetrized exactly over them: a / 2 + a^T / 2, so
+    no finite entry overflows."""
+    arr = np.array(a, dtype=float)
+    if arr.ndim != ndim or arr.shape[-1] != arr.shape[-2]:
+        what = "a square matrix" if ndim == 2 else "a coefficient stack (degree+1, n, n)"
+        raise ValueError(f"expected {what}, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("matrix entries must be finite")
+    arr = arr / 2.0 + np.swapaxes(arr, -1, -2) / 2.0
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -202,15 +189,15 @@ def eigen_sym(A, tol=DEFAULT_TOL):
     tol_abs = tol * (1 + |A|); failure raises EigenConvergenceError rather
     than returning silently degraded data.
     """
-    A = as_symmetric(A)
+    A = _symmetric(A, 2)
     _check_tol(tol)
     try:
-        vals, vecs = np.linalg.eigh(A.entries)
+        vals, vecs = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"eigen decomposition failed: {exc}") from exc
     scale = 1.0 + (abs(vals).max() if len(vals) else 0.0)
     abs_tol = tol * scale
-    resid = np.abs(A.entries @ vecs - vecs * vals).max() if len(vals) else 0.0
+    resid = np.abs(A @ vecs - vecs * vals).max() if len(vals) else 0.0
     if resid > abs_tol:
         raise EigenConvergenceError(
             f"eigenpair residual {resid:.3e} exceeds tolerance {abs_tol:.3e}")
@@ -281,18 +268,11 @@ class MatrixFamily:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.coeffs, dtype=float)
-        if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-            raise ValueError(f"expected coefficient stack (degree+1, n, n), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("family coefficients must be finite")
-        arr = arr / 2.0 + arr.transpose(0, 2, 1) / 2.0
-        arr.flags.writeable = False
-        object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "coeffs", _symmetric(self.coeffs, 3))
 
     @classmethod
     def constant(cls, A):
-        return cls(np.asarray(as_symmetric(A).entries)[None, :, :])
+        return cls([A])
 
     @classmethod
     def from_entry_polynomials(cls, n, entries):
@@ -317,10 +297,8 @@ class MatrixFamily:
     @classmethod
     def scaled_quadratic(cls, A):
         """The family lambda^2 * A (linearization of a scaled potential)."""
-        A = as_symmetric(A).entries
-        stack = np.zeros((3,) + A.shape)
-        stack[2] = A
-        return cls(stack)
+        A = np.asarray(A, dtype=float)
+        return cls([np.zeros_like(A), np.zeros_like(A), A])
 
     @property
     def n(self):
@@ -331,9 +309,6 @@ class MatrixFamily:
         return self.coeffs.shape[0] - 1
 
     def eval(self, lam):
-        return SymmetricMatrix(self.eval_array(lam))
-
-    def eval_array(self, lam):
         return self.eval_many([lam])[0]
 
     def derivative_array(self, lam):

@@ -9,11 +9,12 @@ import math
 
 import numpy as np
 
-from equideg.bifurcation import bif_index, build_report, predict_periods
+from equideg.bifurcation import bif_index, build_report
 from equideg.galerkin import (FourierLoop, continue_to_infinity,
                               energy_drift, minimal_period_divisor,
                               newton_solve, residual)
 from equideg.problems import example1, example2, example3
+from equideg.reps import isotropy_gcd_set, period_labels
 from equideg.spectral import (eigen_sym, j_k, resonant_frequencies,
                               scan_resonances)
 from equideg.udring import ONE, ZERO, TomDieckElement, add, star
@@ -63,17 +64,17 @@ def test_criterion_01(failures):
     chk(failures, rule.ind_of(r.s_plus, ex.lambda_plus) == -1, "index at +1 is not -1")
     chk(failures, rule.ind_of(r.s_minus, ex.lambda_minus) == -1, "index at -1 is not -1")
     chk(failures, r.kset == frozenset(), f"K-set {sorted(r.kset)} not empty")
-    interior = [(p, ps) for p, ps in zip(r.resonances, r.predicted_periods)
+    interior = [(p, isotropy_gcd_set(p.kernel_rep)) for p in r.resonances
                 if p.det_nonzero]
     chk(failures, len(interior) == 1,
         f"{len(interior)} interior resonances, want 1")
     if interior:
-        pt, ps = interior[0]
+        pt, labels = interior[0]
         lam0 = pt.lambda0
         chk(failures, abs(lam0 - (1.0 - math.sqrt(2.0))) < 1e-9,
             f"lambda0 {lam0!r} misses 1 - sqrt2 by more than 1e-9")
-        chk(failures, ps.divisors == {1} and not ps.includes_zero,
-            f"predicted periods {ps.labels()}, want exactly 2pi")
+        chk(failures, labels == {1} and period_labels(labels) == ["2pi"],
+            f"predicted periods {period_labels(labels)}, want exactly 2pi")
 
 
 @criterion(2, "example 2 spectral invariants and single-resonance criterion")
@@ -90,9 +91,9 @@ def test_criterion_02(failures):
     chk(failures, v.holds and v.name == "eqcont2(ii)" and v.witness_k == 2,
         f"criterion verdict {v.name} witness {v.witness_k}")
     chk(failures, abs(v.lambda0) < 1e-9, f"lambda0 {v.lambda0!r} not at 0")
-    ps = r.predicted_periods[0]
-    chk(failures, ps.divisors == {2} and not ps.includes_zero,
-        f"predicted periods {ps.labels()}, want exactly pi")
+    labels = isotropy_gcd_set(r.resonances[0].kernel_rep)
+    chk(failures, labels == {2} and period_labels(labels) == ["pi"],
+        f"predicted periods {period_labels(labels)}, want exactly pi")
 
 
 @criterion(3, "example 3 spectral invariants and period set")
@@ -108,9 +109,10 @@ def test_criterion_03(failures):
            if abs(p.lambda0) < 1e-9]
     chk(failures, len(at0) == 1, f"{len(at0)} resonances at 0, want 1")
     if at0:
-        ps = predict_periods(at0[0])
-        chk(failures, ps.divisors == {1, 2, 3, 5} and not ps.includes_zero,
-            f"period divisors {sorted(ps.divisors)}, want [1, 2, 3, 5]")
+        labels = isotropy_gcd_set(at0[0].kernel_rep)
+        chk(failures, labels == {1, 2, 3, 5}
+            and period_labels(labels) == ["2pi", "pi", "2pi/3", "2pi/5"],
+            f"predicted periods {period_labels(labels)}, want 2pi, pi, 2pi/3, 2pi/5")
 
 
 @criterion(4, "nonzero bifurcation index invisible to the scalar shadow")

@@ -14,15 +14,14 @@ import equideg.bifurcation as bifurcation
 import equideg.spectral as spectral
 from equideg.bifurcation import (AccumulationWarning, Eqcont3Point,
                                  IndexContradictionError, IndexRule,
-                                 PeriodSet, Perturbation, PreconditionError,
+                                 Perturbation, PreconditionError,
                                  ProblemSpec, bif_index,
                                  build_report, check_eqcont1,
                                  check_eqcont2, consistency_check,
-                                 endpoint_degree, eqcont3_points,
-                                 predict_periods)
+                                 endpoint_degree, eqcont3_points)
 from equideg.eqdeg import MissingIndexError, deg_id_minus_LA
 from equideg.problems import example1, example2, example3
-from equideg.reps import RepDecomposition
+from equideg.reps import SO2, RepDecomposition, isotropy_gcd_set, period_labels
 from equideg.spectral import (MatrixFamily, ResonancePoint, SpectralData,
                               TangencyWarning, resonant_frequencies, eigen_sym,
                               scan_resonances)
@@ -143,7 +142,7 @@ def test_index_rule_builtin_and_value_and_unavailable():
     assert IndexRule.value(5).ind_of(s, 0.0) == 5
     assert IndexRule.value(lambda lam: 3 if lam > 0 else -3).ind_of(s, 1.0) == 3
     rule = IndexRule.unavailable()
-    assert not rule.available
+    assert rule.kind == "unavailable"
     with pytest.raises(MissingIndexError):
         rule.ind_of(s, 0.0)
     with pytest.raises(ValueError):
@@ -171,7 +170,7 @@ def test_problem_spec_gradient_and_potential():
     ex = example2()
     X = np.array([[1.0, 0.0, 0.0, 0.0], [0.5, -0.5, 1.0, 2.0]])
     lam = 0.25
-    A = ex.problem().family.eval_array(lam)
+    A = ex.problem().family.eval(lam)
     G = ex.problem().gradient_many(X, lam)
     # quadratic part x A plus the bounded gravitational gradient
     pert = ex.problem().perturbation.gradient_many(X, lam)
@@ -535,44 +534,35 @@ def rp(lam0, freqs):
     return ResonancePoint(lam0, RepDecomposition(tuple((1, k) for k in sorted(freqs))))
 
 
+def periods(lam0, freqs):
+    """A resonance's predicted periods: its kernel's isotropy labels."""
+    return isotropy_gcd_set(rp(lam0, freqs).kernel_rep)
+
+
 def test_predict_periods_single_frequency():
-    ps = predict_periods(rp(0.0, {2}))
-    assert ps.divisors == frozenset({2})
-    assert not ps.includes_zero
-    assert ps.labels() == ["pi"]
-    assert ps.as_floats() == pytest.approx([math.pi])
+    labels = periods(0.0, {2})
+    assert labels == frozenset({2})
+    assert period_labels(labels) == ["pi"]
 
 
 def test_predict_periods_example3_point():
-    ps = predict_periods(rp(0.0, {2, 3, 5}))
-    assert ps.divisors == frozenset({1, 2, 3, 5})
-    assert ps.labels() == ["2pi", "pi", "2pi/3", "2pi/5"]
+    labels = periods(0.0, {2, 3, 5})
+    assert labels == frozenset({1, 2, 3, 5})
+    assert period_labels(labels) == ["2pi", "pi", "2pi/3", "2pi/5"]
 
 
 def test_predict_periods_zero_frequency_only():
-    ps = predict_periods(rp(-1.0, {0}))
-    assert ps.divisors == frozenset()
-    assert ps.includes_zero
-    assert ps.labels() == ["0"]
-    assert ps.as_floats() == [0.0]
+    labels = periods(-1.0, {0})
+    assert labels == frozenset({SO2})
+    assert period_labels(labels) == ["0"]
     with pytest.raises(ValueError, match="at least one frequency"):
         rp(-1.0, set())
 
 
 def test_predict_periods_mixed():
-    ps = predict_periods(rp(0.0, {0, 4, 6}))
-    assert ps.divisors == frozenset({2, 4, 6})
-    assert ps.includes_zero
-    assert ps.as_floats()[-1] == 0.0
-
-
-def test_period_set_validation_and_json():
-    with pytest.raises(ValueError):
-        PeriodSet(frozenset({0}))
-    with pytest.raises(ValueError):
-        PeriodSet(frozenset({2.0}))
-    ps = PeriodSet(frozenset({2, 1}), includes_zero=True)
-    assert ps.to_json() == {"divisors": [1, 2], "includes_zero": True}
+    labels = periods(0.0, {0, 4, 6})
+    assert labels == frozenset({2, 4, 6, SO2})
+    assert period_labels(labels) == ["pi", "2pi/4", "2pi/6", "0"]
 
 
 # ----------------------------------------------------------------- consistency
@@ -610,7 +600,9 @@ def test_build_report_example2_fires_eqcont2():
     assert r.bif == TomDieckElement(0, {2: 1})
     assert r.bif_ls == 0
     assert len(r.resonances) == 1
-    assert r.predicted_periods[0].labels() == ["pi"]
+    assert period_labels(isotropy_gcd_set(r.resonances[0].kernel_rep)) == ["pi"]
+    assert r.to_json()["predicted_periods"] == [
+        {"lambda0": r.resonances[0].lambda0, "divisors": [2], "includes_zero": False}]
     assert r.flags["zero_set_bounded"] is True
 
 
@@ -855,8 +847,8 @@ def _reference_cases():
         ind = int(rng.choice([-1, 1])) if i % 4 == 0 else None
         rule = builtin if ind is None else IndexRule.value(ind)
         p = ProblemSpec(n, fam, Perturbation.kepler(1.0), rule)
-        yield (p, -1.0, 1.0, charpoly_eigenvalues(fam.eval_array(-1.0)),
-               charpoly_eigenvalues(fam.eval_array(1.0)), ind)
+        yield (p, -1.0, 1.0, charpoly_eigenvalues(fam.eval(-1.0)),
+               charpoly_eigenvalues(fam.eval(1.0)), ind)
     diagonal = [
         # resonant endpoints: 4 at lambda = 0 and 0 at lambda = 1
         ([{0: 4.0, 1: 1.0}, {0: 1.0, 1: -1.0}, {0: 9.5}], 0.0, 1.0),

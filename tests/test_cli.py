@@ -97,8 +97,18 @@ def test_analyze_quiet_problem_exits_two(quiet_cfg, capsys):
     (RESONANT_END, 2, ["  undefined coordinates at k in [2] (resonant endpoint)"]),
     (SCALED, 0, ["  scaled-family point lambda0 = 0.5: Z_1 jump 1",
                  "  scaled-family point lambda0 = 1: Z_1 jump 1",
-                 "  scaled-family point lambda0 = 1: Z_2 jump 1"])],
-    ids=["resonant-endpoint", "scaled-family"])
+                 "  scaled-family point lambda0 = 1: Z_2 jump 1"]),
+    (config_path("example1").read_text(), 0, [
+        "  lambda0 = -1: frequencies {0}, predicted minimal periods {0}",
+        "  lambda0 = -0.414213562: frequencies {1}, predicted minimal periods {2pi}",
+        "  lambda0 = 1: frequencies {0}, predicted minimal periods {0}"]),
+    (config_path("example2").read_text(), 0, [
+        "  lambda0 = 0: frequencies {2}, predicted minimal periods {pi}"]),
+    (config_path("example3").read_text(), 0, [
+        "  lambda0 = 0: frequencies {2, 3, 5}, predicted minimal periods "
+        "{2pi, pi, 2pi/3, 2pi/5}",
+        "  lambda0 = 0.942685222: frequencies {2}, predicted minimal periods {pi}"])],
+    ids=["resonant-endpoint", "scaled-family", "example1", "example2", "example3"])
 def test_analyze_human_output_lines(text, rc, lines, tmp_path, capsys):
     path = tmp_path / "problem.cfg"
     path.write_text(text)

@@ -18,12 +18,12 @@ from equideg.problems import CATALOG, config_path, example1, example2, example3
 
 def test_example_matrices():
     lam = 0.3
-    A1 = example1().problem().family.eval_array(lam)
+    A1 = example1().problem().family.eval(lam)
     assert np.allclose(A1, np.diag([lam ** 2 - 1, math.sqrt(2) + lam,
                                     lam - math.sqrt(2), math.sqrt(5) + lam]))
-    A2 = example2().problem().family.eval_array(lam)
+    A2 = example2().problem().family.eval(lam)
     assert np.allclose(A2, np.diag([4 + lam, 2, 2, 2]))
-    A3 = example3().problem().family.eval_array(lam)
+    A3 = example3().problem().family.eval(lam)
     assert np.allclose(A3, np.diag([4 + lam ** 2 / 2,
                                     lam ** 3 - math.sqrt(10),
                                     9 + lam ** 2 / 2,
